@@ -209,6 +209,27 @@ def cmd_prym(args, started: float) -> int:
     return EXIT_OK
 
 
+def _rational_text(text: str) -> str:
+    """argparse type of --d: an exact rational such as 25, -3/4 or 0.5.
+    The text is kept as given, since it enters the config digest."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --height: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selmer3",
@@ -219,23 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="local orbit classification at p")
     p_classify.add_argument("--p", type=int, required=True, help="prime > 3")
-    p_classify.add_argument("--d", type=str, required=True, help="twist parameter (rational)")
+    p_classify.add_argument("--d", type=_rational_text, required=True, help="twist parameter (rational)")
 
     p_ratio = sub.add_parser("ratio", help="per-place Selmer-ratio report")
     p_ratio.add_argument("--config", type=str, help="ratio config JSON file")
     p_ratio.add_argument("--preset", type=str, help="named preset (cm, prym-a4)")
-    p_ratio.add_argument("--d", type=str, help="twist parameter (rational)")
+    p_ratio.add_argument("--d", type=_rational_text, help="twist parameter (rational)")
 
     p_scan = sub.add_parser("scan", help="T_k partition of a twist family")
     p_scan.add_argument("--family", type=str, help="family JSON file")
     p_scan.add_argument("--family-preset", type=str, help="named family preset")
     p_scan.add_argument("--config", type=str, help="ratio config JSON file")
-    p_scan.add_argument("--height", type=int, required=True)
+    p_scan.add_argument("--height", type=_positive_int, required=True)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_prym = sub.add_parser("prym", help="family report for a Prym preset")
     p_prym.add_argument("--preset", type=str, required=True)
-    p_prym.add_argument("--height", type=int, required=True)
+    p_prym.add_argument("--height", type=_positive_int, required=True)
     return parser
 
 

@@ -206,23 +206,21 @@ class CubicRing:
         cols = [self.mul(z, self.basis(j)) for j in range(3)]
         return [[cols[j][i] for j in range(3)] for i in range(3)]
 
+    def _basis_traces(self) -> tuple[Fraction, Fraction]:
+        # Tr(w) and Tr(t), read off the diagonal of the multiplication maps
+        return self.ww[1] + self.wt[2], self.wt[1] + self.tt[2]
+
     def trace(self, z: Triple) -> Fraction:
-        # Tr is linear; Tr(1) = 3, Tr(w) and Tr(t) read off the table
-        tr_w = self.ww[1] + self.wt[2]
-        tr_t = self.wt[1] + self.tt[2]
+        # Tr is linear and Tr(1) = 3
+        tr_w, tr_t = self._basis_traces()
         return 3 * z[0] + z[1] * tr_w + z[2] * tr_t
 
     def discriminant(self) -> Fraction:
-        basis = [self.basis(i) for i in range(3)]
-        gram = [
-            [self.trace(self.mul(basis[i], basis[j])) for j in range(3)]
-            for i in range(3)
-        ]
-        return (
-            gram[0][0] * (gram[1][1] * gram[2][2] - gram[1][2] * gram[2][1])
-            - gram[0][1] * (gram[1][0] * gram[2][2] - gram[1][2] * gram[2][0])
-            + gram[0][2] * (gram[1][0] * gram[2][1] - gram[1][1] * gram[2][0])
-        )
+        # determinant of the trace-form Gram matrix on (1, w, t), whose
+        # entries 3, Tr(w), Tr(t), Tr(ww), Tr(wt), Tr(tt) come off the table
+        tr_w, tr_t = self._basis_traces()
+        ww, wt, tt = (3 * z[0] + z[1] * tr_w + z[2] * tr_t for z in (self.ww, self.wt, self.tt))
+        return 3 * (ww * tt - wt * wt) - tr_w * (tr_w * tt - wt * tr_t) + tr_t * (tr_w * wt - ww * tr_t)
 
     def structure_constants(self) -> list[list[list[str]]]:
         """Full 3x3x3 array: entry [i][j] is e_i * e_j over (1, w, t)."""
@@ -282,15 +280,10 @@ def ring_to_form(ring: CubicRing) -> BinaryCubicForm:
     b = ring.ww[1]
     c = -ring.tt[2]
     d = ring.tt[1]
-    f = BinaryCubicForm(a, b, c, d)
-    expected = CubicRing(
-        ww=_triple(-a * c, b, -a),
-        wt=_triple(-a * d, 0, 0),
-        tt=_triple(-b * d, d, -c),
-    )
-    if expected != ring:
+    # the table of form_to_ring(f), entry by entry past the four read above
+    if ring.ww[0] != -a * c or ring.wt != (-a * d, 0, 0) or ring.tt[0] != -b * d:
         raise DomainError("structure constants do not define a cubic ring of a form")
-    return f
+    return BinaryCubicForm(a, b, c, d)
 
 
 def translate_basis(ring: CubicRing, s: Rational, t: Rational) -> CubicRing:
@@ -313,9 +306,6 @@ def translate_basis(ring: CubicRing, s: Rational, t: Rational) -> CubicRing:
 # ----------------------------------------------------------------------
 # Mod-p behaviour: factorization types, subrings of index p
 # ----------------------------------------------------------------------
-
-FACTORIZATION_TAGS = ("(111)", "(12)", "(3)", "(1^2 1)", "(1^3)", "degenerate")
-
 
 def projective_roots_mod_p(f: BinaryCubicForm, p: int) -> list[tuple[int, int]]:
     """Zeros of f mod p in P^1(F_p), as normalized pairs (x, 1) or (1, 0).

@@ -82,6 +82,20 @@ class Place:
         return str(self.p) if self.is_finite else self.kind
 
 
+def _split(x: Fraction, p: int) -> tuple[int, int, int]:
+    """(v, num, den) with x = p^v * num/den and num, den prime to p.  No
+    checks: x is nonzero and p a proven prime (a `Place` proves it when it
+    is built), so the hot primitives skip the primality test."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def valuation(x: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational; additive on products."""
     x = Fraction(x)
@@ -89,15 +103,7 @@ def valuation(x: Rational, p: int) -> int:
         raise DomainError("valuation of 0 is undefined")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _split(x, p)[0]
 
 
 def unit_part(x: Rational, p: int) -> Fraction:
@@ -128,13 +134,13 @@ def is_square(x: Rational, place: Place) -> bool:
         return x > 0
     p = place.p
     assert p is not None
-    if valuation(x, p) % 2 != 0:
+    v, num, den = _split(x, p)
+    if v % 2 != 0:
         return False
-    u = unit_part(x, p)
     if p == 2:
-        return _unit_mod(u, 8) == 1
+        return num * den % 8 == 1  # odd den is its own inverse mod 8
     # Euler's criterion on the unit part
-    return pow(_unit_mod(u, p), (p - 1) // 2, p) == 1
+    return pow(num * pow(den, -1, p) % p, (p - 1) // 2, p) == 1
 
 
 def zeta3_present(place: Place) -> bool:
@@ -235,9 +241,8 @@ def sextic_class_3adic(d: Rational) -> SexticClass3:
     d = Fraction(d)
     if d == 0:
         raise DomainError("sextic class of 0 is undefined")
-    v = valuation(d, 3)
-    u = unit_part(d, 3)
-    return SexticClass3(_SIGNED_UNIT_REPS[_unit_mod(u, 9)], v % 6)
+    v, num, den = _split(d, 3)
+    return SexticClass3(_SIGNED_UNIT_REPS[num * pow(den, -1, 9) % 9], v % 6)
 
 
 # Unit-class representatives of F_p^* modulo cubes: the smallest positive

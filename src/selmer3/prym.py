@@ -31,7 +31,7 @@ from .selmerratio import (
     rank_density_bounds,
 )
 from .localclass import build_twist_datum
-from .twistfamilies import TwistFamily, enumerate_classes, factorize, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, reduce_class
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,11 @@ class PrymLocalAssembly:
         return tuple(sorted((kp, ks)))  # type: ignore[return-value]
 
     @property
+    def pair_abs(self) -> tuple[int, int]:
+        kp, ks = self.pair_global
+        return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
+
+    @property
     def k_pi(self) -> int:
         return sum(p.pair[0] + p.pair[1] for p in self.places)
 
@@ -196,6 +201,66 @@ class PrymLocalAssembly:
         }
 
 
+class _Assembler:
+    """What a configuration fixes for all its twists, resolved once per
+    report: the two descriptors, the 3-adic solutions with the unique
+    unordered pair they determine, and the 2-adic place."""
+
+    def __init__(self, config: PrymCurveConfig) -> None:
+        self.config = config
+        self.descs = config.descriptors()
+        self.solutions = solve_three_adic(config)
+        self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
+        if len(self.pairs) != 1:
+            raise DomainError("3-adic constraints do not determine the unordered pair")
+        sums = {s[0] + s[1] + s[2] + s[3] for s in self.solutions}
+        assert sums == {config.three_adic.product_exponent}
+        self.q2 = Place.finite(2)
+        # the real place sees the sign of d only
+        self.k_inf = {
+            sign: (archimedean_exponent(self.descs[0], sign), archimedean_exponent(self.descs[1], sign))
+            for sign in (1, -1)
+        }
+
+    def assemble(self, tc: TwistClass) -> PrymLocalAssembly:
+        """Per-place pairs for a member of the family."""
+        d0 = tc.d0
+        desc_phi, desc_psi = self.descs
+        places = []
+
+        places.append(PlacePair("real", self.k_inf[1 if d0 > 0 else -1], True, "archimedean"))
+
+        if is_square(d0, self.q2) or is_square(-3 * d0, self.q2):
+            raise DomainError("family admits a twist with a 2-adic square; preset broken")
+        places.append(PlacePair("2", (0, 0), True, "h1-zero"))
+
+        pair3 = next(iter(self.pairs))
+        ordered3 = False
+        ordered = self.config.three_adic.ordered
+        if ordered is not None:
+            rep = sextic_class_3adic(d0).representative
+            if rep not in ordered:
+                raise IncompleteConfigError(f"no ordered 3-adic input for sixth-power class {rep}")
+            pair3 = ordered[rep]
+            if tuple(sorted(pair3)) not in self.pairs:
+                raise DomainError("ordered 3-adic input contradicts the constraints")
+            ordered3 = True
+        places.append(PlacePair("3", pair3, ordered3, "override"))
+
+        for p, v in tc.factorization().items():
+            if p in (2, 3):
+                continue
+            if v % 2:
+                k = (0, 0)  # the local ratio is 1 at odd valuation
+            else:
+                prof = LocalPlaceProfile(Place.finite(p))
+                datum = build_twist_datum(p, d0)
+                k = (local_exponent(prof, desc_phi, datum), local_exponent(prof, desc_psi, datum))
+            places.append(PlacePair(str(p), k, True, "good"))
+
+        return PrymLocalAssembly(d0, tuple(places), self.solutions[0])
+
+
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:
     """Per-place exponent pairs for (phi_d, psi_d) on the configured family.
 
@@ -206,49 +271,7 @@ def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalA
     tc = reduce_class(d, config.family.n)
     if not config.family.admits(tc):
         raise DomainError(f"{d} is not in the configured family")
-    d0 = tc.d0
-    desc_phi, desc_psi = config.descriptors()
-    places = []
-
-    k_inf = (archimedean_exponent(desc_phi, d0), archimedean_exponent(desc_psi, d0))
-    places.append(PlacePair("real", k_inf, True, "archimedean"))
-
-    q2 = Place.finite(2)
-    if is_square(d0, q2) or is_square(-3 * d0, q2):
-        raise DomainError("family admits a twist with a 2-adic square; preset broken")
-    places.append(PlacePair("2", (0, 0), True, "h1-zero"))
-
-    solutions = solve_three_adic(config)
-    pairs = {tuple(sorted(s[:2])) for s in solutions}
-    if len(pairs) != 1:
-        raise DomainError("3-adic constraints do not determine the unordered pair")
-    pair3 = next(iter(pairs))
-    ordered3 = False
-    if config.three_adic.ordered is not None:
-        rep = sextic_class_3adic(d0).representative
-        if rep not in config.three_adic.ordered:
-            raise IncompleteConfigError(f"no ordered 3-adic input for sixth-power class {rep}")
-        pair3 = config.three_adic.ordered[rep]
-        if tuple(sorted(pair3)) not in pairs:
-            raise DomainError("ordered 3-adic input contradicts the constraints")
-        ordered3 = True
-    places.append(PlacePair("3", pair3, ordered3, "override"))
-
-    for p in sorted(factorize(abs(d0))):
-        if p in (2, 3):
-            continue
-        prof = LocalPlaceProfile(Place.finite(p))
-        datum = build_twist_datum(p, d0)
-        k = (
-            local_exponent(prof, desc_phi, datum),
-            local_exponent(prof, desc_psi, datum),
-        )
-        places.append(PlacePair(str(p), k, True, "good"))
-
-    four = solutions[0]
-    sums = {s[0] + s[1] + s[2] + s[3] for s in solutions}
-    assert sums == {config.three_adic.product_exponent}
-    return PrymLocalAssembly(d0, tuple(places), four)
+    return _Assembler(config).assemble(tc)
 
 
 @dataclass(frozen=True)
@@ -266,8 +289,7 @@ def rank_bound_per_twist(assembly: PrymLocalAssembly) -> PerTwistBound:
     at most the sum of |k| + 3^-|k| over the pair, the dimension equals
     the sum of the |k| off an exceptional set of density at most the sum
     of 1/(2*3^|k|)."""
-    kp, ks = assembly.pair_global
-    pair_abs: tuple[int, int] = tuple(sorted((abs(kp), abs(ks))))  # type: ignore[assignment]
+    pair_abs = assembly.pair_abs
     avg = Fraction(0)
     density_loss = Fraction(0)
     for k in pair_abs:
@@ -328,26 +350,34 @@ def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
     the analytic bounds.  Every member is checked against the invariants
     (exponents in {0,1} summing to the product exponent, odd global
     exponent, unordered ratio pair {1, 3+-1})."""
+    members = enumerate_classes(config.family, height_bound)
+    assembler = _Assembler(config)
+    unequal = config.three_adic.mode == "unequal"
+    if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
+        raise AssertionError("solver output violated the product identity")
     rows = []
-    for tc in enumerate_classes(config.family, height_bound):
-        assembly = assemble_local_exponents(config, tc.d0)
-        if config.three_adic.mode == "unequal":
-            if sorted(assembly.four_exponents) != [0, 0, 1, 1]:
-                raise AssertionError("solver output violated the product identity")
+    for tc in members:
+        if not config.family.admits(tc):
+            raise DomainError(f"{tc.d0} is not in the configured family")
+        assembly = assembler.assemble(tc)
+        if unequal:
             if assembly.parity != "odd":
                 raise AssertionError("parity invariant failed")
             if set(assembly.pair_global) not in ({0, -1}, {0, 1}):
                 raise AssertionError("ratio pair invariant failed")
         rows.append(assembly)
 
-    bounds = [rank_bound_per_twist(r) for r in rows]
-    patterns = {b.pair_abs for b in bounds}
+    # the bounds depend on a row through its |k| pattern only, so one row
+    # stands for all once the patterns agree
+    patterns = {r.pair_abs for r in rows}
     if patterns and patterns != {(0, 1)}:
         raise AssertionError(f"unexpected |k| patterns {patterns}")
-    avg_bound = bounds[0].avg_dim_bound if bounds else sum(rank_density_bounds(k)[0] for k in (0, 1))
-    density = bounds[0].typical_density if bounds else 1 - sum(
-        1 - rank_density_bounds(k)[1] for k in (0, 1)
-    )
+    if rows:
+        first = rank_bound_per_twist(rows[0])
+        avg_bound, density = first.avg_dim_bound, first.typical_density
+    else:
+        avg_bound = sum(rank_density_bounds(k)[0] for k in (0, 1))
+        density = 1 - sum(1 - rank_density_bounds(k)[1] for k in (0, 1))
     return PrymReport(
         name=config.name,
         height_bound=height_bound,

@@ -27,7 +27,7 @@ from .localfield import (
     least_nonresidue,
     zeta3_present,
 )
-from .twistfamilies import TwistFamily, enumerate_classes, rational_exponents, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, reduce_class
 
 # ----------------------------------------------------------------------
 # Configuration types
@@ -227,9 +227,6 @@ class IsogenyDescriptor:
 # Reports
 # ----------------------------------------------------------------------
 
-PROVENANCE = ("table2", "archimedean", "good", "override", "h1-zero")
-
-
 @dataclass(frozen=True)
 class PlaceExponent:
     place_label: str
@@ -332,6 +329,62 @@ def local_exponent(
     return _table2_exponent(profile, desc, datum)
 
 
+class _PlaceExponents:
+    """The per-place exponents of one configuration, for one report or one
+    partition: the profiles are indexed once, and the table-2 exponent of
+    each distinct (p, v(d), unit residue of d mod p, or mod 8 at p = 2) is
+    computed once.  Those are exactly the inputs of the square classes of d
+    and -3d, of the unit-class labels and of r.  Provenance is decided
+    here: an override, a good place with v(d) = 0 or odd (exponent 0, no
+    datum built), or a table-2 cell."""
+
+    def __init__(self, profiles: list[LocalPlaceProfile], desc: IsogenyDescriptor) -> None:
+        self.desc = desc
+        self.by_prime: dict[int, LocalPlaceProfile] = {}
+        arch: LocalPlaceProfile | None = None
+        for prof in profiles:
+            if isinstance(prof.place, SymbolicPlace):
+                raise DomainError("symbolic profiles belong to the closed-form checks")
+            if prof.place.is_finite:
+                assert prof.place.p is not None
+                self.by_prime[prof.place.p] = prof
+            else:
+                arch = prof
+        if arch is None:
+            raise IncompleteConfigError("no archimedean place profiled")
+        if 3 not in self.by_prime:
+            raise IncompleteConfigError("place 3 is not covered by the configuration")
+        self.arch_label = arch.place.kind
+        self.arch_k = {
+            sign: -1 if arch.place.kind == "complex" else archimedean_exponent(desc, sign)
+            for sign in (1, -1)
+        }
+        self.table2: dict[tuple[int, int, int], int] = {}
+
+    def entries(self, tc: TwistClass) -> list[tuple[str, int, str]]:
+        """(place label, exponent, provenance) at the archimedean place and
+        at every profiled prime or prime dividing d0, primes increasing."""
+        d0 = tc.d0
+        out = [(self.arch_label, self.arch_k[1 if d0 > 0 else -1], "archimedean")]
+        vals = tc.factorization()
+        for p in sorted(self.by_prime.keys() | vals.keys()):
+            prof = self.by_prime.get(p)
+            v = vals.get(p, 0)
+            if prof is not None and prof.override_exponent is not None:
+                out.append((str(p), prof.override_exponent, "override"))
+            elif v == 0 or v % 2 == 1:
+                out.append((str(p), 0, "good"))
+            else:
+                key = (p, v, d0 // p**v % (8 if p == 2 else p))
+                k = self.table2.get(key)
+                if k is None:
+                    datum = build_twist_datum(p, d0, self.desc.m)
+                    k = local_exponent(prof or LocalPlaceProfile(Place.finite(p)), self.desc, datum)
+                    self.table2[key] = k
+                out.append((str(p), k, "table2"))
+        return out
+
+
 def global_report(
     profiles: list[LocalPlaceProfile], desc: IsogenyDescriptor, d: Rational
 ) -> SelmerRatioReport:
@@ -340,37 +393,8 @@ def global_report(
     archimedean place, the place over 3, all bad places; good places
     dividing d are synthesized automatically."""
     tc = reduce_class(d, desc.n)
-    d0 = tc.d0
-    by_prime: dict[int, LocalPlaceProfile] = {}
-    arch: LocalPlaceProfile | None = None
-    for prof in profiles:
-        if isinstance(prof.place, SymbolicPlace):
-            raise DomainError("symbolic profiles belong to the closed-form checks")
-        if prof.place.is_finite:
-            assert prof.place.p is not None
-            by_prime[prof.place.p] = prof
-        else:
-            arch = prof
-    if arch is None:
-        raise IncompleteConfigError("no archimedean place profiled")
-    if 3 not in by_prime:
-        raise IncompleteConfigError("place 3 is not covered by the configuration")
-
-    arch_k = -1 if arch.place.kind == "complex" else archimedean_exponent(desc, d0)
-    entries = [PlaceExponent(arch.place.kind, arch_k, "archimedean")]
-    relevant = sorted(set(by_prime) | set(rational_exponents(Fraction(d0))))
-    for p in relevant:
-        prof = by_prime.get(p) or LocalPlaceProfile(Place.finite(p))
-        datum = build_twist_datum(p, d0, desc.m)
-        k = local_exponent(prof, desc, datum)
-        if prof.override_exponent is not None:
-            prov = "override"
-        elif datum.v_d == 0 or datum.v_d % 2 == 1:
-            prov = "good"
-        else:
-            prov = "table2"
-        entries.append(PlaceExponent(str(p), k, prov))
-    return SelmerRatioReport(tuple(entries), d0)
+    entries = _PlaceExponents(profiles, desc).entries(tc)
+    return SelmerRatioReport(tuple(PlaceExponent(*e) for e in entries), tc.d0)
 
 
 # ----------------------------------------------------------------------
@@ -577,13 +601,16 @@ def tk_partition(
     constant on the family, so that only the sign decides the cell (the
     congruence-measure case); otherwise the density is left unknown."""
     members = enumerate_classes(family, height_bound)
+    rule = _PlaceExponents(profiles, desc)
     finite_parts: set[int] = set()
     cells: dict[int, list[int]] = {}
     for tc in members:
-        report = global_report(profiles, desc, tc.d0)
-        arch = report.entries[0].exponent
-        finite_parts.add(report.global_exponent - arch)
-        cells.setdefault(report.global_exponent, []).append(tc.d0)
+        # a family of another level is read modulo the descriptor's powers
+        cls = tc if tc.n == desc.n else reduce_class(tc.d0, desc.n)
+        arch, *finite = (k for _, k, _ in rule.entries(cls))
+        finite_k = sum(finite)
+        finite_parts.add(finite_k)
+        cells.setdefault(arch + finite_k, []).append(tc.d0)
 
     densities: dict[int, Fraction] = {}
     if len(finite_parts) == 1:

@@ -168,3 +168,23 @@ def test_classify_golden_file(capsys):
         (Path(__file__).parent / "golden" / "classify_p5_d25.json").read_text()
     )
     assert json.loads(out)["result"] == golden
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--p", "5", "--d", "abc"],
+        ["classify", "--p", "5", "--d", "1/0"],
+        ["ratio", "--preset", "prym-a4", "--d", "2/0"],
+        ["scan", "--family-preset", "squarefree-n3", "--height", "-5"],
+        ["scan", "--family-preset", "squarefree-n3", "--height", "ten"],
+        ["prym", "--preset", "prym-a4", "--height", "0"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "Traceback" not in err

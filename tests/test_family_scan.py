@@ -1,0 +1,242 @@
+"""The family scan against the per-member computations it replaces.
+
+Enumerated classes carry their factorization from the sieve, exponents at
+good places are memoized per (p, v(d), unit residue) within one partition,
+and the Prym report resolves its 3-adic input once.  These tests rebuild
+the direct computations (sympy factorizations, a twist datum at every
+relevant place, one assembly per member) and compare, and they count the
+calls that the scan must no longer make.
+"""
+
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+from selmer3 import localclass, prym, twistfamilies
+from selmer3.cli import main
+from selmer3.localclass import build_twist_datum
+from selmer3.localfield import Place
+from selmer3.prym import (
+    PrymCurveConfig,
+    ThreeAdicInput,
+    assemble_local_exponents,
+    family_report,
+    load_preset,
+)
+from selmer3.selmerratio import (
+    IsogenyDescriptor,
+    KappaEntry,
+    LocalPlaceProfile,
+    archimedean_exponent,
+    global_report,
+    local_exponent,
+    tk_partition,
+)
+from selmer3.twistfamilies import TwistFamily, enumerate_classes, family_preset
+
+
+# ----------------------------------------------------------------------
+# Equivalence with the direct computations
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["squarefree-n3", "full-n3", "sigma-36-2-11"])
+def test_enumerated_factorizations_match_sympy(preset):
+    factorint = pytest.importorskip("sympy").factorint
+    members = enumerate_classes(family_preset(preset), 3000)
+    assert members
+    for tc in members:
+        assert tc.factors is not None
+        assert tc.factorization() == factorint(abs(tc.d0))
+
+
+def _reference_entries(profiles, desc, d0, factorint):
+    """The per-place loop the partition replaced: a twist datum and a
+    local exponent at every profiled prime and every prime dividing d0."""
+    by_prime = {prof.place.p: prof for prof in profiles if prof.place.is_finite}
+    arch = next(prof for prof in profiles if not prof.place.is_finite)
+    entries = [(arch.place.kind, archimedean_exponent(desc, d0), "archimedean")]
+    for p in sorted(set(by_prime) | set(factorint(abs(d0)))):
+        prof = by_prime.get(p) or LocalPlaceProfile(Place.finite(p))
+        datum = build_twist_datum(p, d0, desc.m)
+        k = local_exponent(prof, desc, datum)
+        if prof.override_exponent is not None:
+            prov = "override"
+        elif datum.v_d == 0 or datum.v_d % 2 == 1:
+            prov = "good"
+        else:
+            prov = "table2"
+        entries.append((str(p), k, prov))
+    return entries
+
+
+def _unit_class_descriptor(m):
+    # r >= 1 entries that differ by unit class, so that the memo key must
+    # separate the unit residues; r = 0 entries are unit-independent
+    entries = [KappaEntry(0, "any", 3, 1)]
+    for r in range(1, m + 1):
+        entries += [
+            KappaEntry(r, "power", 1, 3),
+            KappaEntry(r, "square", 3, 9),
+            KappaEntry(r, "nonsquare", 9, 1),
+        ]
+    return IsogenyDescriptor(
+        m=m, kernel_character=Fraction(-3), global_summand_bit=False, kappa_orders=tuple(entries)
+    )
+
+
+# the real place, the override at 3, a bad place with an override, and a
+# good place (7 = 1 mod 3) profiled without one; 2 and the other primes
+# are synthesized good places
+PROFILES = [
+    LocalPlaceProfile(Place.real()),
+    LocalPlaceProfile(Place.finite(3), reduction="bad", override_exponent=1),
+    LocalPlaceProfile(Place.finite(5), reduction="bad", override_exponent=-1),
+    LocalPlaceProfile(Place.finite(7)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, m",
+    [
+        # v(d) < 6 on full-n3, so r = 0 throughout
+        (family_preset("full-n3"), 1),
+        # level 9: v_2(d) = 6 at d = 64u puts r = 1 at p = 2
+        (TwistFamily(n=9, name="full-n9"), 2),
+    ],
+)
+def test_tk_partition_matches_per_place_reference(family, m):
+    factorint = pytest.importorskip("sympy").factorint
+    desc = _unit_class_descriptor(m)
+    cells = tk_partition(family, desc, PROFILES, 3000)
+    want: dict[int, list[int]] = {}
+    provenances = set()
+    for tc in enumerate_classes(family, 3000):
+        entries = _reference_entries(PROFILES, desc, tc.d0, factorint)
+        provenances |= {prov for _, _, prov in entries}
+        want.setdefault(sum(k for _, k, _ in entries), []).append(tc.d0)
+    assert provenances == {"archimedean", "override", "good", "table2"}
+    assert {k: list(cell.members) for k, cell in cells.items()} == want
+    assert all(cell.count == len(cell.members) for cell in cells.values())
+
+
+def test_global_report_matches_per_place_reference():
+    factorint = pytest.importorskip("sympy").factorint
+    # d = +-7^6 u: r = 1 at the profiled good place 7, where the units
+    # 1, {2, 4} and {3, 5, 6} mod 7 are the power, square and nonsquare
+    # classes; d = +-64u does the same at p = 2
+    desc = _unit_class_descriptor(2)
+    ds = [s * 7**6 * u for s in (1, -1) for u in range(1, 30) if u % 7]
+    ds += [s * 64 * u for s in (1, -1) for u in range(1, 60, 2)]
+    ds += [s * h for s in (1, -1) for h in range(1, 400)]
+    for d in ds:
+        report = global_report(PROFILES, desc, d)
+        got = [(e.place_label, e.exponent, e.provenance) for e in report.entries]
+        assert got == _reference_entries(PROFILES, desc, report.d0, factorint), d
+
+
+@pytest.mark.parametrize("ordered", [None, {2: (1, 0)}])
+def test_family_report_rows_match_single_assemblies(ordered):
+    a4 = load_preset("prym-a4")
+    config = PrymCurveConfig(
+        a=a4.a,
+        genus=a4.genus,
+        dim_b=a4.dim_b,
+        bad_primes=a4.bad_primes,
+        family=a4.family,
+        three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered=ordered),
+        kernel_characters=a4.kernel_characters,
+        f_tilde=a4.f_tilde,
+        trivial_points=a4.trivial_points,
+        nontorsion_trivial_points=a4.nontorsion_trivial_points,
+        name=a4.name,
+    )
+    report = family_report(config, 3000)
+    assert [row.d0 for row in report.rows] == [tc.d0 for tc in enumerate_classes(config.family, 3000)]
+    for row in report.rows:
+        assert row == assemble_local_exponents(config, row.d0)
+
+
+# ----------------------------------------------------------------------
+# Work counts: deterministic, no wall clock
+# ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a counting wrapper in every selmer3 module
+    that holds it; returns the list of recorded argument tuples."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "selmer3" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    return {
+        "factorize": _count_calls(monkeypatch, twistfamilies, "factorize"),
+        "build_twist_datum": _count_calls(monkeypatch, localclass, "build_twist_datum"),
+        "solve_three_adic": _count_calls(monkeypatch, prym, "solve_three_adic"),
+    }
+
+
+def _run(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_scan_factors_nothing(counts, capsys):
+    result = _run(capsys, "scan", "--family-preset", "squarefree-n3", "--height", "2500")
+    assert result["member_count"] > 3000
+    assert counts["factorize"] == []
+
+
+def test_prym_report_factors_nothing_and_solves_once(counts, capsys):
+    result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "20000")
+    assert result["member_count"] > 2000
+    assert counts["factorize"] == []
+    assert len(counts["solve_three_adic"]) == 1
+
+
+def test_full_scan_builds_one_datum_per_memo_key(counts, capsys):
+    result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
+    keys = set()
+    for tc in enumerate_classes(family_preset("full-n3"), 2000):
+        for p, v in tc.factorization().items():
+            if p != 3 and v % 2 == 0:  # 3 carries the configured override
+                keys.add((p, v, tc.d0 // p**v % (8 if p == 2 else p)))
+    assert result["member_count"] > 3000
+    assert 0 < len(counts["build_twist_datum"]) <= len(keys)
+
+
+def test_point_requests_factor_once(counts, capsys, tmp_path):
+    config = {
+        "schema": 1,
+        "descriptor": {"schema": 1, "m": 1, "kernel_character": "1",
+                       "global_summand_bit": True, "chain_length": 1, "name": "",
+                       "kappa_orders": [{"r": 0, "unit_class": "any", "kappa": 1, "kappa_hat": 1}]},
+        "profiles": [
+            {"place": "real", "reduction": "good"},
+            {"place": 3, "reduction": "bad", "override_exponent": 0},
+        ],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    result = _run(capsys, "ratio", "--config", str(path), "--d", str(100003 * 999983))
+    assert [e["place"] for e in result["places"]] == ["real", "3", "100003", "999983"]
+    assert len(counts["factorize"]) == 1
+
+    d = 2 * 100003 * 999007  # = 2 (mod 36), squarefree: a member of Sigma
+    result = _run(capsys, "ratio", "--preset", "prym-a4", "--d", str(d))
+    assert [e["place"] for e in result["pi"]["places"]] == ["real", "2", "3", "100003", "999007"]
+    assert len(counts["factorize"]) == 2
+    assert len(counts["solve_three_adic"]) == 1

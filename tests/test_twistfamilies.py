@@ -123,3 +123,31 @@ def test_family_preset_unknown():
 def test_twist_class_rejects_zero():
     with pytest.raises(DomainError):
         TwistClass(0, 3)
+
+
+def test_enumerate_matches_brute_force_filter():
+    # every nonzero d with |d| < bound that the family predicate admits,
+    # in enumeration order; moduli below and above the bound
+    rng = random.Random(12)
+    for _ in range(30):
+        modulus = rng.choice([4, 9, 36, 50, 1000])
+        residues = frozenset(rng.sample(range(modulus), rng.randint(1, min(modulus, 5))))
+        fam = TwistFamily(
+            n=rng.choice([3, 9]),
+            signs=rng.choice([(1,), (-1,), (1, -1)]),
+            conditions=(CongruenceCondition(modulus, residues),),
+            squarefree=rng.choice([True, False]),
+        )
+        bound = rng.randint(1, 700)
+        want = []
+        for h in range(1, bound):
+            for s in (1, -1):
+                tc = TwistClass(s * h, fam.n)
+                if reduce_class(s * h, fam.n) == tc and fam.admits(tc):
+                    want.append(s * h)
+        assert [tc.d0 for tc in enumerate_classes(fam, bound)] == want
+
+
+def test_congruence_modulus_must_be_positive():
+    with pytest.raises(DomainError):
+        CongruenceCondition(0, frozenset({0}))
