@@ -40,6 +40,22 @@ EXIT_DOMAIN = 3
 EXIT_INCOMPLETE = 4
 
 
+class _InputFileError(Exception):
+    """An input file that cannot be read or does not hold JSON; a usage
+    error."""
+
+
+def _read_json(path: str):
+    """The parsed JSON of an input file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise _InputFileError(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:  # malformed JSON or text, or a NUL in the path
+        raise _InputFileError(f"cannot parse {path}: {err}") from None
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -150,11 +166,10 @@ def cmd_ratio(args, started: float) -> int:
         raise DomainError("--config or --preset is required")
     if args.d is None:
         raise DomainError("--d is required with --config")
-    with open(args.config) as fh:
-        text = fh.read()
-    config = RatioConfig.from_json(text)
+    obj = _read_json(args.config)
+    config = RatioConfig.from_json_obj(obj)
     report = global_report(list(config.profiles), config.descriptor, Fraction(args.d))
-    _emit("ratio", {"config": json.loads(text), "d": args.d}, report.to_json_obj(), started)
+    _emit("ratio", {"config": obj, "d": args.d}, report.to_json_obj(), started)
     return EXIT_OK
 
 
@@ -165,16 +180,14 @@ def _load_family(args) -> tuple[TwistFamily, dict]:
         return family_preset(args.family_preset), {"family_preset": args.family_preset}
     if not args.family:
         raise DomainError("--family or --family-preset is required")
-    with open(args.family) as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.family)
     return TwistFamily.from_json_obj(obj), {"family": obj}
 
 
 def cmd_scan(args, started: float) -> int:
     family, family_input = _load_family(args)
     if args.config:
-        with open(args.config) as fh:
-            config = RatioConfig.from_json(fh.read())
+        config = RatioConfig.from_json_obj(_read_json(args.config))
         config_input: object = config.to_json_obj()
     else:
         config = _default_ratio_config()
@@ -209,14 +222,33 @@ def cmd_prym(args, started: float) -> int:
     return EXIT_OK
 
 
-def _rational_text(text: str) -> str:
-    """argparse type of --d: an exact rational such as 25, -3/4 or 0.5.
-    The text is kept as given, since it enters the config digest."""
+def _is_rational(text: str) -> bool:
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        return False
+    return True
+
+
+def _rational_text(text: str) -> str:
+    """argparse type of --d: an exact rational such as 25, -3/4 or 0.5.
+    The text is kept as given, since it enters the config digest."""
+    if not _is_rational(text):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
     return text
+
+
+def _attach_negative_d(argv: list[str]) -> list[str]:
+    """Write `--d -3/4` as `--d=-3/4`.  argparse takes a token that starts
+    with '-' for an option unless it is a plain negative integer or
+    decimal, so a negative fraction after --d would lose its flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--d" and tok.startswith("-") and _is_rational(tok):
+            out[-1] = f"--d={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _positive_int(text: str) -> int:
@@ -262,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_d(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     handlers = {
         "classify": cmd_classify,
@@ -272,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, started)
+    except _InputFileError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except IncompleteConfigError as err:
         print(f"error: incomplete configuration: {err}", file=sys.stderr)
         return EXIT_INCOMPLETE

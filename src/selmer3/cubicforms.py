@@ -14,7 +14,6 @@ round-trip tests pin down.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,12 +21,6 @@ from math import gcd
 from .errors import DomainError
 from .localfield import Rational, is_prime, valuation
 from .padicroots import form_has_projective_root_qp
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -38,10 +31,10 @@ class BinaryCubicForm:
     d: Fraction
 
     def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "d", Fraction(d))
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -49,11 +42,6 @@ class BinaryCubicForm:
     def discriminant(self) -> Fraction:
         a, b, c, d = self.coefficients()
         return 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
-
-    def evaluate(self, x: Rational, y: Rational) -> Fraction:
-        a, b, c, d = self.coefficients()
-        x, y = Fraction(x), Fraction(y)
-        return a * x**3 + b * x**2 * y + c * x * y**2 + d * y**3
 
     def swap(self) -> "BinaryCubicForm":
         """f(y, x); the involution pairing the two SL2-orbits of a field."""
@@ -98,19 +86,13 @@ class TwoByTwoMatrix:
     d: Fraction
 
     def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "d", Fraction(d))
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
-
-    def is_sl2(self) -> bool:
-        return self.det() == 1
-
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
 
     def mul(self, other: "TwoByTwoMatrix") -> "TwoByTwoMatrix":
         return TwoByTwoMatrix(
@@ -202,10 +184,6 @@ class CubicRing:
                 out[i] += coeff * prod[i]
         return (out[0], out[1], out[2])
 
-    def multiplication_matrix(self, z: Triple) -> list[list[Fraction]]:
-        cols = [self.mul(z, self.basis(j)) for j in range(3)]
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
-
     def _basis_traces(self) -> tuple[Fraction, Fraction]:
         # Tr(w) and Tr(t), read off the diagonal of the multiplication maps
         return self.ww[1] + self.wt[2], self.wt[1] + self.tt[2]
@@ -229,9 +207,6 @@ class CubicRing:
             for j in range(3):
                 table[i][j] = [str(c) for c in self.mul(self.basis(i), self.basis(j))]
         return table  # type: ignore[return-value]
-
-    def to_json(self) -> str:
-        return json.dumps(self.structure_constants())
 
     @staticmethod
     def from_structure_constants(table) -> "CubicRing":

@@ -11,6 +11,13 @@ index-p subring count against the projective zeros of the index form.
 Nothing in this module consults the dimension table or the integrality
 theorem; tests compare its output against them.
 
+The hot loops run on exact integers: extension-model elements carry
+integer coordinates over an integral basis, so valuations are read off
+the coordinates and division by the uniformizer is an exact integer
+division; sublattice closure is tested on the ring's table scaled by a
+p-unit to integers; and the form scan classifies each residue form mod p
+once before walking its lifts mod p^2.  Nothing is truncated.
+
 The SL2(Z/p^k)-orbit merging of the full form space is only feasible at
 k = 1 (the space has p^(4k) points); sl2_orbit_count_mod_p implements that
 component, and the deeper strata are covered by the order-enumeration
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from .cubicforms import (
     BinaryCubicForm,
@@ -33,6 +42,7 @@ from .localclass import unramified_cubic_form
 from .errors import BudgetError, DomainError, PrecisionError
 from .localfield import (
     Place,
+    _split,
     Rational,
     cube_class_reps,
     is_prime,
@@ -50,7 +60,7 @@ from .padicroots import form_has_projective_root_qp, has_ring_root
 
 
 class _ExtElem:
-    """c0 + c1*w + c2*w^2 in a cubic model ring, exact coordinates."""
+    """c0 + c1*w + c2*w^2 in a cubic model ring, integer coordinates."""
 
     __slots__ = ("model", "c")
 
@@ -80,36 +90,36 @@ class _ExtElem:
 
 
 class CubicExtModel:
-    """O = Z_p[w] with w^3 = r0 + r1*w + r2*w^2.
+    """O = Z_p[w] with w^3 = r0 + r1*w + r2*w^2, on integer coordinates over
+    the basis (1, w, w^2).
 
     Covers both tame shapes: the unramified cubic (w a lift of a generator
     of F_{p^3}, uniformizer p) and the Eisenstein extensions (w^3 = p*u,
-    uniformizer w).  The valuation is read off the norm, i.e. the
-    determinant of the multiplication matrix, so it needs no floating
-    anything."""
+    uniformizer w).  In both, (1, w, w^2) is an integral basis of the ring
+    of integers, so Z^3 coordinates cover every integral element that root
+    isolation meets, the valuation is read off the coordinates, and
+    division by the uniformizer is exact integer division.  Arithmetic is
+    exact throughout; nothing is reduced mod a power of p."""
 
-    def __init__(self, p: int, rule, ramified: bool):
+    def __init__(self, p: int, rule: tuple[int, int, int], ramified: bool):
         self.p = p
-        self.rule = tuple(Fraction(r) for r in rule)
+        self.rule = rule
         self.ramified = ramified
-        self.zero = _ExtElem(self, (Fraction(0), Fraction(0), Fraction(0)))
-        self.one = _ExtElem(self, (Fraction(1), Fraction(0), Fraction(0)))
-        self.w = _ExtElem(self, (Fraction(0), Fraction(1), Fraction(0)))
+        self.zero = _ExtElem(self, (0, 0, 0))
+        self.one = _ExtElem(self, (1, 0, 0))
+        self.w = _ExtElem(self, (0, 1, 0))
         # residue degree 3 in the unramified case, 1 in the ramified case
         if ramified:
             self._residues = [self.embed_int(n) for n in range(p)]
         else:
             self._residues = [
-                _ExtElem(self, (Fraction(a), Fraction(b), Fraction(c)))
-                for a in range(p)
-                for b in range(p)
-                for c in range(p)
+                _ExtElem(self, (a, b, c)) for a in range(p) for b in range(p) for c in range(p)
             ]
 
     @staticmethod
     def unramified(p: int) -> "CubicExtModel":
         f = unramified_cubic_form(p)  # x^3 + A x + B irreducible mod p
-        a_coef, b_coef = f.c, f.d
+        a_coef, b_coef = int(f.c), int(f.d)
         return CubicExtModel(p, (-b_coef, -a_coef, 0), ramified=False)
 
     @staticmethod
@@ -133,31 +143,19 @@ class CubicExtModel:
         return _ExtElem(self, (c[0], c[1], c[2]))
 
     def embed_int(self, n: int) -> _ExtElem:
-        return _ExtElem(self, (Fraction(n), Fraction(0), Fraction(0)))
-
-    def embed_rational(self, q: Rational) -> _ExtElem:
-        return _ExtElem(self, (Fraction(q), Fraction(0), Fraction(0)))
-
-    def norm(self, x: _ExtElem) -> Fraction:
-        cols = [(x * self.one).c, (x * self.w).c, (x * (self.w * self.w)).c]
-        m = [[cols[j][i] for j in range(3)] for i in range(3)]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        return _ExtElem(self, (n, 0, 0))
 
     def val(self, x: _ExtElem) -> int | None:
-        n = self.norm(x)
-        if n == 0:
-            if x.c == (0, 0, 0):
-                return None
-            raise DomainError("zero divisor in a field model")
-        v = valuation(n, self.p)
+        """Valuation normalized so that the uniformizer has valuation 1;
+        None for zero.  Unramified: min v_p(c_i).  Eisenstein: the terms
+        c_i w^i have valuations 3 v_p(c_i) + i, distinct mod 3, so the
+        minimum is attained once and is the valuation of the sum."""
+        p = self.p
         if self.ramified:
-            return v  # w(uniformizer) = 1, w(p) = 3
-        assert v % 3 == 0
-        return v // 3
+            return min(
+                (3 * _split(t, p)[0] + i for i, t in enumerate(x.c) if t), default=None
+            )
+        return min((_split(t, p)[0] for t in x.c if t), default=None)
 
     def residues(self):
         return self._residues
@@ -166,21 +164,31 @@ class CubicExtModel:
         return self.w if self.ramified else self.embed_int(self.p)
 
     def div_uniformizer(self, x: _ExtElem) -> _ExtElem:
-        if not self.ramified:
-            return _ExtElem(self, tuple(t / self.p for t in x.c))
-        # 1/w = w^2 / (p*u)
-        y = x * (self.w * self.w)
-        pu = self.rule[0]
-        return _ExtElem(self, tuple(t / pu for t in y.c))
+        """x divided by a uniformizer: p when unramified, w/u in the
+        Eisenstein model w^3 = p*u, where x * u / w = x * w^2 / p.  Unit
+        factors leave root sets unchanged.  Refuses an inexact division."""
+        p = self.p
+        c0, c1, c2 = x.c
+        if c0 % p or not self.ramified and (c1 % p or c2 % p):
+            raise DomainError("element is not divisible by the uniformizer")
+        if self.ramified:
+            # x * w^2 = c1*p*u + c2*p*u*w + c0*w^2
+            u = self.rule[0] // p
+            return _ExtElem(self, (c1 * u, c2 * u, c0 // p))
+        return _ExtElem(self, (c0 // p, c1 // p, c2 // p))
 
 
 def _form_has_root_in_model(f: BinaryCubicForm, model: CubicExtModel) -> bool:
     a, b, c, d = f.coefficients()
-    vmin = min(valuation(t, model.p) for t in (a, b, c, d) if t != 0)
-    a, b, c, d = (t * Fraction(model.p) ** (-vmin) for t in (a, b, c, d))
     if a == 0 or d == 0:
         return True
-    emb = model.embed_rational
+    # clear denominators, then the content at p: a rational multiple of f
+    # with the same roots and primitive integer coefficients at p
+    den = lcm(*(t.denominator for t in (a, b, c, d)))
+    coeffs = [int(t * den) for t in (a, b, c, d)]
+    scale = model.p ** min(_split(t, model.p)[0] for t in coeffs if t)
+    a, b, c, d = (t // scale for t in coeffs)
+    emb = model.embed_int
     return has_ring_root(model, [emb(d), emb(c), emb(b), emb(a)]) or has_ring_root(
         model, [emb(a), emb(b), emb(c), emb(d)]
     )
@@ -340,37 +348,36 @@ def _index_sublattices(p: int, j: int):
             yield (a, b, e)
 
 
-def _lattice_contains(
-    a: int, b: int, e: int, z1: Fraction, z2: Fraction, p: int
-) -> bool:
-    # membership of (z1, z2) in the Z_p-lattice spanned by (a, b) and (0, e)
-    x = z1 / a
-    if x != 0 and valuation(x, p) < 0:
-        return False
-    y = (z2 - x * b) / e
-    return y == 0 or valuation(y, p) >= 0
-
-
 def orders_of_index(ring: CubicRing, p: int, j: int, budget: int = 10**6):
-    """All subrings of index p^j of a cubic ring, as Hermite-basis triples.
-    Exhaustive: every index-p^j sublattice containing 1 is the preimage of
-    an index-p^j subgroup of Z^2 = ring/Z, and each is tested for closure
-    under multiplication."""
+    """All subrings of index p^j of a p-integral cubic ring, as Hermite-basis
+    triples.  Exhaustive: every index-p^j sublattice containing 1 is the
+    preimage of an index-p^j subgroup of Z^2 = ring/Z, and each is tested
+    for closure under multiplication.
+
+    The test runs on integers.  The w and t coordinates of the table are
+    multiplied by the lcm L of their denominators, a p-unit (a ring that is
+    not p-integral is refused); a Z_p-lattice contains z exactly when it
+    contains L*z.  With a, e powers of p, (z1, z2) lies in the span of
+    (a, b) and (0, e) exactly when a | z1 and e | z2 - (z1/a)*b."""
+    coords = [z[i] for z in (ring.ww, ring.wt, ring.tt) for i in (1, 2)]
+    den = lcm(*(z.denominator for z in coords))
+    if den % p == 0:
+        raise DomainError(f"ring is not {p}-integral")
+    ww1, ww2, wt1, wt2, tt1, tt2 = (int(z * den) for z in coords)
     found = []
     checked = 0
     for a, b, e in _index_sublattices(p, j):
         checked += 1
         if checked > budget:
             raise BudgetError(f"order search exceeded budget after {checked} lattices")
-        v1 = (Fraction(0), Fraction(a), Fraction(b))
-        v2 = (Fraction(0), Fraction(0), Fraction(e))
-        closed = True
-        for x, y in ((v1, v1), (v1, v2), (v2, v2)):
-            z = ring.mul(x, y)
-            if not _lattice_contains(a, b, e, z[1], z[2], p):
-                closed = False
-                break
-        if closed:
+        # (w, t) coordinates of v1*v1, v1*v2, v2*v2 for v1 = a w + b t, v2 = e t
+        aa, ab, bb = a * a, 2 * a * b, b * b
+        products = (
+            (aa * ww1 + ab * wt1 + bb * tt1, aa * ww2 + ab * wt2 + bb * tt2),
+            (a * e * wt1 + b * e * tt1, a * e * wt2 + b * e * tt2),
+            (e * e * tt1, e * e * tt2),
+        )
+        if all(z1 % a == 0 and (z2 - z1 // a * b) % e == 0 for z1, z2 in products):
             found.append((a, b, e))
     return found
 
@@ -608,6 +615,10 @@ class LowValuationScan:
     dichotomy_holds: bool
 
 
+def _int_disc(a: int, b: int, c: int, d: int) -> int:
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+
 def _int_pattern_roots(fa: int, fb: int, fc: int, fd: int, p: int):
     """(simple root exists, triple root or None) for a nonzero form over
     F_p; integer-only version of the factorization machinery."""
@@ -651,42 +662,44 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
       there, and the v(disc) = 2 stratum never meets the unramified
       class.  (Both disc and its gradient vanish mod p on these forms, so
       the valuation-2 property is a class invariant of the reduction.)
+
+    The walk is residue-first.  The discriminant mod p and the root
+    pattern mod p depend only on the residue form, so each of the p^4 - 1
+    nonzero residue forms is classified once; the p^4 lifts of each one
+    with discriminant divisible by p are then walked one by one, with the
+    v(disc) = 1 count, the triple-root count, the Eisenstein test and the
+    valuation-2 comparison made on every lift.  All arithmetic is on
+    integers.
     """
     if p <= 3 or not is_prime(p):
         raise DomainError("form scan requires p > 3")
     q = p * p
     v1 = v1_simple = triples = eis_count = 0
     dichotomy = True
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
-                        continue
-                    disc = (
-                        18 * a * b * c * d
-                        - 4 * b**3 * d
-                        + b * b * c * c
-                        - 4 * a * c**3
-                        - 27 * a * a * d * d
-                    )
-                    if disc % p:
-                        continue
-                    simple, triple = _int_pattern_roots(a % p, b % p, c % p, d % p, p)
-                    if disc % q:
-                        v1 += 1
-                        if simple:
-                            v1_simple += 1
-                        continue
-                    if triple is None:
-                        continue
-                    triples += 1
-                    eis = _eisenstein_at_root(a, b, c, d, triple, p)
-                    if eis:
-                        eis_count += 1
-                    val_is_two = disc != 0 and valuation(disc, p) == 2
-                    if eis != val_is_two:
-                        dichotomy = False
+    for a0, b0, c0, d0 in product(range(p), repeat=4):
+        if not (a0 or b0 or c0 or d0) or _int_disc(a0, b0, c0, d0) % p:
+            continue
+        simple, triple = _int_pattern_roots(a0, b0, c0, d0, p)
+        lifts = None if triple is None else _root_lift_monomials(triple, p)
+        for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
+            # the discriminant as a quadratic in d
+            k2, k1, k0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+            for d in range(d0, q, p):
+                disc = (k2 * d + k1) * d + k0
+                if disc % q:
+                    v1 += 1
+                    if simple:
+                        v1_simple += 1
+                    continue
+                if lifts is None:
+                    continue
+                triples += 1
+                eis = _eisenstein_at_root(a, b, c, d, lifts, q)
+                if eis:
+                    eis_count += 1
+                val_is_two = disc % (q * p) != 0
+                if eis != val_is_two:
+                    dichotomy = False
     return LowValuationScan(
         p=p,
         v1_forms=v1,
@@ -697,15 +710,23 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     )
 
 
-def _eisenstein_at_root(a: int, b: int, c: int, d: int, root, p: int) -> bool:
+def _root_lift_monomials(root, p: int) -> list[tuple[int, int, int, int]]:
+    """(x^3, x^2 y, x y^2, y^3) mod p^2 at each of the p^2 lifts (x, y) of a
+    projective root mod p."""
     x0, y0 = root
     q = p * p
+    out = []
     for s in range(p):
         for t in range(p):
             x, y = (x0 + p * s) % q, (y0 + p * t) % q
-            if (a * x**3 + b * x * x * y + c * x * y * y + d * y**3) % q == 0:
-                return False
-    return True
+            out.append((x**3 % q, x * x * y % q, x * y * y % q, y**3 % q))
+    return out
+
+
+def _eisenstein_at_root(a: int, b: int, c: int, d: int, lifts, q: int) -> bool:
+    """Whether f = (a, b, c, d) is nonzero mod q at every root lift, given
+    the lifts' monomials from _root_lift_monomials."""
+    return all((a * m3 + b * m2 + c * m1 + d * m0) % q for m3, m2, m1, m0 in lifts)
 
 
 # ----------------------------------------------------------------------
@@ -734,13 +755,6 @@ def _act_mod_p(form, mat, p):
     return (x3 % p, x2y % p, xy2 % p, y3 % p)
 
 
-def _disc_mod_p(form, p):
-    a, b, c, d = form
-    return (
-        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-    ) % p
-
-
 def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
     """Number of SL2(F_p)-orbits on the binary cubics over F_p of
     discriminant delta != 0, by breadth-first merging of the whole form
@@ -755,7 +769,7 @@ def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
         for b in range(p)
         for c in range(p)
         for d in range(p)
-        if _disc_mod_p((a, b, c, d), p) == delta % p
+        if _int_disc(a, b, c, d) % p == delta % p
     }
     orbits = 0
     while todo:

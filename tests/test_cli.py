@@ -188,3 +188,53 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "Traceback" not in err
+
+
+_RATIO_CONFIG = {
+    "schema": 1,
+    "descriptor": {"schema": 1, "m": 1, "kernel_character": "1",
+                   "global_summand_bit": True, "chain_length": 1, "name": "",
+                   "kappa_orders": [{"r": 0, "unit_class": "any", "kappa": 1, "kappa_hat": 1},
+                                    {"r": 1, "unit_class": "any", "kappa": 1, "kappa_hat": 1}]},
+    "profiles": [
+        {"place": "real", "reduction": "good"},
+        {"place": 3, "reduction": "bad", "override_exponent": 0},
+        {"place": 2, "reduction": "bad", "override_exponent": 0},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", [["classify", "--p", "7"], ["ratio", "--config", "CONFIG"]])
+def test_negative_fraction_d_in_both_spellings(capsys, tmp_path, monkeypatch, command):
+    import selmer3.cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_RATIO_CONFIG))
+    command = [str(path) if a == "CONFIG" else a for a in command]
+    # a fixed clock, so the envelope's timing is the same in both runs
+    monkeypatch.setattr(selmer3.cli.time, "perf_counter", lambda: 0.0)
+    separate = run_cli(capsys, *command, "--d", "-3/4")
+    joined = run_cli(capsys, *command, "--d=-3/4")
+    assert separate[0] == joined[0] == 0
+    assert separate[1] == joined[1]
+    assert json.loads(separate[1])["result"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio", "--config", "MISSING", "--d", "2"],
+        ["scan", "--family", "MISSING", "--height", "10"],
+        ["scan", "--family-preset", "squarefree-n3", "--config", "MISSING", "--height", "10"],
+        ["ratio", "--config", "MALFORMED", "--d", "2"],
+    ],
+)
+def test_unreadable_or_malformed_input_file_is_usage_error(capsys, tmp_path, argv):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{")
+    paths = {"MISSING": str(tmp_path / "nonexistent.json"), "MALFORMED": str(malformed)}
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

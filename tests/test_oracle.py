@@ -6,9 +6,10 @@ import pytest
 from selmer3.cubicforms import BinaryCubicForm, form_to_ring, projective_roots_mod_p
 from selmer3.errors import DomainError
 from selmer3.localclass import classify_integral, h1_dims, unramified_cubic_form
-from selmer3.localfield import Place, least_nonresidue
+from selmer3.localfield import Place, cube_class_reps, least_nonresidue
 from selmer3.oracle import (
     CubicExtModel,
+    _ExtElem,
     OrbitTable,
     TruncatedRing,
     algebra_class_of_form,
@@ -110,7 +111,7 @@ def _summaries_match(table: OrbitTable, p: int, d0) -> bool:
     return table.summary() == theory
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("disc_val", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("unit_class", ["square", "nonsquare"])
 def test_enumerate_orbits_agrees_with_classification(p, disc_val, unit_class):
@@ -230,3 +231,187 @@ def test_norm_kernel_agrees_with_extension_counts():
         nr = least_nonresidue(p)
         for d in (1, nr, -3, -3 * nr, p, p * nr, p * p, p**3 * nr):
             assert h1_counts_from_norm_kernel(p, d) == h1_counts_from_extensions(p, d)
+
+
+def test_form_space_scan_low_valuation_p7():
+    from selmer3.oracle import scan_forms_low_valuation
+
+    scan = scan_forms_low_valuation(7)
+    assert (scan.v1_forms, scan.triple_forms, scan.eisenstein_forms) == (691488, 115248, 98784)
+    assert scan.v1_all_have_simple_root and scan.dichotomy_holds
+
+
+# ----------------------------------------------------------------------
+# The integer oracle against independent Fraction and sympy references
+# ----------------------------------------------------------------------
+
+
+def _models(p):
+    return [CubicExtModel.unramified(p)] + [
+        CubicExtModel.eisenstein(p, u) for u in cube_class_reps(p)
+    ]
+
+
+def _norm(model, c):
+    """Norm of c0 + c1 w + c2 w^2: the determinant of multiplication by it
+    on (1, w, w^2), reduced by sympy modulo the defining polynomial."""
+    import sympy
+
+    w = sympy.Symbol("w")
+    r0, r1, r2 = model.rule
+    modulus = sympy.Poly(w**3 - r2 * w**2 - r1 * w - r0, w)
+    x = sympy.Poly(c[0] + c[1] * w + c[2] * w**2, w)
+    cols = []
+    for j in range(3):
+        coeffs = (x * sympy.Poly(w**j, w)).rem(modulus).all_coeffs()[::-1]
+        cols.append(coeffs + [0] * (3 - len(coeffs)))
+    return int(sympy.Matrix(3, 3, lambda i, j: cols[j][i]).det())
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_ext_model_val_equals_norm_valuation(p):
+    from sympy import multiplicity
+
+    rng = random.Random(p)
+    for model in _models(p):
+        for _ in range(40):
+            c = tuple(rng.randint(-60, 60) * p ** rng.randint(0, 3) for _ in range(3))
+            # built through the model's arithmetic, so _mul and + are covered
+            x = model.embed_int(c[0]) + model.embed_int(c[1]) * model.w
+            x = x + model.embed_int(c[2]) * (model.w * model.w)
+            assert x.c == c
+            if c == (0, 0, 0):
+                assert model.val(x) is None
+                continue
+            v = multiplicity(p, _norm(model, c))
+            if not model.ramified:
+                assert v % 3 == 0
+                v //= 3
+            assert model.val(x) == v, (p, model.rule, c)
+
+
+def test_eisenstein_division_with_nontrivial_unit():
+    # w^3 = 14: dividing -21 by w would give -21 w^2 / 14, not integral
+    # over Z; the uniformizer w/u keeps integer coordinates
+    m = CubicExtModel.eisenstein(7, 2)
+    x = m.embed_int(-21)
+    y = m.div_uniformizer(x)
+    assert all(type(t) is int for t in y.c)
+    assert m.val(x) == 3 and m.val(y) == 2
+    for c in ((-21, 0, 0), (7, 3, 5), (-14, -1, 2), (0, 0, 1)):
+        x = _ExtElem(m, c)
+        y = m.div_uniformizer(x)
+        assert all(type(t) is int for t in y.c)
+        assert m.val(y) == m.val(x) - 1
+        # y is x divided by w/u: y * w = u * x
+        assert (y * m.w).c == (m.embed_int(2) * x).c
+    with pytest.raises(DomainError):
+        m.div_uniformizer(m.one)
+    e = CubicExtModel.unramified(7)
+    with pytest.raises(DomainError):
+        e.div_uniformizer(e.w)
+
+
+def _orders_reference(ring, p, j):
+    """orders_of_index on Fractions: ring.mul, then membership of the (w, t)
+    coordinates in the Hermite lattice by valuations."""
+    from selmer3.localfield import valuation
+
+    def integral(x):
+        return x == 0 or valuation(x, p) >= 0
+
+    found = []
+    for i in range(j + 1):
+        a, e = p**i, p ** (j - i)
+        for b in range(e):
+            v1 = (Fraction(0), Fraction(a), Fraction(b))
+            v2 = (Fraction(0), Fraction(0), Fraction(e))
+            closed = True
+            for x, y in ((v1, v1), (v1, v2), (v2, v2)):
+                z = ring.mul(x, y)
+                s = z[1] / a
+                if not (integral(s) and integral((z[2] - s * b) / e)):
+                    closed = False
+                    break
+            if closed:
+                found.append((a, b, e))
+    return found
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_orders_of_index_equals_fraction_reference(p):
+    from selmer3.cubicforms import translate_basis
+
+    rng = random.Random(100 + p)
+    rings = []
+    for _ in range(8):
+        # integral rings, some with every coefficient but one divisible by p
+        coeffs = [rng.randint(-9, 9) * p ** rng.randint(0, 2) for _ in range(4)]
+        f = BinaryCubicForm(*coeffs)
+        if f.discriminant() != 0:
+            rings.append(form_to_ring(f))
+        # p-integral rings with unit denominators, in a translated basis
+        den = rng.choice([2, 3, 4, 6])
+        g = BinaryCubicForm(*(Fraction(t, den) for t in coeffs))
+        if g.discriminant() != 0:
+            shifted = translate_basis(form_to_ring(g, p=p), Fraction(1, den), Fraction(-2, 3))
+            rings.append(shifted)
+    # no index-p order, and an index-p^2 one: the unramified maximal order
+    rings.append(form_to_ring(unramified_cubic_form(p)))
+    assert len(rings) >= 10
+    for ring in rings:
+        for j in (1, 2):
+            assert orders_of_index(ring, p, j) == _orders_reference(ring, p, j)
+
+
+def test_orders_of_index_rejects_ring_not_p_integral():
+    ring = form_to_ring(BinaryCubicForm(Fraction(1, 5), 1, 0, 1), p=7)
+    with pytest.raises(DomainError):
+        orders_of_index(ring, 5, 1)
+
+
+# ----------------------------------------------------------------------
+# Work-count guards
+# ----------------------------------------------------------------------
+
+
+def test_form_scan_classifies_each_residue_once(monkeypatch):
+    import selmer3.oracle as oracle
+
+    p = 5
+    seen = []
+    original = oracle._int_pattern_roots
+
+    def counting(fa, fb, fc, fd, p_):
+        seen.append((fa, fb, fc, fd))
+        return original(fa, fb, fc, fd, p_)
+
+    monkeypatch.setattr(oracle, "_int_pattern_roots", counting)
+    oracle.scan_forms_low_valuation(p)
+    expected = {
+        (a, b, c, d)
+        for a in range(p)
+        for b in range(p)
+        for c in range(p)
+        for d in range(p)
+        if (a, b, c, d) != (0, 0, 0, 0)
+        and (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d) % p == 0
+    }
+    assert len(seen) == len(expected) and set(seen) == expected
+
+
+def test_root_isolation_builds_integer_elements_only(monkeypatch):
+    import selmer3.oracle as oracle
+
+    built = []
+    original = oracle._ExtElem.__init__
+
+    def recording(self, model, c):
+        built.append(c)
+        original(self, model, c)
+
+    monkeypatch.setattr(oracle._ExtElem, "__init__", recording)
+    assert algebra_class_of_form(unramified_cubic_form(7), 7) == "unram"
+    assert algebra_class_of_form(BinaryCubicForm(1, 0, 0, -14), 7) == "ram-u2"
+    assert built
+    assert all(type(t) is int for c in built for t in c)
