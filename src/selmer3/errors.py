@@ -25,7 +25,9 @@ class IncompleteConfigError(Selmer3Error, KeyError):
 
 
 class BudgetError(Selmer3Error, RuntimeError):
-    """An oracle search exceeded its configured budget; results are partial."""
+    """A bounded search ran out of budget: an oracle's lattice search or
+    the rho iterations of a factorization.  No partial result is
+    returned."""
 
 
 class PrecisionError(Selmer3Error, RuntimeError):

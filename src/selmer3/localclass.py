@@ -165,14 +165,64 @@ def classify_integral(p: int, d: Rational) -> list[OrbitClassDescriptor]:
 # ----------------------------------------------------------------------
 
 
+def _mul_mod_cubic(
+    u: tuple[int, int, int], v: tuple[int, int, int], a: int, b: int, p: int
+) -> tuple[int, int, int]:
+    """u * v in F_p[x] / (x^3 + a x + b), residues as (c0, c1, c2)."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    d3 = u1 * v2 + u2 * v1
+    d4 = u2 * v2
+    return (
+        (u0 * v0 - b * d3) % p,
+        (u0 * v1 + u1 * v0 - a * d3 - b * d4) % p,
+        (u0 * v2 + u1 * v1 + u2 * v0 - a * d4) % p,
+    )
+
+
+def _poly_gcd(u: list[int], v: list[int], p: int) -> list[int]:
+    """A gcd over F_p of two coefficient lists, constant term first; the
+    result carries no leading zeros (empty for the zero polynomial)."""
+    while u and u[-1] == 0:
+        u.pop()
+    while v and v[-1] == 0:
+        v.pop()
+    while v:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            q = u[-1] * inv % p
+            shift = len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] = (u[shift + i] - q * c) % p
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return u
+
+
+def _cubic_has_root(a: int, b: int, p: int) -> bool:
+    """Whether x^3 + a x + b has a root mod p: gcd(f, x^p - x) != 1
+    (Rabin), with x^p reduced mod f by square-and-multiply, so the test
+    costs O(log p) products instead of a scan over F_p."""
+    r = (1, 0, 0)
+    for bit in bin(p)[2:]:
+        r = _mul_mod_cubic(r, r, a, b, p)
+        if bit == "1":  # times x: x^3 = -a x - b
+            r = ((-b * r[2]) % p, (r[0] - a * r[2]) % p, r[1])
+    g = _poly_gcd([b % p, a % p, 0, 1], [r[0], (r[1] - 1) % p, r[2]], p)
+    return len(g) > 1
+
+
 def unramified_cubic_form(p: int) -> BinaryCubicForm:
     """Index form of the maximal order of the unramified cubic extension:
-    x^3 + A x y^2 + B y^3 from the first monic cubic x^3 + A x + B that is
-    irreducible mod p.  A cubic with no root mod p is irreducible, and its
-    discriminant is automatically a unit square."""
-    for a_coef in range(p):
+    x^3 + A x y^2 + B y^3 from the first monic cubic x^3 + A x + B, in the
+    order of (A, B), that is irreducible mod p.  A cubic with no root mod p
+    is irreducible, and its discriminant is automatically a unit square.
+    For p = 2 (mod 3) cubing permutes F_p, so every x^3 + B has a root and
+    the A = 0 row is skipped."""
+    for a_coef in range(1 if p % 3 == 2 else 0, p):
         for b_coef in range(1, p):
-            if all((x**3 + a_coef * x + b_coef) % p for x in range(p)):
+            if not _cubic_has_root(a_coef, b_coef, p):
                 return BinaryCubicForm(1, 0, a_coef, b_coef)
     raise AssertionError(f"no irreducible cubic found mod {p}")
 

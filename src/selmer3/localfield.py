@@ -22,6 +22,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first thirteen prime bases: a proof of
+    primality for n < 3.3 * 10^24, a strong probable-prime test above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -247,21 +249,17 @@ def sextic_class_3adic(d: Rational) -> SexticClass3:
 
 # Unit-class representatives of F_p^* modulo cubes: the smallest positive
 # integers hitting each coset.  One class when p = 2 (mod 3), three when
-# p = 1 (mod 3).
+# p = 1 (mod 3), told apart by the cubic character c^((p-1)/3) mod p.
 def cube_class_reps(p: int) -> tuple[int, ...]:
     if p % 3 != 1:
         return (1,)
-    cubes = {pow(x, 3, p) for x in range(1, p)}
-    reps: list[int] = []
-    seen: set[int] = set()
-    for c in range(1, p):
-        if c % p in seen:
-            continue
-        reps.append(c)
-        seen |= {c * x % p for x in cubes}
-        if len(reps) == 3:
-            break
-    return tuple(reps)
+    e = (p - 1) // 3
+    reps: dict[int, int] = {}
+    c = 1
+    while len(reps) < 3:
+        reps.setdefault(pow(c, e, p), c)
+        c += 1
+    return tuple(reps.values())
 
 
 def least_nonresidue(p: int) -> int:

@@ -8,7 +8,8 @@ downstream factors it again.  `enumerate_classes` reads the factorization
 of each height off one smallest-prime-factor sieve over the height box
 (an `array('I')`, four bytes a height), which also decides the power-free
 test; `reduce_class` keeps the factorization it computes to reduce d.  Only
-an arbitrary d is trial-divided, once.
+an arbitrary d is factored, once: trial division by small primes, then
+Pollard's rho within a fixed budget.
 """
 
 from __future__ import annotations
@@ -17,32 +18,107 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 from operator import or_
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .localfield import Rational, is_prime
 
 
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes p < bound, by the sieve of Eratosthenes."""
+    is_p = bytearray([1]) * max(bound, 2)
+    is_p[:2] = b"\0\0"
+    for p in range(2, isqrt(max(bound - 1, 0)) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(compress(range(bound), is_p))
+
+
+# Trial division covers the primes below this bound; a cofactor with no
+# such factor that is below its square is prime.
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+# Iterations of x -> x^2 + c that one factorization may spend in rho.
+_RHO_BUDGET = 1 << 23
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division with a
-    primality check on the cofactor."""
+    """Prime factorization of a positive integer, keys in increasing
+    order: trial division by the primes below 1000, then Brent's variant
+    of Pollard's rho on a composite cofactor, every factor it splits off
+    checked with `is_prime`.  Rho has a fixed iteration budget; past it
+    the factorization raises `BudgetError`."""
     if n <= 0:
         raise DomainError("factorize expects a positive integer")
     out: dict[int, int] = {}
     m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out[p] = e
+    if m >= _TRIAL_BOUND**2:
+        for p in sorted(_rho_primes(m)):
             out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        if not is_prime(m):
-            raise DomainError(f"cofactor {m} resisted factorization")
-        out[m] = out.get(m, 0) + 1
+    elif m > 1:  # no prime factor below its square root
+        out[m] = 1
     return out
+
+
+def _rho_primes(m: int) -> list[int]:
+    """The prime factors of m, with multiplicity, split off by rho within
+    one budget."""
+    steps = _RHO_BUDGET
+    todo, primes = [m], []
+    while todo:
+        k = todo.pop()
+        if is_prime(k):
+            primes.append(k)
+            continue
+        g, steps = _brent_split(k, steps)
+        todo += (g, k // g)
+    return primes
+
+
+def _brent_split(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n and the iterations left of
+    `steps`: Brent's cycle search on x -> x^2 + c from x = 2 (Brent, BIT 20,
+    1980), with one gcd per batch of differences, for c = 1, 2, ... until a
+    walk splits n.  Raises `BudgetError` when the iterations run out."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r  # at most r to move x, r to compare with it
+            if steps < 0:
+                raise BudgetError(
+                    f"factorization of {n} exceeded {_RHO_BUDGET} rho iterations"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch passed the collision: replay it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
 
 
 def rational_exponents(d: Fraction) -> dict[int, int]:
@@ -72,7 +148,7 @@ class TwistClass:
 
     def factorization(self) -> dict[int, int]:
         """p -> v_p(d0) in increasing p: read off the carried factors, by
-        trial division only for a class built without them."""
+        `factorize` only for a class built without them."""
         f = self.factors
         if f is None:
             return factorize(abs(self.d0))
@@ -188,14 +264,7 @@ def _smallest_prime_factors(bound: int) -> array:
     for h prime or h < 2.  Primes are marked from the largest down, so the
     smallest one is written last."""
     spf = array("I", [0]) * max(bound, 1)
-    root = isqrt(max(bound - 1, 0))
-    is_p = bytearray([1]) * (root + 1)
-    primes = []
-    for p in range(2, root + 1):
-        if is_p[p]:
-            primes.append(p)
-            is_p[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    for p in reversed(primes):
+    for p in reversed(_primes_below(isqrt(max(bound - 1, 0)) + 1)):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound, p))
     return spf
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selmer3.cli import main
 
@@ -238,3 +240,135 @@ def test_unreadable_or_malformed_input_file_is_usage_error(capsys, tmp_path, arg
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio", "--config", "FILE", "--d", "2"],
+        ["scan", "--family", "FILE", "--height", "10"],
+        ["scan", "--family-preset", "squarefree-n3", "--config", "FILE", "--height", "10"],
+    ],
+)
+def test_input_file_that_is_not_an_object_is_usage_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not an object" in err
+    assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# Point queries at large p and d
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, d", [(1000000007, 25), (1000000009, 7)])
+def test_classify_at_a_ten_digit_prime(capsys, p, d):
+    code, out, _ = run_cli(capsys, "classify", "--p", str(p), "--d", str(d))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["classes"]) == 3 ** result["h1_dim"] > 1
+
+
+def test_ratio_with_two_thirteen_digit_primes(capsys):
+    d = 1000000000039 * 1000000000121  # = 11 (mod 36), squarefree: a member of Sigma
+    code, out, _ = run_cli(capsys, "ratio", "--preset", "prym-a4", "--d", str(d))
+    assert code == 0
+    places = [e["place"] for e in json.loads(out)["result"]["pi"]["places"]]
+    assert places == ["real", "2", "3", "1000000000039", "1000000000121"]
+
+
+def test_ratio_exits_3_when_factorization_budget_runs_out(capsys, tmp_path, monkeypatch):
+    from selmer3 import twistfamilies
+
+    monkeypatch.setattr(twistfamilies, "_RHO_BUDGET", 8)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_RATIO_CONFIG))
+    code, out, err = run_cli(capsys, "ratio", "--config", str(path), "--d", str(100003 * 999983))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# ----------------------------------------------------------------------
+# One parser per process; the envelope writer
+# ----------------------------------------------------------------------
+
+
+def test_cached_parser_serves_a_sequence_of_requests(capsys, tmp_path, monkeypatch):
+    import selmer3.cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_RATIO_CONFIG))
+    requests = [
+        ["classify", "--p", "7", "--d", "49"],
+        ["classify", "--p", "7", "--d", "abc"],
+        ["ratio", "--config", str(path), "--d", "-3/4"],
+        ["scan", "--family-preset", "squarefree-n3", "--height", "50"],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in requests:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    monkeypatch.setattr(selmer3.cli.time, "perf_counter", lambda: 0.0)
+    builds = []
+    build = selmer3.cli.build_parser
+    monkeypatch.setattr(selmer3.cli, "build_parser", lambda: builds.append(1) or build())
+    selmer3.cli._parser.cache_clear()
+    cached = run_all()
+    assert len(builds) == 1
+    monkeypatch.setattr(selmer3.cli, "_parser", build)  # a fresh parser per call
+    fresh = run_all()
+    assert [c[0] for c in cached] == [0, 2, 0, 0]
+    assert cached == fresh
+
+
+_ENVELOPE_REQUESTS = [
+    ["classify", "--p", "7", "--d", "49"],
+    ["ratio", "--preset", "prym-a4", "--d", "2"],
+    ["ratio", "--preset", "cm"],
+    ["scan", "--family-preset", "full-n3", "--height", "300"],
+    ["prym", "--preset", "prym-a4", "--height", "500"],
+]
+
+
+@pytest.mark.parametrize("argv", _ENVELOPE_REQUESTS)
+def test_envelope_bytes_equal_stdlib_json(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+_json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+@example({"a": [], "b": {}, "c": [[], {}, [[]]], "": {"": {}}})
+@example([True, 1, 1.0, False, 0, None, -0.0, 10**40])
+@example({"é\n\t\"\\\x00\x1f": "ü \U0001f600", "z": "", "A": "a"})
+@example([float("inf"), float("-inf"), float("nan"), 1e300, 5e-324])
+def test_json_writer_matches_stdlib(tree):
+    from selmer3.cli import _dumps
+
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)

@@ -144,6 +144,24 @@ def test_unramified_rep_at_v0_is_maximal_inert_order():
         assert factorization_type(form, p) == "(3)"
 
 
+def _first_rootless_cubic(p):
+    """Reference: the first (A, B) in row order with no x in F_p making
+    x^3 + A x + B vanish, read off the set of values -(x^3 + A x)."""
+    for a in range(p):
+        hit = {(-x**3 - a * x) % p for x in range(p)}
+        for b in range(1, p):
+            if b not in hit:
+                return (1, 0, a, b)
+    raise AssertionError(p)
+
+
+def test_unramified_cubic_form_is_first_irreducible_cubic():
+    from sympy import primerange
+
+    for p in primerange(5, 2000):
+        assert unramified_cubic_form(p).coefficients() == _first_rootless_cubic(p), p
+
+
 def test_ramified_representative_valuations():
     # zeta3 absent: ramified classes live in the -3d-square column
     p = 5

@@ -170,6 +170,35 @@ def test_cube_class_reps():
     assert set().union(*cosets) == set(range(1, 7))
 
 
+def _cube_class_reps_by_sets(p):
+    """Reference: the smallest c in each coset of the cubes, by building
+    the set of all cubes (O(p) memory; small p only)."""
+    cubes = {pow(x, 3, p) for x in range(1, p)}
+    reps, seen = [], set()
+    for c in range(1, p):
+        if c not in seen:
+            reps.append(c)
+            seen |= {c * x % p for x in cubes}
+    return tuple(reps)
+
+
+def test_cube_class_reps_match_set_reference():
+    from sympy import primerange
+
+    for p in primerange(2, 2000):
+        assert cube_class_reps(p) == _cube_class_reps_by_sets(p), p
+
+
+def test_cube_class_reps_at_large_primes():
+    # 1000000009 = 1 (mod 3): three classes, told apart by c^((p-1)/3)
+    p = 1000000009
+    reps = cube_class_reps(p)
+    chars = [pow(c, (p - 1) // 3, p) for c in reps]
+    assert reps[0] == 1 and len(set(chars)) == 3
+    assert all(pow(c, (p - 1) // 3, p) == 1 for c in range(2, reps[1]))
+    assert cube_class_reps(1000000007) == (1,)
+
+
 def test_least_nonresidue():
     assert least_nonresidue(5) == 2
     assert least_nonresidue(7) == 3

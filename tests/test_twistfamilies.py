@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from selmer3.errors import DomainError
+from selmer3 import twistfamilies
+from selmer3.errors import BudgetError, DomainError
 from selmer3.twistfamilies import (
     CongruenceCondition,
     TwistClass,
@@ -24,6 +28,33 @@ def test_factorize():
     assert factorize(97) == {97: 1}
     with pytest.raises(DomainError):
         factorize(0)
+
+
+_primes = st.integers(2, 10**7).map(lambda n: sympy.prevprime(n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.just(1),
+        _primes,
+        st.builds(pow, _primes, st.sampled_from((2, 3))),
+        st.lists(_primes, min_size=2, max_size=4).map(math.prod),
+    )
+)
+@example(999983 * 999979)
+@example(9999991**3)
+@example(2**5 * 997**2 * 1009 * 9999991)
+def test_factorize_matches_sympy(n):
+    # sympy lists its keys in no fixed order; factorize's are increasing
+    assert list(factorize(n).items()) == sorted(sympy.factorint(n).items())
+
+
+def test_factorize_raises_budget_error_when_rho_runs_out(monkeypatch):
+    monkeypatch.setattr(twistfamilies, "_RHO_BUDGET", 8)
+    assert factorize(2 * 997 * 1009) == {2: 1, 997: 1, 1009: 1}  # trial division only
+    with pytest.raises(BudgetError):
+        factorize(999983 * 999979)
 
 
 def test_reduce_class_examples():
