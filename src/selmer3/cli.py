@@ -4,8 +4,8 @@ Every command prints a single JSON envelope to stdout: the command, a
 digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
-payload.  Exit codes: 0 success, 2 usage, 3 domain error, 4 incomplete
-configuration.
+payload.  Exit codes: 0 success, 1 the reader closed the pipe, 2 usage,
+3 domain error, 4 incomplete configuration.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -37,6 +38,7 @@ from .selmerratio import (
 from .twistfamilies import TwistFamily, family_preset
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INCOMPLETE = 4
@@ -59,6 +61,19 @@ def _read_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise _InputFileError(f"{path} holds a JSON {type(obj).__name__}, not an object")
     return obj
+
+
+def _load(path: str, build):
+    """(build(obj), obj) for the JSON object in an input file.  A library
+    error keeps its own exit code; any other failure of `build` means the
+    object has the wrong shape, a usage error."""
+    obj = _read_json(path)
+    try:
+        return build(obj), obj
+    except Selmer3Error:
+        raise
+    except Exception as err:
+        raise _InputFileError(f"{path} is malformed: {type(err).__name__}: {err}") from None
 
 
 def _canonical(obj) -> str:
@@ -235,8 +250,7 @@ def cmd_ratio(args, started: float) -> int:
         raise DomainError("--config or --preset is required")
     if args.d is None:
         raise DomainError("--d is required with --config")
-    obj = _read_json(args.config)
-    config = RatioConfig.from_json_obj(obj)
+    config, obj = _load(args.config, RatioConfig.from_json_obj)
     report = global_report(list(config.profiles), config.descriptor, Fraction(args.d))
     _emit("ratio", {"config": obj, "d": args.d}, report.to_json_obj(), started)
     return EXIT_OK
@@ -249,14 +263,14 @@ def _load_family(args) -> tuple[TwistFamily, dict]:
         return family_preset(args.family_preset), {"family_preset": args.family_preset}
     if not args.family:
         raise DomainError("--family or --family-preset is required")
-    obj = _read_json(args.family)
-    return TwistFamily.from_json_obj(obj), {"family": obj}
+    family, obj = _load(args.family, TwistFamily.from_json_obj)
+    return family, {"family": obj}
 
 
 def cmd_scan(args, started: float) -> int:
     family, family_input = _load_family(args)
     if args.config:
-        config = RatioConfig.from_json_obj(_read_json(args.config))
+        config, _ = _load(args.config, RatioConfig.from_json_obj)
         config_input: object = config.to_json_obj()
     else:
         config = _default_ratio_config()
@@ -377,16 +391,19 @@ def main(argv: list[str] | None = None) -> int:
         "prym": cmd_prym,
     }
     try:
-        return handlers[args.command](args, started)
+        status = handlers[args.command](args, started)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader is gone: the shutdown flush then goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _InputFileError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except IncompleteConfigError as err:
         print(f"error: incomplete configuration: {err}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except Selmer3Error as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

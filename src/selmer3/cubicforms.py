@@ -10,17 +10,31 @@ the translation-normalized multiplication table (w*t lands in the base
 ring).  The table is commutative, associative for every (a, b, c, d), and
 its trace-form discriminant equals disc(f) identically, which is what the
 round-trip tests pin down.
+
+Three routines here are the single copy of a decision that other modules
+(the oracle among them) call rather than repeat: `discriminant` is the
+discriminant polynomial, `linear_substitution` the closed form of
+f(m00 x + m10 y, m01 x + m11 y) on which the twisted GL2 action and
+the SL2(F_p) orbit scan are built, and `_root_multiplicities` the zeros
+of a form over F_p with their multiplicities, from which the projective
+roots, the splitting type and the form scan's root pattern are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .errors import DomainError
 from .localfield import Rational, is_prime, valuation
 from .padicroots import form_has_projective_root_qp
+
+
+def discriminant(a, b, c, d):
+    """disc(a x^3 + b x^2 y + c x y^2 + d y^3), on ints and Fractions alike."""
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,7 @@ class BinaryCubicForm:
         return (self.a, self.b, self.c, self.d)
 
     def discriminant(self) -> Fraction:
-        a, b, c, d = self.coefficients()
-        return 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
+        return discriminant(self.a, self.b, self.c, self.d)
 
     def swap(self) -> "BinaryCubicForm":
         """f(y, x); the involution pairing the two SL2-orbits of a field."""
@@ -107,14 +120,22 @@ class TwoByTwoMatrix:
         return TwoByTwoMatrix(1, 0, 0, 1)
 
 
-def _linear_power(s: Fraction, t: Fraction, k: int) -> list[Fraction]:
-    """Coefficients of (s*x + t*y)^k in x^(k-i) y^i order."""
-    out = [Fraction(0)] * (k + 1)
-    binom = 1
-    for i in range(k + 1):
-        out[i] = Fraction(binom) * s ** (k - i) * t**i
-        binom = binom * (k - i) // (i + 1)
-    return out
+def linear_substitution(a, b, c, d, m00, m01, m10, m11):
+    """Coefficients of f(m00 x + m10 y, m01 x + m11 y) for f = (a, b, c, d),
+    expanded in closed form; the entries may come from any commutative
+    ring."""
+    return (
+        a * m00**3 + b * m00**2 * m01 + c * m00 * m01**2 + d * m01**3,
+        3 * a * m00**2 * m10
+        + b * (m00**2 * m11 + 2 * m00 * m01 * m10)
+        + c * (2 * m00 * m01 * m11 + m01**2 * m10)
+        + 3 * d * m01**2 * m11,
+        3 * a * m00 * m10**2
+        + b * (2 * m00 * m10 * m11 + m01 * m10**2)
+        + c * (m00 * m11**2 + 2 * m01 * m10 * m11)
+        + 3 * d * m01 * m11**2,
+        a * m10**3 + b * m10**2 * m11 + c * m10 * m11**2 + d * m11**3,
+    )
 
 
 def act(gamma: TwoByTwoMatrix, f: BinaryCubicForm) -> BinaryCubicForm:
@@ -126,15 +147,8 @@ def act(gamma: TwoByTwoMatrix, f: BinaryCubicForm) -> BinaryCubicForm:
     det = gamma.det()
     if det == 0:
         raise DomainError("singular matrix cannot act on forms")
-    xs = {k: _linear_power(gamma.a, gamma.c, k) for k in range(4)}
-    ys = {k: _linear_power(gamma.b, gamma.d, k) for k in range(4)}
-    acc = [Fraction(0)] * 4
-    for i, coeff in zip((3, 2, 1, 0), f.coefficients()):
-        # coeff * X^i * Y^(3-i) with X = a x + c y, Y = b x + d y
-        for u, cu in enumerate(xs[i]):
-            for v, cv in enumerate(ys[3 - i]):
-                acc[u + v] += coeff * cu * cv
-    return BinaryCubicForm(*(t / det for t in acc))
+    moved = linear_substitution(f.a, f.b, f.c, f.d, gamma.a, gamma.b, gamma.c, gamma.d)
+    return BinaryCubicForm(*(t / det for t in moved))
 
 
 # ----------------------------------------------------------------------
@@ -282,19 +296,41 @@ def translate_basis(ring: CubicRing, s: Rational, t: Rational) -> CubicRing:
 # Mod-p behaviour: factorization types, subrings of index p
 # ----------------------------------------------------------------------
 
+def _root_multiplicities(fa: int, fb: int, fc: int, fd: int, p: int) -> dict[tuple[int, int], int]:
+    """The zeros in P^1(F_p) of a form that is nonzero mod p, with their
+    multiplicities: {(x, 1): m} with x increasing, then (1, 0).  Horner's
+    rule evaluates f(x, 1) at every x; only at a root is the synthetic
+    division by (X - x) repeated, until it leaves a remainder."""
+    mults: dict[tuple[int, int], int] = {}
+    for x in range(p):
+        if (((fa * x + fb) * x + fc) * x + fd) % p:
+            continue
+        # each pass turns q into its quotient by (X - x), remainder last
+        q, m = [fa, fb, fc, fd], 0
+        while True:
+            for i in range(1, len(q)):
+                q[i] = (q[i] + q[i - 1] * x) % p
+            if q.pop():
+                break
+            m += 1
+        mults[(x, 1)] = m
+    if fa == 0:
+        # (1 : 0) has multiplicity 3 minus the degree of f(x, 1)
+        mults[(1, 0)] = 1 if fb else 2 if fc else 3
+    return mults
+
+
 def projective_roots_mod_p(f: BinaryCubicForm, p: int) -> list[tuple[int, int]]:
     """Zeros of f mod p in P^1(F_p), as normalized pairs (x, 1) or (1, 0).
     A form vanishing identically mod p has every point as a zero."""
     fa, fb, fc, fd = f.reduce_mod(p)
     if fa == 0 and fb == 0 and fc == 0 and fd == 0:
         return [(x, 1) for x in range(p)] + [(1, 0)]
-    roots = []
-    for x in range(p):
-        if (((fa * x + fb) * x + fc) * x + fd) % p == 0:
-            roots.append((x, 1))
-    if fa == 0:
-        roots.append((1, 0))
-    return roots
+    return list(_root_multiplicities(fa, fb, fc, fd, p))
+
+
+# splitting type by the root multiplicities over F_p, largest first
+_SPLITTING_TYPES = {(1, 1, 1): "(111)", (1,): "(12)", (): "(3)", (2, 1): "(1^2 1)", (3,): "(1^3)"}
 
 
 def factorization_type(f: BinaryCubicForm, p: int) -> str:
@@ -305,46 +341,8 @@ def factorization_type(f: BinaryCubicForm, p: int) -> str:
     fa, fb, fc, fd = f.reduce_mod(p)
     if fa == 0 and fb == 0 and fc == 0 and fd == 0:
         return "degenerate"
-    mults = []
-    # multiplicity of (1 : 0) is 3 minus the degree of f(x, 1) mod p
-    coeffs = [fd, fc, fb, fa]
-    deg = max(i for i, c in enumerate(coeffs) if c != 0)
-    if deg < 3:
-        mults.append(3 - deg)
-    poly = coeffs[: deg + 1]
-    for r in range(p):
-        m = 0
-        q = poly
-        while q:
-            quo, rem = _divmod_linear(q, r, p)
-            if rem != 0:
-                break
-            q = quo
-            m += 1
-        if m:
-            mults.append(m)
-    mults.sort(reverse=True)
-    if mults == [1, 1, 1]:
-        return "(111)"
-    if mults == [1]:
-        return "(12)"
-    if mults == []:
-        return "(3)"
-    if mults == [2, 1]:
-        return "(1^2 1)"
-    if mults == [3]:
-        return "(1^3)"
-    raise AssertionError(f"impossible multiplicity pattern {mults}")
-
-
-def _divmod_linear(q: list[int], r: int, p: int) -> tuple[list[int], int]:
-    """Divide a mod-p polynomial (constant term first) by (x - r)."""
-    carry = 0
-    high_to_low = []
-    for c in reversed(q):
-        carry = (carry * r + c) % p
-        high_to_low.append(carry)
-    return list(reversed(high_to_low[:-1])), high_to_low[-1]
+    mults = sorted(_root_multiplicities(fa, fb, fc, fd, p).values(), reverse=True)
+    return _SPLITTING_TYPES[tuple(mults)]
 
 
 def _unimodular_completion(x0: int, y0: int) -> TwoByTwoMatrix:
@@ -452,6 +450,7 @@ def orbit_split(f: BinaryCubicForm, p: int | None = None) -> tuple[BinaryCubicFo
 _UNIMODULAR_BOUND = 2
 
 
+@cache
 def _bounded_unimodular_matrices(bound: int) -> list[TwoByTwoMatrix]:
     mats = []
     rng = range(-bound, bound + 1)
@@ -464,17 +463,12 @@ def _bounded_unimodular_matrices(bound: int) -> list[TwoByTwoMatrix]:
     return mats
 
 
-_BOUNDED_CACHE: dict[int, list[TwoByTwoMatrix]] = {}
-
-
 def canonical_form_bounded(f: BinaryCubicForm, bound: int = _UNIMODULAR_BOUND) -> tuple:
     """Lexicographically least coefficient tuple over the GL2(Z) elements
     with entries bounded by `bound`.  A bounded search, adequate at test
     scale; use invariants for anything bigger."""
-    if bound not in _BOUNDED_CACHE:
-        _BOUNDED_CACHE[bound] = _bounded_unimodular_matrices(bound)
     best = None
-    for gamma in _BOUNDED_CACHE[bound]:
+    for gamma in _bounded_unimodular_matrices(bound):
         cand = act(gamma, f).coefficients()
         if best is None or cand < best:
             best = cand
@@ -495,7 +489,5 @@ def rings_isomorphic(
         if f1.is_p_integral(p) and f2.is_p_integral(p):
             if factorization_type(f1, p) != factorization_type(f2, p):
                 return False
-    if bound not in _BOUNDED_CACHE:
-        _BOUNDED_CACHE[bound] = _bounded_unimodular_matrices(bound)
     target = f2.coefficients()
-    return any(act(g, f1).coefficients() == target for g in _BOUNDED_CACHE[bound])
+    return any(act(g, f1).coefficients() == target for g in _bounded_unimodular_matrices(bound))

@@ -341,6 +341,18 @@ def soluble_classes(
     return SolubleClasses("summand", None, not summand_flag)
 
 
+def unit_class_labels(u: Rational, p: int, r: int) -> tuple[str, ...]:
+    """The labels under which a configuration may key the unit class of u
+    at p and r, most specific first: "power" for a square that is a 3^r-th
+    power unit (every square at p = 3), then "square" or "nonsquare", then
+    "any"."""
+    if not is_square(u, Place.finite(p)):
+        return ("nonsquare", "any")
+    if p == 3 or is_unit_3power(u, p, r):
+        return ("power", "square", "any")
+    return ("square", "any")
+
+
 def summand_flag_reduction(
     u: Rational,
     r: int,
@@ -355,14 +367,8 @@ def summand_flag_reduction(
     if r == 0:
         return global_summand_bit
     u = Fraction(u)
-    place = Place.finite(p)
-    labels = []
-    if is_square(u, place) and is_unit_3power(u, p, r):
-        labels.append("power")
-    labels.append("square" if is_square(u, place) else "nonsquare")
-    labels.append("any")
     table = unit_class_table or {}
-    for label in labels:
+    for label in unit_class_labels(u, p, r):
         if (label, r) in table:
             return table[(label, r)]
     raise IncompleteConfigError(

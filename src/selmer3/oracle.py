@@ -34,7 +34,10 @@ from math import lcm
 from .cubicforms import (
     BinaryCubicForm,
     CubicRing,
+    _root_multiplicities,
+    discriminant,
     form_to_ring,
+    linear_substitution,
     projective_roots_mod_p,
     ring_to_form,
 )
@@ -615,38 +618,6 @@ class LowValuationScan:
     dichotomy_holds: bool
 
 
-def _int_disc(a: int, b: int, c: int, d: int) -> int:
-    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-
-
-def _int_pattern_roots(fa: int, fb: int, fc: int, fd: int, p: int):
-    """(simple root exists, triple root or None) for a nonzero form over
-    F_p; integer-only version of the factorization machinery."""
-    mults: dict[tuple[int, int], int] = {}
-    coeffs = [fd, fc, fb, fa]
-    deg = max(i for i, cf in enumerate(coeffs) if cf)
-    if deg < 3:
-        mults[(1, 0)] = 3 - deg
-    for r in range(p):
-        m = 0
-        qpoly = coeffs[: deg + 1]
-        while qpoly:
-            carry = 0
-            high = []
-            for cf in reversed(qpoly):
-                carry = (carry * r + cf) % p
-                high.append(carry)
-            if high[-1] != 0:
-                break
-            qpoly = list(reversed(high[:-1]))
-            m += 1
-        if m:
-            mults[(r, 1)] = m
-    simple = any(m == 1 for m in mults.values())
-    triple = next((root for root, m in mults.items() if m == 3), None)
-    return simple, triple
-
-
 def scan_forms_low_valuation(p: int) -> LowValuationScan:
     """Walk every form mod p^2 (coefficients not all divisible by p) with
     discriminant divisible by p, and verify two facts from scratch:
@@ -677,12 +648,15 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     v1 = v1_simple = triples = eis_count = 0
     dichotomy = True
     for a0, b0, c0, d0 in product(range(p), repeat=4):
-        if not (a0 or b0 or c0 or d0) or _int_disc(a0, b0, c0, d0) % p:
+        if not (a0 or b0 or c0 or d0) or discriminant(a0, b0, c0, d0) % p:
             continue
-        simple, triple = _int_pattern_roots(a0, b0, c0, d0, p)
+        mults = _root_multiplicities(a0, b0, c0, d0, p)
+        simple = 1 in mults.values()
+        triple = next((root for root, m in mults.items() if m == 3), None)
         lifts = None if triple is None else _root_lift_monomials(triple, p)
         for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
-            # the discriminant as a quadratic in d
+            # `discriminant` expanded as a quadratic in d, its coefficients
+            # hoisted out of the d loop rather than a call per lift
             k2, k1, k0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
             for d in range(d0, q, p):
                 disc = (k2 * d + k1) * d + k0
@@ -734,27 +708,6 @@ def _eisenstein_at_root(a: int, b: int, c: int, d: int, lifts, q: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _act_mod_p(form, mat, p):
-    a, b, c, d = form
-    m00, m01, m10, m11 = mat
-    # f(m00 x + m10 y, m01 x + m11 y), determinant 1
-    x3 = a * m00**3 + b * m00**2 * m01 + c * m00 * m01**2 + d * m01**3
-    x2y = (
-        3 * a * m00**2 * m10
-        + b * (m00**2 * m11 + 2 * m00 * m01 * m10)
-        + c * (2 * m00 * m01 * m11 + m01**2 * m10)
-        + 3 * d * m01**2 * m11
-    )
-    xy2 = (
-        3 * a * m00 * m10**2
-        + b * (2 * m00 * m10 * m11 + m01 * m10**2)
-        + c * (m00 * m11**2 + 2 * m01 * m10 * m11)
-        + 3 * d * m01 * m11**2
-    )
-    y3 = a * m10**3 + b * m10**2 * m11 + c * m10 * m11**2 + d * m11**3
-    return (x3 % p, x2y % p, xy2 % p, y3 % p)
-
-
 def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
     """Number of SL2(F_p)-orbits on the binary cubics over F_p of
     discriminant delta != 0, by breadth-first merging of the whole form
@@ -769,7 +722,7 @@ def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
         for b in range(p)
         for c in range(p)
         for d in range(p)
-        if _int_disc(a, b, c, d) % p == delta % p
+        if discriminant(a, b, c, d) % p == delta % p
     }
     orbits = 0
     while todo:
@@ -779,7 +732,8 @@ def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = _act_mod_p(cur, g, p)
+                # both generators have determinant 1 mod p
+                nxt = tuple(t % p for t in linear_substitution(*cur, *g))
                 if nxt in todo:
                     todo.remove(nxt)
                     frontier.append(nxt)

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IncompleteConfigError
-from .localclass import LocalTwistDatum, build_twist_datum
+from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
 from .localfield import (
     Place,
     Rational,
     is_prime,
-    is_square,
-    is_unit_3power,
     least_nonresidue,
     zeta3_present,
 )
@@ -158,20 +156,11 @@ class IsogenyDescriptor:
     def n(self) -> int:
         return 3**self.m
 
-    def _labels_for(self, p: int, u: Fraction, r: int) -> list[str]:
-        labels = []
-        place = Place.finite(p)
-        if is_square(u, place) and (p == 3 or is_unit_3power(u, p, r)):
-            labels.append("power")
-        labels.append("square" if is_square(u, place) else "nonsquare")
-        labels.append("any")
-        return labels
-
     def kappa_exponents(self, p: int, u: Rational, r: int) -> tuple[int, int]:
         """(log3 |kappa|, log3 |kappa-hat|) for the unit class of u at the
         given r; raises when the table has no entry for the stratum."""
         u = Fraction(u)
-        for label in self._labels_for(p, u, r):
+        for label in unit_class_labels(u, p, r):
             for entry in self.kappa_orders:
                 if entry.r == r and entry.unit_class == label:
                     return _log3_order(entry.kappa), _log3_order(entry.kappa_hat)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import selmer3
 from selmer3.cli import main
 
 
@@ -259,6 +264,54 @@ def test_input_file_that_is_not_an_object_is_usage_error(capsys, tmp_path, argv,
     assert out == ""
     assert err.startswith("error:") and "not an object" in err
     assert "Traceback" not in err
+
+
+_RATIO_ARGV = ["ratio", "--config", "FILE", "--d", "2"]
+_SCAN_CONFIG_ARGV = ["scan", "--family-preset", "squarefree-n3", "--config", "FILE", "--height", "10"]
+_SCAN_FAMILY_ARGV = ["scan", "--family", "FILE", "--height", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (_RATIO_ARGV, '{"schema": 1, "descriptor": [], "profiles": []}', 2),
+        (_RATIO_ARGV, '{"schema": 1}', 2),
+        (_RATIO_ARGV, '{"schema": 1, "descriptor": {"schema": 1}, "profiles": 3}', 2),
+        (_RATIO_ARGV, '{"schema": 1, "descriptor": {"schema": 1, "kappa_orders": [{"r": "x"}]}}', 2),
+        (_RATIO_ARGV, '{"schema": 2}', 3),
+        (_SCAN_CONFIG_ARGV, '{"schema": 1, "descriptor": [], "profiles": []}', 2),
+        (_SCAN_CONFIG_ARGV, '{"schema": 1, "descriptor": {"schema": 2}}', 3),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": [3]}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "signs": 5}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 2}', 3),
+    ],
+)
+def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, text, code):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    got, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and ("malformed" in err) == (code == 2)
+
+
+def test_reader_closing_the_pipe_exits_quietly():
+    # about 260 kB of output, far more than a pipe buffers, so the writer
+    # is still writing when the reader goes away
+    src = str(Path(selmer3.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selmer3.cli", "prym", "--preset", "prym-a4", "--height", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selmer3.cubicforms import (
     BinaryCubicForm,
@@ -10,6 +12,7 @@ from selmer3.cubicforms import (
     act,
     canonical_form_bounded,
     conductor_subring,
+    discriminant,
     factorization_type,
     form_to_ring,
     index_p_subrings,
@@ -269,3 +272,91 @@ def test_serialization_round_trips():
     ring = form_to_ring(BinaryCubicForm(1, 2, 3, 4))
     again = CubicRing.from_structure_constants(ring.structure_constants())
     assert again == ring
+
+
+# ----------------------------------------------------------------------
+# Independent cross-checks against sympy
+# ----------------------------------------------------------------------
+
+_rationals = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+def _to_fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals)
+def test_discriminant_equals_sympy(a, b, c, d):
+    import sympy
+
+    assume(a != 0)
+    x = sympy.Symbol("x")
+    cubic = sum(sympy.Rational(t.numerator, t.denominator) * x**k
+                for t, k in ((Fraction(a), 3), (Fraction(b), 2), (Fraction(c), 1), (Fraction(d), 0)))
+    expected = _to_fraction(sympy.discriminant(cubic, x))
+    assert discriminant(a, b, c, d) == expected
+    assert discriminant(*map(Fraction, (a, b, c, d))) == expected
+    assert BinaryCubicForm(a, b, c, d).discriminant() == expected
+
+
+# sorted (degree, multiplicity) pairs of the factors over F_p, with
+# (1 : 0) counted as a linear factor
+_TYPE_OF_FACTOR_PATTERN = {
+    ((1, 1), (1, 1), (1, 1)): "(111)",
+    ((1, 1), (2, 1)): "(12)",
+    ((3, 1),): "(3)",
+    ((1, 1), (1, 2)): "(1^2 1)",
+    ((1, 3),): "(1^3)",
+}
+
+
+# sympy sorts same-degree factors over GF(p) by a deprecated comparison
+@pytest.mark.filterwarnings("ignore::sympy.utilities.exceptions.SymPyDeprecationWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.tuples(*[st.integers(-40, 40)] * 4),
+)
+def test_factorization_type_matches_sympy_factor_list(p, coeffs):
+    import sympy
+
+    f = BinaryCubicForm(*coeffs)
+    fa, fb, fc, fd = f.reduce_mod(p)
+    if not (fa or fb or fc or fd):
+        assert factorization_type(f, p) == "degenerate"
+        return
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(fa * x**3 + fb * x**2 + fc * x + fd, x, modulus=p)
+    pattern = [(sympy.degree(g, x), m) for g, m in factors]
+    at_infinity = 3 - sum(deg * m for deg, m in pattern)
+    if at_infinity:
+        pattern.append((1, at_infinity))
+    assert factorization_type(f, p) == _TYPE_OF_FACTOR_PATTERN[tuple(sorted(pattern))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[_rationals] * 4), st.tuples(*[_rationals] * 4))
+def test_act_equals_sympy_expansion(coeffs, entries):
+    import sympy
+
+    gamma = TwoByTwoMatrix(*entries)
+    assume(gamma.det() != 0)
+    f = BinaryCubicForm(*coeffs)
+    x, y = sympy.symbols("x y")
+    a, b, c, d, fa, fb, fc, fd = (
+        sympy.Rational(t.numerator, t.denominator)
+        for t in (gamma.a, gamma.b, gamma.c, gamma.d, *f.coefficients())
+    )
+    X, Y = a * x + c * y, b * x + d * y
+    moved = sympy.Poly(
+        sympy.expand((fa * X**3 + fb * X**2 * Y + fc * X * Y**2 + fd * Y**3) / (a * d - b * c)),
+        x, y,
+    )
+    expected = tuple(
+        _to_fraction(moved.coeff_monomial(m)) for m in (x**3, x**2 * y, x * y**2, y**3)
+    )
+    assert act(gamma, f).coefficients() == expected

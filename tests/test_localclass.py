@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmer3.cubicforms import factorization_type, orbit_split
 from selmer3.errors import DomainError, IncompleteConfigError, NonIntegralClassError
@@ -16,6 +18,7 @@ from selmer3.localclass import (
     unramified_cubic_form,
 )
 from selmer3.localfield import Place, is_square, least_nonresidue, unit_part, valuation
+from selmer3.selmerratio import IsogenyDescriptor, KappaEntry
 
 
 def kinds_summary(classes):
@@ -257,6 +260,41 @@ def test_summand_flag_reduction():
     # 2 is a square mod 7 but not a cube, so its label is "square": unlisted
     with pytest.raises(IncompleteConfigError):
         summand_flag_reduction(2, 1, 7, False, table)
+    # at p = 3 every square unit is keyed "power", as in the descriptor
+    assert summand_flag_reduction(4, 1, 3, False, table) is True
+
+
+_kappa_entries = st.lists(
+    st.builds(
+        KappaEntry,
+        r=st.sampled_from([1, 2]),
+        unit_class=st.sampled_from(["any", "power", "square", "nonsquare"]),
+        kappa=st.sampled_from([1, 3, 9]),
+        kappa_hat=st.just(1),
+    ),
+    max_size=6,
+    unique_by=lambda e: (e.r, e.unit_class),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _kappa_entries,
+    st.sampled_from([2, 5, 7, 13]),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(1, 400), min_size=1, max_size=8),
+)
+def test_summand_flag_reduction_agrees_with_the_descriptor(entries, p, r, units):
+    desc = IsogenyDescriptor(kappa_orders=tuple(entries))
+    table = {(e.unit_class, e.r): e.kappa == 1 for e in entries}
+    for u in (u for u in units if u % p):
+        try:
+            expected = desc.summand_flag(p, u, r)
+        except IncompleteConfigError:
+            with pytest.raises(IncompleteConfigError):
+                summand_flag_reduction(u, r, p, desc.global_summand_bit, table)
+        else:
+            assert summand_flag_reduction(u, r, p, desc.global_summand_bit, table) is expected
 
 
 def test_twist_datum_reduction():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -380,13 +381,13 @@ def test_form_scan_classifies_each_residue_once(monkeypatch):
 
     p = 5
     seen = []
-    original = oracle._int_pattern_roots
+    original = oracle._root_multiplicities
 
     def counting(fa, fb, fc, fd, p_):
         seen.append((fa, fb, fc, fd))
         return original(fa, fb, fc, fd, p_)
 
-    monkeypatch.setattr(oracle, "_int_pattern_roots", counting)
+    monkeypatch.setattr(oracle, "_root_multiplicities", counting)
     oracle.scan_forms_low_valuation(p)
     expected = {
         (a, b, c, d)
@@ -398,6 +399,32 @@ def test_form_scan_classifies_each_residue_once(monkeypatch):
         and (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d) % p == 0
     }
     assert len(seen) == len(expected) and set(seen) == expected
+
+
+def test_oracle_imports_no_classification_layer():
+    # the oracle checks the classification, so it must not consult it:
+    # from localclass it takes only the construction of the unramified
+    # cubic, and nothing from the ratio calculus or the families
+    import ast
+
+    import selmer3.oracle as oracle
+
+    allowed = {
+        "localclass": {"unramified_cubic_form"},
+        "selmerratio": set(),
+        "prym": set(),
+        "twistfamilies": set(),
+    }
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            taken = {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `import m` and `from . import m` take a whole module
+            taken = {(alias.name.rpartition(".")[2], "*") for alias in node.names}
+        else:
+            continue
+        for module, name in taken:
+            assert module not in allowed or name in allowed[module], (module, name)
 
 
 def test_root_isolation_builds_integer_elements_only(monkeypatch):
