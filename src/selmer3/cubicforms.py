@@ -29,7 +29,6 @@ from math import gcd
 
 from .errors import DomainError
 from .localfield import Rational, is_prime, valuation
-from .padicroots import form_has_projective_root_qp
 
 
 def discriminant(a, b, c, d):
@@ -438,8 +437,10 @@ def orbit_split(f: BinaryCubicForm, p: int | None = None) -> tuple[BinaryCubicFo
     if p is None:
         reducible = _has_rational_projective_root(f)
     else:
-        a, b, c, d = f.coefficients()
-        reducible = form_has_projective_root_qp(a, b, c, d, p)
+        # padicroots takes the discriminant from here, so it is imported late
+        from .padicroots import form_has_projective_root_qp
+
+        reducible = form_has_projective_root_qp(*f.coefficients(), p)
     return (f,) if reducible else (f, f.swap())
 
 

@@ -54,7 +54,7 @@ from .localfield import (
     unit_part,
     valuation,
 )
-from .padicroots import form_has_projective_root_qp, has_ring_root
+from .padicroots import ZpModel, form_has_projective_root
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +109,6 @@ class CubicExtModel:
         self.rule = rule
         self.ramified = ramified
         self.zero = _ExtElem(self, (0, 0, 0))
-        self.one = _ExtElem(self, (1, 0, 0))
         self.w = _ExtElem(self, (0, 1, 0))
         # residue degree 3 in the unramified case, 1 in the ramified case
         if ramified:
@@ -181,22 +180,6 @@ class CubicExtModel:
         return _ExtElem(self, (c0 // p, c1 // p, c2 // p))
 
 
-def _form_has_root_in_model(f: BinaryCubicForm, model: CubicExtModel) -> bool:
-    a, b, c, d = f.coefficients()
-    if a == 0 or d == 0:
-        return True
-    # clear denominators, then the content at p: a rational multiple of f
-    # with the same roots and primitive integer coefficients at p
-    den = lcm(*(t.denominator for t in (a, b, c, d)))
-    coeffs = [int(t * den) for t in (a, b, c, d)]
-    scale = model.p ** min(_split(t, model.p)[0] for t in coeffs if t)
-    a, b, c, d = (t // scale for t in coeffs)
-    emb = model.embed_int
-    return has_ring_root(model, [emb(d), emb(c), emb(b), emb(a)]) or has_ring_root(
-        model, [emb(a), emb(b), emb(c), emb(d)]
-    )
-
-
 def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
     """Which cubic algebra a p-integral form of nonzero discriminant cuts
     out over Q_p: "split" (reducible), "unram", or "ram-u<rep>".  Decided
@@ -205,13 +188,13 @@ def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
         raise DomainError("tame classification requires p > 3")
     if f.discriminant() == 0:
         raise DomainError("degenerate form")
-    a, b, c, d = f.coefficients()
-    if form_has_projective_root_qp(a, b, c, d, p):
+    coeffs = f.coefficients()
+    if form_has_projective_root(ZpModel(p), *coeffs):
         return "split"
-    if _form_has_root_in_model(f, CubicExtModel.unramified(p)):
+    if form_has_projective_root(CubicExtModel.unramified(p), *coeffs):
         return "unram"
     for u in cube_class_reps(p):
-        if _form_has_root_in_model(f, CubicExtModel.eisenstein(p, u)):
+        if form_has_projective_root(CubicExtModel.eisenstein(p, u), *coeffs):
             return f"ram-u{u}"
     raise PrecisionError("form matched no tame cubic algebra")
 

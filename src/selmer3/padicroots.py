@@ -1,51 +1,65 @@
 """Exact root isolation in complete discretely valued rings.
 
-The decision procedure is the classical branch-and-lift: scan residues,
-accept a branch outright when the strong Hensel criterion
+Polynomials come as integer coefficients, constant term first, of degree
+at most 3: the Z_p-roots of one-variable polynomials, and the projective
+roots of binary cubic forms in Z_p and in the cubic extension rings of the
+oracle module.  The decision procedure is the classical branch-and-lift:
+scan residues, accept a branch outright when the strong Hensel criterion
 v(g(a)) > 2 v(g'(a)) holds, otherwise substitute x = a + pi*t, strip the
-content, and recurse.  Depth is capped at twice the valuation of
-Res(g, g') plus a margin; a separable polynomial must resolve before the
-cap, so hitting it raises instead of guessing.
+content, and recurse.
 
-Models supply the ring: Z_p here, cubic extension rings in the oracle
-module.  A model needs `zero`, `one`, `embed_int`, `residues()`, `val()`,
-`div_uniformizer()` and `uniformizer()`, with elements supporting +, -, *.
+Depth is capped at 2 v(Res(g, g')) plus a margin; a separable polynomial
+must resolve before the cap, so hitting it raises instead of guessing.
+The resultant needs no determinant: Res(g, g') = +-lead(g) disc(g), and
+disc(g) is read off the binary cubic discriminant of `cubicforms`.  It is
+an integer, so its valuation is that of its embedding in the model (3 v_p
+in an Eisenstein model).
+
+Models supply the ring: Z_p on Python integers here, cubic extension rings
+in the oracle module.  A model needs `p`, `zero`, `embed_int`,
+`residues()`, `val()`, `div_uniformizer()` and `uniformizer()`, with
+elements supporting +, -, *; `div_uniformizer` refuses an inexact
+division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
+from .cubicforms import discriminant
 from .errors import DomainError, PrecisionError
-from .localfield import valuation
+from .localfield import _split, is_prime
 
 _DEPTH_MARGIN = 6
 
 
 class ZpModel:
-    """Z_p with elements represented as exact rationals of valuation >= 0."""
+    """Z_p with elements represented as Python integers.  Root isolation
+    starts from integer coefficients and only ever shifts by residues and
+    divides by p exactly, so no rationals occur."""
 
     def __init__(self, p: int):
         self.p = p
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
 
-    def embed_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def embed_int(self, n: int) -> int:
+        return n
 
-    def residues(self):
-        return [Fraction(r) for r in range(self.p)]
+    def residues(self) -> range:
+        return range(self.p)
 
-    def val(self, x: Fraction) -> int | None:
-        if x == 0:
-            return None
-        return valuation(x, self.p)
+    def val(self, x: int) -> int | None:
+        return _split(x, self.p)[0] if x else None
 
-    def div_uniformizer(self, x: Fraction) -> Fraction:
-        return x / self.p
+    def div_uniformizer(self, x: int) -> int:
+        q, r = divmod(x, self.p)
+        if r:
+            raise DomainError("element is not divisible by the uniformizer")
+        return q
 
-    def uniformizer(self) -> Fraction:
-        return Fraction(self.p)
+    def uniformizer(self) -> int:
+        return self.p
 
 
 def _peval(coeffs, x, zero):
@@ -85,63 +99,38 @@ def _strip_content(coeffs, model):
     return coeffs
 
 
-def _det(rows, model):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = model.zero
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor, model)
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
-def _sylvester_resultant(f, g, model):
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    if size == 0:
-        return model.one
-    rows = []
-    for i in range(n):
-        row = [model.zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [model.zero] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return _det(rows, model)
-
-
-def _depth_cap(coeffs, model) -> int:
+def _depth_cap(coeffs: list[int], model) -> int:
+    """2 v(Res(g, g')) + margin for an integer g of degree 1 to 3 with a
+    nonzero leading coefficient.  Res(g, g') = +-lead(g) disc(g), where
+    disc is 1 for a linear g, and disc(0, b, c, d) = b^2 disc(b x^2 + c x
+    + d) brings the quadratic case to the cubic discriminant."""
     deg = len(coeffs) - 1
-    if deg <= 1:
-        v = model.val(coeffs[1]) if deg == 1 else None
-        return 2 * (v if v is not None else 0) + _DEPTH_MARGIN
-    res = _sylvester_resultant(coeffs, _pderiv(coeffs, model), model)
-    v = model.val(res)
-    if v is None:
+    lead = coeffs[-1]
+    if deg == 1:
+        res = lead
+    else:
+        disc = discriminant(*([0] * (3 - deg) + coeffs[::-1]))
+        res = disc * lead if deg == 3 else disc // lead
+    if res == 0:
         raise DomainError("inseparable polynomial in root isolation")
-    return 2 * v + _DEPTH_MARGIN
+    return 2 * model.val(model.embed_int(res)) + _DEPTH_MARGIN
 
 
 def has_ring_root(model, coeffs) -> bool:
-    """Whether the polynomial with the given model-element coefficients
-    (constant term first) has a root in the model's ring of integers."""
+    """Whether the polynomial with the given integer coefficients (constant
+    term first, degree at most 3) has a root in the model's ring of
+    integers."""
     coeffs = list(coeffs)
-    while len(coeffs) > 1 and model.val(coeffs[-1]) is None:
-        coeffs = coeffs[:-1]
-    if len(coeffs) == 1:
-        if model.val(coeffs[0]) is None:
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) <= 1:
+        if not any(coeffs):
             raise DomainError("zero polynomial in root isolation")
         return False
+    if len(coeffs) > 4:
+        raise DomainError(f"root isolation takes degree at most 3, got {len(coeffs) - 1}")
     cap = _depth_cap(coeffs, model)
-    return _search(model, _strip_content(coeffs, model), 0, cap)
+    return _search(model, _strip_content([model.embed_int(c) for c in coeffs], model), 0, cap)
 
 
 def _search(model, coeffs, depth: int, cap: int) -> bool:
@@ -164,24 +153,42 @@ def _search(model, coeffs, depth: int, cap: int) -> bool:
     return False
 
 
-def has_zp_root(coeffs, p: int) -> bool:
-    """Root in Z_p of a polynomial with rational coefficients (constant
-    term first).  Coefficients are scaled to a p-integral primitive
-    polynomial first; scaling does not change the root set."""
+def _primitive_at(coeffs, p: int) -> list[int]:
+    """Integers proportional to the rational coefficients (not all zero),
+    with p-content 1: denominators cleared, then the power of p dividing
+    them all.  A rational multiple has the same roots."""
     coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    scale = p ** min(_split(t, p)[0] for t in ints if t)
+    return [t // scale for t in ints]
+
+
+def has_zp_root(coeffs, p: int) -> bool:
+    """Root in Z_p of a polynomial of degree at most 3 with rational
+    coefficients (constant term first)."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if all(c == 0 for c in coeffs):
         raise DomainError("zero polynomial")
-    vmin = min(valuation(c, p) for c in coeffs if c != 0)
-    scaled = [c * Fraction(p) ** (-vmin) for c in coeffs]
-    return has_ring_root(ZpModel(p), scaled)
+    return has_ring_root(ZpModel(p), _primitive_at(coeffs, p))
+
+
+def form_has_projective_root(model, a, b, c, d) -> bool:
+    """Whether the binary cubic with the given rational coefficients has a
+    zero on the projective line over the model's fraction field.  Any
+    projective point has a representative with both coordinates integral
+    and one of them a unit, so testing f(x, 1) and f(1, y) for ring roots
+    covers everything."""
+    if a == 0 or d == 0:
+        return True  # [1:0] or [0:1] is a root
+    a, b, c, d = _primitive_at((a, b, c, d), model.p)
+    return has_ring_root(model, [d, c, b, a]) or has_ring_root(model, [a, b, c, d])
 
 
 def form_has_projective_root_qp(a, b, c, d, p: int) -> bool:
-    """Whether a binary cubic with the given coefficients has a zero in
-    P^1(Q_p).  Any projective point has a representative with both
-    coordinates in Z_p and one of them a unit, so testing f(x, 1) and
-    f(1, y) for Z_p-roots covers everything."""
-    a, b, c, d = (Fraction(t) for t in (a, b, c, d))
-    if a == 0 or d == 0:
-        return True  # [1:0] or [0:1] is a root
-    return has_zp_root([d, c, b, a], p) or has_zp_root([a, b, c, d], p)
+    """Whether a binary cubic with the given rational coefficients has a
+    zero in P^1(Q_p)."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return form_has_projective_root(ZpModel(p), a, b, c, d)

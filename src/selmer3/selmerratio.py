@@ -56,6 +56,9 @@ class LocalPlaceProfile:
     def __post_init__(self) -> None:
         if self.reduction not in ("good", "bad"):
             raise DomainError("reduction must be 'good' or 'bad'")
+        override = self.override_exponent
+        if override is not None and (type(override) is bool or not isinstance(override, int)):
+            raise DomainError(f"override exponent must be an integer, got {override!r}")
         if isinstance(self.place, Place) and self.place.is_finite:
             needs = self.reduction == "bad" or self.place.p == 3
             if needs and self.override_exponent is None:

@@ -295,6 +295,19 @@ def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, 
     assert err.startswith("error:") and ("malformed" in err) == (code == 2)
 
 
+@pytest.mark.parametrize("override", ["x", 1.5, True])
+def test_override_exponent_that_is_not_an_integer_is_domain_error(capsys, tmp_path, override):
+    config = json.loads(json.dumps(_RATIO_CONFIG))
+    config["profiles"][1]["override_exponent"] = override
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "ratio", "--config", str(path), "--d", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "override exponent" in err
+    assert "Traceback" not in err
+
+
 def test_reader_closing_the_pipe_exits_quietly():
     # about 260 kB of output, far more than a pipe buffers, so the writer
     # is still writing when the reader goes away

@@ -307,7 +307,7 @@ def test_eisenstein_division_with_nontrivial_unit():
         # y is x divided by w/u: y * w = u * x
         assert (y * m.w).c == (m.embed_int(2) * x).c
     with pytest.raises(DomainError):
-        m.div_uniformizer(m.one)
+        m.div_uniformizer(m.embed_int(1))
     e = CubicExtModel.unramified(7)
     with pytest.raises(DomainError):
         e.div_uniformizer(e.w)
@@ -404,27 +404,30 @@ def test_form_scan_classifies_each_residue_once(monkeypatch):
 def test_oracle_imports_no_classification_layer():
     # the oracle checks the classification, so it must not consult it:
     # from localclass it takes only the construction of the unramified
-    # cubic, and nothing from the ratio calculus or the families
+    # cubic, and nothing from the ratio calculus or the families.  Its root
+    # isolation runs through padicroots, which takes only the discriminant
+    # polynomial from cubicforms and nothing from the layers above.
     import ast
 
     import selmer3.oracle as oracle
+    import selmer3.padicroots as padicroots
 
-    allowed = {
-        "localclass": {"unramified_cubic_form"},
-        "selmerratio": set(),
-        "prym": set(),
-        "twistfamilies": set(),
+    excluded = {"selmerratio": set(), "prym": set(), "twistfamilies": set()}
+    rules = {
+        oracle: {**excluded, "localclass": {"unramified_cubic_form"}},
+        padicroots: {**excluded, "localclass": set(), "cubicforms": {"discriminant"}},
     }
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom) and node.module is not None:
-            taken = {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            # `import m` and `from . import m` take a whole module
-            taken = {(alias.name.rpartition(".")[2], "*") for alias in node.names}
-        else:
-            continue
-        for module, name in taken:
-            assert module not in allowed or name in allowed[module], (module, name)
+    for checked, allowed in rules.items():
+        for node in ast.walk(ast.parse(Path(checked.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module is not None:
+                taken = {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import m` and `from . import m` take a whole module
+                taken = {(alias.name.rpartition(".")[2], "*") for alias in node.names}
+            else:
+                continue
+            for module, name in taken:
+                assert module not in allowed or name in allowed[module], (checked, module, name)
 
 
 def test_root_isolation_builds_integer_elements_only(monkeypatch):

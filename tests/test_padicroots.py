@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selmer3.errors import DomainError
-from selmer3.padicroots import ZpModel, form_has_projective_root_qp, has_ring_root, has_zp_root
+from selmer3.padicroots import (
+    ZpModel,
+    _depth_cap,
+    form_has_projective_root_qp,
+    has_ring_root,
+    has_zp_root,
+)
 
 
 def test_simple_roots():
@@ -65,3 +73,133 @@ def test_brute_force_cross_check():
                 witness = True
         if witness:
             assert got  # a certified root must be found
+
+
+# ----------------------------------------------------------------------
+# The depth cap against an independent resultant
+# ----------------------------------------------------------------------
+
+
+def _v(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+@st.composite
+def _prime_and_poly(draw, primes, max_power=3):
+    """A prime and integer coefficients (constant term first) of degree 1 to
+    3, each a small integer times a power of the prime, leading term nonzero."""
+    p = draw(st.sampled_from(primes))
+    deg = draw(st.integers(1, 3))
+    term = st.builds(lambda n, k: n * p**k, st.integers(-12, 12), st.integers(0, max_power))
+    coeffs = draw(st.lists(term, min_size=deg + 1, max_size=deg + 1))
+    assume(coeffs[-1] != 0)
+    return p, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_and_poly((2, 3, 5, 7)))
+def test_depth_cap_equals_twice_the_resultant_valuation(case):
+    import sympy
+
+    from selmer3.oracle import CubicExtModel
+
+    p, coeffs = case
+    x = sympy.Symbol("x")
+    g = sympy.Poly(list(reversed(coeffs)), x)
+    res = int(sympy.resultant(g, g.diff(x)))
+    if res == 0:
+        with pytest.raises(DomainError):
+            _depth_cap(coeffs, ZpModel(p))
+        return
+    assert _depth_cap(coeffs, ZpModel(p)) == 2 * _v(res, p) + 6
+    # in an Eisenstein model the uniformizer is a cube root of p times a unit
+    assert _depth_cap(coeffs, CubicExtModel.eisenstein(p, 1)) == 2 * 3 * _v(res, p) + 6
+
+
+# ----------------------------------------------------------------------
+# Root isolation: properties
+# ----------------------------------------------------------------------
+
+_ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _separable(coeffs) -> bool:
+    # root isolation refuses a repeated root: its depth cap would be infinite
+    import sympy
+
+    x = sympy.Symbol("x")
+    g = sympy.Poly(list(reversed(coeffs)), x)
+    return sympy.gcd(g, g.diff(x)).degree() == 0
+
+
+@st.composite
+def _prime_and_poly_without_zero_mod_p(draw):
+    """A prime and a polynomial whose constant term avoids every value
+    -h(x) mod p of the rest h of the polynomial."""
+    p, coeffs = draw(_prime_and_poly(_ODD_PRIMES, max_power=1))
+    h = [0] + coeffs[1:]
+    allowed = [r for r in range(p) if all((_value(h, x) + r) % p for x in range(p))]
+    assume(allowed)
+    constant = draw(st.sampled_from(allowed)) + p * draw(st.integers(-3, 3))
+    return p, [constant] + coeffs[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_and_poly_without_zero_mod_p())
+def test_no_zero_mod_p_means_no_root(case):
+    p, coeffs = case
+    assert all(_value(coeffs, x) % p for x in range(p))
+    assume(_separable(coeffs))
+    assert not has_zp_root(coeffs, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_and_poly(_ODD_PRIMES, max_power=1))
+def test_simple_zero_mod_p_lifts(case):
+    p, coeffs = case
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    assume(any(_value(coeffs, x) % p == 0 and _value(deriv, x) % p for x in range(p)))
+    assume(_separable(coeffs))
+    assert has_zp_root(coeffs, p)
+
+
+@pytest.mark.parametrize("p", _ODD_PRIMES)
+def test_degree_above_three_rejected(p):
+    with pytest.raises(DomainError):
+        has_zp_root([-1, 0, 0, 0, 1], p)
+    with pytest.raises(DomainError):
+        has_ring_root(ZpModel(p), [1, 1, 0, 0, p])
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 15])
+def test_non_prime_rejected(n):
+    with pytest.raises(DomainError):
+        has_zp_root([-1, 0, 1], n)
+    with pytest.raises(DomainError):
+        form_has_projective_root_qp(1, 0, 0, -2, n)
+
+
+def test_root_isolation_sees_integers_only(monkeypatch):
+    seen = []
+    original = ZpModel.val
+
+    def recording(self, x):
+        seen.append(type(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ZpModel, "val", recording)
+    assert has_zp_root([Fraction(-1, 7), 0, Fraction(1, 7)], 5)
+    assert has_zp_root([51, -52, 1], 5)
+    assert not has_zp_root([-5, 0, 0, 1], 5)
+    assert not form_has_projective_root_qp(Fraction(5, 3), 0, 0, Fraction(1, 3), 5)
+    assert form_has_projective_root_qp(1, Fraction(1, 2), 0, -2, 7)
+    assert seen
+    assert set(seen) == {int}
