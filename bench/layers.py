@@ -1,0 +1,214 @@
+"""Layer timings of the cubic-ring and oracle code, this checkout against a
+base revision, written to a BENCH_*.json file.
+
+    python3 bench/layers.py --base HEAD~1 --out BENCH_7.json
+
+The base revision's `src/` is exported with `git archive` into a temporary
+directory.  Each of six rounds runs one child process per side, alternating
+which side goes first; a child imports selmer3 from its side's `src/`,
+builds the same seeded inputs and times every layer over five passes,
+keeping the median pass.  The file records, per layer and side, the median and quartiles
+of the round values and the ratio of the medians (this checkout over the
+base), with nproc, the CPU model and the Python version.  Timings are raw
+wall time from `time.perf_counter`, with the garbage collector left on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+ROUNDS, PASSES, SEED = 6, 5, 20261018
+GRID = [(p, v, uc) for p in (5, 7) for v in range(5) for uc in ("square", "nonsquare")]
+
+
+def _forms(rng: random.Random, n: int, bound: int) -> list[tuple[int, int, int, int]]:
+    from selmer3.cubicforms import discriminant
+
+    out = []
+    while len(out) < n:
+        coeffs = tuple(rng.randint(-bound, bound) for _ in range(4))
+        if discriminant(*coeffs) != 0:
+            out.append(coeffs)
+    return out
+
+
+def _layers():
+    """name -> (unit, calls per pass, function running one pass)."""
+    from selmer3.cubicforms import BinaryCubicForm, form_to_ring
+    from selmer3.oracle import (
+        enumerate_orbits,
+        order_from_lattice,
+        orders_of_index,
+        verify_subring_bijection,
+    )
+
+    rng = random.Random(SEED)
+    rings = [form_to_ring(BinaryCubicForm(*f)) for f in _forms(rng, 200, 30)]
+
+    def fractions():
+        return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3))
+
+    products = [(ring, fractions(), fractions()) for ring in rings]
+    lattices = [
+        (ring, basis)
+        for ring in rings[:60]
+        for p in (5, 7, 11)
+        for basis in orders_of_index(ring, p, 1)
+    ]
+    checks = [(ring, p) for ring in rings[:45] for p in (5, 7, 11)]
+    maximal = form_to_ring(BinaryCubicForm(1, 0, 0, -7 * 2))
+
+    def validate():
+        for ring in rings:
+            ring.validate()
+
+    def mul():
+        for ring, x, y in products:
+            ring.mul(x, y)
+
+    def lattice():
+        for ring, basis in lattices:
+            order_from_lattice(ring, basis)
+
+    def orders():
+        orders_of_index(maximal, 7, 2)
+
+    def bijection():
+        for ring, p in checks:
+            if not verify_subring_bijection(ring, p):
+                raise AssertionError("subring bijection check failed")
+
+    def grid():
+        for p, v, uc in GRID:
+            enumerate_orbits(p, disc_val=v, unit_class=uc)
+
+    return {
+        "CubicRing.validate": ("us/call", len(rings), validate),
+        "CubicRing.mul": ("us/call", len(products), mul),
+        "order_from_lattice": ("us/call", len(lattices), lattice),
+        "orders_of_index(p=7, j=2)": ("us/call", 1, orders),
+        "verify_subring_bijection": ("us/call", len(checks), bijection),
+        "orbit_grid": ("ms/grid", 1, grid),
+    }
+
+
+def _child(src: str) -> None:
+    sys.path.insert(0, src)
+    scale = {"us/call": 1e6, "ms/grid": 1e3}
+    out = {}
+    for name, (unit, calls, run) in _layers().items():
+        run()  # warm caches and lazy set-up
+        times = []
+        for _ in range(PASSES):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        value = statistics.median(times) / calls * scale[unit]
+        out[name] = {"unit": unit, "calls": calls, "value": value}
+    print(json.dumps(out))
+
+
+def _git(*args: str, text: bool = True):
+    proc = subprocess.run(["git", *args], cwd=REPO, check=True, capture_output=True, text=text)
+    return proc.stdout.strip() if text else proc.stdout
+
+
+def _export_src(rev: str, dest: str) -> str:
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev, "src", text=False))) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {
+        "median": round(median, 3),
+        "q1": round(q1, 3),
+        "q3": round(q3, 3),
+        "runs": [round(v, 3) for v in values],
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
+    ap.add_argument("--out", help="path of the JSON file to write (required)")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        _child(args.child)
+        return
+    if not args.out:
+        ap.error("--out is required")
+
+    runs: dict[str, dict[str, list[float]]] = {"base": {}, "tree": {}}
+    meta: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = {"base": _export_src(args.base, tmp), "tree": str(REPO / "src")}
+        for r in range(ROUNDS):
+            for side in ("base", "tree") if r % 2 == 0 else ("tree", "base"):
+                cmd = [sys.executable, __file__, "--child", sources[side]]
+                child = subprocess.run(cmd, check=True, capture_output=True, text=True)
+                result = json.loads(child.stdout)
+                for name, row in result.items():
+                    runs[side].setdefault(name, []).append(row["value"])
+                    meta[name] = {"unit": row["unit"], "calls_per_pass": row["calls"]}
+
+    layers = {}
+    for name, info in meta.items():
+        base, tree = _summary(runs["base"][name]), _summary(runs["tree"][name])
+        ratio = round(tree["median"] / base["median"], 3)
+        layers[name] = {**info, "base": base, "tree": tree, "ratio": ratio}
+    report = {
+        "harness": "bench/layers.py",
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "cpu": _cpu_model(),
+            "python": platform.python_version(),
+        },
+        "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
+        "tree": {
+            "commit": _git("rev-parse", "HEAD"),
+            "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
+        },
+        "method": {
+            "rounds": ROUNDS,
+            "passes": PASSES,
+            "seed": SEED,
+            "value": "median pass per round, per call; summaries over rounds; ratio = tree/base",
+        },
+        "layers": layers,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    for name, row in layers.items():
+        base, tree = row["base"]["median"], row["tree"]["median"]
+        print(f"{name:28s} {base:>10.1f} -> {tree:>10.1f} {row['unit']}  ({row['ratio']:.2f}x)")
+
+
+if __name__ == "__main__":
+    main()

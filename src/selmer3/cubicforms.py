@@ -165,19 +165,36 @@ def _triple(x0, x1, x2) -> Triple:
 class CubicRing:
     """Rank-3 algebra on basis (1, w, t): stores the products w^2, w*t, t^2
     as coordinate triples over that basis.  The table is commutative and
-    unital by representation; `validate()` verifies associativity by finite
-    checking on basis products and runs on every untrusted input path."""
+    unital by representation; `validate()` verifies associativity and runs
+    on every untrusted input path.
+
+    Two identities suffice.  The associator [x, y, z] = (xy)z - x(yz) is
+    trilinear, so it vanishes everywhere once it vanishes on basis triples,
+    and on any triple containing 1 it vanishes because 1 is the unit.  In a
+    commutative table [x, y, x] = (xy)x - x(yx) = x(xy) - x(xy) = 0, which
+    disposes of (w, w, w), (w, t, w), (t, w, t) and (t, t, t), and
+    [z, y, x] = -[x, y, z], which reduces (t, w, w) and (t, t, w) to the two
+    triples left: (w*w)*t = w*(w*t) and (w*t)*t = w*(t*t)."""
 
     ww: Triple
     wt: Triple
     tt: Triple
 
     def validate(self) -> "CubicRing":
-        for x, y, z in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 2)):
-            left = self.mul(self.basis(x), self.mul(self.basis(y), self.basis(z)))
-            right = self.mul(self.mul(self.basis(x), self.basis(y)), self.basis(z))
-            if left != right:
-                raise DomainError("multiplication table is not associative")
+        ww, wt, tt = self.ww, self.wt, self.tt
+
+        def times_t(x):
+            # x*t = x0*t + x1*(w*t) + x2*(t*t)
+            x0, x1, x2 = x
+            return (x1 * wt[0] + x2 * tt[0], x1 * wt[1] + x2 * tt[1], x0 + x1 * wt[2] + x2 * tt[2])
+
+        def w_times(x):
+            # w*x = x0*w + x1*(w*w) + x2*(w*t)
+            x0, x1, x2 = x
+            return (x1 * ww[0] + x2 * wt[0], x0 + x1 * ww[1] + x2 * wt[1], x1 * ww[2] + x2 * wt[2])
+
+        if times_t(ww) != w_times(wt) or times_t(wt) != w_times(tt):
+            raise DomainError("multiplication table is not associative")
         return self
 
     @staticmethod
@@ -187,15 +204,14 @@ class CubicRing:
     def mul(self, x: Triple, y: Triple) -> Triple:
         x0, x1, x2 = x
         y0, y1, y2 = y
-        out = [x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x2 * y0]
-        for coeff, prod in (
-            (x1 * y1, self.ww),
-            (x1 * y2 + x2 * y1, self.wt),
-            (x2 * y2, self.tt),
-        ):
-            for i in range(3):
-                out[i] += coeff * prod[i]
-        return (out[0], out[1], out[2])
+        # coefficients of w*w, w*t and t*t in the product
+        c_ww, c_wt, c_tt = x1 * y1, x1 * y2 + x2 * y1, x2 * y2
+        ww, wt, tt = self.ww, self.wt, self.tt
+        return (
+            x0 * y0 + c_ww * ww[0] + c_wt * wt[0] + c_tt * tt[0],
+            x0 * y1 + x1 * y0 + c_ww * ww[1] + c_wt * wt[1] + c_tt * tt[1],
+            x0 * y2 + x2 * y0 + c_ww * ww[2] + c_wt * wt[2] + c_tt * tt[2],
+        )
 
     def _basis_traces(self) -> tuple[Fraction, Fraction]:
         # Tr(w) and Tr(t), read off the diagonal of the multiplication maps

@@ -349,31 +349,45 @@ def orders_of_index(ring: CubicRing, p: int, j: int, budget: int = 10**6):
     den = lcm(*(z.denominator for z in coords))
     if den % p == 0:
         raise DomainError(f"ring is not {p}-integral")
-    ww1, ww2, wt1, wt2, tt1, tt2 = (int(z * den) for z in coords)
+    # the constant coordinates never enter the membership test
+    ww, wt, tt = ((0, int(z[1] * den), int(z[2] * den)) for z in (ring.ww, ring.wt, ring.tt))
     found = []
     checked = 0
     for a, b, e in _index_sublattices(p, j):
         checked += 1
         if checked > budget:
             raise BudgetError(f"order search exceeded budget after {checked} lattices")
-        # (w, t) coordinates of v1*v1, v1*v2, v2*v2 for v1 = a w + b t, v2 = e t
-        aa, ab, bb = a * a, 2 * a * b, b * b
-        products = (
-            (aa * ww1 + ab * wt1 + bb * tt1, aa * ww2 + ab * wt2 + bb * tt2),
-            (a * e * wt1 + b * e * tt1, a * e * wt2 + b * e * tt2),
-            (e * e * tt1, e * e * tt2),
-        )
-        if all(z1 % a == 0 and (z2 - z1 // a * b) % e == 0 for z1, z2 in products):
+        for _, z1, z2 in _lattice_products(ww, wt, tt, a, b, e):
+            if z1 % a or (z2 - z1 // a * b) % e:
+                break
+        else:
             found.append((a, b, e))
     return found
 
 
+def _lattice_products(ww, wt, tt, a, b, e):
+    """v1*v1, v1*v2 and v2*v2 for v1 = a*w + b*t and v2 = e*t, over (1, w, t),
+    as the combinations a^2*ww + 2ab*wt + b^2*tt, ae*wt + be*tt and e^2*tt
+    of the table rows (neither v1 nor v2 has a component along 1).  The
+    rows may hold integers or Fractions."""
+    aa, ab, bb, ae, be, ee = a * a, 2 * a * b, b * b, a * e, b * e, e * e
+    return (
+        (
+            aa * ww[0] + ab * wt[0] + bb * tt[0],
+            aa * ww[1] + ab * wt[1] + bb * tt[1],
+            aa * ww[2] + ab * wt[2] + bb * tt[2],
+        ),
+        (ae * wt[0] + be * tt[0], ae * wt[1] + be * tt[1], ae * wt[2] + be * tt[2]),
+        (ee * tt[0], ee * tt[1], ee * tt[2]),
+    )
+
+
 def order_from_lattice(ring: CubicRing, basis: tuple[int, int, int]) -> CubicRing:
-    """The subring on basis (1, a*w + b*t, e*t), as an abstract cubic
-    ring (translation-normalized via its index form)."""
+    """The subring on basis (1, v1, v2) with v1 = a*w + b*t and v2 = e*t, as
+    an abstract cubic ring.  Its table is read off the closed-form products
+    of `_lattice_products`, rewritten in the new basis, and kept in
+    Fractions because the input ring may be only p-integral."""
     a, b, e = basis
-    v1 = (Fraction(0), Fraction(a), Fraction(b))
-    v2 = (Fraction(0), Fraction(0), Fraction(e))
 
     def in_new_basis(z):
         # z = z0 + z1*w + z2*t with (z1, z2) in the lattice
@@ -381,11 +395,8 @@ def order_from_lattice(ring: CubicRing, basis: tuple[int, int, int]) -> CubicRin
         y2 = (z[2] - y1 * b) / e
         return (z[0], y1, y2)
 
-    return CubicRing(
-        ww=in_new_basis(ring.mul(v1, v1)),
-        wt=in_new_basis(ring.mul(v1, v2)),
-        tt=in_new_basis(ring.mul(v2, v2)),
-    ).validate()
+    v1v1, v1v2, v2v2 = _lattice_products(ring.ww, ring.wt, ring.tt, a, b, e)
+    return CubicRing(ww=in_new_basis(v1v1), wt=in_new_basis(v1v2), tt=in_new_basis(v2v2)).validate()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ v(g(a)) > 2 v(g'(a)) holds, otherwise substitute x = a + pi*t, strip the
 content, and recurse.
 
 Depth is capped at 2 v(Res(g, g')) plus a margin; a separable polynomial
-must resolve before the cap, so hitting it raises instead of guessing.
+must resolve before the cap, so hitting it raises instead of guessing.  A
+polynomial with a repeated root is first replaced by its squarefree part,
+read off in closed form because a repeated root of a cubic is rational.
 The resultant needs no determinant: Res(g, g') = +-lead(g) disc(g), and
 disc(g) is read off the binary cubic discriminant of `cubicforms`.  It is
 an integer, so its valuation is that of its embedding in the model (3 v_p
@@ -99,27 +101,56 @@ def _strip_content(coeffs, model):
     return coeffs
 
 
-def _depth_cap(coeffs: list[int], model) -> int:
-    """2 v(Res(g, g')) + margin for an integer g of degree 1 to 3 with a
-    nonzero leading coefficient.  Res(g, g') = +-lead(g) disc(g), where
-    disc is 1 for a linear g, and disc(0, b, c, d) = b^2 disc(b x^2 + c x
-    + d) brings the quadratic case to the cubic discriminant."""
+def _resultant(coeffs: list[int]) -> int:
+    """+-Res(g, g') for an integer g of degree 1 to 3 with a nonzero leading
+    coefficient.  Res(g, g') = +-lead(g) disc(g), where disc is 1 for a
+    linear g, and disc(0, b, c, d) = b^2 disc(b x^2 + c x + d) brings the
+    quadratic case to the cubic discriminant."""
     deg = len(coeffs) - 1
     lead = coeffs[-1]
     if deg == 1:
-        res = lead
-    else:
-        disc = discriminant(*([0] * (3 - deg) + coeffs[::-1]))
-        res = disc * lead if deg == 3 else disc // lead
+        return lead
+    disc = discriminant(*([0] * (3 - deg) + coeffs[::-1]))
+    return disc * lead if deg == 3 else disc // lead
+
+
+def _depth_cap(coeffs: list[int], model) -> int:
+    """2 v(Res(g, g')) + margin for a separable integer g of degree 1 to 3."""
+    res = _resultant(coeffs)
     if res == 0:
         raise DomainError("inseparable polynomial in root isolation")
     return 2 * model.val(model.embed_int(res)) + _DEPTH_MARGIN
 
 
+def _squarefree_part(coeffs: list[int]) -> list[int]:
+    """An integer polynomial with the same roots as the inseparable g of
+    degree 2 or 3, and each of them simple.  A repeated root of g is
+    rational, so this is a closed form: a quadratic's double root is
+    -b/2a; a cubic with b^2 - 3ac = 0 has the triple root -b/3a, and
+    otherwise the double root r = (9ad - bc)/(2(b^2 - 3ac)) and the simple
+    root -b/a - 2r."""
+    if len(coeffs) == 3:
+        _, b, a = coeffs
+        return [b, 2 * a]
+    d, c, b, a = coeffs
+    h = b * b - 3 * a * c
+    if h == 0:
+        return [b, 3 * a]
+    r = Fraction(9 * a * d - b * c, 2 * h)
+    s = Fraction(-b, a) - 2 * r
+    # (r.den x - r.num)(s.den x - s.num)
+    return [
+        r.numerator * s.numerator,
+        -(r.denominator * s.numerator + s.denominator * r.numerator),
+        r.denominator * s.denominator,
+    ]
+
+
 def has_ring_root(model, coeffs) -> bool:
     """Whether the polynomial with the given integer coefficients (constant
     term first, degree at most 3) has a root in the model's ring of
-    integers."""
+    integers.  A polynomial with a repeated root is replaced by its
+    squarefree part, which has the same roots."""
     coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -129,6 +160,8 @@ def has_ring_root(model, coeffs) -> bool:
         return False
     if len(coeffs) > 4:
         raise DomainError(f"root isolation takes degree at most 3, got {len(coeffs) - 1}")
+    if _resultant(coeffs) == 0:
+        coeffs = _squarefree_part(coeffs)
     cap = _depth_cap(coeffs, model)
     return _search(model, _strip_content([model.embed_int(c) for c in coeffs], model), 0, cap)
 

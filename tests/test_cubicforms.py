@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from selmer3.cubicforms import (
     projective_roots_mod_p,
     ring_to_form,
     rings_isomorphic,
+    translate_basis,
 )
 from selmer3.errors import DomainError
 
@@ -166,8 +168,6 @@ def test_monogenic_ring_x3_minus_t():
 
 def test_ring_to_form_normalizes_translated_bases():
     rng = random.Random(12)
-    from selmer3.cubicforms import translate_basis
-
     for _ in range(100):
         f = random_form(rng)
         ring = form_to_ring(f)
@@ -360,3 +360,106 @@ def test_act_equals_sympy_expansion(coeffs, entries):
         _to_fraction(moved.coeff_monomial(m)) for m in (x**3, x**2 * y, x * y**2, y**3)
     )
     assert act(gamma, f).coefficients() == expected
+
+
+# ----------------------------------------------------------------------
+# The closed-form ring table against the basis-triple loops it replaced
+# ----------------------------------------------------------------------
+
+_ROWS = ("ww", "wt", "tt")
+
+
+def _loop_mul(ring: CubicRing, x, y):
+    """Product by the generic loop: the unit part, then each basis product
+    weighted by its coefficient."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    out = [x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x2 * y0]
+    for coeff, prod in ((x1 * y1, ring.ww), (x1 * y2 + x2 * y1, ring.wt), (x2 * y2, ring.tt)):
+        for i in range(3):
+            out[i] += coeff * prod[i]
+    return tuple(out)
+
+
+def _associative_by_six_triples(ring: CubicRing) -> bool:
+    """Associativity on the six basis triples the table was once checked on."""
+    e = CubicRing.basis
+    for x, y, z in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 2)):
+        left = _loop_mul(ring, e(x), _loop_mul(ring, e(y), e(z)))
+        right = _loop_mul(ring, _loop_mul(ring, e(x), e(y)), e(z))
+        if left != right:
+            return False
+    return True
+
+
+def _validates(ring: CubicRing) -> bool:
+    try:
+        ring.validate()
+    except DomainError:
+        return False
+    return True
+
+
+def _perturbed(ring: CubicRing, row: str, i: int, delta) -> CubicRing:
+    entries = list(getattr(ring, row))
+    entries[i] += delta
+    return replace(ring, **{row: tuple(entries)})
+
+
+_small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _ring_tables(draw):
+    """Tables of form_to_ring rings, integral or 5-integral with unit
+    denominators, sometimes on a translated basis, sometimes with one
+    entry moved (which mostly breaks associativity).  Zero coefficients
+    are common: with a = 0 or d = 0 one entry can be moved so that only
+    one of the two identities fails."""
+    den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-20, 20)), min_size=4, max_size=4))
+    ring = form_to_ring(BinaryCubicForm(*(Fraction(c, den) for c in coeffs)), p=5)
+    if draw(st.booleans()):
+        ring = translate_basis(ring, draw(_small_fractions), draw(_small_fractions))
+    if draw(st.booleans()):
+        delta = draw(_small_fractions.filter(bool))
+        ring = _perturbed(ring, draw(st.sampled_from(_ROWS)), draw(st.integers(0, 2)), delta)
+    return ring
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_tables())
+def test_validate_equals_six_triple_loop(ring):
+    assert _validates(ring) == _associative_by_six_triples(ring)
+
+
+def test_validate_verdicts_on_seeded_tables():
+    # both verdicts occur, and agree with the loop
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(200):
+        f = random_form(rng, require_nonzero_disc=False)
+        ring = translate_basis(form_to_ring(f), Fraction(rng.randint(-6, 6), 5), rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            delta = Fraction(rng.randint(1, 5), 7)
+            ring = _perturbed(ring, rng.choice(_ROWS), rng.randrange(3), delta)
+        verdict = _validates(ring)
+        assert verdict == _associative_by_six_triples(ring)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 150
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_tables(), st.tuples(*[_small_fractions] * 3), st.tuples(*[_small_fractions] * 3))
+def test_mul_equals_loop(ring, x, y):
+    assert ring.mul(x, y) == _loop_mul(ring, x, y)
+
+
+def test_from_structure_constants_rejects_non_associative_table():
+    f = BinaryCubicForm(1, 2, -3, 5)
+    table = form_to_ring(f).structure_constants()
+    assert CubicRing.from_structure_constants(table) == form_to_ring(f)
+    # w^2 gains 1 in its constant term: still commutative and unital
+    table[1][1][0] = str(Fraction(table[1][1][0]) + 1)
+    with pytest.raises(DomainError, match="not associative"):
+        CubicRing.from_structure_constants(table)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from selmer3.cubicforms import BinaryCubicForm, form_to_ring, projective_roots_mod_p
+from selmer3.cubicforms import BinaryCubicForm, CubicRing, form_to_ring, projective_roots_mod_p
 from selmer3.errors import DomainError
 from selmer3.localclass import classify_integral, h1_dims, unramified_cubic_form
 from selmer3.localfield import Place, cube_class_reps, least_nonresidue
@@ -17,6 +17,7 @@ from selmer3.oracle import (
     count_cubic_extensions,
     enumerate_orbits,
     h1_counts_from_extensions,
+    order_from_lattice,
     orders_of_index,
     sl2_orbit_count_mod_p,
     verify_subring_bijection,
@@ -339,8 +340,7 @@ def _orders_reference(ring, p, j):
     return found
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_orders_of_index_equals_fraction_reference(p):
+def _integral_and_translated_rings(p):
     from selmer3.cubicforms import translate_basis
 
     rng = random.Random(100 + p)
@@ -360,9 +360,41 @@ def test_orders_of_index_equals_fraction_reference(p):
     # no index-p order, and an index-p^2 one: the unramified maximal order
     rings.append(form_to_ring(unramified_cubic_form(p)))
     assert len(rings) >= 10
-    for ring in rings:
+    return rings
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_orders_of_index_equals_fraction_reference(p):
+    for ring in _integral_and_translated_rings(p):
         for j in (1, 2):
             assert orders_of_index(ring, p, j) == _orders_reference(ring, p, j)
+
+
+def _order_reference(ring, basis):
+    """order_from_lattice through the generic ring.mul on the new basis."""
+    a, b, e = basis
+    v1 = (Fraction(0), Fraction(a), Fraction(b))
+    v2 = (Fraction(0), Fraction(0), Fraction(e))
+
+    def in_new_basis(z):
+        y1 = z[1] / a
+        return (z[0], y1, (z[2] - y1 * b) / e)
+
+    products = (ring.mul(v1, v1), ring.mul(v1, v2), ring.mul(v2, v2))
+    return CubicRing(*(in_new_basis(z) for z in products))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_order_from_lattice_equals_generic_products(p):
+    subrings = 0
+    for ring in _integral_and_translated_rings(p):
+        for j in (1, 2):
+            for basis in orders_of_index(ring, p, j):
+                sub = order_from_lattice(ring, basis)
+                assert sub == _order_reference(ring, basis)
+                assert sub.discriminant() == p ** (2 * j) * ring.discriminant()
+                subrings += 1
+    assert subrings >= 10
 
 
 def test_orders_of_index_rejects_ring_not_p_integral():

@@ -131,15 +131,6 @@ def _value(coeffs, x):
     return sum(c * x**i for i, c in enumerate(coeffs))
 
 
-def _separable(coeffs) -> bool:
-    # root isolation refuses a repeated root: its depth cap would be infinite
-    import sympy
-
-    x = sympy.Symbol("x")
-    g = sympy.Poly(list(reversed(coeffs)), x)
-    return sympy.gcd(g, g.diff(x)).degree() == 0
-
-
 @st.composite
 def _prime_and_poly_without_zero_mod_p(draw):
     """A prime and a polynomial whose constant term avoids every value
@@ -157,7 +148,6 @@ def _prime_and_poly_without_zero_mod_p(draw):
 def test_no_zero_mod_p_means_no_root(case):
     p, coeffs = case
     assert all(_value(coeffs, x) % p for x in range(p))
-    assume(_separable(coeffs))
     assert not has_zp_root(coeffs, p)
 
 
@@ -167,8 +157,60 @@ def test_simple_zero_mod_p_lifts(case):
     p, coeffs = case
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     assume(any(_value(coeffs, x) % p == 0 and _value(deriv, x) % p for x in range(p)))
-    assume(_separable(coeffs))
     assert has_zp_root(coeffs, p)
+
+
+# ----------------------------------------------------------------------
+# Repeated roots: the squarefree part
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, expected",
+    [
+        ([0, 0, 1, 1], 3, True),  # x^3 + x^2 = x^2 (x + 1)
+        ([0, 0, 1, 1], 5, True),
+        ([-2, 5, -4, 1], 5, True),  # (x - 1)^2 (x - 2)
+        ([-2, 5, -4, 1], 2, True),
+        ([-1, 3, -3, 1], 7, True),  # (x - 1)^3
+        ([1, -2, 1], 3, True),  # (x - 1)^2
+        ([1, -10, 25], 5, False),  # (5x - 1)^2: double root 1/5
+        ([-3, 31, -85, 25], 5, True),  # (5x - 1)^2 (x - 3): simple root 3
+        ([-2, 25, -100, 125], 5, False),  # (5x - 1)^2 (5x - 2): roots 1/5, 2/5
+        ([1, -15, 75, -125], 5, False),  # (1 - 5x)^3: triple root 1/5
+        ([-125, 75, -15, 1], 5, True),  # (x - 5)^3
+    ],
+)
+def test_repeated_roots_are_answered(coeffs, p, expected):
+    assert has_zp_root(coeffs, p) is expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=60), min_size=2, max_size=2),
+    st.integers(1, 3),
+    st.integers(-9, 9).filter(bool),
+)
+def test_repeated_roots_against_their_valuations(p, roots, shape, lead):
+    """g = lead (x - r)^2 (x - s), (x - r)^3 or (x - r)^2 has a root in Z_p
+    exactly when one of r, s has no p in its denominator."""
+    r, s = roots
+    factors = {1: [r, r, s], 2: [r, r, r], 3: [r, r]}[shape]
+    coeffs = [Fraction(lead)]  # constant term first
+    for root in factors:
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= root * coeffs[i + 1]
+    assert has_zp_root(coeffs, p) == any(x.denominator % p for x in factors)
+
+
+def test_form_with_repeated_linear_factor():
+    # (x - y)^2 (x + y) and (5x - y)^2 (x - 7y): every chart of both is
+    # inseparable, and the rational zeros are projective roots over Q_p
+    assert form_has_projective_root_qp(1, -1, -1, 1, 5)
+    assert form_has_projective_root_qp(25, -185, 71, -7, 5)
+    assert form_has_projective_root_qp(25, -185, 71, -7, 7)
 
 
 @pytest.mark.parametrize("p", _ODD_PRIMES)
