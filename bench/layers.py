@@ -1,21 +1,25 @@
-"""Layer timings of the cubic-ring and oracle code, this checkout against a
-base revision, written to a BENCH_*.json file.
+"""Layer timings of the cubic-ring, oracle and input-path code, this
+checkout against a base revision, written to a BENCH_*.json file.
 
-    python3 bench/layers.py --base HEAD~1 --out BENCH_7.json
+    python3 bench/layers.py --base HEAD~1 --out BENCH_8.json
 
 The base revision's `src/` is exported with `git archive` into a temporary
-directory.  Each of six rounds runs one child process per side, alternating
+directory.  Each of ten rounds runs one child process per side, alternating
 which side goes first; a child imports selmer3 from its side's `src/`,
 builds the same seeded inputs and times every layer over five passes,
-keeping the median pass.  The file records, per layer and side, the median and quartiles
-of the round values and the ratio of the medians (this checkout over the
-base), with nproc, the CPU model and the Python version.  Timings are raw
-wall time from `time.perf_counter`, with the garbage collector left on.
+keeping the median pass.  The input-path layers call `cli.main` in process
+with stdout sent to /dev/null: a named preset, a config file read from a
+temporary directory, and the CM closed form.  The file records, per layer
+and side, the median and quartiles of the round values and the ratio of
+the medians (this checkout over the base), with nproc, the CPU model and
+the Python version.  Timings are raw wall time from `time.perf_counter`,
+with the garbage collector left on.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -31,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-ROUNDS, PASSES, SEED = 6, 5, 20261018
+ROUNDS, PASSES, SEED = 10, 5, 20261018
 GRID = [(p, v, uc) for p in (5, 7) for v in range(5) for uc in ("square", "nonsquare")]
 
 
@@ -44,6 +48,75 @@ def _forms(rng: random.Random, n: int, bound: int) -> list[tuple[int, int, int, 
         if discriminant(*coeffs) != 0:
             out.append(coeffs)
     return out
+
+
+def _sigma_members(rng: random.Random, n: int) -> list[int]:
+    """n squarefree d, |d| < 10^9, with d = 2 or 11 (mod 36): members of
+    the Prym preset's family."""
+    from selmer3.twistfamilies import factorize
+
+    out: list[int] = []
+    while len(out) < n:
+        d = rng.choice((1, -1)) * rng.randrange(1, 10**9)
+        if d % 36 in (2, 11) and max(factorize(abs(d)).values()) == 1:
+            out.append(d)
+    return out
+
+
+_RATIO_CONFIG = {
+    "schema": 1,
+    "descriptor": {
+        "schema": 1, "m": 1, "kernel_character": "1",
+        "global_summand_bit": True, "chain_length": 1, "name": "bench",
+        "kappa_orders": [
+            {"r": 0, "unit_class": "any", "kappa": 1, "kappa_hat": 3},
+            {"r": 1, "unit_class": "any", "kappa": 1, "kappa_hat": 1},
+        ],
+    },
+    "profiles": [
+        {"place": "real", "reduction": "good"},
+        {"place": 3, "reduction": "bad", "override_exponent": 0},
+        {"place": 2, "reduction": "bad", "override_exponent": 1},
+    ],
+}
+
+
+def _input_layers(workdir: str, sink):
+    """The input path: looking a preset up, and whole in-process `ratio`
+    requests, which parse the arguments, name or read their input and
+    write the envelope to `sink`."""
+    from selmer3.cli import main
+    from selmer3.prym import load_preset
+
+    rng = random.Random(SEED + 1)
+    config_path = os.path.join(workdir, "ratio-config.json")
+    with open(config_path, "w") as fh:
+        json.dump(_RATIO_CONFIG, fh)
+    prym_argvs = [["ratio", "--preset", "prym-a4", "--d", str(d)] for d in _sigma_members(rng, 50)]
+    config_argvs = [
+        ["ratio", "--config", config_path, "--d", str(rng.choice((1, -1)) * rng.randrange(2, 10**9))]
+        for _ in range(50)
+    ]
+    cm_argvs = [["ratio", "--preset", "cm"]] * 50
+
+    def presets():
+        for _ in range(200):
+            load_preset("prym-a4")
+
+    def requests(argvs):
+        def run():
+            with contextlib.redirect_stdout(sink):
+                for argv in argvs:
+                    if main(argv) != 0:
+                        raise AssertionError(f"{argv} failed")
+        return run
+
+    return {
+        "load_preset(prym-a4)": ("us/call", 200, presets),
+        "ratio --preset prym-a4 --d D": ("us/call", len(prym_argvs), requests(prym_argvs)),
+        "ratio --config FILE --d D": ("us/call", len(config_argvs), requests(config_argvs)),
+        "ratio --preset cm": ("us/call", len(cm_argvs), requests(cm_argvs)),
+    }
 
 
 def _layers():
@@ -110,15 +183,16 @@ def _child(src: str) -> None:
     sys.path.insert(0, src)
     scale = {"us/call": 1e6, "ms/grid": 1e3}
     out = {}
-    for name, (unit, calls, run) in _layers().items():
-        run()  # warm caches and lazy set-up
-        times = []
-        for _ in range(PASSES):
-            start = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - start)
-        value = statistics.median(times) / calls * scale[unit]
-        out[name] = {"unit": unit, "calls": calls, "value": value}
+    with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink:
+        for name, (unit, calls, run) in {**_layers(), **_input_layers(workdir, sink)}.items():
+            run()  # warm caches and lazy set-up
+            times = []
+            for _ in range(PASSES):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            value = statistics.median(times) / calls * scale[unit]
+            out[name] = {"unit": unit, "calls": calls, "value": value}
     print(json.dumps(out))
 
 

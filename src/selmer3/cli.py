@@ -18,7 +18,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -160,20 +159,20 @@ def _emit(command: str, inputs, result, started: float) -> None:
     print(_dumps(envelope))
 
 
-def _default_ratio_config() -> RatioConfig:
-    # trivial overrides: kernel of square class 1, split extension classes,
-    # ratio 1 at the place over 3
-    desc = IsogenyDescriptor(
+# The config of `scan` without --config, "trivial-overrides": kernel of
+# square class 1, split extension classes, ratio 1 at the place over 3.
+_TRIVIAL_CONFIG = RatioConfig(
+    IsogenyDescriptor(
         m=1,
         global_summand_bit=True,
         kappa_orders=(KappaEntry(0, "any", 1, 1), KappaEntry(1, "any", 1, 1)),
         name="trivial-overrides",
-    )
-    profiles = (
+    ),
+    (
         LocalPlaceProfile(Place.real()),
         LocalPlaceProfile(Place.finite(3), reduction="bad", override_exponent=0),
-    )
-    return RatioConfig(desc, profiles)
+    ),
+)
 
 
 def cmd_classify(args, started: float) -> int:
@@ -197,8 +196,8 @@ def cmd_classify(args, started: float) -> int:
     return EXIT_OK
 
 
-def _cm_result(obj: dict) -> dict:
-    check = cm_ratio_check(int(obj["g"]), int(obj["complex_places"]))
+def _cm_result(g: int, complex_places: int) -> dict:
+    check = cm_ratio_check(g, complex_places)
     per_isogeny_arch = check.archimedean_exponent // (2 * check.g)
     per_isogeny_over3 = check.three_adic_exponent // (2 * check.g)
     return {
@@ -217,13 +216,8 @@ def _cm_result(obj: dict) -> dict:
 def cmd_ratio(args, started: float) -> int:
     if args.preset and args.config:
         raise DomainError("give either --preset or --config, not both")
-    if args.preset == "cm":
-        text = resources.files("selmer3.presets").joinpath("cm.json").read_text()
-        obj = json.loads(text)
-        if obj.get("schema") != 1:
-            raise DomainError("unsupported cm-preset schema")
-        result = _cm_result(obj)
-        _emit("ratio", {"preset": "cm"}, result, started)
+    if args.preset == "cm":  # the CM closed form at g = 1 over Q(zeta_3)
+        _emit("ratio", {"preset": "cm"}, _cm_result(g=1, complex_places=1), started)
         return EXIT_OK
     if args.preset:
         config = load_preset(args.preset)
@@ -273,7 +267,7 @@ def cmd_scan(args, started: float) -> int:
         config, _ = _load(args.config, RatioConfig.from_json_obj)
         config_input: object = config.to_json_obj()
     else:
-        config = _default_ratio_config()
+        config = _TRIVIAL_CONFIG
         config_input = "trivial-overrides"
     cells = tk_partition(family, config.descriptor, list(config.profiles), args.height)
     cell_objs = [cells[k].to_json_obj() for k in sorted(cells)]

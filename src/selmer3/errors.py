@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the kind checks of user JSON documents."""
 
 
 class Selmer3Error(Exception):
@@ -33,3 +33,20 @@ class BudgetError(Selmer3Error, RuntimeError):
 class PrecisionError(Selmer3Error, RuntimeError):
     """A p-adic search hit its depth cap without resolving; raising instead
     of guessing keeps every reported answer exact."""
+
+
+_JSON_KINDS = {bool: "boolean", int: "integer", str: "string"}
+
+
+def json_kind(value, kind: type, what: str):
+    """value when its type is exactly `kind` (bool, int or str), so that no
+    boolean, float or string passes for an integer; else a TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def check_schema(obj: dict, what: str) -> None:
+    """Raise DomainError unless the document's schema is the integer 1."""
+    if type(obj.get("schema")) is not int or obj["schema"] != 1:
+        raise DomainError(f"unsupported {what} schema")

@@ -15,10 +15,8 @@ the 3 is optional metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .errors import DomainError, IncompleteConfigError
 from .localfield import Place, Rational, is_square, sextic_class_3adic
@@ -31,7 +29,7 @@ from .selmerratio import (
     rank_density_bounds,
 )
 from .localclass import build_twist_datum
-from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, family_preset, reduce_class
 
 
 @dataclass(frozen=True)
@@ -82,46 +80,28 @@ class PrymCurveConfig:
             IsogenyDescriptor(m=1, kernel_character=k_psi, name="psi"),
         )
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "PrymCurveConfig":
-        if obj.get("schema") != 1:
-            raise DomainError("unsupported prym-config schema")
-        three = obj.get("three_adic", {})
-        ordered = three.get("ordered")
-        if ordered is not None:
-            ordered = {int(k): (int(v[0]), int(v[1])) for k, v in ordered.items()}
-        ft = obj["f_tilde"]
-        return PrymCurveConfig(
-            a=Fraction(str(obj["a"])),
-            genus=int(obj["genus"]),
-            dim_b=int(obj["dim_B"]),
-            bad_primes=frozenset(int(p) for p in obj.get("bad_primes", [])),
-            family=TwistFamily.from_json_obj(obj["family"]),
-            three_adic=ThreeAdicInput(
-                mode=three.get("mode", "unequal"),
-                product_exponent=int(three.get("product_exponent", 2)),
-                ordered=ordered,
-            ),
-            kernel_characters=tuple(
-                Fraction(str(k)) for k in obj.get("kernel_characters", ["1", "1"])
-            ),
-            f_tilde=FTildeEntry(ft["curve_type"], int(ft["max_r"]), int(ft["value"])),
-            trivial_points=int(obj["trivial_points"]),
-            nontorsion_trivial_points=int(obj["nontorsion_trivial_points"]),
-            name=obj.get("name", ""),
-        )
 
-    @staticmethod
-    def from_json(text: str) -> "PrymCurveConfig":
-        return PrymCurveConfig.from_json_obj(json.loads(text))
+PRESETS: dict[str, PrymCurveConfig] = {
+    "prym-a4": PrymCurveConfig(
+        a=Fraction(4),
+        genus=3,
+        dim_b=2,
+        bad_primes=frozenset({2, 3}),
+        family=family_preset("sigma-36-2-11"),
+        three_adic=ThreeAdicInput(mode="unequal", product_exponent=2),
+        kernel_characters=(Fraction(1), Fraction(1)),
+        f_tilde=FTildeEntry("plane_quartic", max_r=2, value=4),
+        trivial_points=1,
+        nontorsion_trivial_points=0,
+        name="prym-a4",
+    ),
+}
 
 
 def load_preset(name: str) -> PrymCurveConfig:
-    try:
-        text = resources.files("selmer3.presets").joinpath(f"{name}.json").read_text()
-    except FileNotFoundError:
-        raise DomainError(f"unknown preset {name!r}") from None
-    return PrymCurveConfig.from_json(text)
+    if name not in PRESETS:
+        raise DomainError(f"unknown preset {name!r}")
+    return PRESETS[name]
 
 
 def solve_three_adic(config: PrymCurveConfig) -> list[tuple[int, int, int, int]]:

@@ -15,13 +15,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
-from .errors import DomainError, IncompleteConfigError
+from .errors import DomainError, IncompleteConfigError, check_schema, json_kind
 from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
 from .localfield import (
     Place,
     Rational,
     is_prime,
+    is_square,
+    is_unit_3power,
     least_nonresidue,
     zeta3_present,
 )
@@ -90,8 +94,8 @@ class LocalPlaceProfile:
         raw = obj["place"]
         place: Place | SymbolicPlace
         if isinstance(raw, dict):
-            place = SymbolicPlace(raw["symbolic"], int(raw.get("degree", 1)))
-        elif isinstance(raw, int):
+            place = SymbolicPlace(raw["symbolic"], json_kind(raw.get("degree", 1), int, "degree"))
+        elif type(raw) is int:
             place = Place.finite(raw)
         elif raw in ("real", "complex"):
             place = Place(raw)
@@ -197,21 +201,23 @@ class IsogenyDescriptor:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "IsogenyDescriptor":
-        if obj.get("schema") != 1:
-            raise DomainError("unsupported descriptor schema")
+        check_schema(obj, "descriptor")
         entries = tuple(
             KappaEntry(
-                int(e["r"]), str(e["unit_class"]), int(e["kappa"]), int(e["kappa_hat"])
+                json_kind(e["r"], int, "r"),
+                str(e["unit_class"]),
+                json_kind(e["kappa"], int, "kappa"),
+                json_kind(e["kappa_hat"], int, "kappa_hat"),
             )
             for e in obj.get("kappa_orders", [])
         )
         return IsogenyDescriptor(
-            m=int(obj.get("m", 1)),
+            m=json_kind(obj.get("m", 1), int, "m"),
             kernel_character=Fraction(str(obj.get("kernel_character", "1"))),
-            global_summand_bit=bool(obj.get("global_summand_bit", True)),
+            global_summand_bit=json_kind(obj.get("global_summand_bit", True), bool, "global_summand_bit"),
             kappa_orders=entries,
-            chain_length=int(obj.get("chain_length", 1)),
-            name=obj.get("name", ""),
+            chain_length=json_kind(obj.get("chain_length", 1), int, "chain_length"),
+            name=json_kind(obj.get("name", ""), str, "name"),
         )
 
 
@@ -400,28 +406,31 @@ def average_selmer_prediction(k: int) -> Fraction:
 
 
 def _stratum_expectation(desc: IsogenyDescriptor, p: int, j: int) -> Fraction:
-    """Expected ratio over the unit square classes in the stratum
-    v(d) = j at a good place, as an exact rational."""
+    """Expected ratio over the units u in the stratum v(d) = j at a good
+    place, as an exact rational.  The exponent is `local_exponent` at one
+    representative of each unit-class label, weighted by the label's share
+    of the units: the four classes mod 8 at p = 2; otherwise 1/2 for the
+    nonsquares, 1/(2g) for the squares that are 3^r-th powers, where
+    g = gcd(3^r, p - 1), and the rest for the other squares."""
     if j == 0 or j % 2 == 1:
         return Fraction(1)
-    r = 0
-    while j % 3 ** (r + 1) == 0 and r + 1 <= desc.m:
-        r += 1
+    profile = LocalPlaceProfile(Place.finite(p))
+
+    def ratio(u: int) -> Fraction:
+        datum = build_twist_datum(p, u * p**j, desc.m)
+        return Fraction(3) ** local_exponent(profile, desc, datum)
+
     if p == 2:
-        # the four unit classes mod 8 are equidistributed; d square needs
-        # u = 1 (8), -3d square needs u = 5 (8)
-        k1, _ = desc.kappa_exponents(2, Fraction(1), r)
-        _, kh5 = desc.kappa_exponents(2, Fraction(5), r)
-        return Fraction(
-            Fraction(3) ** (k1 - 1) + Fraction(3) ** (1 - kh5) + 2, 4
+        return sum(map(ratio, (1, 3, 5, 7))) / 4
+    r = build_twist_datum(p, p**j, desc.m).r
+    g = gcd(3**r, p - 1)
+    expected = (ratio(least_nonresidue(p)) + ratio(1) / g) / 2
+    if g > 1:
+        square = next(
+            u for u in count(2) if is_square(u, profile.place) and not is_unit_3power(u, p, r)
         )
-    u_sq, u_nsq = Fraction(1), Fraction(least_nonresidue(p))
-    if p % 3 == 1:
-        k, kh = desc.kappa_exponents(p, u_sq, r)
-        return (Fraction(3) ** (k - kh) + 1) / 2
-    k, _ = desc.kappa_exponents(p, u_sq, r)
-    _, kh = desc.kappa_exponents(p, u_nsq, r)
-    return (Fraction(3) ** (k - 1) + Fraction(3) ** (1 - kh)) / 2
+        expected += ratio(square) * (g - 1) / (2 * g)
+    return expected
 
 
 def _local_factor(
@@ -725,8 +734,7 @@ class RatioConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "RatioConfig":
-        if obj.get("schema") != 1:
-            raise DomainError("unsupported ratio-config schema")
+        check_schema(obj, "ratio-config")
         return RatioConfig(
             descriptor=IsogenyDescriptor.from_json_obj(obj["descriptor"]),
             profiles=tuple(LocalPlaceProfile.from_json_obj(p) for p in obj.get("profiles", [])),

@@ -22,7 +22,7 @@ from itertools import compress, count
 from math import gcd, isqrt
 from operator import or_
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_schema, json_kind
 from .localfield import Rational, is_prime
 
 
@@ -204,13 +204,13 @@ class TwistFamily:
     signs: tuple[int, ...] = (1, -1)
     conditions: tuple[CongruenceCondition, ...] = ()
     squarefree: bool = False
-    height_bound: int | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
         if not set(self.signs) <= {1, -1} or not self.signs:
             raise DomainError("signs must be a nonempty subset of {+1, -1}")
-        if self.n < 3 or self.n % 3 != 0:
+        # n divides 3^b, where 3^b > 2^b > n, exactly when n is a power of 3
+        if self.n < 3 or 3 ** self.n.bit_length() % self.n:
             raise DomainError("n must be a power of 3, at least 3")
 
     def admits(self, tc: TwistClass) -> bool:
@@ -232,26 +232,29 @@ class TwistFamily:
                 for c in self.conditions
             ],
             "squarefree": self.squarefree,
-            "height_bound": self.height_bound,
             "name": self.name,
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TwistFamily":
-        if obj.get("schema") != 1:
-            raise DomainError("unsupported family schema")
-        signs = tuple(1 if s == "+" else -1 for s in obj.get("signs", ["+", "-"]))
+        """The family of a family document; unknown keys are ignored."""
+        check_schema(obj, "family")
+        signs = obj.get("signs", ["+", "-"])
+        if not set(signs) <= {"+", "-"}:
+            raise ValueError(f'signs must be "+" or "-", got {signs!r}')
         conds = tuple(
-            CongruenceCondition(int(c["modulus"]), frozenset(int(r) for r in c["residues"]))
+            CongruenceCondition(
+                json_kind(c["modulus"], int, "modulus"),
+                frozenset(json_kind(r, int, "residue") for r in c["residues"]),
+            )
             for c in obj.get("conditions", [])
         )
         return TwistFamily(
-            n=int(obj.get("n", 3)),
-            signs=signs,
+            n=json_kind(obj.get("n", 3), int, "n"),
+            signs=tuple(1 if s == "+" else -1 for s in signs),
             conditions=conds,
-            squarefree=bool(obj.get("squarefree", False)),
-            height_bound=obj.get("height_bound"),
-            name=obj.get("name", ""),
+            squarefree=json_kind(obj.get("squarefree", False), bool, "squarefree"),
+            name=json_kind(obj.get("name", ""), str, "name"),
         )
 
     @staticmethod
@@ -301,14 +304,11 @@ def _admitting_mask(bound: int, sign: int, conditions: tuple[CongruenceCondition
     return mask
 
 
-def enumerate_classes(family: TwistFamily, height_bound: int | None = None) -> list[TwistClass]:
+def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
     """All classes of the family with height strictly below the bound,
     sorted by height with the positive representative first.  Each class
     carries its factorization; only heights that some sign admits are
     factored."""
-    bound = height_bound if height_bound is not None else family.height_bound
-    if bound is None:
-        raise DomainError("an enumeration needs a height bound")
     power = 2 if family.squarefree else 2 * family.n
     spf = _smallest_prime_factors(bound)
     masks = [(s, _admitting_mask(bound, s, family.conditions)) for s in (1, -1) if s in family.signs]

@@ -284,6 +284,18 @@ _SCAN_FAMILY_ARGV = ["scan", "--family", "FILE", "--height", "10"]
         (_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": [3]}', 2),
         (_SCAN_FAMILY_ARGV, '{"schema": 1, "signs": 5}', 2),
         (_SCAN_FAMILY_ARGV, '{"schema": 2}', 3),
+        # a scalar of the wrong JSON kind is malformed, never coerced; a schema
+        # other than the integer 1 or an n that is no power of 3 is a domain error
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "signs": ["x"]}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "squarefree": "no"}', 2),
+        (_RATIO_ARGV, '{"schema": 1, "descriptor": {"schema": 1, "global_summand_bit": "false"}}', 2),
+        (_RATIO_ARGV, '{"schema": 1, "descriptor": {"schema": 1, "m": 1.9}}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": [{"modulus": 36, "residues": [2.7]}]}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "n": "3"}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "name": [1]}', 2),
+        (_SCAN_FAMILY_ARGV, '{"schema": true}', 3),
+        (_RATIO_ARGV, '{"schema": true}', 3),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "n": 6}', 3),
     ],
 )
 def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, text, code):

@@ -15,7 +15,7 @@ from selmer3.prym import (
     solve_three_adic,
 )
 from selmer3.selmerratio import duality_exponent
-from selmer3.twistfamilies import enumerate_classes
+from selmer3.twistfamilies import CongruenceCondition, enumerate_classes, family_preset
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,20 @@ def a4():
 
 
 def test_preset_loads(a4):
+    assert a4.name == "prym-a4"
     assert a4.a == 4
     assert a4.genus == 3 and a4.dim_b == 2
     assert a4.bad_primes == frozenset({2, 3})
-    assert a4.family.name == "sigma-36-2-11"
+    assert a4.three_adic.mode == "unequal" and a4.three_adic.product_exponent == 2
+    assert a4.three_adic.ordered is None
+    assert a4.kernel_characters == (1, 1)
+    assert (a4.f_tilde.curve_type, a4.f_tilde.max_r, a4.f_tilde.value) == ("plane_quartic", 2, 4)
+    assert a4.trivial_points == 1 and a4.nontorsion_trivial_points == 0
+    family = a4.family
+    assert family is family_preset("sigma-36-2-11")
+    assert family.n == 3 and family.signs == (1, -1)
+    assert family.conditions == (CongruenceCondition(36, frozenset({2, 11})),)
+    assert family.squarefree and family.name == "sigma-36-2-11"
 
 
 def test_unknown_preset():

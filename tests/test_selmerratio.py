@@ -339,3 +339,32 @@ def test_euler_product_congruence_guard():
     )
     with pytest.raises(IncompleteConfigError):
         euler_product_average(loose, desc, standard_profiles())
+
+
+def _label_descriptor(rng, m):
+    """A level-3^m descriptor whose r >= 1 entries key "power", "square"
+    and "nonsquare" with independently drawn orders."""
+    summand = rng.choice([True, False])
+    entries = [KappaEntry(0, "any", 1 if summand else 3, rng.choice([1, 3]))]
+    for r in range(1, m + 1):
+        for label in ("power", "square", "nonsquare"):
+            entries.append(KappaEntry(r, label, rng.choice([1, 3, 9]), rng.choice([1, 3, 9])))
+    return IsogenyDescriptor(m=m, global_summand_bit=summand, kappa_orders=tuple(entries))
+
+
+def test_stratum_expectation_is_the_average_over_all_units():
+    from selmer3.selmerratio import _stratum_expectation
+
+    rng = random.Random(2107)
+    for m in (1, 2, 3):
+        for desc in [_label_descriptor(rng, m) for _ in range(2)]:
+            for p in (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                prof = LocalPlaceProfile(Place.finite(p))
+                units = (1, 3, 5, 7) if p == 2 else range(1, p)
+                for j in range(2 * desc.n):
+                    ratios = [
+                        Fraction(3) ** local_exponent(prof, desc, build_twist_datum(p, u * p**j, m))
+                        for u in units
+                    ]
+                    want = sum(ratios) / len(ratios)
+                    assert _stratum_expectation(desc, p, j) == want, (m, p, j)

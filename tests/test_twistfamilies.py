@@ -146,6 +146,12 @@ def test_family_json_round_trip():
         TwistFamily.from_json_obj({"schema": 2})
 
 
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_family_level_must_be_a_power_of_three(n):
+    with pytest.raises(DomainError, match="power of 3"):
+        TwistFamily(n=n)
+
+
 def test_family_preset_unknown():
     with pytest.raises(DomainError):
         family_preset("nope")
