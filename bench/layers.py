@@ -1,18 +1,19 @@
 """Layer timings of the cubic-ring, oracle and input-path code, this
 checkout against a base revision, written to a BENCH_*.json file.
 
-    python3 bench/layers.py --base HEAD~1 --out BENCH_8.json
+    python3 bench/layers.py --base HEAD~1 --out BENCH_9.json
 
 The base revision's `src/` is exported with `git archive` into a temporary
 directory.  Each of ten rounds runs one child process per side, alternating
 which side goes first; a child imports selmer3 from its side's `src/`,
 builds the same seeded inputs and times every layer over five passes,
-keeping the median pass.  The input-path layers call `cli.main` in process
-with stdout sent to /dev/null: a named preset, a config file read from a
-temporary directory, and the CM closed form.  The file records, per layer
-and side, the median and quartiles of the round values and the ratio of
-the medians (this checkout over the base), with nproc, the CPU model and
-the Python version.  Timings are raw wall time from `time.perf_counter`,
+keeping the median pass.  The input-path layers read the ratio config and
+a family document from parsed JSON objects (`from_json_obj`), and call
+`cli.main` in process with stdout sent to /dev/null: a named preset, a
+config file read from a temporary directory, and the CM closed form.  The
+file records, per layer and side, the median and quartiles of the round
+values and the ratio of the medians (this checkout over the base), with
+nproc, the CPU model and the Python version.  Timings are raw wall time from `time.perf_counter`,
 with the garbage collector left on.
 """
 
@@ -63,6 +64,11 @@ def _sigma_members(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+_FAMILY = {
+    "schema": 1, "n": 3, "signs": ["+", "-"], "squarefree": True, "name": "bench",
+    "conditions": [{"modulus": 36, "residues": [2, 11]}],
+}
+
 _RATIO_CONFIG = {
     "schema": 1,
     "descriptor": {
@@ -82,11 +88,13 @@ _RATIO_CONFIG = {
 
 
 def _input_layers(workdir: str, sink):
-    """The input path: looking a preset up, and whole in-process `ratio`
-    requests, which parse the arguments, name or read their input and
-    write the envelope to `sink`."""
+    """The input path: reading a config and a family document, looking a
+    preset up, and whole in-process `ratio` requests, which parse the
+    arguments, name or read their input and write the envelope to `sink`."""
     from selmer3.cli import main
     from selmer3.prym import load_preset
+    from selmer3.selmerratio import RatioConfig
+    from selmer3.twistfamilies import TwistFamily
 
     rng = random.Random(SEED + 1)
     config_path = os.path.join(workdir, "ratio-config.json")
@@ -98,6 +106,12 @@ def _input_layers(workdir: str, sink):
         for _ in range(50)
     ]
     cm_argvs = [["ratio", "--preset", "cm"]] * 50
+
+    def reads(cls, obj):
+        def run():
+            for _ in range(200):
+                cls.from_json_obj(obj)
+        return run
 
     def presets():
         for _ in range(200):
@@ -112,6 +126,8 @@ def _input_layers(workdir: str, sink):
         return run
 
     return {
+        "RatioConfig.from_json_obj": ("us/call", 200, reads(RatioConfig, _RATIO_CONFIG)),
+        "TwistFamily.from_json_obj": ("us/call", 200, reads(TwistFamily, _FAMILY)),
         "load_preset(prym-a4)": ("us/call", 200, presets),
         "ratio --preset prym-a4 --d D": ("us/call", len(prym_argvs), requests(prym_argvs)),
         "ratio --config FILE --d D": ("us/call", len(config_argvs), requests(config_argvs)),

@@ -5,7 +5,10 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  Exit codes: 0 success, 1 the reader closed the pipe, 2 usage,
-3 domain error, 4 incomplete configuration.
+3 domain error, 4 incomplete configuration.  An input file that cannot be
+read or parsed, lacks a key or holds a value of the wrong JSON kind exits
+2, naming the file and the JSON path (`errors.Document`); a value of the
+right kind outside its domain exits 3.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import DomainError, IncompleteConfigError, Selmer3Error
+from .errors import DocumentError, DomainError, IncompleteConfigError, Selmer3Error
 from .localclass import classify_integral, h1_dims, integral_representative
 from .localfield import Place
-from .prym import family_report, load_preset
+from .prym import assemble_local_exponents, family_report, load_preset
 from .selmerratio import (
     IsogenyDescriptor,
     KappaEntry,
@@ -43,36 +46,20 @@ EXIT_DOMAIN = 3
 EXIT_INCOMPLETE = 4
 
 
-class _InputFileError(Exception):
-    """An input file that cannot be read or does not hold JSON; a usage
-    error."""
-
-
-def _read_json(path: str) -> dict:
-    """The parsed JSON object of an input file."""
+def _load(path: str, cls):
+    """(document of class `cls`, JSON object) of an input file; DocumentError
+    when the file cannot be read or parsed, or the object is malformed."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as err:
-        raise _InputFileError(f"cannot read {path}: {err.strerror}") from None
-    except ValueError as err:  # malformed JSON or text, or a NUL in the path
-        raise _InputFileError(f"cannot parse {path}: {err}") from None
-    if not isinstance(obj, dict):
-        raise _InputFileError(f"{path} holds a JSON {type(obj).__name__}, not an object")
-    return obj
-
-
-def _load(path: str, build):
-    """(build(obj), obj) for the JSON object in an input file.  A library
-    error keeps its own exit code; any other failure of `build` means the
-    object has the wrong shape, a usage error."""
-    obj = _read_json(path)
+        raise DocumentError(f"cannot read {path}: {err.strerror}") from None
+    except (ValueError, RecursionError) as err:  # not JSON, a NUL in the path, nested too deep
+        raise DocumentError(f"cannot parse {path}: {err}") from None
     try:
-        return build(obj), obj
-    except Selmer3Error:
-        raise
-    except Exception as err:
-        raise _InputFileError(f"{path} is malformed: {type(err).__name__}: {err}") from None
+        return cls.from_json_obj(obj), obj
+    except DocumentError as err:
+        raise DocumentError(f"{path} is malformed: {err}") from None
 
 
 def _canonical(obj) -> str:
@@ -223,8 +210,6 @@ def cmd_ratio(args, started: float) -> int:
         config = load_preset(args.preset)
         if args.d is None:
             raise DomainError("--d is required with a prym preset")
-        from .prym import assemble_local_exponents
-
         assembly = assemble_local_exponents(config, Fraction(args.d))
         result = {
             "kind": "prym-pi",
@@ -244,7 +229,7 @@ def cmd_ratio(args, started: float) -> int:
         raise DomainError("--config or --preset is required")
     if args.d is None:
         raise DomainError("--d is required with --config")
-    config, obj = _load(args.config, RatioConfig.from_json_obj)
+    config, obj = _load(args.config, RatioConfig)
     report = global_report(list(config.profiles), config.descriptor, Fraction(args.d))
     _emit("ratio", {"config": obj, "d": args.d}, report.to_json_obj(), started)
     return EXIT_OK
@@ -257,14 +242,14 @@ def _load_family(args) -> tuple[TwistFamily, dict]:
         return family_preset(args.family_preset), {"family_preset": args.family_preset}
     if not args.family:
         raise DomainError("--family or --family-preset is required")
-    family, obj = _load(args.family, TwistFamily.from_json_obj)
+    family, obj = _load(args.family, TwistFamily)
     return family, {"family": obj}
 
 
 def cmd_scan(args, started: float) -> int:
     family, family_input = _load_family(args)
     if args.config:
-        config, _ = _load(args.config, RatioConfig.from_json_obj)
+        config, _ = _load(args.config, RatioConfig)
         config_input: object = config.to_json_obj()
     else:
         config = _TRIVIAL_CONFIG
@@ -392,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone: the shutdown flush then goes to devnull, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except _InputFileError as err:
+    except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except IncompleteConfigError as err:

@@ -80,12 +80,6 @@ class BinaryCubicForm:
     def to_json_obj(self) -> list[str]:
         return [str(t) for t in self.coefficients()]
 
-    @staticmethod
-    def from_json_obj(obj) -> "BinaryCubicForm":
-        if len(obj) != 4:
-            raise DomainError("a form serializes as a 4-tuple")
-        return BinaryCubicForm(*(Fraction(str(t)) for t in obj))
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c}, {self.d})"
 

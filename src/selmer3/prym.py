@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import DomainError, IncompleteConfigError
 from .localfield import Place, Rational, is_square, sextic_class_3adic
@@ -107,17 +108,11 @@ def load_preset(name: str) -> PrymCurveConfig:
 def solve_three_adic(config: PrymCurveConfig) -> list[tuple[int, int, int, int]]:
     """All assignments of the four 3-adic exponents consistent with the
     configured constraints; exhaustive over {0,1}^4."""
-    want = config.three_adic.product_exponent
-    out = []
-    for x1 in (0, 1):
-        for x2 in (0, 1):
-            for x3 in (0, 1):
-                for x4 in (0, 1):
-                    if x1 + x2 + x3 + x4 != want:
-                        continue
-                    if config.three_adic.mode == "unequal" and x1 == x2:
-                        continue
-                    out.append((x1, x2, x3, x4))
+    unequal = config.three_adic.mode == "unequal"
+    out = [
+        x for x in product((0, 1), repeat=4)
+        if sum(x) == config.three_adic.product_exponent and not (unequal and x[0] == x[1])
+    ]
     if not out:
         raise DomainError("3-adic constraints are unsatisfiable")
     return out
@@ -193,8 +188,6 @@ class _Assembler:
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
-        sums = {s[0] + s[1] + s[2] + s[3] for s in self.solutions}
-        assert sums == {config.three_adic.product_exponent}
         self.q2 = Place.finite(2)
         # the real place sees the sign of d only
         self.k_inf = {

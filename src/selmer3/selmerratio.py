@@ -12,13 +12,12 @@ from an external computation and enter this artifact as data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, prod
 
-from .errors import DomainError, IncompleteConfigError, check_schema, json_kind
+from .errors import Document, DocumentError, DomainError, IncompleteConfigError, json_kind, malformed
 from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
 from .localfield import (
     Place,
@@ -29,7 +28,7 @@ from .localfield import (
     least_nonresidue,
     zeta3_present,
 )
-from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, factorize, reduce_class
 
 # ----------------------------------------------------------------------
 # Configuration types
@@ -51,18 +50,37 @@ class SymbolicPlace:
             raise DomainError(f"unknown symbolic place kind {self.kind!r}")
 
 
+def _read_place(value, path: str) -> Place | SymbolicPlace:
+    """A prime, "real", "complex", or {"symbolic": kind, "degree": d = 1}."""
+    if type(value) is int:
+        return Place.finite(value)
+    if type(value) is str:
+        if value not in ("real", "complex"):
+            raise DomainError(f"unintelligible place {value!r}")
+        return Place(value)
+    if type(value) is not dict:
+        raise malformed(path, value, 'a prime, "real", "complex" or a symbolic place')
+    if "symbolic" not in value:
+        raise DocumentError(f"{path}.symbolic is missing")
+    kind = json_kind(value["symbolic"], str, path + ".symbolic")
+    return SymbolicPlace(kind, json_kind(value.get("degree", 1), int, path + ".degree"))
+
+
+def _write_place(place: Place | SymbolicPlace) -> object:
+    if isinstance(place, SymbolicPlace):
+        return {"symbolic": place.kind, "degree": place.degree}
+    return place.p if place.is_finite else place.kind
+
+
 @dataclass(frozen=True)
-class LocalPlaceProfile:
-    place: Place | SymbolicPlace
+class LocalPlaceProfile(Document):
+    place: Place | SymbolicPlace = field(metadata={"json": (_read_place, _write_place)})
     reduction: str = "good"  # "good" | "bad"
     override_exponent: int | None = None
 
     def __post_init__(self) -> None:
         if self.reduction not in ("good", "bad"):
             raise DomainError("reduction must be 'good' or 'bad'")
-        override = self.override_exponent
-        if override is not None and (type(override) is bool or not isinstance(override, int)):
-            raise DomainError(f"override exponent must be an integer, got {override!r}")
         if isinstance(self.place, Place) and self.place.is_finite:
             needs = self.reduction == "bad" or self.place.p == 3
             if needs and self.override_exponent is None:
@@ -77,55 +95,26 @@ class LocalPlaceProfile:
             return zeta3_present(self.place)
         return self.place.kind == "complex"
 
-    def to_json_obj(self) -> dict:
-        if isinstance(self.place, SymbolicPlace):
-            place_obj: object = {"symbolic": self.place.kind, "degree": self.place.degree}
-        elif self.place.is_finite:
-            place_obj = self.place.p
-        else:
-            place_obj = self.place.kind
-        obj: dict = {"place": place_obj, "reduction": self.reduction}
-        if self.override_exponent is not None:
-            obj["override_exponent"] = self.override_exponent
-        return obj
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "LocalPlaceProfile":
-        raw = obj["place"]
-        place: Place | SymbolicPlace
-        if isinstance(raw, dict):
-            place = SymbolicPlace(raw["symbolic"], json_kind(raw.get("degree", 1), int, "degree"))
-        elif type(raw) is int:
-            place = Place.finite(raw)
-        elif raw in ("real", "complex"):
-            place = Place(raw)
-        else:
-            raise DomainError(f"unintelligible place {raw!r}")
-        return LocalPlaceProfile(
-            place=place,
-            reduction=obj.get("reduction", "good"),
-            override_exponent=obj.get("override_exponent"),
-        )
-
 
 def _log3_order(order: int) -> int:
-    k = 0
-    while order > 1:
-        if order % 3:
-            raise DomainError(f"extension-class order {order} is not a power of 3")
-        order //= 3
-        k += 1
+    k, power = 0, 1
+    while power < order:
+        k, power = k + 1, 3 * power
+    if power != order:
+        raise DomainError(f"extension-class order {order} is not a power of 3")
     return k
 
 
 @dataclass(frozen=True)
-class KappaEntry:
+class KappaEntry(Document):
     r: int
     unit_class: str  # "any" | "power" | "square" | "nonsquare"
     kappa: int
     kappa_hat: int
 
     def __post_init__(self) -> None:
+        if self.r < 0:
+            raise DomainError(f"r = {self.r} is negative")
         _log3_order(self.kappa)
         _log3_order(self.kappa_hat)
         if self.unit_class not in ("any", "power", "square", "nonsquare"):
@@ -134,8 +123,12 @@ class KappaEntry:
             raise DomainError("r = 0 entries are independent of the unit class")
 
 
+# The largest level exponent m: every computation takes n = 3^m.
+MAX_LEVEL = 100
+
+
 @dataclass(frozen=True)
-class IsogenyDescriptor:
+class IsogenyDescriptor(Document):
     """Configuration of one zeta-linear 3-isogeny: the level n = 3^m, the
     square class cutting out the field of the kernel, the global
     direct-summand bit, and the per-(unit class, r) extension-class
@@ -148,9 +141,11 @@ class IsogenyDescriptor:
     chain_length: int = 1
     name: str = ""
 
+    schema = 1
+
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError("level exponent m must be at least 1")
+        if not 1 <= self.m <= MAX_LEVEL:
+            raise DomainError(f"level exponent m must be between 1 and {MAX_LEVEL}")
         if self.kernel_character == 0:
             raise DomainError("kernel character must be a nonzero square class")
         for entry in self.kappa_orders:
@@ -180,50 +175,20 @@ class IsogenyDescriptor:
             return self.global_summand_bit
         return self.kappa_exponents(p, u, r)[0] == 0
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "m": self.m,
-            "kernel_character": str(self.kernel_character),
-            "global_summand_bit": self.global_summand_bit,
-            "chain_length": self.chain_length,
-            "name": self.name,
-            "kappa_orders": [
-                {
-                    "r": e.r,
-                    "unit_class": e.unit_class,
-                    "kappa": e.kappa,
-                    "kappa_hat": e.kappa_hat,
-                }
-                for e in self.kappa_orders
-            ],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "IsogenyDescriptor":
-        check_schema(obj, "descriptor")
-        entries = tuple(
-            KappaEntry(
-                json_kind(e["r"], int, "r"),
-                str(e["unit_class"]),
-                json_kind(e["kappa"], int, "kappa"),
-                json_kind(e["kappa_hat"], int, "kappa_hat"),
-            )
-            for e in obj.get("kappa_orders", [])
-        )
-        return IsogenyDescriptor(
-            m=json_kind(obj.get("m", 1), int, "m"),
-            kernel_character=Fraction(str(obj.get("kernel_character", "1"))),
-            global_summand_bit=json_kind(obj.get("global_summand_bit", True), bool, "global_summand_bit"),
-            kappa_orders=entries,
-            chain_length=json_kind(obj.get("chain_length", 1), int, "chain_length"),
-            name=json_kind(obj.get("name", ""), str, "name"),
-        )
-
 
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
+
+# The largest |k| of a reported 3^k: 3^9000 has 4,295 of int's 4,300 digits.
+MAX_REPORTED_EXPONENT = 9000
+
+
+def _power_of_3(k: int) -> Fraction:
+    if abs(k) > MAX_REPORTED_EXPONENT:
+        raise DomainError(f"a global exponent past {MAX_REPORTED_EXPONENT} in absolute value")
+    return Fraction(3) ** k
+
 
 @dataclass(frozen=True)
 class PlaceExponent:
@@ -242,7 +207,7 @@ class SelmerRatioReport:
         return sum(e.exponent for e in self.entries)
 
     def ratio(self) -> Fraction:
-        return Fraction(3) ** self.global_exponent
+        return _power_of_3(self.global_exponent)
 
     def exponent_at(self, label: str) -> int:
         for e in self.entries:
@@ -302,16 +267,12 @@ def local_exponent(
     """log3 of the local Selmer ratio at the profiled place.  Finite places
     read the twist datum; the real place only needs the sign of d."""
     place = profile.place
-    if isinstance(place, SymbolicPlace):
-        if place.kind == "complex":
-            return -1
-        if profile.override_exponent is not None:
-            return profile.override_exponent
-        raise IncompleteConfigError(
-            f"symbolic place {place.kind} needs an override exponent"
-        )
     if place.kind == "complex":
         return -1
+    if isinstance(place, SymbolicPlace):
+        if profile.override_exponent is not None:
+            return profile.override_exponent
+        raise IncompleteConfigError(f"symbolic place {place.kind} needs an override exponent")
     if place.kind == "real":
         if d is None and datum is None:
             raise DomainError("archimedean exponent needs the twist parameter")
@@ -402,7 +363,7 @@ def global_report(
 
 def average_selmer_prediction(k: int) -> Fraction:
     """Average Selmer size on the stratum where the global ratio is 3^k."""
-    return 1 + Fraction(3) ** k
+    return 1 + _power_of_3(k)
 
 
 def _stratum_expectation(desc: IsogenyDescriptor, p: int, j: int) -> Fraction:
@@ -469,25 +430,13 @@ def euler_product_average(
     averages).  Finite because all unprofiled factors are 1; when the
     configuration makes a generic factor differ from 1 the computation is
     refused rather than truncated."""
-    if not family.signs:
-        raise DomainError("family has an empty archimedean coset set")
-    arch = Fraction(0)
-    for sign in family.signs:
-        arch += Fraction(3) ** archimedean_exponent(desc, sign)
-    arch /= len(family.signs)
-    overridden = {
-        prof.place.p
-        for prof in profiles
-        if isinstance(prof.place, Place)
-        and prof.place.is_finite
-        and prof.override_exponent is not None
-    }
+    arch = sum(Fraction(3) ** archimedean_exponent(desc, s) for s in family.signs) / len(family.signs)
+    finite = [prof for prof in profiles if isinstance(prof.place, Place) and prof.place.is_finite]
+    overridden = {prof.place.p for prof in finite if prof.override_exponent is not None}
     if not family.squarefree:
         # a congruence condition reshapes the local measure at its primes;
         # that only cancels out when the ratio is constant there (override)
         # or identically 1 (the squarefree strata)
-        from .twistfamilies import factorize
-
         for cond in family.conditions:
             for q in factorize(cond.modulus):
                 if q not in overridden:
@@ -495,11 +444,7 @@ def euler_product_average(
                         f"congruence condition at {q} needs an override profile "
                         "or the squarefree restriction"
                     )
-    product = Fraction(1)
-    for prof in profiles:
-        if isinstance(prof.place, SymbolicPlace) or not prof.place.is_finite:
-            continue
-        product *= _local_factor(desc, family, prof)
+    product = prod((_local_factor(desc, family, prof) for prof in finite), start=Fraction(1))
     if not _generic_factor_is_one(desc, family):
         raise IncompleteConfigError(
             "unprofiled good places have a non-unit generic factor; "
@@ -539,8 +484,8 @@ def parity_prediction(global_exponent: int) -> str:
 def rank_density_bounds(k: int) -> tuple[Fraction, Fraction]:
     """(average-dimension bound |k| + 3^-|k|, lower bound 1 - 1/(2*3^|k|)
     on the density where the dimension equals |k|)."""
-    a = abs(k)
-    return Fraction(a) + Fraction(3) ** (-a), 1 - Fraction(1, 2 * 3**a)
+    inverse = _power_of_3(-abs(k))
+    return abs(k) + inverse, 1 - inverse / 2
 
 
 def explicit_rank_bound(dim_a: int, num_bad_places: int) -> Fraction:
@@ -721,25 +666,8 @@ def cm_ratio_check(
 
 
 @dataclass(frozen=True)
-class RatioConfig:
+class RatioConfig(Document):
     descriptor: IsogenyDescriptor
-    profiles: tuple[LocalPlaceProfile, ...]
+    profiles: tuple[LocalPlaceProfile, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "descriptor": self.descriptor.to_json_obj(),
-            "profiles": [p.to_json_obj() for p in self.profiles],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RatioConfig":
-        check_schema(obj, "ratio-config")
-        return RatioConfig(
-            descriptor=IsogenyDescriptor.from_json_obj(obj["descriptor"]),
-            profiles=tuple(LocalPlaceProfile.from_json_obj(p) for p in obj.get("profiles", [])),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RatioConfig":
-        return RatioConfig.from_json_obj(json.loads(text))
+    schema = 1

@@ -14,7 +14,6 @@ Pollard's rho within a fixed budget.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +21,7 @@ from itertools import compress, count
 from math import gcd, isqrt
 from operator import or_
 
-from .errors import BudgetError, DomainError, check_schema, json_kind
+from .errors import BudgetError, Document, DomainError, malformed
 from .localfield import Rational, is_prime
 
 
@@ -155,9 +154,15 @@ class TwistClass:
         return dict(zip(f[::2], f[1::2]))
 
 
+# The envelope prints a representative, and int prints at most 4,300 digits.
+_REPRESENTATIVE_LIMIT = 10**4300
+
+
 def reduce_class(d: Rational, n: int) -> TwistClass:
     """Reduce d modulo 2n-th powers of rationals: every prime exponent is
-    taken mod 2n, the sign is kept.  Idempotent."""
+    taken mod 2n, the sign is kept.  Idempotent.  A negative exponent e
+    becomes 2n + e, so a small d can have a huge representative; one with
+    more digits than the envelope can print raises DomainError."""
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist class must be nonzero")
@@ -166,9 +171,15 @@ def reduce_class(d: Rational, n: int) -> TwistClass:
     for p, e in sorted(rational_exponents(d).items()):
         e %= 2 * n
         if e:
+            # p^e >= 2^(e (bits of p - 1)), a bound read before the power is taken
+            if e * (p.bit_length() - 1) >= _REPRESENTATIVE_LIMIT.bit_length():
+                break
             d0 *= p**e
             factors += (p, e)
-    return TwistClass(d0, n, tuple(factors))
+    else:
+        if abs(d0) < _REPRESENTATIVE_LIMIT:
+            return TwistClass(d0, n, tuple(factors))
+    raise DomainError("the representative of d has more than 4300 digits")
 
 
 def height(tc: TwistClass) -> int:
@@ -182,7 +193,7 @@ def is_squarefree_class(tc: TwistClass) -> bool:
 
 
 @dataclass(frozen=True)
-class CongruenceCondition:
+class CongruenceCondition(Document):
     modulus: int
     residues: frozenset[int]
 
@@ -194,17 +205,31 @@ class CongruenceCondition:
         return d0 % self.modulus in self.residues
 
 
+def _read_signs(value, path: str) -> tuple[int, ...]:
+    """The signs of a family document: an array of "+" and "-"."""
+    if type(value) is not list:
+        raise malformed(path, value, "an array")
+    for i, sign in enumerate(value):
+        if sign not in ("+", "-"):
+            raise malformed(f"{path}[{i}]", sign, '"+" or "-"')
+    return tuple(1 if sign == "+" else -1 for sign in value)
+
+
 @dataclass(frozen=True)
-class TwistFamily:
+class TwistFamily(Document):
     """A family of twist classes defined by local conditions: an
     archimedean sign set, an optional squarefree restriction, and finitely
     many congruence conditions."""
 
     n: int = 3
-    signs: tuple[int, ...] = (1, -1)
+    signs: tuple[int, ...] = field(
+        default=(1, -1), metadata={"json": (_read_signs, lambda signs: ["+" if s > 0 else "-" for s in signs])}
+    )
     conditions: tuple[CongruenceCondition, ...] = ()
     squarefree: bool = False
     name: str = ""
+
+    schema = 1
 
     def __post_init__(self) -> None:
         if not set(self.signs) <= {1, -1} or not self.signs:
@@ -221,45 +246,6 @@ class TwistFamily:
         if self.squarefree and not is_squarefree_class(tc):
             return False
         return all(cond.admits(tc.d0) for cond in self.conditions)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "signs": ["+" if s > 0 else "-" for s in self.signs],
-            "conditions": [
-                {"modulus": c.modulus, "residues": sorted(c.residues)}
-                for c in self.conditions
-            ],
-            "squarefree": self.squarefree,
-            "name": self.name,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TwistFamily":
-        """The family of a family document; unknown keys are ignored."""
-        check_schema(obj, "family")
-        signs = obj.get("signs", ["+", "-"])
-        if not set(signs) <= {"+", "-"}:
-            raise ValueError(f'signs must be "+" or "-", got {signs!r}')
-        conds = tuple(
-            CongruenceCondition(
-                json_kind(c["modulus"], int, "modulus"),
-                frozenset(json_kind(r, int, "residue") for r in c["residues"]),
-            )
-            for c in obj.get("conditions", [])
-        )
-        return TwistFamily(
-            n=json_kind(obj.get("n", 3), int, "n"),
-            signs=tuple(1 if s == "+" else -1 for s in signs),
-            conditions=conds,
-            squarefree=json_kind(obj.get("squarefree", False), bool, "squarefree"),
-            name=json_kind(obj.get("name", ""), str, "name"),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TwistFamily":
-        return TwistFamily.from_json_obj(json.loads(text))
 
 
 def _smallest_prime_factors(bound: int) -> array:

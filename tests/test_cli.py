@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import selmer3
@@ -271,6 +272,18 @@ _SCAN_CONFIG_ARGV = ["scan", "--family-preset", "squarefree-n3", "--config", "FI
 _SCAN_FAMILY_ARGV = ["scan", "--family", "FILE", "--height", "10"]
 
 
+def _config_with(descriptor=(), kappa=(), profile=(), profiles=None) -> str:
+    """The text of _RATIO_CONFIG with keys of the descriptor, of its r = 1
+    kappa entry and of its second profile replaced, or with other profiles."""
+    config = json.loads(json.dumps(_RATIO_CONFIG))
+    config["descriptor"].update(descriptor)
+    config["descriptor"]["kappa_orders"][1].update(kappa)
+    config["profiles"][1].update(profile)
+    if profiles is not None:
+        config["profiles"] = profiles
+    return json.dumps(config)
+
+
 @pytest.mark.parametrize(
     "argv, text, code",
     [
@@ -296,6 +309,16 @@ _SCAN_FAMILY_ARGV = ["scan", "--family", "FILE", "--height", "10"]
         (_SCAN_FAMILY_ARGV, '{"schema": true}', 3),
         (_RATIO_ARGV, '{"schema": true}', 3),
         (_SCAN_FAMILY_ARGV, '{"schema": 1, "n": 6}', 3),
+        # one rule: a missing key or a wrong JSON kind exits 2, wherever it sits
+        pytest.param(_RATIO_ARGV, _config_with(descriptor={"kernel_character": 0.5}), 2, id="character-0.5"),
+        pytest.param(_SCAN_FAMILY_ARGV, '{"schema": 1, "signs": "+-"}', 2, id="signs-string"),
+        pytest.param(_RATIO_ARGV, _config_with(profile={"place": True}), 2, id="place-true"),
+        pytest.param(_RATIO_ARGV, _config_with(profile={"place": 1.5}), 2, id="place-1.5"),
+        pytest.param(_RATIO_ARGV, _config_with(profile={"reduction": 5}), 2, id="reduction-5"),
+        pytest.param(_RATIO_ARGV, _config_with(kappa={"unit_class": 5}), 2, id="unit-class-5"),
+        pytest.param(_RATIO_ARGV, _config_with(profile={"place": {"degree": 2}}), 2, id="place-no-symbolic"),
+        pytest.param(_RATIO_ARGV, _config_with(profiles=[["real", "good"]]), 2, id="profile-list"),
+        pytest.param(_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": {}}', 2, id="conditions-object"),
     ],
 )
 def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, text, code):
@@ -307,17 +330,143 @@ def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, 
     assert err.startswith("error:") and ("malformed" in err) == (code == 2)
 
 
+def test_malformed_input_names_its_json_path(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(_config_with(profile={"place": True}))
+    code, _, err = run_cli(capsys, "ratio", "--config", str(path), "--d", "2")
+    assert code == 2
+    assert err == f"error: {path} is malformed: $.profiles[1].place is true, not " \
+        'a prime, "real", "complex" or a symbolic place\n'
+
+
 @pytest.mark.parametrize("override", ["x", 1.5, True])
-def test_override_exponent_that_is_not_an_integer_is_domain_error(capsys, tmp_path, override):
+def test_override_exponent_that_is_not_an_integer_is_malformed(capsys, tmp_path, override):
     config = json.loads(json.dumps(_RATIO_CONFIG))
     config["profiles"][1]["override_exponent"] = override
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "ratio", "--config", str(path), "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "malformed" in err and "override_exponent" in err
+    assert "Traceback" not in err
+
+
+def _ratio(capsys, tmp_path, config: str, d: str):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    return run_cli(capsys, "ratio", "--config", str(path), "--d", d)
+
+
+@pytest.mark.parametrize("m", [9, 14])
+def test_representative_past_the_digit_limit_is_domain_error(capsys, tmp_path, m):
+    # -3/4 = 3 * 2^-2 reduces to 3 * 2^(2 * 3^m - 2), 11,850 digits at m = 9
+    started = time.perf_counter()
+    code, out, err = _ratio(capsys, tmp_path, _config_with(descriptor={"m": m}), "-3/4")
+    assert time.perf_counter() - started < 1
     assert code == 3
     assert out == ""
-    assert err.startswith("error:") and "override exponent" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "4300 digits" in err
+
+
+def test_representative_below_the_digit_limit_answers(capsys, tmp_path):
+    code, out, _ = _ratio(capsys, tmp_path, _config_with(descriptor={"m": 8}), "-3/4")
+    assert code == 0
+    assert len(str(json.loads(out)["result"]["d0"])) == 3951  # the sign and 3,950 digits
+
+
+@pytest.mark.parametrize("kappa", [{"kappa": 0}, {"kappa": -9}, {"kappa_hat": 0}, {"r": -1}])
+def test_impossible_kappa_entry_is_domain_error(capsys, tmp_path, kappa):
+    code, out, err = _ratio(capsys, tmp_path, _config_with(kappa=kappa), "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and ("power of 3" in err or "negative" in err)
+
+
+@pytest.mark.parametrize("override", [10**5, -(10**30)])
+def test_global_exponent_too_large_to_report_is_domain_error(capsys, tmp_path, override):
+    code, out, err = _ratio(capsys, tmp_path, _config_with(profile={"override_exponent": override}), "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_FAMILY = {
+    "schema": 1, "n": 3, "signs": ["+", "-"], "squarefree": True,
+    "conditions": [{"modulus": 36, "residues": [2, 11]}],
+}
+_NEW_VALUES = (
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+    | st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, 3, 9, -1, "+", "-", "1/2", "real", [], {}])
+)
+_BIG_KEYS = ("m", "n", "modulus", "place", "kappa", "override_exponent")
+
+
+def _paths(tree, prefix=()):
+    """The paths (tuples of keys and indices) of every value below the root."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc after one to three mutations: a key or item dropped, a value
+    swapped for one of another kind, a value nested in an array or object,
+    or a big integer put at m, n, modulus, place, kappa or an override."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "swap", "nest", "big"]))
+        paths = list(_paths(doc))
+        if how == "big":
+            paths = [q for q in paths if q[-1] in _BIG_KEYS] or paths
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if how == "drop":
+            del parent[last]
+        elif how == "swap":
+            parent[last] = draw(_NEW_VALUES)
+        elif how == "nest":
+            parent[last] = draw(st.sampled_from([[parent[last]], {"value": parent[last]}]))
+        else:
+            parent[last] = draw(st.integers(-(10**30), 10**30) | st.integers(-(10**3), 10**3))
+    return doc
+
+
+def _assert_documented_exit(code, err):
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=800, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_mutated(_RATIO_CONFIG), d=st.sampled_from(["30", "-3/4", "2", "1/5", "-7"]))
+def test_mutated_ratio_config_exits_with_a_documented_code(capsys, tmp_path, config, d):
+    code, _, err = _ratio(capsys, tmp_path, json.dumps(config), d)
+    _assert_documented_exit(code, err)
+
+
+@settings(max_examples=800, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    family=_mutated(_FAMILY) | st.just(_FAMILY),
+    config=_mutated(_RATIO_CONFIG) | st.just(_RATIO_CONFIG),
+    height=st.integers(1, 50),
+)
+def test_mutated_scan_inputs_exit_with_a_documented_code(capsys, tmp_path, family, config, height):
+    (tmp_path / "family.json").write_text(json.dumps(family))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, _, err = run_cli(
+        capsys, "scan", "--family", str(tmp_path / "family.json"),
+        "--config", str(tmp_path / "cfg.json"), "--height", str(height),
+    )
+    _assert_documented_exit(code, err)
 
 
 def test_reader_closing_the_pipe_exits_quietly():
