@@ -1,26 +1,32 @@
-"""Layer timings of the cubic-ring, oracle and input-path code, this
-checkout against a base revision, written to a BENCH_*.json file.
+"""Layer timings of the cubic-ring, oracle, input-path and Prym-report
+code, this checkout against a base revision, written to a BENCH_*.json file.
 
-    python3 bench/layers.py --base HEAD~1 --out BENCH_9.json
+    python3 bench/layers.py --base HEAD~1 --out BENCH_10.json
 
 The base revision's `src/` is exported with `git archive` into a temporary
 directory.  Each of ten rounds runs one child process per side, alternating
-which side goes first; a child imports selmer3 from its side's `src/`,
+which side goes first; a child pins itself to one CPU (the same for both
+sides, recorded under `method`), imports selmer3 from its side's `src/`,
 builds the same seeded inputs and times every layer over five passes,
 keeping the median pass.  The input-path layers read the ratio config and
 a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form.  The
-file records, per layer and side, the median and quartiles of the round
-values and the ratio of the medians (this checkout over the base), with
-nproc, the CPU model and the Python version.  Timings are raw wall time from `time.perf_counter`,
-with the garbage collector left on.
+Prym layers time `family_report(prym-a4, 20000)`, its `to_json_obj`,
+`cli._dumps` of the envelope carrying it (told that rows share
+sub-objects, as `prym` tells it, where the writer takes that flag), and
+the whole in-process `prym` request at that height.  The file records,
+per layer and side, the median and quartiles of the round values and the
+ratio of the medians (this checkout over the base), with nproc, the CPU
+model and the Python version.  Timings are raw wall time from
+`time.perf_counter`, with the garbage collector left on.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -135,6 +141,43 @@ def _input_layers(workdir: str, sink):
     }
 
 
+def _prym_layers(sink):
+    """The Prym family report at height 20,000 (about 2,000 rows), phase by
+    phase: building the report, its JSON object, the text of the envelope
+    that carries it, and the whole in-process `prym` request."""
+    from selmer3 import __version__
+    from selmer3.cli import _digest, _dumps, main
+    from selmer3.prym import family_report, load_preset
+
+    argv = ["prym", "--preset", "prym-a4", "--height", "20000"]
+    config = load_preset("prym-a4")
+    report = family_report(config, 20000)
+    envelope = {
+        "schema": 1,
+        "command": "prym",
+        "config_digest": _digest({"preset": "prym-a4", "height": 20000}),
+        "artifact_version": __version__,
+        "result": report.to_json_obj(),
+        "timing": {"seconds": 0.0},
+    }
+
+    # as `prym` writes it: told that rows share sub-objects, where the
+    # revision's writer takes that flag
+    shared = {"shared": True} if "shared" in inspect.signature(_dumps).parameters else {}
+
+    def request():
+        with contextlib.redirect_stdout(sink):
+            if main(argv) != 0:
+                raise AssertionError(f"{argv} failed")
+
+    return {
+        "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
+        "PrymReport.to_json_obj": ("ms/call", 1, report.to_json_obj),
+        "cli._dumps(prym envelope)": ("ms/call", 1, lambda: _dumps(envelope, **shared)),
+        "prym --preset prym-a4 --height 20000": ("ms/call", 1, request),
+    }
+
+
 def _layers():
     """name -> (unit, calls per pass, function running one pass)."""
     from selmer3.cubicforms import BinaryCubicForm, form_to_ring
@@ -195,12 +238,14 @@ def _layers():
     }
 
 
-def _child(src: str) -> None:
+def _child(src: str, cpu: int) -> None:
+    os.sched_setaffinity(0, {cpu})  # this process only, the same CPU for both sides
     sys.path.insert(0, src)
-    scale = {"us/call": 1e6, "ms/grid": 1e3}
+    scale = {"us/call": 1e6, "ms/call": 1e3, "ms/grid": 1e3}
     out = {}
     with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink:
-        for name, (unit, calls, run) in {**_layers(), **_input_layers(workdir, sink)}.items():
+        layers = {**_layers(), **_input_layers(workdir, sink), **_prym_layers(sink)}
+        for name, (unit, calls, run) in layers.items():
             run()  # warm caches and lazy set-up
             times = []
             for _ in range(PASSES):
@@ -249,20 +294,23 @@ def main() -> None:
     ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
     ap.add_argument("--out", help="path of the JSON file to write (required)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        _child(args.child)
+        _child(args.child, args.cpu)
         return
     if not args.out:
         ap.error("--out is required")
 
+    # every child runs on the same one CPU of those this process may use
+    cpu = max(os.sched_getaffinity(0))
     runs: dict[str, dict[str, list[float]]] = {"base": {}, "tree": {}}
     meta: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         sources = {"base": _export_src(args.base, tmp), "tree": str(REPO / "src")}
         for r in range(ROUNDS):
             for side in ("base", "tree") if r % 2 == 0 else ("tree", "base"):
-                cmd = [sys.executable, __file__, "--child", sources[side]]
+                cmd = [sys.executable, __file__, "--child", sources[side], "--cpu", str(cpu)]
                 child = subprocess.run(cmd, check=True, capture_output=True, text=True)
                 result = json.loads(child.stdout)
                 for name, row in result.items():
@@ -290,6 +338,7 @@ def main() -> None:
             "rounds": ROUNDS,
             "passes": PASSES,
             "seed": SEED,
+            "cpu": cpu,
             "value": "median pass per round, per call; summaries over rounds; ratio = tree/base",
         },
         "layers": layers,
@@ -297,7 +346,7 @@ def main() -> None:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, row in layers.items():
         base, tree = row["base"]["median"], row["tree"]["median"]
-        print(f"{name:28s} {base:>10.1f} -> {tree:>10.1f} {row['unit']}  ({row['ratio']:.2f}x)")
+        print(f"{name:38s} {base:>10.1f} -> {tree:>10.1f} {row['unit']}  ({row['ratio']:.2f}x)")
 
 
 if __name__ == "__main__":

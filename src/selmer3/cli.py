@@ -4,7 +4,10 @@ Every command prints a single JSON envelope to stdout: the command, a
 digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
-payload.  Exit codes: 0 success, 1 the reader closed the pipe, 2 usage,
+payload.  The envelope's text is what json.dumps(..., sort_keys=True,
+indent=2) writes; in the `prym` envelope, whose rows share their place
+entries, a sub-object that occurs more than once is written once and its
+text repeated.  Exit codes: 0 success, 1 the reader closed the pipe, 2 usage,
 3 domain error, 4 incomplete configuration.  An input file that cannot be
 read or parsed, lacks a key or holds a value of the wrong JSON kind exits
 2, naming the file and the JSON path (`errors.Document`); a value of the
@@ -81,11 +84,18 @@ _LEAF = {
 _NEWLINES = ["\n"]
 
 
-def _write_json(obj, out: list[str], depth: int) -> None:
+def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
     """Append the text of obj to out, byte for byte as json.dumps(obj,
     sort_keys=True, indent=2) writes it; with `indent` the stdlib falls
     back to its pure-Python encoder, which this outruns about twofold.
-    Scalars inside a container are written in place, without a call."""
+    Scalars inside a container are written in place, without a call.
+
+    With a `written` dict, a container that occurs more than once in the
+    tree is written once: `written` maps (id, depth) of each container
+    written so far to the span of `out` that holds its text, or to that
+    text once it repeats.  The depth is in the key because the indentation
+    depends on it; the id is safe because the caller keeps the tree alive
+    for the whole call.  Without it, unique containers pay nothing."""
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -96,6 +106,15 @@ def _write_json(obj, out: list[str], depth: int) -> None:
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
+    if written is not None:
+        slot = (id(obj), depth)
+        text = written.get(slot)
+        if text is not None:
+            if type(text) is tuple:  # the first repeat: join the span once
+                text = written[slot] = "".join(out[text[0] : text[1]])
+            out.append(text)
+            return
+        start = len(out)
     if len(_NEWLINES) <= depth + 1:
         _NEWLINES.append(_NEWLINES[-1] + "  ")
     inner = _NEWLINES[depth + 1]
@@ -113,7 +132,7 @@ def _write_json(obj, out: list[str], depth: int) -> None:
             if leaf is not None:
                 append(leaf(value))
             else:
-                _write_json(value, out, depth + 1)
+                _write_json(value, out, depth + 1, written)
         append(_NEWLINES[depth] + "}")
     else:
         append("[")
@@ -124,17 +143,21 @@ def _write_json(obj, out: list[str], depth: int) -> None:
             if leaf is not None:
                 append(leaf(value))
             else:
-                _write_json(value, out, depth + 1)
+                _write_json(value, out, depth + 1, written)
         append(_NEWLINES[depth] + "]")
+    if written is not None:
+        written[slot] = (start, len(out))
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, shared: bool = False) -> str:
+    """The text of obj; `shared` when the tree repeats sub-objects, which
+    are then written once (see `_write_json`)."""
     out: list[str] = []
-    _write_json(obj, out, 0)
+    _write_json(obj, out, 0, {} if shared else None)
     return "".join(out)
 
 
-def _emit(command: str, inputs, result, started: float) -> None:
+def _emit(command: str, inputs, result, started: float, shared: bool = False) -> None:
     envelope = {
         "schema": 1,
         "command": command,
@@ -143,7 +166,7 @@ def _emit(command: str, inputs, result, started: float) -> None:
         "result": result,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    print(_dumps(envelope))
+    print(_dumps(envelope, shared))
 
 
 # The config of `scan` without --config, "trivial-overrides": kernel of
@@ -280,11 +303,32 @@ def _emit_csv(cell_objs) -> None:
 def cmd_prym(args, started: float) -> int:
     config = load_preset(args.preset)
     report = family_report(config, args.height)
-    _emit("prym", {"preset": args.preset, "height": args.height}, report.to_json_obj(), started)
+    inputs = {"preset": args.preset, "height": args.height}
+    _emit("prym", inputs, report.to_json_obj(), started, shared=True)  # rows share sub-objects
     return EXIT_OK
 
 
+# The most digits int prints (its str conversion limit): the envelope prints d.
+_DIGIT_LIMIT = 4300
+
+
+def _digits(text: str) -> int:
+    return sum(map(str.isdecimal, text))
+
+
 def _is_rational(text: str) -> bool:
+    """Whether text is an exact rational that Fraction reads, judged first
+    by the text alone, as the document reader's `errors._RATIONAL` is: no
+    exponent ("1e999999999" names a billion-digit integer), and at most
+    4,300 digits in the numerator and the denominator it spells (a decimal
+    with f places has the denominator 10^f, of f + 1 digits)."""
+    if "e" in text or "E" in text:
+        return False
+    if len(text) > _DIGIT_LIMIT:  # a shorter text spells no more digits
+        num, _, den = text.partition("/")
+        places = num.partition(".")[2]
+        if max(_digits(num), _digits(places) + 1, _digits(den)) > _DIGIT_LIMIT:
+            return False
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -293,10 +337,13 @@ def _is_rational(text: str) -> bool:
 
 
 def _rational_text(text: str) -> str:
-    """argparse type of --d: an exact rational such as 25, -3/4 or 0.5.
-    The text is kept as given, since it enters the config digest."""
+    """argparse type of --d: an exact rational such as 25, -3/4 or 0.5,
+    without an exponent and within 4,300 digits.  The text is kept as
+    given, since it enters the config digest."""
     if not _is_rational(text):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"not a rational number of at most {_DIGIT_LIMIT} digits without an exponent: {text!r}"
+        )
     return text
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import DomainError, IncompleteConfigError
@@ -140,15 +141,17 @@ class PrymLocalAssembly:
     places: tuple[PlacePair, ...]
     four_exponents: tuple[int, int, int, int]
 
-    @property
+    @cached_property
     def pair_global(self) -> tuple[int, int]:
         """Global exponents of (phi, psi), as an unordered sorted pair
         unless the 3-adic order was configured."""
-        kp = sum(p.pair[0] for p in self.places)
-        ks = sum(p.pair[1] for p in self.places)
-        if all(p.ordered for p in self.places):
-            return (kp, ks)
-        return tuple(sorted((kp, ks)))  # type: ignore[return-value]
+        kp = ks = 0
+        ordered = True
+        for p in self.places:
+            kp += p.pair[0]
+            ks += p.pair[1]
+            ordered = ordered and p.ordered
+        return (kp, ks) if ordered or kp <= ks else (ks, kp)
 
     @property
     def pair_abs(self) -> tuple[int, int]:
@@ -157,29 +160,58 @@ class PrymLocalAssembly:
 
     @property
     def k_pi(self) -> int:
-        return sum(p.pair[0] + p.pair[1] for p in self.places)
+        return sum(self.pair_global)  # of the pair computed once per row
 
     @property
     def parity(self) -> str:
         return parity_prediction(self.k_pi)
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, shared: dict | None = None) -> dict:
+        """The row's JSON object.  The rows of one report pass one `shared`
+        dict, which maps each PlacePair's id and each (kp, ks,
+        four_exponents) pattern to the objects first built for it, so rows
+        that agree share those objects; without it every object is new."""
         kp, ks = self.pair_global
+        pattern = (kp, ks, self.four_exponents)
+        if shared is None:
+            places = [p.to_json_obj() for p in self.places]
+            parts = _pattern_json(pattern)
+        else:
+            places = []
+            for p in self.places:
+                obj = shared.get(id(p))
+                if obj is None:
+                    obj = shared[id(p)] = p.to_json_obj()
+                places.append(obj)
+            parts = shared.get(pattern)
+            if parts is None:
+                parts = shared[pattern] = _pattern_json(pattern)
+        pair_k, pair_ratios, four = parts
         return {
             "d": self.d0,
-            "places": [p.to_json_obj() for p in self.places],
-            "pair_global_k": [kp, ks],
-            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
+            "places": places,
+            "pair_global_k": pair_k,
+            "pair_ratios": pair_ratios,
             "k_pi": self.k_pi,
             "parity": self.parity,
-            "three_adic_four": list(self.four_exponents),
+            "three_adic_four": four,
         }
+
+
+def _pattern_json(pattern: tuple) -> tuple[list, list, list]:
+    """`pair_global_k`, `pair_ratios` and `three_adic_four` of a row with
+    the global pair (kp, ks) and the four 3-adic exponents."""
+    kp, ks, four = pattern
+    return [kp, ks], [str(Fraction(3) ** kp), str(Fraction(3) ** ks)], list(four)
 
 
 class _Assembler:
     """What a configuration fixes for all its twists, resolved once per
     report: the two descriptors, the 3-adic solutions with the unique
-    unordered pair they determine, and the 2-adic place."""
+    unordered pair they determine, and the place pairs that rows share.
+    The pairs of 2 and of 3 (unless its order is configured per class) are
+    built here; the real place's pair per sign and the pair of each prime
+    of odd valuation on first use, so one row pays for no other."""
 
     def __init__(self, config: PrymCurveConfig) -> None:
         self.config = config
@@ -189,47 +221,51 @@ class _Assembler:
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
         self.q2 = Place.finite(2)
-        # the real place sees the sign of d only
-        self.k_inf = {
-            sign: (archimedean_exponent(self.descs[0], sign), archimedean_exponent(self.descs[1], sign))
-            for sign in (1, -1)
-        }
+        self.two = PlacePair("2", (0, 0), True, "h1-zero")
+        self.three = PlacePair("3", next(iter(self.pairs)), False, "override")
+        self.real: dict[int, PlacePair] = {}  # sign of d -> pair
+        self.good: dict[int, PlacePair] = {}  # prime of odd valuation -> pair
 
     def assemble(self, tc: TwistClass) -> PrymLocalAssembly:
         """Per-place pairs for a member of the family."""
         d0 = tc.d0
-        desc_phi, desc_psi = self.descs
-        places = []
-
-        places.append(PlacePair("real", self.k_inf[1 if d0 > 0 else -1], True, "archimedean"))
+        sign = 1 if d0 > 0 else -1
+        real = self.real.get(sign)
+        if real is None:  # the real place sees the sign of d only
+            k = (archimedean_exponent(self.descs[0], sign), archimedean_exponent(self.descs[1], sign))
+            real = self.real[sign] = PlacePair("real", k, True, "archimedean")
+        places = [real]
 
         if is_square(d0, self.q2) or is_square(-3 * d0, self.q2):
             raise DomainError("family admits a twist with a 2-adic square; preset broken")
-        places.append(PlacePair("2", (0, 0), True, "h1-zero"))
+        places.append(self.two)
 
-        pair3 = next(iter(self.pairs))
-        ordered3 = False
         ordered = self.config.three_adic.ordered
-        if ordered is not None:
+        if ordered is None:
+            places.append(self.three)
+        else:
             rep = sextic_class_3adic(d0).representative
             if rep not in ordered:
                 raise IncompleteConfigError(f"no ordered 3-adic input for sixth-power class {rep}")
             pair3 = ordered[rep]
             if tuple(sorted(pair3)) not in self.pairs:
                 raise DomainError("ordered 3-adic input contradicts the constraints")
-            ordered3 = True
-        places.append(PlacePair("3", pair3, ordered3, "override"))
+            places.append(PlacePair("3", pair3, True, "override"))
 
         for p, v in tc.factorization().items():
             if p in (2, 3):
                 continue
-            if v % 2:
-                k = (0, 0)  # the local ratio is 1 at odd valuation
+            if v % 2:  # the local ratio is 1 at odd valuation
+                pair = self.good.get(p)
+                if pair is None:
+                    pair = self.good[p] = PlacePair(str(p), (0, 0), True, "good")
             else:
+                desc_phi, desc_psi = self.descs
                 prof = LocalPlaceProfile(Place.finite(p))
                 datum = build_twist_datum(p, d0)
                 k = (local_exponent(prof, desc_phi, datum), local_exponent(prof, desc_psi, datum))
-            places.append(PlacePair(str(p), k, True, "good"))
+                pair = PlacePair(str(p), k, True, "good")
+            places.append(pair)
 
         return PrymLocalAssembly(d0, tuple(places), self.solutions[0])
 
@@ -305,11 +341,16 @@ class PrymReport:
     point_bound: int
 
     def to_json_obj(self) -> dict:
+        """The report's JSON object.  Rows share sub-objects: one dict per
+        distinct PlacePair, and one `pair_global_k` / `pair_ratios` /
+        `three_adic_four` triple of lists per (kp, ks, four_exponents)
+        pattern, so a caller that mutates a row's part copies it first."""
+        shared: dict = {}
         return {
             "preset": self.name,
             "height_bound": self.height_bound,
             "member_count": len(self.rows),
-            "rows": [r.to_json_obj() for r in self.rows],
+            "rows": [r.to_json_obj(shared) for r in self.rows],
             "aggregate": {
                 "avg_rank_bound": str(self.avg_rank_bound),
                 "rank_le_1_density": str(self.rank_le_1_density),

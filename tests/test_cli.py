@@ -187,6 +187,12 @@ def test_classify_golden_file(capsys):
         ["scan", "--family-preset", "squarefree-n3", "--height", "-5"],
         ["scan", "--family-preset", "squarefree-n3", "--height", "ten"],
         ["prym", "--preset", "prym-a4", "--height", "0"],
+        # --d past int's 4,300 printable digits, refused by its text
+        ["classify", "--p", "5", "--d", "1e5000"],
+        ["ratio", "--preset", "prym-a4", "--d", "1e5000"],
+        ["classify", "--p", "5", "--d", "1" * 4301],
+        ["classify", "--p", "5", "--d", "1/" + "3" * 4301],
+        ["classify", "--p", "5", "--d", "0." + "0" * 4299 + "1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -195,6 +201,7 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
+    assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
 
 
@@ -226,6 +233,36 @@ def test_negative_fraction_d_in_both_spellings(capsys, tmp_path, monkeypatch, co
     assert separate[0] == joined[0] == 0
     assert separate[1] == joined[1]
     assert json.loads(separate[1])["result"]
+
+
+def test_d_with_a_huge_exponent_is_refused_by_its_text(capsys, monkeypatch):
+    import selmer3.cli
+
+    def refuse(text):  # stands in for Fraction: reaching it is the failure
+        raise AssertionError(f"Fraction({text!r}) would build a billion-digit integer")
+
+    monkeypatch.setattr(selmer3.cli, "Fraction", refuse)
+    start = time.perf_counter()
+    for argv in (["classify", "--p", "5", "--d", "1e999999999"],
+                 ["ratio", "--preset", "prym-a4", "--d", "-1e999999999"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_d_spellings_that_stay_accepted_keep_their_text(capsys, tmp_path):
+    from selmer3.cli import _digest, _rational_text
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_RATIO_CONFIG))
+    for text in ("25", "-3/4", "0.5", "1" * 4300, "1/" + "3" * 4300, "0." + "0" * 4298 + "1"):
+        assert _rational_text(text) == text
+    for text in ("25", "-3/4", "0.5"):
+        code, out, _ = run_cli(capsys, "ratio", "--config", str(path), "--d", text)
+        assert code == 0
+        assert json.loads(out)["config_digest"] == _digest({"config": _RATIO_CONFIG, "d": text})
 
 
 @pytest.mark.parametrize(
@@ -567,6 +604,7 @@ _ENVELOPE_REQUESTS = [
     ["ratio", "--preset", "cm"],
     ["scan", "--family-preset", "full-n3", "--height", "300"],
     ["prym", "--preset", "prym-a4", "--height", "500"],
+    ["prym", "--preset", "prym-a4", "--height", "20000"],
 ]
 
 
@@ -598,4 +636,16 @@ _json_trees = st.recursive(
 def test_json_writer_matches_stdlib(tree):
     from selmer3.cli import _dumps
 
-    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    want = json.dumps(tree, sort_keys=True, indent=2)
+    assert _dumps(tree) == want and _dumps(tree, shared=True) == want
+    # the same list and dict objects in several slots, at several depths:
+    # each is written once per depth and reused, and the text must not change
+    part_list, part_dict = [tree, {"x": [1, 2]}], {"k": tree, "l": [None, tree]}
+    shared = {
+        "a": part_list,
+        "b": [part_list, part_dict, [part_dict, part_list]],
+        "c": {"d": part_dict, "e": [[[part_list]]], "f": part_dict},
+        "g": part_list,
+    }
+    want = json.dumps(shared, sort_keys=True, indent=2)
+    assert _dumps(shared, shared=True) == want and _dumps(shared) == want

@@ -240,3 +240,31 @@ def test_members_satisfy_footnote_characterization(a4):
         d = tc.d0
         assert not is_square(d, q2) and not is_square(-3 * d, q2)
         assert not is_square(d, q3) and not is_square(-3 * d, q3)
+
+
+def test_report_json_with_shared_parts_equals_fresh_rows(a4):
+    # rows share their place dicts and pattern lists; the tree must still
+    # equal one built from fresh per-row PlacePair.to_json_obj() dicts
+    import json
+
+    report = family_report(a4, 2000)
+    fresh_rows = []
+    for row in report.rows:
+        kp, ks = row.pair_global
+        fresh_rows.append({
+            "d": row.d0,
+            "places": [p.to_json_obj() for p in row.places],
+            "pair_global_k": [kp, ks],
+            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
+            "k_pi": sum(p.pair[0] + p.pair[1] for p in row.places),
+            "parity": row.parity,
+            "three_adic_four": list(row.four_exponents),
+        })
+    shared = report.to_json_obj()
+    assert len(report.rows) > 100
+    assert json.loads(json.dumps(shared)) == {**shared, "rows": fresh_rows}
+    # one dict per distinct place entry, one list per distinct pattern
+    places = [p for r in shared["rows"] for p in r["places"]]
+    assert len({id(p) for p in places}) == len({json.dumps(p, sort_keys=True) for p in places})
+    patterns = {(*r["pair_global_k"], *r["three_adic_four"]) for r in shared["rows"]}
+    assert len({id(r["three_adic_four"]) for r in shared["rows"]}) == len(patterns)
