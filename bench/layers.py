@@ -5,8 +5,7 @@ code, this checkout against a base revision, written to a BENCH_*.json file.
 
 The base revision's `src/` is exported with `git archive` into a temporary
 directory.  Each of ten rounds runs one child process per side, alternating
-which side goes first; a child pins itself to one CPU (the same for both
-sides, recorded under `method`), imports selmer3 from its side's `src/`,
+which side goes first; a child imports selmer3 from its side's `src/`,
 builds the same seeded inputs and times every layer over five passes,
 keeping the median pass.  The input-path layers read the ratio config and
 a family document from parsed JSON objects (`from_json_obj`), and call
@@ -238,8 +237,7 @@ def _layers():
     }
 
 
-def _child(src: str, cpu: int) -> None:
-    os.sched_setaffinity(0, {cpu})  # this process only, the same CPU for both sides
+def _child(src: str) -> None:
     sys.path.insert(0, src)
     scale = {"us/call": 1e6, "ms/call": 1e3, "ms/grid": 1e3}
     out = {}
@@ -294,23 +292,20 @@ def main() -> None:
     ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
     ap.add_argument("--out", help="path of the JSON file to write (required)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
-    ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        _child(args.child, args.cpu)
+        _child(args.child)
         return
     if not args.out:
         ap.error("--out is required")
 
-    # every child runs on the same one CPU of those this process may use
-    cpu = max(os.sched_getaffinity(0))
     runs: dict[str, dict[str, list[float]]] = {"base": {}, "tree": {}}
     meta: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         sources = {"base": _export_src(args.base, tmp), "tree": str(REPO / "src")}
         for r in range(ROUNDS):
             for side in ("base", "tree") if r % 2 == 0 else ("tree", "base"):
-                cmd = [sys.executable, __file__, "--child", sources[side], "--cpu", str(cpu)]
+                cmd = [sys.executable, __file__, "--child", sources[side]]
                 child = subprocess.run(cmd, check=True, capture_output=True, text=True)
                 result = json.loads(child.stdout)
                 for name, row in result.items():
@@ -338,7 +333,6 @@ def main() -> None:
             "rounds": ROUNDS,
             "passes": PASSES,
             "seed": SEED,
-            "cpu": cpu,
             "value": "median pass per round, per call; summaries over rounds; ratio = tree/base",
         },
         "layers": layers,

@@ -170,22 +170,21 @@ class PrymLocalAssembly:
         """The row's JSON object.  The rows of one report pass one `shared`
         dict, which maps each PlacePair's id and each (kp, ks,
         four_exponents) pattern to the objects first built for it, so rows
-        that agree share those objects; without it every object is new."""
+        that agree share those objects; a row written alone starts an empty
+        one."""
+        if shared is None:
+            shared = {}
         kp, ks = self.pair_global
         pattern = (kp, ks, self.four_exponents)
-        if shared is None:
-            places = [p.to_json_obj() for p in self.places]
-            parts = _pattern_json(pattern)
-        else:
-            places = []
-            for p in self.places:
-                obj = shared.get(id(p))
-                if obj is None:
-                    obj = shared[id(p)] = p.to_json_obj()
-                places.append(obj)
-            parts = shared.get(pattern)
-            if parts is None:
-                parts = shared[pattern] = _pattern_json(pattern)
+        places = []
+        for p in self.places:
+            obj = shared.get(id(p))
+            if obj is None:
+                obj = shared[id(p)] = p.to_json_obj()
+            places.append(obj)
+        parts = shared.get(pattern)
+        if parts is None:
+            parts = shared[pattern] = _pattern_json(pattern)
         pair_k, pair_ratios, four = parts
         return {
             "d": self.d0,
