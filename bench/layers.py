@@ -1,7 +1,8 @@
-"""Layer timings of the cubic-ring, oracle, input-path and Prym-report
-code, this checkout against a base revision, written to a BENCH_*.json file.
+"""Layer timings of the cubic-ring, oracle, input-path, local-datum,
+family-scan and Prym-report code, this checkout against a base revision,
+written to a BENCH_*.json file.
 
-    python3 bench/layers.py --base HEAD~1 --out BENCH_10.json
+    python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
 The base revision's `src/` is exported with `git archive` into a temporary
 directory.  Each of ten rounds runs one child process per side, alternating
@@ -14,7 +15,10 @@ config file read from a temporary directory, and the CM closed form.  The
 Prym layers time `family_report(prym-a4, 20000)`, its `to_json_obj`,
 `cli._dumps` of the envelope carrying it (told that rows share
 sub-objects, as `prym` tells it, where the writer takes that flag), and
-the whole in-process `prym` request at that height.  The file records,
+the whole in-process `prym` request at that height.  The scan layers time
+`build_twist_datum` over 200 seeded (p, d) with v_p(d) even and positive,
+and the whole in-process `scan --family-preset full-n3 --height 2000`
+request.  The file records,
 per layer and side, the median and quartiles of the round values and the
 ratio of the medians (this checkout over the base), with nproc, the CPU
 model and the Python version.  Timings are raw wall time from
@@ -78,7 +82,7 @@ _RATIO_CONFIG = {
     "schema": 1,
     "descriptor": {
         "schema": 1, "m": 1, "kernel_character": "1",
-        "global_summand_bit": True, "chain_length": 1, "name": "bench",
+        "global_summand_bit": True, "name": "bench",
         "kappa_orders": [
             {"r": 0, "unit_class": "any", "kappa": 1, "kappa_hat": 3},
             {"r": 1, "unit_class": "any", "kappa": 1, "kappa_hat": 1},
@@ -177,6 +181,37 @@ def _prym_layers(sink):
     }
 
 
+def _scan_layers(sink):
+    """The local twist datum at an even valuation, the input of every
+    table-2 exponent, and the whole in-process full-family scan."""
+    from selmer3.cli import main
+    from selmer3.localclass import build_twist_datum
+    from selmer3.twistfamilies import _primes_below
+
+    rng = random.Random(SEED + 2)
+    primes = [p for p in _primes_below(1000) if p != 3]
+    pairs = []
+    while len(pairs) < 200:
+        p, u = rng.choice(primes), rng.randrange(1, 10**6)
+        if u % p:
+            pairs.append((p, rng.choice((1, -1)) * u * p ** rng.choice((2, 4))))
+    argv = ["scan", "--family-preset", "full-n3", "--height", "2000"]
+
+    def data():
+        for p, d in pairs:
+            build_twist_datum(p, d)
+
+    def request():
+        with contextlib.redirect_stdout(sink):
+            if main(argv) != 0:
+                raise AssertionError(f"{argv} failed")
+
+    return {
+        "build_twist_datum(even v)": ("us/call", len(pairs), data),
+        "scan --family-preset full-n3 --height 2000": ("ms/call", 1, request),
+    }
+
+
 def _layers():
     """name -> (unit, calls per pass, function running one pass)."""
     from selmer3.cubicforms import BinaryCubicForm, form_to_ring
@@ -242,7 +277,7 @@ def _child(src: str) -> None:
     scale = {"us/call": 1e6, "ms/call": 1e3, "ms/grid": 1e3}
     out = {}
     with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink:
-        layers = {**_layers(), **_input_layers(workdir, sink), **_prym_layers(sink)}
+        layers = {**_layers(), **_input_layers(workdir, sink), **_scan_layers(sink), **_prym_layers(sink)}
         for name, (unit, calls, run) in layers.items():
             run()  # warm caches and lazy set-up
             times = []

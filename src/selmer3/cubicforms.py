@@ -28,7 +28,7 @@ from functools import cache
 from math import gcd
 
 from .errors import DomainError
-from .localfield import Rational, is_prime, valuation
+from .localfield import Rational, is_prime
 
 
 def discriminant(a, b, c, d):
@@ -67,7 +67,10 @@ class BinaryCubicForm:
         return all(t.denominator == 1 for t in self.coefficients())
 
     def is_p_integral(self, p: int) -> bool:
-        return all(t == 0 or valuation(t, p) >= 0 for t in self.coefficients())
+        """Whether p divides no denominator, for a prime p."""
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        return all(t.denominator % p for t in self.coefficients())
 
     def reduce_mod(self, p: int) -> tuple[int, int, int, int]:
         if not self.is_p_integral(p):

@@ -19,14 +19,12 @@ from .localfield import (
     Place,
     Rational,
     SquareClassification,
+    _split,
+    _unit_is_3power,
     classify_squares,
     cube_class_reps,
-    is_prime,
     is_square,
-    is_unit_3power,
     sqrt_extension_unramified,
-    unit_part,
-    valuation,
 )
 
 KIND_TRIVIAL = "trivial"
@@ -72,24 +70,28 @@ class LocalTwistDatum:
 
 
 def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
+    """The datum of d at p: one `Place` proves p, one split of d gives its
+    valuation and unit part."""
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
+    place = Place.finite(p)
     n = 3**m
-    v = valuation(d, p)
+    v, num, den = _split(d, p)
+    u = Fraction(num, den)
     v_red = v % (2 * n)
-    d_red = d * Fraction(p) ** (v_red - v)
+    d_red = u * p**v_red
     r = None
     if v_red > 0 and v_red % 2 == 0:
         r = 0
         while v_red % 3 ** (r + 1) == 0 and r + 1 <= m:
             r += 1
     return LocalTwistDatum(
-        place=Place.finite(p),
+        place=place,
         d=d_red,
         v_d=v_red,
-        u=unit_part(d_red, p),
-        squares=classify_squares(d_red, Place.finite(p)),
+        u=u,
+        squares=classify_squares(d_red, place),
         n=n,
         r=r,
     )
@@ -138,12 +140,13 @@ def classify_integral(p: int, d: Rational) -> list[OrbitClassDescriptor]:
     not: at v(d) = 0 exactly the unramified classes are integral, at odd
     v(d) only the trivial class exists, at v(d) = 2 exactly the nontrivial
     unramified classes fail, and for even v(d) > 2 everything is integral."""
-    if p <= 3 or not is_prime(p):
+    if p <= 3:
         raise DomainError(f"classification requires a prime p > 3, got {p}")
+    place = Place.finite(p)
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
-    v = valuation(d, p)
+    v = _split(d, p)[0]
     if v < 0:
         raise DomainError("twist parameter must be p-integral")
 
@@ -156,7 +159,7 @@ def classify_integral(p: int, d: Rational) -> list[OrbitClassDescriptor]:
 
     return [
         OrbitClassDescriptor(kind=kind, detail=detail, integral=integral(kind))
-        for kind, detail in _class_list(p, h1_dims(Place.finite(p), d))
+        for kind, detail in _class_list(p, h1_dims(place, d))
     ]
 
 
@@ -242,14 +245,15 @@ def integral_representative(
     valuation of d and the same unit square class.  (Exact equality of the
     unit part is not attainable over Q in general: the local scaling that
     matches units is a p-adic, not rational, square root.)"""
-    d = Fraction(d)
-    if not cls.integral:
-        raise NonIntegralClassError(
-            f"class {cls.kind} has no p-integral representative at v(d)={valuation(d, p)}"
-        )
-    if p <= 3 or not is_prime(p):
+    if p <= 3:
         raise DomainError(f"representatives require a prime p > 3, got {p}")
-    v = valuation(d, p)
+    place = Place.finite(p)
+    d = Fraction(d)
+    if d == 0:
+        raise DomainError("twist parameter must be nonzero")
+    v = _split(d, p)[0]
+    if not cls.integral:
+        raise NonIntegralClassError(f"class {cls.kind} has no p-integral representative at v(d)={v}")
     q = Fraction(p)
 
     if cls.kind == KIND_TRIVIAL:
@@ -280,8 +284,9 @@ def integral_representative(
 
     disc = form.discriminant()
     assert form.is_p_integral(p)
-    assert valuation(disc, p) == v
-    assert is_square(unit_part(disc, p) * unit_part(d, p), Place.finite(p))
+    # same valuation, so the unit parts share a square class when disc * d is a square
+    assert disc != 0 and _split(disc, p)[0] == v
+    assert is_square(disc * d, place)
     return form
 
 
@@ -341,14 +346,15 @@ def soluble_classes(
     return SolubleClasses("summand", None, not summand_flag)
 
 
-def unit_class_labels(u: Rational, p: int, r: int) -> tuple[str, ...]:
+def unit_class_labels(u: Rational, place: Place, r: int) -> tuple[str, ...]:
     """The labels under which a configuration may key the unit class of u
-    at p and r, most specific first: "power" for a square that is a 3^r-th
-    power unit (every square at p = 3), then "square" or "nonsquare", then
-    "any"."""
-    if not is_square(u, Place.finite(p)):
+    at the finite place and r, most specific first: "power" for a square
+    that is a 3^r-th power unit (every square at p = 3), then "square" or
+    "nonsquare", then "any".  The place has proven its prime."""
+    if not is_square(u, place):
         return ("nonsquare", "any")
-    if p == 3 or is_unit_3power(u, p, r):
+    p = place.p
+    if p == 3 or _unit_is_3power(_split(Fraction(u), p), p, r):
         return ("power", "square", "any")
     return ("square", "any")
 
@@ -368,7 +374,7 @@ def summand_flag_reduction(
         return global_summand_bit
     u = Fraction(u)
     table = unit_class_table or {}
-    for label in unit_class_labels(u, p, r):
+    for label in unit_class_labels(u, Place.finite(p), r):
         if (label, r) in table:
             return table[(label, r)]
     raise IncompleteConfigError(

@@ -5,6 +5,12 @@ parts, square classes (Euler's criterion at odd p, residues mod 8 at p = 2),
 cube and 3-power-unit tests, and the sixth-power classification of Q_3.
 The base field is Q throughout; Q_p and R are the only completions that
 occur concretely.
+
+A prime is proven once, where it enters: by building a `Place`, or by the
+one `is_prime` test of a public function that takes a raw p (`valuation`,
+`unit_part`, `is_unit_3power`, `sqrt_extension_unramified`).  Below that
+test the primitives work on `_split`, which trusts its p, so a caller that
+holds a `Place` passes its p on and nothing tests it again.
 """
 
 from __future__ import annotations
@@ -86,8 +92,8 @@ class Place:
 
 def _split(x: Fraction, p: int) -> tuple[int, int, int]:
     """(v, num, den) with x = p^v * num/den and num, den prime to p.  No
-    checks: x is nonzero and p a proven prime (a `Place` proves it when it
-    is built), so the hot primitives skip the primality test."""
+    checks: x is nonzero and p a proven prime, by a `Place` or by the
+    entry test of the public function that calls it."""
     v, num, den = 0, x.numerator, x.denominator
     while num % p == 0:
         num //= p
@@ -98,31 +104,27 @@ def _split(x: Fraction, p: int) -> tuple[int, int, int]:
     return v, num, den
 
 
-def valuation(x: Rational, p: int) -> int:
-    """p-adic valuation of a nonzero rational; additive on products."""
+def _entry_split(x: Rational, p: int) -> tuple[int, int, int]:
+    """`_split` at the entry of a public function with a raw p: refuses
+    x = 0 and a composite p, with the call's one primality test."""
     x = Fraction(x)
     if x == 0:
-        raise DomainError("valuation of 0 is undefined")
+        raise DomainError("0 has no p-adic valuation")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _split(x, p)[0]
+    return _split(x, p)
+
+
+def valuation(x: Rational, p: int) -> int:
+    """p-adic valuation of a nonzero rational; additive on products."""
+    return _entry_split(x, p)[0]
 
 
 def unit_part(x: Rational, p: int) -> Fraction:
     """The u with x = p^valuation(x, p) * u; numerator and denominator of u
     are coprime to p."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("unit part of 0 is undefined")
-    return x / Fraction(p) ** valuation(x, p)
-
-
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    # u must have numerator and denominator coprime to the modulus
-    num, den = u.numerator, u.denominator
-    if gcd(den, modulus) != 1 or gcd(num, modulus) != 1:
-        raise DomainError(f"{u} is not a unit modulo {modulus}")
-    return num * pow(den, -1, modulus) % modulus
+    _, num, den = _entry_split(x, p)
+    return Fraction(num, den)
 
 
 def is_square(x: Rational, place: Place) -> bool:
@@ -154,47 +156,28 @@ def zeta3_present(place: Place) -> bool:
     return place.p % 3 == 1
 
 
-def is_unit_3power(u: Rational, p: int, j: int) -> bool:
-    """Whether the p-adic unit u is a 3^j-th power in Z_p^*.
+def _unit_is_3power(split: tuple[int, int, int], p: int, j: int) -> bool:
+    """Whether the p-adic unit with `_split` (0, num, den) at the proven
+    prime p != 3 is a 3^j-th power in Z_p^*.  The one-units are uniquely
+    3-divisible, so only the residue of the unit modulo p matters."""
+    v, num, den = split
+    if v != 0:
+        raise DomainError(f"{Fraction(num, den) * Fraction(p) ** v} is not a p-adic unit at {p}")
+    return pow(num * pow(den, -1, p) % p, (p - 1) // gcd(3**j, p - 1), p) == 1
 
-    For p != 3 the one-units are uniquely 3-divisible, so only the residue
-    of u modulo p matters.
-    """
+
+def is_unit_3power(u: Rational, p: int, j: int) -> bool:
+    """Whether the p-adic unit u is a 3^j-th power in Z_p^*, for p != 3."""
     if p == 3:
         raise DomainError("3-power-unit test not supported at p = 3")
-    u = Fraction(u)
-    if valuation(u, p) != 0:
-        raise DomainError(f"{u} is not a p-adic unit at {p}")
-    g = gcd(3**j, p - 1)
-    return pow(_unit_mod(u, p), (p - 1) // g, p) == 1
+    return _unit_is_3power(_entry_split(u, p), p, j)
 
 
 def sqrt_extension_unramified(d: Rational, p: int) -> bool:
     """Whether Q_p(sqrt(d))/Q_p is unramified (the split case counts as
-    unramified).  At p = 2 this is decided by the unit part mod 4."""
-    v = valuation(d, p)
-    if v % 2 != 0:
-        return False
-    if p == 2:
-        return _unit_mod(unit_part(d, 2), 4) == 1
-    return True
-
-
-@dataclass(frozen=True)
-class ValuedRational:
-    """A nonzero rational together with its decomposition x = p^val * unit
-    at a finite place."""
-
-    value: Fraction
-    place: Place
-    val: int
-    unit: Fraction
-
-
-def valued(x: Rational, p: int) -> ValuedRational:
-    x = Fraction(x)
-    v = valuation(x, p)
-    return ValuedRational(x, Place.finite(p), v, unit_part(x, p))
+    unramified): v(d) even and, at p = 2, the unit part 1 mod 4."""
+    v, num, den = _entry_split(d, p)
+    return v % 2 == 0 and (p != 2 or num * den % 4 == 1)  # odd den is its own inverse mod 4
 
 
 @dataclass(frozen=True)

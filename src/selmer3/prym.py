@@ -6,7 +6,11 @@ The surface carries two 3-isogenies phi, psi whose composition is the
 descent of 1 - zeta.  On the family Sigma (squarefree d = 2 or 11 mod 36)
 every finite place except 3 contributes a trivial ratio: the good places
 because d is squarefree there, the place 2 because neither d nor -3d is a
-2-adic square on Sigma.  The 3-adic pair comes from a constraint solver:
+2-adic square on Sigma.  A configuration's family must be squarefree (its
+construction refuses any other), so both facts hold for each member by
+arithmetic alone: every prime other than 2 and 3 divides d once, and the
+place 2 is decided by d mod 4 (see `_Assembler`).  The 3-adic pair comes
+from a constraint solver:
 exponents in {0, 1}, the four ratios of the twist and its -27-twist
 multiply to 9, and (the externally computed input) the phi and psi ratios
 differ.  The solver output is used unordered; which of phi, psi carries
@@ -21,16 +25,8 @@ from functools import cached_property
 from itertools import product
 
 from .errors import DomainError, IncompleteConfigError
-from .localfield import Place, Rational, is_square, sextic_class_3adic
-from .selmerratio import (
-    IsogenyDescriptor,
-    LocalPlaceProfile,
-    archimedean_exponent,
-    local_exponent,
-    parity_prediction,
-    rank_density_bounds,
-)
-from .localclass import build_twist_datum
+from .localfield import Rational, sextic_class_3adic
+from .selmerratio import IsogenyDescriptor, archimedean_exponent, parity_prediction, rank_density_bounds
 from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, family_preset, reduce_class
 
 
@@ -74,6 +70,8 @@ class PrymCurveConfig:
     def __post_init__(self) -> None:
         if self.a in (0, 1, -1):
             raise DomainError("curve parameter a must avoid 0 and +-1")
+        if not self.family.squarefree:  # the premise of the assembly's closed forms
+            raise DomainError(f"a Prym family must be squarefree; {self.family.name!r} is not")
 
     def descriptors(self) -> tuple[IsogenyDescriptor, IsogenyDescriptor]:
         k_phi, k_psi = self.kernel_characters
@@ -209,8 +207,17 @@ class _Assembler:
     report: the two descriptors, the 3-adic solutions with the unique
     unordered pair they determine, and the place pairs that rows share.
     The pairs of 2 and of 3 (unless its order is configured per class) are
-    built here; the real place's pair per sign and the pair of each prime
-    of odd valuation on first use, so one row pays for no other."""
+    built here; the real place's pair per sign and the "good" pair of each
+    prime other than 2 and 3 on first use, so one row pays for no other.
+
+    The family is squarefree, so a prime p > 3 divides d once and its
+    ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
+    exactly when d = 1 (mod 4):
+      - at v_2(d) = 1 both valuations are odd, so neither is a square;
+      - for odd d, d = 1 (mod 8) or -3d = 1 (mod 8) exactly when d = 1 or
+        5 (mod 8).
+    A member with d = 1 (mod 4) is refused, and no other one needs a
+    2-adic test."""
 
     def __init__(self, config: PrymCurveConfig) -> None:
         self.config = config
@@ -219,7 +226,6 @@ class _Assembler:
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
-        self.q2 = Place.finite(2)
         self.two = PlacePair("2", (0, 0), True, "h1-zero")
         self.three = PlacePair("3", next(iter(self.pairs)), False, "override")
         self.real: dict[int, PlacePair] = {}  # sign of d -> pair
@@ -235,7 +241,7 @@ class _Assembler:
             real = self.real[sign] = PlacePair("real", k, True, "archimedean")
         places = [real]
 
-        if is_square(d0, self.q2) or is_square(-3 * d0, self.q2):
+        if d0 % 4 == 1:  # d0 or -3 d0 is a 2-adic square
             raise DomainError("family admits a twist with a 2-adic square; preset broken")
         places.append(self.two)
 
@@ -251,20 +257,12 @@ class _Assembler:
                 raise DomainError("ordered 3-adic input contradicts the constraints")
             places.append(PlacePair("3", pair3, True, "override"))
 
-        for p, v in tc.factorization().items():
-            if p in (2, 3):
-                continue
-            if v % 2:  # the local ratio is 1 at odd valuation
+        for p in tc.factorization():
+            if p > 3:  # v_p(d0) = 1, so the local ratio is 1
                 pair = self.good.get(p)
                 if pair is None:
                     pair = self.good[p] = PlacePair(str(p), (0, 0), True, "good")
-            else:
-                desc_phi, desc_psi = self.descs
-                prof = LocalPlaceProfile(Place.finite(p))
-                datum = build_twist_datum(p, d0)
-                k = (local_exponent(prof, desc_phi, datum), local_exponent(prof, desc_psi, datum))
-                pair = PlacePair(str(p), k, True, "good")
-            places.append(pair)
+                places.append(pair)
 
         return PrymLocalAssembly(d0, tuple(places), self.solutions[0])
 
@@ -274,8 +272,11 @@ def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalA
 
     Good places away from 6 contribute (0, 0) because the family is
     squarefree there; the place 2 contributes (0, 0) after verifying that
-    neither d nor -3d is a 2-adic square; the place 3 takes the solver's
-    unique unordered pair; the real place is decided by the sign of d."""
+    neither d nor -3d is a 2-adic square (d is not 1 mod 4); the place 3
+    takes the solver's unique unordered pair; the real place is decided by
+    the sign of d.  This is the entry for an arbitrary d, so it checks
+    membership in the family; `family_report` does not, for the members it
+    enumerates."""
     tc = reduce_class(d, config.family.n)
     if not config.family.admits(tc):
         raise DomainError(f"{d} is not in the configured family")
@@ -360,9 +361,10 @@ class PrymReport:
 
 def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
-    the analytic bounds.  Every member is checked against the invariants
-    (exponents in {0,1} summing to the product exponent, odd global
-    exponent, unordered ratio pair {1, 3+-1})."""
+    the analytic bounds.  The members come from the family's own sieve, so
+    none is tested for membership again.  Every member is checked against
+    the invariants (exponents in {0,1} summing to the product exponent,
+    odd global exponent, unordered ratio pair {1, 3+-1})."""
     members = enumerate_classes(config.family, height_bound)
     assembler = _Assembler(config)
     unequal = config.three_adic.mode == "unequal"
@@ -370,8 +372,6 @@ def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
         raise AssertionError("solver output violated the product identity")
     rows = []
     for tc in members:
-        if not config.family.admits(tc):
-            raise DomainError(f"{tc.d0} is not in the configured family")
         assembly = assembler.assemble(tc)
         if unequal:
             if assembly.parity != "odd":

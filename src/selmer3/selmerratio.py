@@ -138,7 +138,6 @@ class IsogenyDescriptor(Document):
     kernel_character: Fraction = Fraction(1)
     global_summand_bit: bool = True
     kappa_orders: tuple[KappaEntry, ...] = ()
-    chain_length: int = 1
     name: str = ""
 
     schema = 1
@@ -158,22 +157,23 @@ class IsogenyDescriptor(Document):
     def n(self) -> int:
         return 3**self.m
 
-    def kappa_exponents(self, p: int, u: Rational, r: int) -> tuple[int, int]:
+    def kappa_exponents(self, place: Place, u: Rational, r: int) -> tuple[int, int]:
         """(log3 |kappa|, log3 |kappa-hat|) for the unit class of u at the
-        given r; raises when the table has no entry for the stratum."""
+        finite place and the given r; raises when the table has no entry
+        for the stratum."""
         u = Fraction(u)
-        for label in unit_class_labels(u, p, r):
+        for label in unit_class_labels(u, place, r):
             for entry in self.kappa_orders:
                 if entry.r == r and entry.unit_class == label:
                     return _log3_order(entry.kappa), _log3_order(entry.kappa_hat)
         raise IncompleteConfigError(
-            f"descriptor incomplete: no kappa orders for r={r}, unit {u} at p={p}"
+            f"descriptor incomplete: no kappa orders for r={r}, unit {u} at p={place.p}"
         )
 
     def summand_flag(self, p: int, u: Rational, r: int) -> bool:
         if r == 0:
             return self.global_summand_bit
-        return self.kappa_exponents(p, u, r)[0] == 0
+        return self.kappa_exponents(Place.finite(p), u, r)[0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +245,8 @@ def archimedean_exponent(desc: IsogenyDescriptor, d: Rational) -> int:
 def _table2_exponent(
     profile: LocalPlaceProfile, desc: IsogenyDescriptor, datum: LocalTwistDatum
 ) -> int:
-    p = datum.place.p
-    assert p is not None and datum.r is not None
-    kappa, kappa_hat = desc.kappa_exponents(p, datum.u, datum.r)
+    assert datum.r is not None
+    kappa, kappa_hat = desc.kappa_exponents(datum.place, datum.u, datum.r)
     sq = datum.squares
     if profile.zeta3:
         return kappa - kappa_hat if (sq.d_is_square or sq.minus3d_is_square) else 0
@@ -338,7 +337,7 @@ class _PlaceExponents:
                 k = self.table2.get(key)
                 if k is None:
                     datum = build_twist_datum(p, d0, self.desc.m)
-                    k = local_exponent(prof or LocalPlaceProfile(Place.finite(p)), self.desc, datum)
+                    k = local_exponent(prof or LocalPlaceProfile(datum.place), self.desc, datum)
                     self.table2[key] = k
                 out.append((str(p), k, "table2"))
         return out
@@ -579,12 +578,6 @@ def tk_partition(
             dim_density_bound=dens,
         )
     return out
-
-
-def tk_emptiness_bound(num_bad_places: int) -> int:
-    """T_k is empty once |k| exceeds the number of places where the local
-    exponent can be nonzero."""
-    return num_bad_places
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from selmer3.selmerratio import (
     greenberg_wiles_check,
     local_exponent,
     rank_density_bounds,
-    tk_emptiness_bound,
 )
 from selmer3.localclass import build_twist_datum
 from selmer3.twistfamilies import enumerate_classes, family_preset
@@ -198,7 +197,6 @@ def test_acceptance_7_calculus_identities():
 
     # T_k emptiness beyond the number of ratio-carrying places
     bad_places = 2  # the real place and the place over 3 in this config
-    assert tk_emptiness_bound(bad_places) == 2
     for m in enumerate_classes(family_preset("squarefree-n3"), 120):
         k = global_report(profiles, desc, m.d0).global_exponent
         assert abs(k) <= bad_places

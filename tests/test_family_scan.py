@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from selmer3 import localclass, prym, twistfamilies
+from selmer3 import localclass, localfield, prym, twistfamilies
 from selmer3.cli import main
 from selmer3.localclass import build_twist_datum
 from selmer3.localfield import Place
@@ -182,10 +182,21 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.fixture
 def counts(monkeypatch):
+    admits = []
+    original_admits = TwistFamily.admits
+
+    def counting_admits(self, tc):
+        admits.append(tc)
+        return original_admits(self, tc)
+
+    monkeypatch.setattr(TwistFamily, "admits", counting_admits)
     return {
         "factorize": _count_calls(monkeypatch, twistfamilies, "factorize"),
         "build_twist_datum": _count_calls(monkeypatch, localclass, "build_twist_datum"),
         "solve_three_adic": _count_calls(monkeypatch, prym, "solve_three_adic"),
+        "is_square": _count_calls(monkeypatch, localfield, "is_square"),
+        "is_prime": _count_calls(monkeypatch, localfield, "is_prime"),
+        "admits": admits,
     }
 
 
@@ -207,6 +218,21 @@ def test_prym_report_factors_nothing_and_solves_once(counts, capsys):
     assert len(counts["solve_three_adic"]) == 1
 
 
+def test_prym_report_checks_no_member_again(counts, capsys):
+    # the squarefree premise is checked when the config is built; the
+    # members come from the family's sieve and 2 is decided by d mod 4
+    result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "20000")
+    assert result["member_count"] > 2000
+    assert counts["is_square"] == []
+    assert counts["admits"] == []
+
+
+def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):
+    result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
+    assert result["member_count"] > 3000
+    assert 0 < len(counts["is_prime"]) <= len(counts["build_twist_datum"])
+
+
 def test_full_scan_builds_one_datum_per_memo_key(counts, capsys):
     result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
     keys = set()
@@ -222,7 +248,7 @@ def test_point_requests_factor_once(counts, capsys, tmp_path):
     config = {
         "schema": 1,
         "descriptor": {"schema": 1, "m": 1, "kernel_character": "1",
-                       "global_summand_bit": True, "chain_length": 1, "name": "",
+                       "global_summand_bit": True, "name": "",
                        "kappa_orders": [{"r": 0, "unit_class": "any", "kappa": 1, "kappa_hat": 1}]},
         "profiles": [
             {"place": "real", "reduction": "good"},

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selmer3.errors import DomainError
 from selmer3.localfield import (
@@ -17,6 +19,7 @@ from selmer3.localfield import (
     valuation,
     zeta3_present,
 )
+from selmer3.twistfamilies import factorize
 
 Q5 = Place.finite(5)
 Q7 = Place.finite(7)
@@ -34,6 +37,21 @@ def test_valuation_rejects_zero_and_composite():
         valuation(0, 5)
     with pytest.raises(DomainError):
         valuation(10, 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unit_part(10, 6),
+    lambda: is_unit_3power(5, 6, 1),
+    lambda: sqrt_extension_unramified(5, 6),
+    lambda: unit_part(0, 5),
+    lambda: is_unit_3power(0, 5, 1),
+    lambda: sqrt_extension_unramified(0, 5),
+    lambda: is_unit_3power(14, 7, 1),
+])
+def test_raw_p_entries_refuse_composite_p_zero_and_non_units(call):
+    # the public entries test a raw p themselves, as `valuation` does
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_valuation_additive_on_products():
@@ -204,9 +222,16 @@ def test_least_nonresidue():
     assert least_nonresidue(7) == 3
 
 
-def test_valued_decomposition_record():
-    from selmer3.localfield import valued
 
-    v = valued(Fraction(50, 9), 5)
-    assert v.val == 2 and v.unit == Fraction(2, 9)
-    assert v.value == Fraction(5) ** v.val * v.unit
+Q2 = Place.finite(2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, -1]), st.sampled_from([1, 2]))
+def test_two_adic_square_class_of_squarefree_d_is_d_mod_4(half, sign, two):
+    # the closed form the Prym assembly uses at the place 2: for squarefree
+    # d, d or -3d is a 2-adic square exactly when d = 1 (mod 4)
+    odd = 2 * half + 1
+    assume(max(factorize(odd).values(), default=1) == 1)
+    d = sign * two * odd
+    assert (d % 4 == 1) == (is_square(d, Q2) or is_square(-3 * d, Q2))

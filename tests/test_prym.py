@@ -221,6 +221,23 @@ def test_config_validation(a4):
         )
 
 
+def test_config_refuses_a_family_that_is_not_squarefree(a4):
+    # the assembly's closed forms at 2 and at the good places need it
+    with pytest.raises(DomainError):
+        PrymCurveConfig(
+            a=a4.a,
+            genus=a4.genus,
+            dim_b=a4.dim_b,
+            bad_primes=a4.bad_primes,
+            family=family_preset("full-n3"),
+            three_adic=a4.three_adic,
+            kernel_characters=a4.kernel_characters,
+            f_tilde=a4.f_tilde,
+            trivial_points=a4.trivial_points,
+            nontorsion_trivial_points=a4.nontorsion_trivial_points,
+        )
+
+
 def test_prym_report_golden_file(a4):
     import json
     from pathlib import Path

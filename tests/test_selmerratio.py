@@ -25,7 +25,6 @@ from selmer3.selmerratio import (
     local_exponent,
     parity_prediction,
     rank_density_bounds,
-    tk_emptiness_bound,
     tk_partition,
 )
 from selmer3.twistfamilies import TwistFamily, family_preset
@@ -258,10 +257,6 @@ def test_tk_partition_single_sign_single_cell():
     cells = tk_partition(fam, desc, standard_profiles(), 40)
     assert set(cells) == {-1}
     assert cells[-1].exact_density == 1
-
-
-def test_tk_emptiness_bound():
-    assert tk_emptiness_bound(3) == 3
 
 
 def test_config_round_trip():
