@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubicforms import BinaryCubicForm
-from .errors import DomainError, IncompleteConfigError, NonIntegralClassError
+from .errors import DomainError, NonIntegralClassError
 from .localfield import (
     Place,
     Rational,
@@ -318,9 +318,7 @@ class SolubleClasses:
         return len(self.selector(classes))
 
 
-def soluble_classes(
-    datum: LocalTwistDatum, summand_flag: bool, good_reduction: bool = True
-) -> SolubleClasses:
+def soluble_classes(datum: LocalTwistDatum, summand_flag: bool) -> SolubleClasses:
     """Image of the local Kummer map for a good reduction twist at residue
     characteristic != 3.  Residue characteristic 2 is admitted exactly as
     far as the theorem extends there: the v(d) = 0 and ramified-sqrt cases."""
@@ -328,8 +326,6 @@ def soluble_classes(
     assert p is not None
     if p == 3:
         raise DomainError("3-adic places take ratio overrides, not this theorem")
-    if not good_reduction:
-        raise DomainError("bad reduction places take ratio overrides, not this theorem")
     v = datum.v_d
 
     if not sqrt_extension_unramified(datum.d, p):
@@ -357,26 +353,3 @@ def unit_class_labels(u: Rational, place: Place, r: int) -> tuple[str, ...]:
     if p == 3 or _unit_is_3power(_split(Fraction(u), p), p, r):
         return ("power", "square", "any")
     return ("square", "any")
-
-
-def summand_flag_reduction(
-    u: Rational,
-    r: int,
-    p: int,
-    global_summand_bit: bool,
-    unit_class_table: dict[tuple[str, int], bool] | None = None,
-) -> bool:
-    """The direct-summand flag that decides solubility at even positive
-    v(d).  At r = 0 it is the configured global bit, independent of u; for
-    r >= 1 the flag is looked up by the unit class of u.  A u that is a
-    (2*3^r)-th power is in the class of u = 1, keyed "power"."""
-    if r == 0:
-        return global_summand_bit
-    u = Fraction(u)
-    table = unit_class_table or {}
-    for label in unit_class_labels(u, Place.finite(p), r):
-        if (label, r) in table:
-            return table[(label, r)]
-    raise IncompleteConfigError(
-        f"descriptor incomplete: no summand flag for unit class of {u} at r={r}"
-    )

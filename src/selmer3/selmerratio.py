@@ -14,20 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from math import gcd, prod
 
 from .errors import Document, DocumentError, DomainError, IncompleteConfigError, json_kind, malformed
 from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
-from .localfield import (
-    Place,
-    Rational,
-    is_prime,
-    is_square,
-    is_unit_3power,
-    least_nonresidue,
-    zeta3_present,
-)
+from .localfield import Place, Rational, SquareClassification, classify_squares, is_prime, zeta3_present
 from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, factorize, reduce_class
 
 # ----------------------------------------------------------------------
@@ -242,13 +232,12 @@ def archimedean_exponent(desc: IsogenyDescriptor, d: Rational) -> int:
     return 0 if desc.kernel_character * d < 0 else -1
 
 
-def _table2_exponent(
-    profile: LocalPlaceProfile, desc: IsogenyDescriptor, datum: LocalTwistDatum
-) -> int:
-    assert datum.r is not None
-    kappa, kappa_hat = desc.kappa_exponents(datum.place, datum.u, datum.r)
-    sq = datum.squares
-    if profile.zeta3:
+def _table2_exponent(zeta3: bool, kappas: tuple[int, int], sq: SquareClassification) -> int:
+    """The exponent at a good place and even positive v(d), from whether
+    zeta_3 is present, (log3 |kappa|, log3 |kappa-hat|) of the unit class
+    and the square classes of d and -3d."""
+    kappa, kappa_hat = kappas
+    if zeta3:
         return kappa - kappa_hat if (sq.d_is_square or sq.minus3d_is_square) else 0
     if sq.d_is_square:
         return kappa - 1
@@ -284,7 +273,9 @@ def local_exponent(
         raise DomainError("finite-place exponent needs the local twist datum")
     if datum.v_d == 0 or datum.v_d % 2 == 1:
         return 0
-    return _table2_exponent(profile, desc, datum)
+    assert datum.r is not None
+    kappas = desc.kappa_exponents(datum.place, datum.u, datum.r)
+    return _table2_exponent(profile.zeta3, kappas, datum.squares)
 
 
 class _PlaceExponents:
@@ -365,91 +356,89 @@ def average_selmer_prediction(k: int) -> Fraction:
     return 1 + _power_of_3(k)
 
 
-def _stratum_expectation(desc: IsogenyDescriptor, p: int, j: int) -> Fraction:
-    """Expected ratio over the units u in the stratum v(d) = j at a good
-    place, as an exact rational.  The exponent is `local_exponent` at one
-    representative of each unit-class label, weighted by the label's share
-    of the units: the four classes mod 8 at p = 2; otherwise 1/2 for the
-    nonsquares, 1/(2g) for the squares that are 3^r-th powers, where
-    g = gcd(3^r, p - 1), and the rest for the other squares."""
-    if j == 0 or j % 2 == 1:
-        return Fraction(1)
-    profile = LocalPlaceProfile(Place.finite(p))
-
-    def ratio(u: int) -> Fraction:
-        datum = build_twist_datum(p, u * p**j, desc.m)
-        return Fraction(3) ** local_exponent(profile, desc, datum)
-
-    if p == 2:
-        return sum(map(ratio, (1, 3, 5, 7))) / 4
-    r = build_twist_datum(p, p**j, desc.m).r
-    g = gcd(3**r, p - 1)
-    expected = (ratio(least_nonresidue(p)) + ratio(1) / g) / 2
-    if g > 1:
-        square = next(
-            u for u in count(2) if is_square(u, profile.place) and not is_unit_3power(u, p, r)
-        )
-        expected += ratio(square) * (g - 1) / (2 * g)
-    return expected
+# The good places that stand for every good prime, with their unit
+# residues: 2 (units mod 8), and 5 and 7 for the two classes mod 3.
+_GOOD_PLACE_UNITS = (
+    (Place.finite(2), (1, 3, 5, 7)),
+    (Place.finite(5), range(1, 5)),
+    (Place.finite(7), range(1, 7)),
+)
 
 
-def _local_factor(
-    desc: IsogenyDescriptor, family: TwistFamily, prof: LocalPlaceProfile
-) -> Fraction:
-    if prof.override_exponent is not None:
-        return Fraction(3) ** prof.override_exponent
-    place = prof.place
-    assert isinstance(place, Place) and place.p is not None
-    p = place.p
-    strata = range(2) if family.squarefree else range(2 * desc.n)
-    total = Fraction(0)
-    weighted = Fraction(0)
-    for j in strata:
-        mu = Fraction(p - 1, p) / Fraction(p) ** j
-        total += mu
-        weighted += mu * _stratum_expectation(desc, p, j)
-    return weighted / total
-
-
-def _generic_factor_is_one(desc: IsogenyDescriptor, family: TwistFamily) -> bool:
-    if family.squarefree:
-        return True
-    for p in (5, 7):  # one representative of each residue class mod 3
-        for j in range(2, 2 * desc.n, 2):
-            if _stratum_expectation(desc, p, j) != 1:
-                return False
+def _good_places_vanish(family: TwistFamily, desc: IsogenyDescriptor) -> bool:
+    """Whether every good place has table-2 exponent 0 on every even
+    stratum 2 <= v(d) < 2 min(family.n, desc.n), the ones the family's
+    members reach.  The exponent depends on p only through p mod 3 and the
+    unit-class labels of the residues, so 2, 5 and 7 stand for every good
+    prime.  On d = u p^v with v even it reads u's square classes and, from
+    v, only r, so the strata v = 2 * 3^r stand for all.  A stratum without
+    kappa orders reads as False."""
+    levels = range(_log3_order(min(family.n, desc.n)))
+    try:
+        for place, units in _GOOD_PLACE_UNITS:
+            for u in units:
+                sq = classify_squares(u, place)
+                for r in levels:
+                    kappas = desc.kappa_exponents(place, u, r)
+                    if _table2_exponent(zeta3_present(place), kappas, sq):
+                        return False
+    except IncompleteConfigError:
+        return False
     return True
+
+
+def _sign_densities(family: TwistFamily, rule: _PlaceExponents) -> dict[int, Fraction] | None:
+    """{k: density of T_k in the family}, read off the configuration, or
+    None when the finite part of k is not constant on the family.  It is
+    constant, the sum C of the override exponents, when every good place
+    contributes 0: always on a squarefree family (v(d) is 0 or 1 there),
+    otherwise exactly when `_good_places_vanish`.  Then the sign alone
+    decides the cell, arch_k[sign] + C, and each sign holds the same share
+    of the family (negation preserves residue classes' power-free
+    densities)."""
+    if not (family.squarefree or _good_places_vanish(family, rule.desc)):
+        return None
+    const = sum(
+        prof.override_exponent
+        for prof in rule.by_prime.values()
+        if prof.override_exponent is not None
+    )
+    densities: dict[int, Fraction] = {}
+    for sign in family.signs:
+        k = rule.arch_k[sign] + const
+        densities[k] = densities.get(k, Fraction(0)) + Fraction(1, len(family.signs))
+    return densities
 
 
 def euler_product_average(
     family: TwistFamily, desc: IsogenyDescriptor, profiles: list[LocalPlaceProfile]
 ) -> Fraction:
-    """The exact predicted average Selmer size over the family:
-    1 + (archimedean average of the ratio) * (product of normalized local
-    averages).  Finite because all unprofiled factors are 1; when the
-    configuration makes a generic factor differ from 1 the computation is
-    refused rather than truncated."""
-    arch = sum(Fraction(3) ** archimedean_exponent(desc, s) for s in family.signs) / len(family.signs)
-    finite = [prof for prof in profiles if isinstance(prof.place, Place) and prof.place.is_finite]
-    overridden = {prof.place.p for prof in finite if prof.override_exponent is not None}
+    """The exact predicted average Selmer size over the family: the sum
+    over k of density(T_k) * (1 + 3^k), with the densities `tk_partition`
+    attaches.  Refused with `IncompleteConfigError` when they are unknown,
+    that is when the family is not squarefree and some good place has a
+    nonzero table-2 exponent, and when a congruence condition of a
+    non-squarefree family sits at a prime without an override."""
+    rule = _PlaceExponents(profiles, desc)
     if not family.squarefree:
         # a congruence condition reshapes the local measure at its primes;
         # that only cancels out when the ratio is constant there (override)
         # or identically 1 (the squarefree strata)
         for cond in family.conditions:
             for q in factorize(cond.modulus):
-                if q not in overridden:
+                prof = rule.by_prime.get(q)
+                if prof is None or prof.override_exponent is None:
                     raise IncompleteConfigError(
                         f"congruence condition at {q} needs an override profile "
                         "or the squarefree restriction"
                     )
-    product = prod((_local_factor(desc, family, prof) for prof in finite), start=Fraction(1))
-    if not _generic_factor_is_one(desc, family):
+    densities = _sign_densities(family, rule)
+    if densities is None:
         raise IncompleteConfigError(
             "unprofiled good places have a non-unit generic factor; "
             "profile them explicitly or restrict to a squarefree family"
         )
-    return 1 + arch * product
+    return sum(dens * average_selmer_prediction(k) for k, dens in densities.items())
 
 
 def greenberg_wiles_check(
@@ -541,29 +530,18 @@ def tk_partition(
     profiles: list[LocalPlaceProfile],
     height_bound: int,
 ) -> dict[int, TkCell]:
-    """Partition of the enumerated family by global exponent.  Exact
-    densities are attached when the finite-place part of the exponent is
-    constant on the family, so that only the sign decides the cell (the
-    congruence-measure case); otherwise the density is left unknown."""
+    """Partition of the enumerated family by global exponent.  Each cell's
+    exact density is read off the configuration (`_sign_densities`), so it
+    is the same at every height: it is set when the family is squarefree
+    or every good place has table-2 exponent 0, and None otherwise."""
     members = enumerate_classes(family, height_bound)
     rule = _PlaceExponents(profiles, desc)
-    finite_parts: set[int] = set()
     cells: dict[int, list[int]] = {}
     for tc in members:
         # a family of another level is read modulo the descriptor's powers
         cls = tc if tc.n == desc.n else reduce_class(tc.d0, desc.n)
-        arch, *finite = (k for _, k, _ in rule.entries(cls))
-        finite_k = sum(finite)
-        finite_parts.add(finite_k)
-        cells.setdefault(arch + finite_k, []).append(tc.d0)
-
-    densities: dict[int, Fraction] = {}
-    if len(finite_parts) == 1:
-        const = next(iter(finite_parts))
-        per_sign = Fraction(1, len(family.signs))
-        for sign in family.signs:
-            k = const + archimedean_exponent(desc, sign)
-            densities[k] = densities.get(k, Fraction(0)) + per_sign
+        cells.setdefault(sum(k for _, k, _ in rule.entries(cls)), []).append(tc.d0)
+    densities = _sign_densities(family, rule) or {}
 
     out: dict[int, TkCell] = {}
     for k in sorted(cells):
@@ -611,28 +589,16 @@ class CmRatioCheck:
         }
 
 
-def cm_ratio_check(
-    g: int,
-    complex_places: int,
-    degree: int | None = None,
-    profiles: list[LocalPlaceProfile] | None = None,
-) -> CmRatioCheck:
+def cm_ratio_check(g: int, complex_places: int) -> CmRatioCheck:
     """Closed-form global exponent of multiplication by 3 over a totally
     complex base containing the cube roots of unity: each complex place
-    contributes -2g, the places over 3 contribute g times the degree, and
-    the good finite places nothing.  The triplication map factors through
-    2g conjugate 3-isogenies, so the per-isogeny exponent is the 2g-th
-    part."""
+    contributes -2g, the places over 3 contribute g times the degree
+    2 * complex_places, and the good finite places nothing.  The
+    triplication map factors through 2g conjugate 3-isogenies, so the
+    per-isogeny exponent is the 2g-th part."""
     if g < 1 or complex_places < 1:
         raise DomainError("dimension and place count must be positive")
-    if degree is None:
-        degree = 2 * complex_places
-    if degree != 2 * complex_places:
-        raise DomainError("a totally complex field has degree twice its place count")
-    if profiles is not None:
-        for prof in profiles:
-            if prof.place.kind == "real":
-                raise DomainError("inconsistent profile: a real place in a CM check")
+    degree = 2 * complex_places
     arch = -2 * g * complex_places
     over3 = g * degree
     c3 = arch + over3

@@ -121,6 +121,15 @@ def test_scan_squarefree_single_sign(capsys, tmp_path):
     assert cell["avg_selmer"] == "4/3"
 
 
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_scan_full_family_density_is_unknown_at_every_height(capsys, height):
+    # the members below 5 are squarefree, but the family's finite part varies
+    code, out, _ = run_cli(capsys, "scan", "--family-preset", "full-n3", "--height", str(height))
+    assert code == 0
+    cells = json.loads(out)["result"]["cells"]
+    assert [cell["exact_density"] for cell in cells] == [None, None]
+
+
 def test_scan_csv(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--family-preset", "squarefree-n3", "--height", "30", "--format", "csv"

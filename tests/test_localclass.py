@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from selmer3.cubicforms import factorization_type, orbit_split
 from selmer3.errors import DomainError, IncompleteConfigError, NonIntegralClassError
@@ -14,7 +12,6 @@ from selmer3.localclass import (
     h1_dims,
     integral_representative,
     soluble_classes,
-    summand_flag_reduction,
     unramified_cubic_form,
 )
 from selmer3.localfield import Place, is_square, least_nonresidue, unit_part, valuation
@@ -239,7 +236,7 @@ def test_soluble_classes_at_two():
 
 def test_soluble_classes_rejects_overrides_domain():
     with pytest.raises(DomainError):
-        soluble_classes(build_twist_datum(5, 1), summand_flag=True, good_reduction=False)
+        soluble_classes(build_twist_datum(3, 1), summand_flag=True)
 
 
 def test_soluble_count_matches_h1_at_v0():
@@ -250,51 +247,20 @@ def test_soluble_count_matches_h1_at_v0():
             assert sol.count(classify_integral(p, u)) == 3 ** h1_dims(Place.finite(p), u)[1]
 
 
-def test_summand_flag_reduction():
-    assert summand_flag_reduction(2, 0, 5, True) is True
-    assert summand_flag_reduction(2, 0, 5, False) is False
-    table = {("power", 1): True, ("nonsquare", 1): False}
+def test_summand_flag_unit_class_labels():
+    entries = (KappaEntry(1, "power", 1, 1), KappaEntry(1, "nonsquare", 3, 1))
+    desc = IsogenyDescriptor(global_summand_bit=False, kappa_orders=entries)
+    # r = 0 reads the global bit, whatever the unit
+    assert desc.summand_flag(5, 2, 0) is False
+    assert IsogenyDescriptor(global_summand_bit=True, kappa_orders=entries).summand_flag(5, 2, 0) is True
     # 4 = 2^2 and every 5-adic unit is a cube, so 4 is a (2*3)-rd power
-    assert summand_flag_reduction(4, 1, 5, False, table) is True
-    assert summand_flag_reduction(2, 1, 5, False, table) is False
+    assert desc.summand_flag(5, 4, 1) is True
+    assert desc.summand_flag(5, 2, 1) is False
     # 2 is a square mod 7 but not a cube, so its label is "square": unlisted
     with pytest.raises(IncompleteConfigError):
-        summand_flag_reduction(2, 1, 7, False, table)
-    # at p = 3 every square unit is keyed "power", as in the descriptor
-    assert summand_flag_reduction(4, 1, 3, False, table) is True
-
-
-_kappa_entries = st.lists(
-    st.builds(
-        KappaEntry,
-        r=st.sampled_from([1, 2]),
-        unit_class=st.sampled_from(["any", "power", "square", "nonsquare"]),
-        kappa=st.sampled_from([1, 3, 9]),
-        kappa_hat=st.just(1),
-    ),
-    max_size=6,
-    unique_by=lambda e: (e.r, e.unit_class),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    _kappa_entries,
-    st.sampled_from([2, 5, 7, 13]),
-    st.sampled_from([1, 2]),
-    st.lists(st.integers(1, 400), min_size=1, max_size=8),
-)
-def test_summand_flag_reduction_agrees_with_the_descriptor(entries, p, r, units):
-    desc = IsogenyDescriptor(kappa_orders=tuple(entries))
-    table = {(e.unit_class, e.r): e.kappa == 1 for e in entries}
-    for u in (u for u in units if u % p):
-        try:
-            expected = desc.summand_flag(p, u, r)
-        except IncompleteConfigError:
-            with pytest.raises(IncompleteConfigError):
-                summand_flag_reduction(u, r, p, desc.global_summand_bit, table)
-        else:
-            assert summand_flag_reduction(u, r, p, desc.global_summand_bit, table) is expected
+        desc.summand_flag(7, 2, 1)
+    # at p = 3 every square unit is keyed "power"
+    assert desc.summand_flag(3, 4, 1) is True
 
 
 def test_twist_datum_reduction():

@@ -113,7 +113,7 @@ def _summaries_match(table: OrbitTable, p: int, d0) -> bool:
     return table.summary() == theory
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
 @pytest.mark.parametrize("disc_val", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("unit_class", ["square", "nonsquare"])
 def test_enumerate_orbits_agrees_with_classification(p, disc_val, unit_class):

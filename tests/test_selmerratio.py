@@ -225,10 +225,6 @@ def test_cm_ratio_check():
         assert check.pi_exponent == 0
         assert check.avg_selmer == 2
         assert check.avg_rank_bound == Fraction(1, 2)
-    with pytest.raises(DomainError):
-        cm_ratio_check(1, 1, degree=3)
-    with pytest.raises(DomainError):
-        cm_ratio_check(1, 1, profiles=[LocalPlaceProfile(Place.real())])
 
 
 def test_cm_multiplicativity_of_chain():
@@ -287,7 +283,7 @@ def test_symbolic_profile_exponents():
 def test_euler_product_with_place_two_profile():
     # good reduction at 2 with symmetric extension classes: factor 1;
     # with split classes the four unit classes mod 8 average to 4/3 per
-    # even positive stratum, so the factor exceeds 1
+    # even positive stratum, so the factor exceeds 1 and is refused
     fam = family_preset("full-n3")
     symmetric = IsogenyDescriptor(
         m=1,
@@ -302,10 +298,8 @@ def test_euler_product_with_place_two_profile():
         global_summand_bit=True,
         kappa_orders=(KappaEntry(0, "any", 1, 1), KappaEntry(1, "any", 1, 1)),
     )
-    from selmer3.selmerratio import _local_factor
-
-    factor2 = _local_factor(split, fam, LocalPlaceProfile(Place.finite(2)))
-    assert factor2 > 1
+    with pytest.raises(IncompleteConfigError):
+        euler_product_average(fam, split, profiles)
 
 
 def test_greenberg_wiles_accepts_report():
@@ -347,19 +341,129 @@ def _label_descriptor(rng, m):
     return IsogenyDescriptor(m=m, global_summand_bit=summand, kappa_orders=tuple(entries))
 
 
-def test_stratum_expectation_is_the_average_over_all_units():
-    from selmer3.selmerratio import _stratum_expectation
+def _symmetric_descriptor(m, key=None, orders=None):
+    """A level-3^m descriptor with |kappa| = |kappa-hat| = 3 on every entry,
+    so that every table-2 exponent is 0, except that the entry at `key`
+    (an (r, unit class) pair) takes `orders`, or is left out when `orders`
+    is None."""
+    keys = [(0, "any")] + [(r, label) for r in range(1, m + 1) for label in ("power", "square", "nonsquare")]
+    table = {k: (orders if k == key else (3, 3)) for k in keys}
+    entries = tuple(KappaEntry(r, label, *kk) for (r, label), kk in table.items() if kk)
+    return IsogenyDescriptor(m=m, global_summand_bit=table[(0, "any")][0] == 1, kappa_orders=entries)
+
+
+def _brute_force_vanish(desc):
+    """Every table-2 exponent 0 at every prime p < 100 other than 3, every
+    unit residue and every even stratum 2 <= v(d) < 2n."""
+    for p in (p for p in range(2, 100) if p != 3 and all(p % q for q in range(2, p))):
+        prof = LocalPlaceProfile(Place.finite(p))
+        for u in (1, 3, 5, 7) if p == 2 else range(1, p):
+            for j in range(2, 2 * desc.n, 2):
+                try:
+                    if local_exponent(prof, desc, build_twist_datum(p, u * p**j, desc.m)):
+                        return False
+                except IncompleteConfigError:
+                    return False
+    return True
+
+
+def test_good_places_vanish_matches_every_prime_below_100():
+    from selmer3.selmerratio import _good_places_vanish
 
     rng = random.Random(2107)
-    for m in (1, 2, 3):
-        for desc in [_label_descriptor(rng, m) for _ in range(2)]:
-            for p in (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-                prof = LocalPlaceProfile(Place.finite(p))
-                units = (1, 3, 5, 7) if p == 2 else range(1, p)
-                for j in range(2 * desc.n):
-                    ratios = [
-                        Fraction(3) ** local_exponent(prof, desc, build_twist_datum(p, u * p**j, m))
-                        for u in units
-                    ]
-                    want = sum(ratios) / len(ratios)
-                    assert _stratum_expectation(desc, p, j) == want, (m, p, j)
+    descs = [_label_descriptor(rng, m) for m in (1, 2, 3) for _ in range(2)]
+    descs += [_symmetric_descriptor(m) for m in (1, 2, 3)]
+    # r = 1 is out of reach at level 3; "square" keys only the squares
+    # that are not 3^r-th powers, which exist at p = 1 (mod 3) alone
+    descs += [
+        _symmetric_descriptor(1, (1, "power"), (1, 1)),
+        _symmetric_descriptor(1, (0, "any"), (1, 3)),
+        _symmetric_descriptor(2, (1, "square"), (9, 9)),
+        _symmetric_descriptor(2, (1, "square"), (1, 3)),
+        _symmetric_descriptor(2, (1, "square"), None),
+        _symmetric_descriptor(3, (2, "square"), (9, 3)),
+    ]
+    got = [_good_places_vanish(TwistFamily(n=desc.n), desc) for desc in descs]
+    assert got == [_brute_force_vanish(desc) for desc in descs]
+    assert got[6:] == [True] * 4 + [False, True, False, False, False]
+
+
+def _complex_profiles():
+    return [
+        LocalPlaceProfile(Place.complex()),
+        LocalPlaceProfile(Place.finite(3), reduction="bad", override_exponent=1),
+    ]
+
+
+def test_complex_place_puts_every_member_in_one_cell():
+    desc = trivial_kappa_descriptor()
+    fam = family_preset("squarefree-n3")
+    cells = tk_partition(fam, desc, _complex_profiles(), 100)
+    assert list(cells) == [0]
+    assert cells[0].count == 122
+    assert cells[0].exact_density == 1
+    assert euler_product_average(fam, desc, _complex_profiles()) == 2
+
+
+def test_euler_product_refuses_what_the_scan_refuses():
+    desc = trivial_kappa_descriptor()
+    fam = family_preset("squarefree-n3")
+    with pytest.raises(IncompleteConfigError):
+        euler_product_average(fam, desc, standard_profiles()[1:])
+    with pytest.raises(IncompleteConfigError):
+        euler_product_average(fam, desc, standard_profiles()[:1])
+    with pytest.raises(DomainError):
+        euler_product_average(fam, desc, standard_profiles() + [LocalPlaceProfile(SymbolicPlace("complex"))])
+
+
+def test_euler_product_counts_only_reachable_strata():
+    # full-n3 has v(d) < 6, so r = 0 on every member: the level-9
+    # descriptor's r = 1 orders, which would make exponents nonzero, are
+    # out of reach, and the sign alone decides the cell
+    desc = IsogenyDescriptor(
+        m=2,
+        global_summand_bit=False,
+        kappa_orders=(KappaEntry(0, "any", 3, 3), KappaEntry(1, "any", 1, 1)),
+    )
+    fam = family_preset("full-n3")
+    assert euler_product_average(fam, desc, standard_profiles()) == 1 + Fraction(2, 3)
+    cells = tk_partition(fam, desc, standard_profiles(), 2000)
+    assert {k: cell.exact_density for k, cell in cells.items()} == {-1: Fraction(1, 2), 0: Fraction(1, 2)}
+    with pytest.raises(IncompleteConfigError):
+        euler_product_average(TwistFamily(n=9), desc, standard_profiles())
+
+
+_SYMMETRIC = IsogenyDescriptor(
+    m=1,
+    global_summand_bit=False,
+    kappa_orders=(KappaEntry(0, "any", 3, 3), KappaEntry(1, "any", 3, 3)),
+)
+
+
+@pytest.mark.parametrize("preset", ["squarefree-n3", "full-n3", "sigma-36-2-11"])
+@pytest.mark.parametrize(
+    "desc, profiles",
+    [
+        (trivial_kappa_descriptor(kappa=1), standard_profiles()),
+        (_SYMMETRIC, standard_profiles(three_exponent=2, bad=((2, -1),))),
+    ],
+    ids=["trivial", "symmetric"],
+)
+def test_densities_are_read_off_the_configuration(preset, desc, profiles):
+    from selmer3.selmerratio import _PlaceExponents, _sign_densities
+
+    fam = family_preset(preset)
+    const = sum(prof.override_exponent or 0 for prof in profiles)
+    densities = _sign_densities(fam, _PlaceExponents(profiles, desc))
+    # |kappa| = 1 gives nonzero exponents at even positive v(d)
+    assert (densities is None) == (preset == "full-n3" and desc is not _SYMMETRIC)
+    if densities is not None:
+        assert sum(densities.values()) == 1
+    for height in [*range(2, 41), 2000]:
+        cells = tk_partition(fam, desc, profiles, height)
+        assert {k: cell.exact_density for k, cell in cells.items()} == {
+            k: None if densities is None else densities.get(k) for k in cells
+        }
+        if densities is not None:
+            for k, cell in cells.items():
+                assert all(archimedean_exponent(desc, d) + const == k for d in cell.members)
