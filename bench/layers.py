@@ -17,12 +17,15 @@ Prym layers time `family_report(prym-a4, 20000)`, its `to_json_obj`,
 sub-objects, as `prym` tells it, where the writer takes that flag), and
 the whole in-process `prym` request at that height.  The scan layers time
 `build_twist_datum` over 200 seeded (p, d) with v_p(d) even and positive,
-and the whole in-process `scan --family-preset full-n3 --height 2000`
-request.  The file records,
-per layer and side, the median and quartiles of the round values and the
-ratio of the medians (this checkout over the base), with nproc, the CPU
-model and the Python version.  Timings are raw wall time from
-`time.perf_counter`, with the garbage collector left on.
+the whole in-process `scan --family-preset full-n3 --height 2000`
+request, and at height 10^6 `tk_partition` of full-n3 with the `scan`
+default config and the whole in-process `scan` request; these two take
+seconds, so they run three passes and no warm-up pass.  The file records,
+per layer and side, the median and quartiles of the round values (the
+median pass of each round) and of the round minima (the fastest pass of
+each round), and the ratios of their medians (this checkout over the
+base), with nproc, the CPU model and the Python version.  Timings are raw
+wall time from `time.perf_counter`, with the garbage collector left on.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ROUNDS, PASSES, SEED = 10, 5, 20261018
+# passes of a layer that takes seconds, which also skips the warm-up pass
+SLOW_PASSES = 3
 GRID = [(p, v, uc) for p in (5, 7) for v in range(5) for uc in ("square", "nonsquare")]
 
 
@@ -183,10 +188,14 @@ def _prym_layers(sink):
 
 def _scan_layers(sink):
     """The local twist datum at an even valuation, the input of every
-    table-2 exponent, and the whole in-process full-family scan."""
-    from selmer3.cli import main
+    table-2 exponent, the T_k partition of the full family at height 10^6,
+    and whole in-process full-family scans at heights 2000 and 10^6.  The
+    two layers at 10^6 are last: the millions of objects they make and free
+    change when the garbage collector runs in the layers after them."""
+    from selmer3.cli import _TRIVIAL_CONFIG, main
     from selmer3.localclass import build_twist_datum
-    from selmer3.twistfamilies import _primes_below
+    from selmer3.selmerratio import tk_partition
+    from selmer3.twistfamilies import _primes_below, family_preset
 
     rng = random.Random(SEED + 2)
     primes = [p for p in _primes_below(1000) if p != 3]
@@ -195,25 +204,35 @@ def _scan_layers(sink):
         p, u = rng.choice(primes), rng.randrange(1, 10**6)
         if u % p:
             pairs.append((p, rng.choice((1, -1)) * u * p ** rng.choice((2, 4))))
-    argv = ["scan", "--family-preset", "full-n3", "--height", "2000"]
+    full = family_preset("full-n3")
 
     def data():
         for p, d in pairs:
             build_twist_datum(p, d)
 
-    def request():
-        with contextlib.redirect_stdout(sink):
-            if main(argv) != 0:
-                raise AssertionError(f"{argv} failed")
+    def partition():
+        tk_partition(full, _TRIVIAL_CONFIG.descriptor, list(_TRIVIAL_CONFIG.profiles), 10**6)
+
+    def request(height):
+        argv = ["scan", "--family-preset", "full-n3", "--height", str(height)]
+
+        def run():
+            with contextlib.redirect_stdout(sink):
+                if main(argv) != 0:
+                    raise AssertionError(f"{argv} failed")
+        return run
 
     return {
         "build_twist_datum(even v)": ("us/call", len(pairs), data),
-        "scan --family-preset full-n3 --height 2000": ("ms/call", 1, request),
+        "scan --family-preset full-n3 --height 2000": ("ms/call", 1, request(2000)),
+        "tk_partition(full-n3, 10^6)": ("s/call", 1, partition, SLOW_PASSES),
+        "scan --family-preset full-n3 --height 1000000": ("s/call", 1, request(10**6), SLOW_PASSES),
     }
 
 
 def _layers():
-    """name -> (unit, calls per pass, function running one pass)."""
+    """name -> (unit, calls per pass, function running one pass), with the
+    pass count last for a layer that takes seconds."""
     from selmer3.cubicforms import BinaryCubicForm, form_to_ring
     from selmer3.oracle import (
         enumerate_orbits,
@@ -274,19 +293,25 @@ def _layers():
 
 def _child(src: str) -> None:
     sys.path.insert(0, src)
-    scale = {"us/call": 1e6, "ms/call": 1e3, "ms/grid": 1e3}
+    scale = {"us/call": 1e6, "ms/call": 1e3, "ms/grid": 1e3, "s/call": 1}
     out = {}
     with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink:
-        layers = {**_layers(), **_input_layers(workdir, sink), **_scan_layers(sink), **_prym_layers(sink)}
-        for name, (unit, calls, run) in layers.items():
-            run()  # warm caches and lazy set-up
+        layers = {**_layers(), **_input_layers(workdir, sink), **_prym_layers(sink), **_scan_layers(sink)}
+        for name, (unit, calls, run, *slow) in layers.items():
+            if not slow:
+                run()  # warm caches and lazy set-up
             times = []
-            for _ in range(PASSES):
+            for _ in range(slow[0] if slow else PASSES):
                 start = time.perf_counter()
                 run()
                 times.append(time.perf_counter() - start)
-            value = statistics.median(times) / calls * scale[unit]
-            out[name] = {"unit": unit, "calls": calls, "value": value}
+            out[name] = {
+                "unit": unit,
+                "calls": calls,
+                "passes": len(times),
+                "value": statistics.median(times) / calls * scale[unit],
+                "min": min(times) / calls * scale[unit],
+            }
     print(json.dumps(out))
 
 
@@ -335,6 +360,7 @@ def main() -> None:
         ap.error("--out is required")
 
     runs: dict[str, dict[str, list[float]]] = {"base": {}, "tree": {}}
+    minima: dict[str, dict[str, list[float]]] = {"base": {}, "tree": {}}
     meta: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         sources = {"base": _export_src(args.base, tmp), "tree": str(REPO / "src")}
@@ -345,13 +371,20 @@ def main() -> None:
                 result = json.loads(child.stdout)
                 for name, row in result.items():
                     runs[side].setdefault(name, []).append(row["value"])
-                    meta[name] = {"unit": row["unit"], "calls_per_pass": row["calls"]}
+                    minima[side].setdefault(name, []).append(row["min"])
+                    meta[name] = {"unit": row["unit"], "calls_per_pass": row["calls"], "passes": row["passes"]}
 
     layers = {}
     for name, info in meta.items():
         base, tree = _summary(runs["base"][name]), _summary(runs["tree"][name])
-        ratio = round(tree["median"] / base["median"], 3)
-        layers[name] = {**info, "base": base, "tree": tree, "ratio": ratio}
+        base["round_min"], tree["round_min"] = _summary(minima["base"][name]), _summary(minima["tree"][name])
+        layers[name] = {
+            **info,
+            "base": base,
+            "tree": tree,
+            "ratio": round(tree["median"] / base["median"], 3),
+            "ratio_of_minima": round(tree["round_min"]["median"] / base["round_min"]["median"], 3),
+        }
     report = {
         "harness": "bench/layers.py",
         "machine": {
@@ -368,14 +401,18 @@ def main() -> None:
             "rounds": ROUNDS,
             "passes": PASSES,
             "seed": SEED,
-            "value": "median pass per round, per call; summaries over rounds; ratio = tree/base",
+            "value": "median pass per round, per call; round_min: fastest pass per round; "
+            "summaries over rounds; ratio = tree/base of the medians",
         },
         "layers": layers,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, row in layers.items():
         base, tree = row["base"]["median"], row["tree"]["median"]
-        print(f"{name:38s} {base:>10.1f} -> {tree:>10.1f} {row['unit']}  ({row['ratio']:.2f}x)")
+        print(
+            f"{name:46s} {base:>10.2f} -> {tree:>10.2f} {row['unit']}"
+            f"  ({row['ratio']:.2f}x, minima {row['ratio_of_minima']:.2f}x)"
+        )
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DocumentError, DomainError, IncompleteConfigError, Selmer3Error
-from .localclass import classify_integral, h1_dims, integral_representative
+from .localclass import classify_integral, h1_dims, integral_representative, place_above_3
 from .localfield import Place
 from .prym import assemble_local_exponents, family_report, load_preset
 from .selmerratio import (
@@ -88,7 +88,7 @@ def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
     """Append the text of obj to out, byte for byte as json.dumps(obj,
     sort_keys=True, indent=2) writes it; with `indent` the stdlib falls
     back to its pure-Python encoder, which this outruns about twofold.
-    Scalars inside a container are written in place, without a call.
+    Scalars in a container are written in place, a list of ints by one join.
 
     With a `written` dict, a container that occurs more than once in the
     tree is written once: `written` maps (id, depth) of each container
@@ -134,6 +134,8 @@ def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
             else:
                 _write_json(value, out, depth + 1, written)
         append(_NEWLINES[depth] + "}")
+    elif type(obj[0]) is int and set(map(type, obj)) == {int}:  # such as a T_k cell's members
+        append("[" + inner + sep.join(map(int.__repr__, obj)) + _NEWLINES[depth] + "]")
     else:
         append("[")
         for value in obj:
@@ -187,13 +189,14 @@ _TRIVIAL_CONFIG = RatioConfig(
 
 def cmd_classify(args, started: float) -> int:
     d = Fraction(args.d)
-    classes = classify_integral(args.p, d)
-    dims = h1_dims(Place.finite(args.p), d)
+    place = place_above_3(args.p)  # the request's one primality proof
+    classes = classify_integral(place, d)
+    dims = h1_dims(place, d)
     rows = []
     for cls in classes:
         obj = cls.to_json_obj()
         if cls.integral:
-            obj["representative"] = integral_representative(args.p, d, cls).to_json_obj()
+            obj["representative"] = integral_representative(place, d, cls).to_json_obj()
         rows.append(obj)
     result = {
         "p": args.p,

@@ -28,7 +28,7 @@ from functools import cache
 from math import gcd
 
 from .errors import DomainError
-from .localfield import Rational, is_prime
+from .localfield import Place, Rational, is_prime
 
 
 def discriminant(a, b, c, d):
@@ -66,9 +66,12 @@ class BinaryCubicForm:
     def is_integral(self) -> bool:
         return all(t.denominator == 1 for t in self.coefficients())
 
-    def is_p_integral(self, p: int) -> bool:
-        """Whether p divides no denominator, for a prime p."""
-        if not is_prime(p):
+    def is_p_integral(self, p: int | Place) -> bool:
+        """Whether p divides no denominator, for a prime p or the finite
+        `Place` at p, which has proven it."""
+        if isinstance(p, Place):
+            p = p.p
+        elif not is_prime(p):
             raise DomainError(f"{p} is not prime")
         return all(t.denominator % p for t in self.coefficients())
 

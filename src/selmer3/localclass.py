@@ -135,14 +135,21 @@ def _class_list(p: int, dims: tuple[int, int]) -> list[tuple[str, str]]:
     return out
 
 
-def classify_integral(p: int, d: Rational) -> list[OrbitClassDescriptor]:
+def place_above_3(p: int | Place, what: str = "classification requires") -> Place:
+    """The finite place at a prime p > 3: an int is proven prime here, a
+    `Place` has proven it, so a caller that passes it on proves p once."""
+    if (p.p if isinstance(p, Place) else p) <= 3:
+        raise DomainError(f"{what} a prime p > 3, got {p}")
+    return p if isinstance(p, Place) else Place.finite(p)
+
+
+def classify_integral(p: int | Place, d: Rational) -> list[OrbitClassDescriptor]:
     """All local classes for the twist d at p > 3, each flagged integral or
     not: at v(d) = 0 exactly the unramified classes are integral, at odd
     v(d) only the trivial class exists, at v(d) = 2 exactly the nontrivial
     unramified classes fail, and for even v(d) > 2 everything is integral."""
-    if p <= 3:
-        raise DomainError(f"classification requires a prime p > 3, got {p}")
-    place = Place.finite(p)
+    place = place_above_3(p)
+    p = place.p
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
@@ -239,15 +246,14 @@ def _asymmetric_conductor(f: BinaryCubicForm, p: int) -> BinaryCubicForm:
 
 
 def integral_representative(
-    p: int, d: Rational, cls: OrbitClassDescriptor
+    p: int | Place, d: Rational, cls: OrbitClassDescriptor
 ) -> BinaryCubicForm:
     """A p-integral form in the given class whose discriminant has the
     valuation of d and the same unit square class.  (Exact equality of the
     unit part is not attainable over Q in general: the local scaling that
     matches units is a p-adic, not rational, square root.)"""
-    if p <= 3:
-        raise DomainError(f"representatives require a prime p > 3, got {p}")
-    place = Place.finite(p)
+    place = place_above_3(p, "representatives require")
+    p = place.p
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
@@ -283,7 +289,7 @@ def integral_representative(
         raise DomainError(f"unknown class kind {cls.kind!r}")
 
     disc = form.discriminant()
-    assert form.is_p_integral(p)
+    assert form.is_p_integral(place)
     # same valuation, so the unit parts share a square class when disc * d is a square
     assert disc != 0 and _split(disc, p)[0] == v
     assert is_square(disc * d, place)

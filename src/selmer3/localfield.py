@@ -8,7 +8,7 @@ occur concretely.
 
 A prime is proven once, where it enters: by building a `Place`, or by the
 one `is_prime` test of a public function that takes a raw p (`valuation`,
-`unit_part`, `is_unit_3power`, `sqrt_extension_unramified`).  Below that
+`unit_part`, `sqrt_extension_unramified`).  Below that
 test the primitives work on `_split`, which trusts its p, so a caller that
 holds a `Place` passes its p on and nothing tests it again.
 """
@@ -164,13 +164,6 @@ def _unit_is_3power(split: tuple[int, int, int], p: int, j: int) -> bool:
     if v != 0:
         raise DomainError(f"{Fraction(num, den) * Fraction(p) ** v} is not a p-adic unit at {p}")
     return pow(num * pow(den, -1, p) % p, (p - 1) // gcd(3**j, p - 1), p) == 1
-
-
-def is_unit_3power(u: Rational, p: int, j: int) -> bool:
-    """Whether the p-adic unit u is a 3^j-th power in Z_p^*, for p != 3."""
-    if p == 3:
-        raise DomainError("3-power-unit test not supported at p = 3")
-    return _unit_is_3power(_entry_split(u, p), p, j)
 
 
 def sqrt_extension_unramified(d: Rational, p: int) -> bool:

@@ -12,13 +12,16 @@ from an external computation and enter this artifact as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 
 from .errors import Document, DocumentError, DomainError, IncompleteConfigError, json_kind, malformed
 from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
 from .localfield import Place, Rational, SquareClassification, classify_squares, is_prime, zeta3_present
-from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, factorize, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, _primes_below, admitted_masks, factorize, reduce_class
 
 # ----------------------------------------------------------------------
 # Configuration types
@@ -290,6 +293,7 @@ class _PlaceExponents:
     def __init__(self, profiles: list[LocalPlaceProfile], desc: IsogenyDescriptor) -> None:
         self.desc = desc
         self.by_prime: dict[int, LocalPlaceProfile] = {}
+        self.overrides: dict[int, int] = {}
         arch: LocalPlaceProfile | None = None
         for prof in profiles:
             if isinstance(prof.place, SymbolicPlace):
@@ -297,6 +301,8 @@ class _PlaceExponents:
             if prof.place.is_finite:
                 assert prof.place.p is not None
                 self.by_prime[prof.place.p] = prof
+                if prof.override_exponent is not None:
+                    self.overrides[prof.place.p] = prof.override_exponent
             else:
                 arch = prof
         if arch is None:
@@ -310,6 +316,17 @@ class _PlaceExponents:
         }
         self.table2: dict[tuple[int, int, int], int] = {}
 
+    def table2_exponent(self, p: int, v: int, d0: int) -> int:
+        """The table-2 exponent at the good place p of d0 = u p^v, memoized
+        per (p, v mod 2n, u mod p or, at p = 2, mod 8)."""
+        key = (p, v % (2 * self.desc.n), d0 // p**v % (8 if p == 2 else p))
+        k = self.table2.get(key)
+        if k is None:
+            datum = build_twist_datum(p, d0, self.desc.m)
+            k = local_exponent(self.by_prime.get(p) or LocalPlaceProfile(datum.place), self.desc, datum)
+            self.table2[key] = k
+        return k
+
     def entries(self, tc: TwistClass) -> list[tuple[str, int, str]]:
         """(place label, exponent, provenance) at the archimedean place and
         at every profiled prime or prime dividing d0, primes increasing."""
@@ -317,20 +334,13 @@ class _PlaceExponents:
         out = [(self.arch_label, self.arch_k[1 if d0 > 0 else -1], "archimedean")]
         vals = tc.factorization()
         for p in sorted(self.by_prime.keys() | vals.keys()):
-            prof = self.by_prime.get(p)
             v = vals.get(p, 0)
-            if prof is not None and prof.override_exponent is not None:
-                out.append((str(p), prof.override_exponent, "override"))
+            if p in self.overrides:
+                out.append((str(p), self.overrides[p], "override"))
             elif v == 0 or v % 2 == 1:
                 out.append((str(p), 0, "good"))
             else:
-                key = (p, v, d0 // p**v % (8 if p == 2 else p))
-                k = self.table2.get(key)
-                if k is None:
-                    datum = build_twist_datum(p, d0, self.desc.m)
-                    k = local_exponent(prof or LocalPlaceProfile(datum.place), self.desc, datum)
-                    self.table2[key] = k
-                out.append((str(p), k, "table2"))
+                out.append((str(p), self.table2_exponent(p, v, d0), "table2"))
         return out
 
 
@@ -398,11 +408,7 @@ def _sign_densities(family: TwistFamily, rule: _PlaceExponents) -> dict[int, Fra
     densities)."""
     if not (family.squarefree or _good_places_vanish(family, rule.desc)):
         return None
-    const = sum(
-        prof.override_exponent
-        for prof in rule.by_prime.values()
-        if prof.override_exponent is not None
-    )
+    const = sum(rule.overrides.values())
     densities: dict[int, Fraction] = {}
     for sign in family.signs:
         k = rule.arch_k[sign] + const
@@ -426,8 +432,7 @@ def euler_product_average(
         # or identically 1 (the squarefree strata)
         for cond in family.conditions:
             for q in factorize(cond.modulus):
-                prof = rule.by_prime.get(q)
-                if prof is None or prof.override_exponent is None:
+                if q not in rule.overrides:
                     raise IncompleteConfigError(
                         f"congruence condition at {q} needs an override profile "
                         "or the squarefree restriction"
@@ -502,6 +507,11 @@ def chain_rank_bound(selmer_sizes: list[int]) -> ChainBound:
     return ChainBound(dim, sum(selmer_sizes))
 
 
+def _json_fields(obj) -> dict:
+    """A flat dataclass's fields by name, each Fraction as its text."""
+    return {f.name: str(v) if isinstance(v := getattr(obj, f.name), Fraction) else v for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class TkCell:
     k: int
@@ -513,15 +523,30 @@ class TkCell:
     dim_density_bound: Fraction
 
     def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "count": self.count,
-            "members": list(self.members),
-            "exact_density": None if self.exact_density is None else str(self.exact_density),
-            "avg_selmer": str(self.avg_selmer),
-            "avg_dim_bound": str(self.avg_dim_bound),
-            "dim_density_bound": str(self.dim_density_bound),
-        }
+        return {**_json_fields(self), "members": list(self.members)}
+
+
+def _deviations(family: TwistFamily, rule: _PlaceExponents, sign: int, mask: bytes) -> dict[int, int]:
+    """{h: the sum of the table-2 exponents of sign * h} over the members h
+    (mask[h] = 1) that a prime p without an override divides to an even
+    power v > 0; h = u p^v is walked one class of u mod p (mod 8 at 2) at a time."""
+    dev: dict[int, int] = {}
+    bound = len(mask)
+    for p in () if family.squarefree else _primes_below(isqrt(bound - 1) + 1):
+        if p in rule.overrides:
+            continue
+        modulus = 8 if p == 2 else p
+        for v in range(2, 2 * family.n, 2):
+            pv = p**v
+            if pv >= bound:
+                break
+            step = modulus * pv
+            for start in range(pv, min(step, bound), 2 * pv if p == 2 else pv):
+                heights = list(compress(range(start, bound, step), mask[start::step]))
+                if heights and (t := rule.table2_exponent(p, v, sign * heights[0])):
+                    for h in heights:
+                        dev[h] = dev.get(h, 0) + t
+    return dev
 
 
 def tk_partition(
@@ -530,26 +555,42 @@ def tk_partition(
     profiles: list[LocalPlaceProfile],
     height_bound: int,
 ) -> dict[int, TkCell]:
-    """Partition of the enumerated family by global exponent.  Each cell's
-    exact density is read off the configuration (`_sign_densities`), so it
-    is the same at every height: it is set when the family is squarefree
-    or every good place has table-2 exponent 0, and None otherwise."""
-    members = enumerate_classes(family, height_bound)
+    """Partition of the family's members below the height bound by global
+    exponent, each cell in enumeration order (height ascending, positive
+    first).  No member is built, since the exponent is additive over
+    places: k(d) = arch(sign d) + the override exponents + the sum over the
+    other primes p of t(p, v_p(d), unit residue of d at p), and t = 0
+    unless v_p(d) is even and positive.  So only primes p < sqrt(height)
+    move d off its sign's base value, and `_deviations` sieves for them; a
+    squarefree family has none.  A family of another level is read modulo
+    the descriptor's 2n-th powers by the same sieve: that multiplies the
+    unit at p by a 2n-th power, which keeps the square classes of d and -3d
+    and every 3^r-th-power label with r <= m, so t reads only v mod 2n and
+    the residue of d's own unit.
+
+    Each cell's exact density is read off the configuration
+    (`_sign_densities`), the same at every height: set when the family is
+    squarefree or every good place has table-2 exponent 0, else None."""
     rule = _PlaceExponents(profiles, desc)
-    cells: dict[int, list[int]] = {}
-    for tc in members:
-        # a family of another level is read modulo the descriptor's powers
-        cls = tc if tc.n == desc.n else reduce_class(tc.d0, desc.n)
-        cells.setdefault(sum(k for _, k, _ in rule.entries(cls)), []).append(tc.d0)
+    # runs per sign, positive first: the stable sort by height keeps -h after h
+    cells: dict[int, list[int]] = defaultdict(list)
+    for sign, mask in admitted_masks(family, height_bound)[0]:
+        base = rule.arch_k[sign] + sum(rule.overrides.values())
+        rest = bytearray(mask)
+        for h, t in _deviations(family, rule, sign, mask).items():
+            rest[h] = 0
+            cells[base + t].append(sign * h)
+        cells[base] += compress(range(0, sign * len(rest), sign), rest)
     densities = _sign_densities(family, rule) or {}
 
     out: dict[int, TkCell] = {}
-    for k in sorted(cells):
+    for k in sorted(k for k, run in cells.items() if run):  # a base cell may have no member
         avg_dim, dens = rank_density_bounds(k)
+        members = tuple(sorted(cells[k], key=abs))
         out[k] = TkCell(
             k=k,
-            members=tuple(cells[k]),
-            count=len(cells[k]),
+            members=members,
+            count=len(members),
             exact_density=densities.get(k),
             avg_selmer=average_selmer_prediction(k),
             avg_dim_bound=avg_dim,
@@ -576,17 +617,7 @@ class CmRatioCheck:
     avg_rank_bound: Fraction
 
     def to_json_obj(self) -> dict:
-        return {
-            "g": self.g,
-            "complex_places": self.complex_places,
-            "degree": self.degree,
-            "archimedean_exponent": self.archimedean_exponent,
-            "three_adic_exponent": self.three_adic_exponent,
-            "c3_exponent": self.c3_exponent,
-            "pi_exponent": self.pi_exponent,
-            "avg_selmer": str(self.avg_selmer),
-            "avg_rank_bound": str(self.avg_rank_bound),
-        }
+        return _json_fields(self)
 
 
 def cm_ratio_check(g: int, complex_places: int) -> CmRatioCheck:

@@ -3,13 +3,13 @@ height, and enumeration of squarefree / congruence-defined families.
 
 A class in Q^x modulo 2n-th powers is stored by its unique 2n-th-power-free
 integer representative, sign kept (the sign is the archimedean datum).
-Every class carries the factorization of its representative, so nothing
-downstream factors it again.  `enumerate_classes` reads the factorization
-of each height off one smallest-prime-factor sieve over the height box
-(an `array('I')`, four bytes a height), which also decides the power-free
-test; `reduce_class` keeps the factorization it computes to reduce d.  Only
-an arbitrary d is factored, once: trial division by small primes, then
-Pollard's rho within a fixed budget.
+`admitted_masks` marks a family's members below a height bound, one byte a
+height and sign.  The T_k partition reads only these masks.
+`enumerate_classes`, for the Prym report, builds a `TwistClass` per member
+carrying its factorization, read off one smallest-prime-factor sieve (an
+`array('I')`, four bytes a height); `reduce_class` builds the class of one
+d (`global_report`) and factors it once: trial division by small primes,
+then Pollard's rho within a fixed budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt
-from operator import or_
 
 from .errors import BudgetError, Document, DomainError, malformed
 from .localfield import Rational, is_prime
@@ -258,9 +257,8 @@ def _smallest_prime_factors(bound: int) -> array:
     return spf
 
 
-def _power_free_factors(spf: array, h: int, power: int) -> tuple[int, ...] | None:
-    """The flat factorization of h read off the sieve, or None when some
-    p^power divides h."""
+def _sieve_factors(spf: array, h: int) -> tuple[int, ...]:
+    """The flat factorization of h read off the sieve."""
     out: list[int] = []
     while h > 1:
         p = spf[h]
@@ -271,41 +269,47 @@ def _power_free_factors(spf: array, h: int, power: int) -> tuple[int, ...] | Non
         while h % p == 0:
             h //= p
             e += 1
-        if e >= power:
-            return None
         out += (p, e)
     return tuple(out)
 
 
-def _admitting_mask(bound: int, sign: int, conditions: tuple[CongruenceCondition, ...]) -> bytearray:
-    """mask[h] = 1 for the 0 < h < bound such that every congruence
-    condition admits sign * h; residue classes are struck out by slices."""
-    mask = bytearray([1]) * max(bound, 1)
-    mask[0] = 0
-    for cond in conditions:
-        m = cond.modulus
-        for r in range(min(m, bound)):
-            if not cond.admits(sign * r):
-                mask[r::m] = bytes(len(range(r, bound, m)))
-    return mask
+def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, bytes]], bytes]:
+    """([(sign, mask)] for the family's signs, positive first, and the union
+    of the masks), one byte a height: mask[h] = 1 when sign * h is a
+    member, that is h is 2n-th-power-free (squarefree in a squarefree
+    family) and every congruence condition admits sign * h.  Multiples of
+    p^power and residue classes are struck out by slice assignment."""
+    size = max(bound, 1)
+    power = 2 if family.squarefree else 2 * family.n
+    free = bytearray([1]) * size
+    free[0] = 0
+    for q in (p**power for p in _primes_below(isqrt(size - 1) + 1)):
+        if q >= size:
+            break
+        free[q::q] = bytes(len(range(q, size, q)))
+    masks, union = [], 0
+    for sign in (1, -1):
+        if sign in family.signs:
+            mask = bytearray(free)
+            for cond in family.conditions:
+                m = cond.modulus
+                for r in range(min(m, size)):
+                    if not cond.admits(sign * r):
+                        mask[r::m] = bytes(len(range(r, size, m)))
+            masks.append((sign, bytes(mask)))
+            union |= int.from_bytes(mask, "big")
+    return masks, union.to_bytes(size, "big")
 
 
 def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
     """All classes of the family with height strictly below the bound,
     sorted by height with the positive representative first.  Each class
-    carries its factorization; only heights that some sign admits are
-    factored."""
-    power = 2 if family.squarefree else 2 * family.n
+    carries its factorization; only members' heights are factored."""
+    masks, candidates = admitted_masks(family, bound)
     spf = _smallest_prime_factors(bound)
-    masks = [(s, _admitting_mask(bound, s, family.conditions)) for s in (1, -1) if s in family.signs]
-    candidates = masks[0][1]
-    for _, mask in masks[1:]:
-        candidates = bytes(map(or_, candidates, mask))
     out = []
     for h in compress(range(bound), candidates):
-        factors = _power_free_factors(spf, h, power)
-        if factors is None:
-            continue
+        factors = _sieve_factors(spf, h)
         for sign, mask in masks:
             if mask[h]:
                 out.append(TwistClass(sign * h, family.n, factors))

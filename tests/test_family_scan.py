@@ -13,8 +13,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selmer3 import localclass, localfield, prym, twistfamilies
+from selmer3 import localclass, localfield, prym, selmerratio, twistfamilies
 from selmer3.cli import main
 from selmer3.localclass import build_twist_datum
 from selmer3.localfield import Place
@@ -34,7 +36,14 @@ from selmer3.selmerratio import (
     local_exponent,
     tk_partition,
 )
-from selmer3.twistfamilies import TwistFamily, enumerate_classes, family_preset
+from selmer3.twistfamilies import (
+    CongruenceCondition,
+    TwistClass,
+    TwistFamily,
+    enumerate_classes,
+    family_preset,
+    reduce_class,
+)
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +131,64 @@ def test_tk_partition_matches_per_place_reference(family, m):
     assert all(cell.count == len(cell.members) for cell in cells.values())
 
 
+_ORDERS = st.sampled_from([1, 3, 9])
+
+
+@st.composite
+def _partition_inputs(draw):
+    """A family, a descriptor whose kappa orders depend on the unit class,
+    profiles with or without overrides at 5 and 7, and a height bound.
+    The family's level may differ from the descriptor's, and its
+    congruence condition may sit at a prime with or without an override."""
+    m = draw(st.integers(1, 2))
+    bit = draw(st.booleans())
+    entries = [KappaEntry(0, "any", 1 if bit else draw(st.sampled_from([3, 9])), draw(_ORDERS))]
+    for r in range(1, m + 1):
+        entries += [KappaEntry(r, label, draw(_ORDERS), draw(_ORDERS)) for label in ("power", "square", "nonsquare")]
+    desc = IsogenyDescriptor(
+        m=m,
+        kernel_character=Fraction(draw(st.sampled_from([1, -1, -3, 2]))),
+        global_summand_bit=bit,
+        kappa_orders=tuple(entries),
+    )
+    profiles = [
+        LocalPlaceProfile(Place.real()),
+        LocalPlaceProfile(Place.finite(3), reduction="bad", override_exponent=draw(st.integers(-2, 2))),
+    ]
+    for p in (5, 7):
+        override = draw(st.sampled_from([None, "good", -1, 1, 2]))
+        if override == "good":
+            profiles.append(LocalPlaceProfile(Place.finite(p)))
+        elif override is not None:
+            profiles.append(LocalPlaceProfile(Place.finite(p), reduction="bad", override_exponent=override))
+    conditions = ()
+    modulus = draw(st.sampled_from([None, 8, 9, 25, 49, 35]))
+    if modulus is not None:
+        residues = draw(st.frozensets(st.integers(0, modulus - 1), min_size=1))
+        conditions = (CongruenceCondition(modulus, residues),)
+    family = TwistFamily(
+        n=draw(st.sampled_from([3, 9, 27])),
+        signs=draw(st.sampled_from([(1,), (-1,), (1, -1)])),
+        conditions=conditions,
+        squarefree=draw(st.booleans()),
+    )
+    return family, desc, profiles, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_partition_inputs())
+def test_tk_partition_matches_per_member_reference_on_random_inputs(inputs):
+    factorint = pytest.importorskip("sympy").factorint
+    family, desc, profiles, height = inputs
+    want: dict[int, list[int]] = {}
+    for tc in enumerate_classes(family, height):
+        # a family of another level is read at the descriptor's level
+        d0 = reduce_class(tc.d0, desc.n).d0
+        want.setdefault(sum(k for _, k, _ in _reference_entries(profiles, desc, d0, factorint)), []).append(tc.d0)
+    cells = tk_partition(family, desc, profiles, height)
+    assert {k: list(cell.members) for k, cell in cells.items()} == want
+
+
 def test_global_report_matches_per_place_reference():
     factorint = pytest.importorskip("sympy").factorint
     # d = +-7^6 u: r = 1 at the profiled good place 7, where the units
@@ -180,23 +247,33 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_method_calls(monkeypatch, cls, name):
+    """Replace the method cls.name by a counting wrapper; returns the list
+    of recorded argument tuples, self first."""
+    original = getattr(cls, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    admits = []
-    original_admits = TwistFamily.admits
-
-    def counting_admits(self, tc):
-        admits.append(tc)
-        return original_admits(self, tc)
-
-    monkeypatch.setattr(TwistFamily, "admits", counting_admits)
     return {
         "factorize": _count_calls(monkeypatch, twistfamilies, "factorize"),
         "build_twist_datum": _count_calls(monkeypatch, localclass, "build_twist_datum"),
         "solve_three_adic": _count_calls(monkeypatch, prym, "solve_three_adic"),
         "is_square": _count_calls(monkeypatch, localfield, "is_square"),
         "is_prime": _count_calls(monkeypatch, localfield, "is_prime"),
-        "admits": admits,
+        "enumerate_classes": _count_calls(monkeypatch, twistfamilies, "enumerate_classes"),
+        "reduce_class": _count_calls(monkeypatch, twistfamilies, "reduce_class"),
+        "admits": _count_method_calls(monkeypatch, TwistFamily, "admits"),
+        "entries": _count_method_calls(monkeypatch, selmerratio._PlaceExponents, "entries"),
+        "TwistClass": _count_method_calls(monkeypatch, TwistClass, "__post_init__"),
     }
 
 
@@ -225,6 +302,23 @@ def test_prym_report_checks_no_member_again(counts, capsys):
     assert result["member_count"] > 2000
     assert counts["is_square"] == []
     assert counts["admits"] == []
+
+
+def test_full_scan_builds_no_member(counts, capsys):
+    # the partition reads the family's masks and the additive sieve: no
+    # class object, no per-member exponents, no reduction
+    result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
+    assert result["member_count"] > 3000
+    assert counts["enumerate_classes"] == []
+    assert counts["entries"] == []
+    assert counts["reduce_class"] == []
+    assert counts["TwistClass"] == []
+
+
+def test_classify_proves_p_once(counts, capsys):
+    result = _run(capsys, "classify", "--p", "7", "--d", "49")
+    assert sum("representative" in row for row in result["classes"]) > 3
+    assert len(counts["is_prime"]) == 1
 
 
 def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):

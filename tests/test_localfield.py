@@ -10,8 +10,9 @@ from selmer3.localfield import (
     Place,
     classify_squares,
     cube_class_reps,
+    _split,
+    _unit_is_3power,
     is_square,
-    is_unit_3power,
     least_nonresidue,
     sextic_class_3adic,
     sqrt_extension_unramified,
@@ -19,6 +20,7 @@ from selmer3.localfield import (
     valuation,
     zeta3_present,
 )
+from selmer3.localclass import unit_class_labels
 from selmer3.twistfamilies import factorize
 
 Q5 = Place.finite(5)
@@ -41,15 +43,16 @@ def test_valuation_rejects_zero_and_composite():
 
 @pytest.mark.parametrize("call", [
     lambda: unit_part(10, 6),
-    lambda: is_unit_3power(5, 6, 1),
+    lambda: unit_class_labels(5, Place.finite(6), 1),
     lambda: sqrt_extension_unramified(5, 6),
     lambda: unit_part(0, 5),
-    lambda: is_unit_3power(0, 5, 1),
+    lambda: unit_class_labels(0, Q5, 1),
     lambda: sqrt_extension_unramified(0, 5),
-    lambda: is_unit_3power(14, 7, 1),
+    lambda: _unit_is_3power(_split(Fraction(14), 7), 7, 1),
 ])
 def test_raw_p_entries_refuse_composite_p_zero_and_non_units(call):
-    # the public entries test a raw p themselves, as `valuation` does
+    # the public entries test a raw p themselves, as `valuation` does; the
+    # unit-class labels take a proven place, and the 3-power test a unit
     with pytest.raises(DomainError):
         call()
 
@@ -164,11 +167,19 @@ def test_classify_squares_exclusive_cases():
 
 
 def test_unit_3power_test():
+    def cube(u, p, j):
+        return _unit_is_3power(_split(Fraction(u), p), p, j)
+
     # cubes mod 7 are {1, 6}
-    assert is_unit_3power(6, 7, 1)
-    assert not is_unit_3power(2, 7, 1)
-    assert is_unit_3power(2, 5, 1)  # every unit is a cube when p = 2 (mod 3)
-    assert is_unit_3power(2, 5, 2)
+    assert cube(6, 7, 1)
+    assert not cube(2, 7, 1)
+    assert cube(2, 5, 1)  # every unit is a cube when p = 2 (mod 3)
+    assert cube(2, 5, 2)
+    # the labels of a square unit: 1 and 4 are cubes mod 7 and 5, 2 is not mod 7
+    assert unit_class_labels(1, Q7, 1) == ("power", "square", "any")
+    assert unit_class_labels(2, Q7, 1) == ("square", "any")
+    assert unit_class_labels(4, Q5, 2) == ("power", "square", "any")
+    assert unit_class_labels(6, Q7, 1) == ("nonsquare", "any")
 
 
 def test_sqrt_extension_ramification():
