@@ -12,10 +12,12 @@ keeping the median pass.  The input-path layers read the ratio config and
 a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form.  The
-Prym layers time `family_report(prym-a4, 20000)`, its `to_json_obj`,
-`cli._dumps` of the envelope carrying it (told that rows share
-sub-objects, as `prym` tells it, where the writer takes that flag), and
-the whole in-process `prym` request at that height.  The scan layers time
+Prym layers time the member sieve `enumerate_classes(sigma-36-2-11,
+20000)`, `family_report(prym-a4, 20000)`, its `to_json_obj`, the text of
+the envelope carrying it, from the report on, as each revision's `prym`
+writes it (rows cut from their skeleton's text, or a dict per row with
+repeated sub-objects written once), and the whole in-process `prym`
+request at that height.  The scan layers time
 `build_twist_datum` over 200 seeded (p, d) with v_p(d) even and positive,
 the whole in-process `scan --family-preset full-n3 --height 2000`
 request, and at height 10^6 `tk_partition` of full-n3 with the `scan`
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -151,27 +152,33 @@ def _input_layers(workdir: str, sink):
 
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
-    phase: building the report, its JSON object, the text of the envelope
-    that carries it, and the whole in-process `prym` request."""
-    from selmer3 import __version__
+    phase: the family's member sieve, building the report, its JSON
+    object, the text of the envelope that carries it, written from the
+    report as the revision's `prym` writes it, and the whole in-process
+    `prym` request."""
+    from selmer3 import __version__, cli
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
+    from selmer3.twistfamilies import enumerate_classes
 
     argv = ["prym", "--preset", "prym-a4", "--height", "20000"]
     config = load_preset("prym-a4")
     report = family_report(config, 20000)
-    envelope = {
-        "schema": 1,
-        "command": "prym",
-        "config_digest": _digest({"preset": "prym-a4", "height": 20000}),
-        "artifact_version": __version__,
-        "result": report.to_json_obj(),
-        "timing": {"seconds": 0.0},
-    }
 
-    # as `prym` writes it: told that rows share sub-objects, where the
-    # revision's writer takes that flag
-    shared = {"shared": True} if "shared" in inspect.signature(_dumps).parameters else {}
+    def envelope_text():
+        if hasattr(cli, "_prym_row_text"):  # each row's text cut from its skeleton's
+            result, flags = report.to_json_obj(cli._prym_row_text()), {}
+        else:  # a dict per row, repeated sub-objects written once
+            result, flags = report.to_json_obj(), {"shared": True}
+        envelope = {
+            "schema": 1,
+            "command": "prym",
+            "config_digest": _digest({"preset": "prym-a4", "height": 20000}),
+            "artifact_version": __version__,
+            "result": result,
+            "timing": {"seconds": 0.0},
+        }
+        return _dumps(envelope, **flags)
 
     def request():
         with contextlib.redirect_stdout(sink):
@@ -179,9 +186,10 @@ def _prym_layers(sink):
                 raise AssertionError(f"{argv} failed")
 
     return {
+        "enumerate_classes(sigma-36-2-11, 20000)": ("ms/call", 1, lambda: enumerate_classes(config.family, 20000)),
         "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
         "PrymReport.to_json_obj": ("ms/call", 1, report.to_json_obj),
-        "cli._dumps(prym envelope)": ("ms/call", 1, lambda: _dumps(envelope, **shared)),
+        "prym envelope text": ("ms/call", 1, envelope_text),
         "prym --preset prym-a4 --height 20000": ("ms/call", 1, request),
     }
 

@@ -5,13 +5,14 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes; in the `prym` envelope, whose rows share their place
-entries, a sub-object that occurs more than once is written once and its
-text repeated.  Exit codes: 0 success, 1 the reader closed the pipe, 2 usage,
-3 domain error, 4 incomplete configuration.  An input file that cannot be
-read or parsed, lacks a key or holds a value of the wrong JSON kind exits
-2, naming the file and the JSON path (`errors.Document`); a value of the
-right kind outside its domain exits 3.
+indent=2) writes.  A `prym` row's text is cut once per row skeleton from
+this writer's text of the skeleton's first row, and each row adds only
+its d and the texts of its good places (see `_prym_row_text`).  Exit
+codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain error,
+4 incomplete configuration.  An input file that cannot be read or parsed,
+lacks a key or holds a value of the wrong JSON kind exits 2, naming the
+file and the JSON path (`errors.Document`); a value of the right kind
+outside its domain exits 3.
 """
 
 from __future__ import annotations
@@ -73,29 +74,29 @@ def _digest(inputs) -> str:
     return hashlib.sha256(_canonical(inputs).encode()).hexdigest()
 
 
+class _Text(str):
+    """JSON text written where it is placed, as it is: the caller wrote it
+    for that depth."""
+
+
 # The text of the common JSON scalars, as json.dumps writes them.
 _LEAF = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    _Text: lambda text: text,
 }
 # "\n" plus the indentation of each nesting depth, built once per depth.
 _NEWLINES = ["\n"]
 
 
-def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
-    """Append the text of obj to out, byte for byte as json.dumps(obj,
-    sort_keys=True, indent=2) writes it; with `indent` the stdlib falls
-    back to its pure-Python encoder, which this outruns about twofold.
-    Scalars in a container are written in place, a list of ints by one join.
-
-    With a `written` dict, a container that occurs more than once in the
-    tree is written once: `written` maps (id, depth) of each container
-    written so far to the span of `out` that holds its text, or to that
-    text once it repeats.  The depth is in the key because the indentation
-    depends on it; the id is safe because the caller keeps the tree alive
-    for the whole call.  Without it, unique containers pay nothing."""
+def _write_json(obj, out: list[str], depth: int) -> None:
+    """Append the text of obj at nesting depth `depth` to out, byte for
+    byte as json.dumps(obj, sort_keys=True, indent=2) writes it there; with
+    `indent` the stdlib falls back to its pure-Python encoder, which this
+    outruns about twofold.  Scalars in a container are written in place, a
+    list of ints by one join."""
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -106,16 +107,7 @@ def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
-    if written is not None:
-        slot = (id(obj), depth)
-        text = written.get(slot)
-        if text is not None:
-            if type(text) is tuple:  # the first repeat: join the span once
-                text = written[slot] = "".join(out[text[0] : text[1]])
-            out.append(text)
-            return
-        start = len(out)
-    if len(_NEWLINES) <= depth + 1:
+    while len(_NEWLINES) <= depth + 1:  # a writer may enter at any depth
         _NEWLINES.append(_NEWLINES[-1] + "  ")
     inner = _NEWLINES[depth + 1]
     sep = "," + inner
@@ -132,7 +124,7 @@ def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
             if leaf is not None:
                 append(leaf(value))
             else:
-                _write_json(value, out, depth + 1, written)
+                _write_json(value, out, depth + 1)
         append(_NEWLINES[depth] + "}")
     elif type(obj[0]) is int and set(map(type, obj)) == {int}:  # such as a T_k cell's members
         append("[" + inner + sep.join(map(int.__repr__, obj)) + _NEWLINES[depth] + "]")
@@ -145,21 +137,18 @@ def _write_json(obj, out: list[str], depth: int, written: dict | None) -> None:
             if leaf is not None:
                 append(leaf(value))
             else:
-                _write_json(value, out, depth + 1, written)
+                _write_json(value, out, depth + 1)
         append(_NEWLINES[depth] + "]")
-    if written is not None:
-        written[slot] = (start, len(out))
 
 
-def _dumps(obj, shared: bool = False) -> str:
-    """The text of obj; `shared` when the tree repeats sub-objects, which
-    are then written once (see `_write_json`)."""
+def _dumps(obj, depth: int = 0) -> str:
+    """The text of obj at nesting depth `depth` (see `_write_json`)."""
     out: list[str] = []
-    _write_json(obj, out, 0, {} if shared else None)
+    _write_json(obj, out, depth)
     return "".join(out)
 
 
-def _emit(command: str, inputs, result, started: float, shared: bool = False) -> None:
+def _emit(command: str, inputs, result, started: float) -> None:
     envelope = {
         "schema": 1,
         "command": command,
@@ -168,7 +157,48 @@ def _emit(command: str, inputs, result, started: float, shared: bool = False) ->
         "result": result,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    print(_dumps(envelope, shared))
+    print(_dumps(envelope))
+
+
+# The depth of a row in the `prym` envelope: envelope > result > rows > row.
+_ROW_DEPTH = 3
+
+
+def _prym_row_text():
+    """A row writer for `PrymReport.to_json_obj`: each row's text at the
+    depth where the `prym` envelope places it.  Rows of one skeleton
+    differ only in d and their good places, so the text of its first row
+    is cut once into the head before d, the middle from d through the
+    skeleton's places and the tail after the row's places; a row is head,
+    d, middle, its good places' texts, tail.  A place's text is written
+    once, keyed by the id of its PlacePair, which the report keeps alive."""
+    cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
+    places: dict[int, str] = {}  # id(PlacePair) -> "," + newline + its text
+
+    def place(p, obj=None) -> str:
+        text = places.get(id(p))
+        if text is None:
+            text = _dumps(p.to_json_obj() if obj is None else obj, _ROW_DEPTH + 2)
+            text = places[id(p)] = "," + _NEWLINES[_ROW_DEPTH + 2] + text
+        return text
+
+    def row_text(row) -> _Text:
+        d = int.__repr__(row.d0)
+        cut = cuts.get(id(row.skeleton))
+        if cut is None:
+            obj = row.to_json_obj()
+            text = _dumps(obj, _ROW_DEPTH)
+            texts = [place(p, o) for p, o in zip(row.places, obj["places"])]
+            key = '"d": '
+            start = text.index(key + d) + len(key)
+            listed = "".join(texts)[1:]  # a list's first item has no comma
+            at = text.index(listed, start)
+            own = at + len("".join(texts[: len(row.skeleton.places)])) - 1
+            cut = cuts[id(row.skeleton)] = (text[:start], text[start + len(d) : own], text[at + len(listed) :])
+        head, middle, tail = cut
+        return _Text("".join([head, d, middle, *map(place, row.good), tail]))
+
+    return row_text
 
 
 # The config of `scan` without --config, "trivial-overrides": kernel of
@@ -307,7 +337,7 @@ def cmd_prym(args, started: float) -> int:
     config = load_preset(args.preset)
     report = family_report(config, args.height)
     inputs = {"preset": args.preset, "height": args.height}
-    _emit("prym", inputs, report.to_json_obj(), started, shared=True)  # rows share sub-objects
+    _emit("prym", inputs, report.to_json_obj(_prym_row_text()), started)
     return EXIT_OK
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
 from types import NoneType, UnionType
-from typing import ClassVar, get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin
 
 
 class Selmer3Error(Exception):
@@ -113,10 +114,10 @@ def _codec(tp) -> tuple:
 
 def _document_codec(cls) -> tuple:
     """(read, write) of a Document subclass, from its field table."""
-    hints = get_type_hints(cls)
+    namespace = vars(sys.modules[cls.__module__])  # where the annotation strings were written
     table = []  # (name, kind, read, write, required): kind is the type of a bool, int or str field
     for f in fields(cls):
-        tp = hints[f.name]
+        tp = eval(f.type, namespace) if isinstance(f.type, str) else f.type
         read_field, write_field = f.metadata.get("json") or _codec(tp)
         table.append((f.name, tp if tp in _KINDS else None, read_field, write_field, f.default is MISSING))
 

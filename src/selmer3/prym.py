@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from .errors import DomainError, IncompleteConfigError
@@ -134,81 +133,74 @@ class PlacePair:
 
 
 @dataclass(frozen=True)
-class PrymLocalAssembly:
-    d0: int
-    places: tuple[PlacePair, ...]
-    four_exponents: tuple[int, int, int, int]
+class RowSkeleton:
+    """What the rows of one sign share (of one sign and one 3-adic
+    sixth-power class when the 3-adic order is configured): the pairs at
+    the real place, at 2 and at 3, the global pair they add up to, and the
+    four 3-adic exponents.  Every other place of a member adds (0, 0)."""
 
-    @cached_property
-    def pair_global(self) -> tuple[int, int]:
-        """Global exponents of (phi, psi), as an unordered sorted pair
-        unless the 3-adic order was configured."""
-        kp = ks = 0
-        ordered = True
-        for p in self.places:
-            kp += p.pair[0]
-            ks += p.pair[1]
-            ordered = ordered and p.ordered
-        return (kp, ks) if ordered or kp <= ks else (ks, kp)
+    places: tuple[PlacePair, PlacePair, PlacePair]  # real, 2, 3
+    pair_global: tuple[int, int]
+    four_exponents: tuple[int, int, int, int]
 
     @property
     def pair_abs(self) -> tuple[int, int]:
         kp, ks = self.pair_global
         return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
 
+
+@dataclass(frozen=True)
+class PrymLocalAssembly:
+    d0: int
+    skeleton: RowSkeleton
+    good: tuple[PlacePair, ...] = ()  # the (0, 0) pair of each prime p > 3 dividing d0
+
+    @property
+    def places(self) -> tuple[PlacePair, ...]:
+        return self.skeleton.places + self.good
+
+    @property
+    def four_exponents(self) -> tuple[int, int, int, int]:
+        return self.skeleton.four_exponents
+
+    @property
+    def pair_global(self) -> tuple[int, int]:
+        """Global exponents of (phi, psi), as an unordered sorted pair
+        unless the 3-adic order was configured: the skeleton's."""
+        return self.skeleton.pair_global
+
+    @property
+    def pair_abs(self) -> tuple[int, int]:
+        return self.skeleton.pair_abs
+
     @property
     def k_pi(self) -> int:
-        return sum(self.pair_global)  # of the pair computed once per row
+        return sum(self.pair_global)
 
     @property
     def parity(self) -> str:
         return parity_prediction(self.k_pi)
 
-    def to_json_obj(self, shared: dict | None = None) -> dict:
-        """The row's JSON object.  The rows of one report pass one `shared`
-        dict, which maps each PlacePair's id and each (kp, ks,
-        four_exponents) pattern to the objects first built for it, so rows
-        that agree share those objects; a row written alone starts an empty
-        one."""
-        if shared is None:
-            shared = {}
+    def to_json_obj(self) -> dict:
         kp, ks = self.pair_global
-        pattern = (kp, ks, self.four_exponents)
-        places = []
-        for p in self.places:
-            obj = shared.get(id(p))
-            if obj is None:
-                obj = shared[id(p)] = p.to_json_obj()
-            places.append(obj)
-        parts = shared.get(pattern)
-        if parts is None:
-            parts = shared[pattern] = _pattern_json(pattern)
-        pair_k, pair_ratios, four = parts
         return {
             "d": self.d0,
-            "places": places,
-            "pair_global_k": pair_k,
-            "pair_ratios": pair_ratios,
+            "places": [p.to_json_obj() for p in self.places],
+            "pair_global_k": [kp, ks],
+            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
             "k_pi": self.k_pi,
             "parity": self.parity,
-            "three_adic_four": four,
+            "three_adic_four": list(self.four_exponents),
         }
-
-
-def _pattern_json(pattern: tuple) -> tuple[list, list, list]:
-    """`pair_global_k`, `pair_ratios` and `three_adic_four` of a row with
-    the global pair (kp, ks) and the four 3-adic exponents."""
-    kp, ks, four = pattern
-    return [kp, ks], [str(Fraction(3) ** kp), str(Fraction(3) ** ks)], list(four)
 
 
 class _Assembler:
     """What a configuration fixes for all its twists, resolved once per
     report: the two descriptors, the 3-adic solutions with the unique
-    unordered pair they determine, and the place pairs that rows share.
-    The pairs of 2 and of 3 (unless its order is configured per class) are
-    built here; the real place's pair per sign and the "good" pair of each
-    prime other than 2 and 3 on first use, so one row pays for no other.
+    unordered pair they determine, one row skeleton per sign (per sign and
+    sixth-power class when the 3-adic order is configured), built on first
+    use, and the "good" pair of each prime other than 2 and 3, shared by
+    the rows it divides.
 
     The family is squarefree, so a prime p > 3 divides d once and its
     ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
@@ -226,45 +218,44 @@ class _Assembler:
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
-        self.two = PlacePair("2", (0, 0), True, "h1-zero")
-        self.three = PlacePair("3", next(iter(self.pairs)), False, "override")
-        self.real: dict[int, PlacePair] = {}  # sign of d -> pair
+        self.skeletons: dict = {}  # sign, or (sign, sixth-power class) -> RowSkeleton
         self.good: dict[int, PlacePair] = {}  # prime of odd valuation -> pair
+
+    def _skeleton(self, key, sign: int) -> RowSkeleton:
+        ordered = self.config.three_adic.ordered
+        if ordered is None:
+            three = PlacePair("3", next(iter(self.pairs)), False, "override")
+        else:
+            rep = key[1]
+            if rep not in ordered:
+                raise IncompleteConfigError(f"no ordered 3-adic input for sixth-power class {rep}")
+            if tuple(sorted(ordered[rep])) not in self.pairs:
+                raise DomainError("ordered 3-adic input contradicts the constraints")
+            three = PlacePair("3", ordered[rep], True, "override")
+        # the real place sees the sign of d only
+        real = tuple(archimedean_exponent(desc, sign) for desc in self.descs)
+        kp, ks = real[0] + three.pair[0], real[1] + three.pair[1]
+        skeleton = self.skeletons[key] = RowSkeleton(
+            (PlacePair("real", real, True, "archimedean"), PlacePair("2", (0, 0), True, "h1-zero"), three),
+            (kp, ks) if ordered is not None or kp <= ks else (ks, kp),
+            self.solutions[0],
+        )
+        return skeleton
 
     def assemble(self, tc: TwistClass) -> PrymLocalAssembly:
         """Per-place pairs for a member of the family."""
         d0 = tc.d0
-        sign = 1 if d0 > 0 else -1
-        real = self.real.get(sign)
-        if real is None:  # the real place sees the sign of d only
-            k = (archimedean_exponent(self.descs[0], sign), archimedean_exponent(self.descs[1], sign))
-            real = self.real[sign] = PlacePair("real", k, True, "archimedean")
-        places = [real]
-
         if d0 % 4 == 1:  # d0 or -3 d0 is a 2-adic square
             raise DomainError("family admits a twist with a 2-adic square; preset broken")
-        places.append(self.two)
-
-        ordered = self.config.three_adic.ordered
-        if ordered is None:
-            places.append(self.three)
-        else:
-            rep = sextic_class_3adic(d0).representative
-            if rep not in ordered:
-                raise IncompleteConfigError(f"no ordered 3-adic input for sixth-power class {rep}")
-            pair3 = ordered[rep]
-            if tuple(sorted(pair3)) not in self.pairs:
-                raise DomainError("ordered 3-adic input contradicts the constraints")
-            places.append(PlacePair("3", pair3, True, "override"))
-
-        for p in tc.factorization():
-            if p > 3:  # v_p(d0) = 1, so the local ratio is 1
-                pair = self.good.get(p)
-                if pair is None:
-                    pair = self.good[p] = PlacePair(str(p), (0, 0), True, "good")
-                places.append(pair)
-
-        return PrymLocalAssembly(d0, tuple(places), self.solutions[0])
+        sign = 1 if d0 > 0 else -1
+        key = sign if self.config.three_adic.ordered is None else (sign, sextic_class_3adic(d0).representative)
+        skeleton = self.skeletons.get(key) or self._skeleton(key, sign)
+        good = self.good
+        return PrymLocalAssembly(d0, skeleton, tuple([
+            good.get(p) or good.setdefault(p, PlacePair(str(p), (0, 0), True, "good"))
+            for p in tc.factorization()
+            if p > 3  # v_p(d0) = 1, so the local ratio is 1
+        ]))
 
 
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:
@@ -340,17 +331,14 @@ class PrymReport:
     rank_le_1_density: Fraction
     point_bound: int
 
-    def to_json_obj(self) -> dict:
-        """The report's JSON object.  Rows share sub-objects: one dict per
-        distinct PlacePair, and one `pair_global_k` / `pair_ratios` /
-        `three_adic_four` triple of lists per (kp, ks, four_exponents)
-        pattern, so a caller that mutates a row's part copies it first."""
-        shared: dict = {}
+    def to_json_obj(self, row=PrymLocalAssembly.to_json_obj) -> dict:
+        """The report's JSON object, each row written by `row` (the `prym`
+        envelope passes one that writes a row's text)."""
         return {
             "preset": self.name,
             "height_bound": self.height_bound,
             "member_count": len(self.rows),
-            "rows": [r.to_json_obj(shared) for r in self.rows],
+            "rows": list(map(row, self.rows)),
             "aggregate": {
                 "avg_rank_bound": str(self.avg_rank_bound),
                 "rank_le_1_density": str(self.rank_le_1_density),
@@ -359,30 +347,38 @@ class PrymReport:
         }
 
 
+def _check_invariants(skeleton: RowSkeleton) -> None:
+    """The "unequal" mode's invariants of the rows of a skeleton, whose
+    global pair they all carry: an odd global exponent and the unordered
+    ratio pair {1, 3+-1}."""
+    if parity_prediction(sum(skeleton.pair_global)) != "odd":
+        raise AssertionError("parity invariant failed")
+    if set(skeleton.pair_global) not in ({0, -1}, {0, 1}):
+        raise AssertionError("ratio pair invariant failed")
+
+
 def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
     the analytic bounds.  The members come from the family's own sieve, so
-    none is tested for membership again.  Every member is checked against
-    the invariants (exponents in {0,1} summing to the product exponent,
-    odd global exponent, unordered ratio pair {1, 3+-1})."""
+    none is tested for membership again.  The invariants (exponents in
+    {0,1} summing to the product exponent, odd global exponent, unordered
+    ratio pair {1, 3+-1}) are checked once per report and row skeleton,
+    since each row carries its skeleton's four exponents and global pair;
+    no row is checked on its own."""
     members = enumerate_classes(config.family, height_bound)
     assembler = _Assembler(config)
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
         raise AssertionError("solver output violated the product identity")
-    rows = []
-    for tc in members:
-        assembly = assembler.assemble(tc)
-        if unequal:
-            if assembly.parity != "odd":
-                raise AssertionError("parity invariant failed")
-            if set(assembly.pair_global) not in ({0, -1}, {0, 1}):
-                raise AssertionError("ratio pair invariant failed")
-        rows.append(assembly)
+    rows = tuple(map(assembler.assemble, members))
+    skeletons = assembler.skeletons.values()
+    if unequal:
+        for skeleton in skeletons:
+            _check_invariants(skeleton)
 
     # the bounds depend on a row through its |k| pattern only, so one row
     # stands for all once the patterns agree
-    patterns = {r.pair_abs for r in rows}
+    patterns = {s.pair_abs for s in skeletons}
     if patterns and patterns != {(0, 1)}:
         raise AssertionError(f"unexpected |k| patterns {patterns}")
     if rows:
@@ -394,7 +390,7 @@ def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
     return PrymReport(
         name=config.name,
         height_bound=height_bound,
-        rows=tuple(rows),
+        rows=rows,
         avg_rank_bound=avg_bound,
         rank_le_1_density=density,
         point_bound=chabauty_point_bound(config, rank_cap=1),

@@ -626,6 +626,43 @@ def test_envelope_bytes_equal_stdlib_json(capsys, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("height", [1, 3, 100, 20000])  # no row, one row, some, many
+def test_prym_envelope_is_the_generic_text_of_the_report(capsys, height):
+    from selmer3.prym import family_report, load_preset
+
+    code, out, _ = run_cli(capsys, "prym", "--preset", "prym-a4", "--height", str(height))
+    assert code == 0
+    tree = json.loads(out)
+    assert out == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert tree["result"] == family_report(load_preset("prym-a4"), height).to_json_obj()
+
+
+def test_prym_row_text_with_an_ordered_three_adic_input():
+    # one skeleton per sign and sixth-power class, the pair at 3 ordered
+    from dataclasses import replace
+
+    from selmer3.cli import _dumps, _prym_row_text
+    from selmer3.prym import ThreeAdicInput, family_report, load_preset
+
+    a4 = load_preset("prym-a4")
+    config = replace(a4, three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered={2: (1, 0)}))
+    report = family_report(config, 3000)
+    assert len(report.rows) > 100 and all(r.places[2].ordered for r in report.rows)
+    text = _dumps({"result": report.to_json_obj(_prym_row_text())})  # rows at the envelope's depth
+    assert text == json.dumps({"result": report.to_json_obj()}, sort_keys=True, indent=2)
+
+
+def test_json_writer_entering_at_depth_grows_its_indentation(monkeypatch):
+    # a fresh process has the table of depth 0 only; the row writer enters at 3
+    import selmer3.cli as cli
+
+    monkeypatch.setattr(cli, "_NEWLINES", ["\n"])
+    out = []
+    cli._write_json({"a": [1], "b": {"c": [True, None]}}, out, 3)
+    want = json.dumps({"a": [1], "b": {"c": [True, None]}}, sort_keys=True, indent=2)
+    assert "".join(out) == want.replace("\n", "\n" + " " * 6)
+
+
 _json_trees = st.recursive(
     st.none()
     | st.booleans()
@@ -648,15 +685,13 @@ def test_json_writer_matches_stdlib(tree):
     from selmer3.cli import _dumps
 
     want = json.dumps(tree, sort_keys=True, indent=2)
-    assert _dumps(tree) == want and _dumps(tree, shared=True) == want
-    # the same list and dict objects in several slots, at several depths:
-    # each is written once per depth and reused, and the text must not change
+    assert _dumps(tree) == want
+    # the same list and dict objects in several slots, at several depths
     part_list, part_dict = [tree, {"x": [1, 2]}], {"k": tree, "l": [None, tree]}
-    shared = {
+    repeated = {
         "a": part_list,
         "b": [part_list, part_dict, [part_dict, part_list]],
         "c": {"d": part_dict, "e": [[[part_list]]], "f": part_dict},
         "g": part_list,
     }
-    want = json.dumps(shared, sort_keys=True, indent=2)
-    assert _dumps(shared, shared=True) == want and _dumps(shared) == want
+    assert _dumps(repeated) == json.dumps(repeated, sort_keys=True, indent=2)

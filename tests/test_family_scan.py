@@ -304,6 +304,26 @@ def test_prym_report_checks_no_member_again(counts, capsys):
     assert counts["admits"] == []
 
 
+def test_prym_report_resolves_each_skeleton_once(monkeypatch):
+    # the real place is read once per sign and descriptor, and the
+    # invariants once per skeleton, not per member
+    arch = _count_calls(monkeypatch, selmerratio, "archimedean_exponent")
+    checks = _count_calls(monkeypatch, prym, "_check_invariants")
+    report = family_report(load_preset("prym-a4"), 20000)
+    skeletons = {id(r.skeleton) for r in report.rows}
+    assert len(report.rows) > 2000 and len(skeletons) == 2
+    assert len(arch) <= 4
+    assert len(checks) == len(skeletons)
+
+
+def test_prym_envelope_writes_each_place_once(monkeypatch, capsys):
+    calls = _count_method_calls(monkeypatch, prym.PlacePair, "to_json_obj")
+    result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "20000")
+    report = family_report(load_preset("prym-a4"), 20000)  # builds no JSON
+    assert result["member_count"] == len(report.rows) > 2000
+    assert len(calls) == len({id(p) for r in report.rows for p in r.places})
+
+
 def test_full_scan_builds_no_member(counts, capsys):
     # the partition reads the family's masks and the additive sieve: no
     # class object, no per-member exponents, no reduction

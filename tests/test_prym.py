@@ -259,9 +259,8 @@ def test_members_satisfy_footnote_characterization(a4):
         assert not is_square(d, q3) and not is_square(-3 * d, q3)
 
 
-def test_report_json_with_shared_parts_equals_fresh_rows(a4):
-    # rows share their place dicts and pattern lists; the tree must still
-    # equal one built from fresh per-row PlacePair.to_json_obj() dicts
+def test_report_json_equals_fresh_rows(a4):
+    # a row's JSON, restated from the assembly's places and pairs
     import json
 
     report = family_report(a4, 2000)
@@ -277,11 +276,24 @@ def test_report_json_with_shared_parts_equals_fresh_rows(a4):
             "parity": row.parity,
             "three_adic_four": list(row.four_exponents),
         })
-    shared = report.to_json_obj()
+    obj = report.to_json_obj()
     assert len(report.rows) > 100
-    assert json.loads(json.dumps(shared)) == {**shared, "rows": fresh_rows}
-    # one dict per distinct place entry, one list per distinct pattern
-    places = [p for r in shared["rows"] for p in r["places"]]
-    assert len({id(p) for p in places}) == len({json.dumps(p, sort_keys=True) for p in places})
-    patterns = {(*r["pair_global_k"], *r["three_adic_four"]) for r in shared["rows"]}
-    assert len({id(r["three_adic_four"]) for r in shared["rows"]}) == len(patterns)
+    assert json.loads(json.dumps(obj)) == {**obj, "rows": fresh_rows}
+
+
+def _primes_above_3(d):
+    return [p for p in range(5, abs(d) + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+
+
+def test_rows_share_one_skeleton_per_sign(a4):
+    # the real place, 2 and 3 are fixed by the sign on Sigma, and every
+    # other place adds (0, 0): a row carries its sign's skeleton
+    report = family_report(a4, 2000)
+    skeletons = {r.d0 > 0: r.skeleton for r in report.rows}
+    assert len({id(r.skeleton) for r in report.rows}) == 2
+    for row in report.rows:
+        assert row.skeleton is skeletons[row.d0 > 0]
+        assert row.places[:3] == row.skeleton.places
+        assert [p.place_label for p in row.good] == [str(p) for p in _primes_above_3(row.d0)]
+        assert all(p.pair == (0, 0) for p in row.good)
+        assert row.pair_global == tuple(sorted(map(sum, zip(*(p.pair for p in row.places)))))
