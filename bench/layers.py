@@ -1,6 +1,8 @@
 """Layer timings of the cubic-ring, oracle, input-path, local-datum,
 family-scan and Prym-report code, this checkout against a base revision,
-written to a BENCH_*.json file.
+written to a BENCH_*.json file.  The oracle layers are the orbit grid at
+p = 5 and 7, `algebra_class_of_form` on the grid's witness forms, and the
+form scan `scan_forms_low_valuation(5)`.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
@@ -243,9 +245,11 @@ def _layers():
     pass count last for a layer that takes seconds."""
     from selmer3.cubicforms import BinaryCubicForm, form_to_ring
     from selmer3.oracle import (
+        algebra_class_of_form,
         enumerate_orbits,
         order_from_lattice,
         orders_of_index,
+        scan_forms_low_valuation,
         verify_subring_bijection,
     )
 
@@ -264,6 +268,12 @@ def _layers():
     ]
     checks = [(ring, p) for ring in rings[:45] for p in (5, 7, 11)]
     maximal = form_to_ring(BinaryCubicForm(1, 0, 0, -7 * 2))
+    witnesses = [
+        (row.witness, p)
+        for p, v, uc in GRID
+        for row in enumerate_orbits(p, disc_val=v, unit_class=uc).rows
+        if row.witness is not None
+    ]
 
     def validate():
         for ring in rings:
@@ -289,6 +299,10 @@ def _layers():
         for p, v, uc in GRID:
             enumerate_orbits(p, disc_val=v, unit_class=uc)
 
+    def algebra_classes():
+        for form, p in witnesses:
+            algebra_class_of_form(form, p)
+
     return {
         "CubicRing.validate": ("us/call", len(rings), validate),
         "CubicRing.mul": ("us/call", len(products), mul),
@@ -296,6 +310,8 @@ def _layers():
         "orders_of_index(p=7, j=2)": ("us/call", 1, orders),
         "verify_subring_bijection": ("us/call", len(checks), bijection),
         "orbit_grid": ("ms/grid", 1, grid),
+        "algebra_class_of_form(grid witnesses)": ("us/call", len(witnesses), algebra_classes),
+        "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
     }
 
 

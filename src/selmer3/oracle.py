@@ -13,10 +13,14 @@ theorem; tests compare its output against them.
 
 The hot loops run on exact integers: extension-model elements carry
 integer coordinates over an integral basis, so valuations are read off
-the coordinates and division by the uniformizer is an exact integer
-division; sublattice closure is tested on the ring's table scaled by a
-p-unit to integers; and the form scan classifies each residue form mod p
-once before walking its lifts mod p^2.  Nothing is truncated.
+the coordinates, division by the uniformizer is an exact integer
+division, and a model evaluates a polynomial by Horner's rule on the
+coordinates, building its residues only as root isolation walks them;
+sublattice closure is tested on the ring's table scaled by a p-unit to
+integers; and the form scan classifies each residue form mod p once
+before walking its lifts mod p^2, solving its Eisenstein test once per
+(a, b, c) for the values of d at which a root lift is a zero.  Nothing
+is truncated.
 
 The SL2(Z/p^k)-orbit merging of the full form space is only feasible at
 k = 1 (the space has p^(4k) points); sl2_orbit_count_mod_p implements that
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 
 from .cubicforms import (
@@ -110,13 +114,6 @@ class CubicExtModel:
         self.ramified = ramified
         self.zero = _ExtElem(self, (0, 0, 0))
         self.w = _ExtElem(self, (0, 1, 0))
-        # residue degree 3 in the unramified case, 1 in the ramified case
-        if ramified:
-            self._residues = [self.embed_int(n) for n in range(p)]
-        else:
-            self._residues = [
-                _ExtElem(self, (a, b, c)) for a in range(p) for b in range(p) for c in range(p)
-            ]
 
     @staticmethod
     def unramified(p: int) -> "CubicExtModel":
@@ -144,6 +141,25 @@ class CubicExtModel:
         c[2] += c[3] * r2
         return _ExtElem(self, (c[0], c[1], c[2]))
 
+    def peval(self, coeffs, x: _ExtElem) -> _ExtElem:
+        """The value at x of the polynomial with element coefficients
+        `coeffs` (constant term first): Horner's rule with `_mul` inlined
+        over the coordinates, so only the value is built as an element."""
+        x0, x1, x2 = x.c
+        r0, r1, r2 = self.rule
+        a0, a1, a2 = coeffs[-1].c
+        for coeff in reversed(coeffs[:-1]):
+            k0, k1, k2 = coeff.c
+            # (a0 + a1 w + a2 w^2) x + k, with w^4 and w^3 folded down
+            t4 = a2 * x2
+            t3 = a1 * x2 + a2 * x1 + t4 * r2
+            a0, a1, a2 = (
+                a0 * x0 + t3 * r0 + k0,
+                a0 * x1 + a1 * x0 + t4 * r0 + t3 * r1 + k1,
+                a0 * x2 + a1 * x1 + a2 * x0 + t4 * r1 + t3 * r2 + k2,
+            )
+        return _ExtElem(self, (a0, a1, a2))
+
     def embed_int(self, n: int) -> _ExtElem:
         return _ExtElem(self, (n, 0, 0))
 
@@ -151,8 +167,12 @@ class CubicExtModel:
         """Valuation normalized so that the uniformizer has valuation 1;
         None for zero.  Unramified: min v_p(c_i).  Eisenstein: the terms
         c_i w^i have valuations 3 v_p(c_i) + i, distinct mod 3, so the
-        minimum is attained once and is the valuation of the sum."""
+        minimum is attained once and is the valuation of the sum.  A unit
+        (c0 prime to p, or any coordinate when unramified) reads 0 at once."""
         p = self.p
+        c0, c1, c2 = x.c
+        if c0 % p or not self.ramified and (c1 % p or c2 % p):
+            return 0
         if self.ramified:
             return min(
                 (3 * _split(t, p)[0] + i for i, t in enumerate(x.c) if t), default=None
@@ -160,7 +180,12 @@ class CubicExtModel:
         return min((_split(t, p)[0] for t in x.c if t), default=None)
 
     def residues(self):
-        return self._residues
+        """One lift of each residue, built as iterated: the p integers
+        below p when ramified, the p^3 elements c0 + c1 w + c2 w^2 with
+        0 <= c_i < p when unramified (residue degree 3)."""
+        if self.ramified:
+            return map(self.embed_int, range(self.p))
+        return map(_ExtElem, repeat(self), product(range(self.p), repeat=3))
 
     def uniformizer(self) -> _ExtElem:
         return self.w if self.ramified else self.embed_int(self.p)
@@ -633,8 +658,14 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     nonzero residue forms is classified once; the p^4 lifts of each one
     with discriminant divisible by p are then walked one by one, with the
     v(disc) = 1 count, the triple-root count, the Eisenstein test and the
-    valuation-2 comparison made on every lift.  All arithmetic is on
-    integers.
+    valuation-2 comparison made on every lift.  The Eisenstein test is
+    solved once per (a, b, c) rather than evaluated once per d: at a root
+    lift (x, y), f = base + d y^3 mod p^2, and y^3 is 0 mod p^2 at every
+    lift or a unit at every lift, so the p^2 lifts zero f at every d or at
+    none (y^3 = 0), or each at exactly one d (y^3 a unit).  The d loop
+    looks its d up in that set.  This is the same evaluations rearranged
+    by exact algebra; nothing about the values of f on the lifts is
+    assumed.  All arithmetic is on integers.
     """
     if p <= 3 or not is_prime(p):
         raise DomainError("form scan requires p > 3")
@@ -647,11 +678,12 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
         mults = _root_multiplicities(a0, b0, c0, d0, p)
         simple = 1 in mults.values()
         triple = next((root for root, m in mults.items() if m == 3), None)
-        lifts = None if triple is None else _root_lift_monomials(triple, p)
+        terms = None if triple is None else _root_lift_terms(triple, p)
         for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
             # `discriminant` expanded as a quadratic in d, its coefficients
             # hoisted out of the d loop rather than a call per lift
             k2, k1, k0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+            zeros = None if terms is None else _root_lift_zeros(a, b, c, terms, q)
             for d in range(d0, q, p):
                 disc = (k2 * d + k1) * d + k0
                 if disc % q:
@@ -659,10 +691,10 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
                     if simple:
                         v1_simple += 1
                     continue
-                if lifts is None:
+                if zeros is None:
                     continue
                 triples += 1
-                eis = _eisenstein_at_root(a, b, c, d, lifts, q)
+                eis = d not in zeros
                 if eis:
                     eis_count += 1
                 val_is_two = disc % (q * p) != 0
@@ -678,23 +710,36 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     )
 
 
-def _root_lift_monomials(root, p: int) -> list[tuple[int, int, int, int]]:
-    """(x^3, x^2 y, x y^2, y^3) mod p^2 at each of the p^2 lifts (x, y) of a
-    projective root mod p."""
+def _root_lift_terms(root, p: int) -> tuple[bool, frozenset[tuple[int, int, int]]]:
+    """The p^2 lifts (x, y) of a projective root mod p, as the d loop uses
+    them.  Mod q = p^2, f(x, y) = base + d y^3 with base = a x^3 + b x^2 y
+    + c x y^2.  Every lift has y = 0 mod p, so y^3 = 0 mod q, or every lift
+    has y a unit.  In the first case the result is (False, the distinct
+    (x^3, x^2 y, x y^2) mod q); in the second it is (True, the distinct
+    products of those monomials with -(y^3)^-1 mod q), whose dot product
+    with (a, b, c) is the one d mod q at which the lift is a zero."""
     x0, y0 = root
     q = p * p
-    out = []
+    solved = y0 % p != 0
+    terms = set()
     for s in range(p):
         for t in range(p):
-            x, y = (x0 + p * s) % q, (y0 + p * t) % q
-            out.append((x**3 % q, x * x * y % q, x * y * y % q, y**3 % q))
-    return out
+            x, y = x0 + p * s, y0 + p * t
+            k = -pow(y**3, -1, q) if solved else 1
+            terms.add((x**3 * k % q, x * x * y * k % q, x * y * y * k % q))
+    return solved, frozenset(terms)
 
 
-def _eisenstein_at_root(a: int, b: int, c: int, d: int, lifts, q: int) -> bool:
-    """Whether f = (a, b, c, d) is nonzero mod q at every root lift, given
-    the lifts' monomials from _root_lift_monomials."""
-    return all((a * m3 + b * m2 + c * m1 + d * m0) % q for m3, m2, m1, m0 in lifts)
+def _root_lift_zeros(a: int, b: int, c: int, lifts, q: int):
+    """The d mod q at which f = (a, b, c, d) is zero mod q at some lift of
+    the root, given its `_root_lift_terms`: one d per term when y is a
+    unit; when y = 0 mod p, f = base at every lift whatever d is, so every
+    d or none."""
+    solved, terms = lifts
+    if solved:
+        return {(a * n3 + b * n2 + c * n1) % q for n3, n2, n1 in terms}
+    hit = any((a * m3 + b * m2 + c * m1) % q == 0 for m3, m2, m1 in terms)
+    return range(q) if hit else range(0)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,11 @@ in an Eisenstein model).
 
 Models supply the ring: Z_p on Python integers here, cubic extension rings
 in the oracle module.  A model needs `p`, `zero`, `embed_int`,
-`residues()`, `val()`, `div_uniformizer()` and `uniformizer()`, with
-elements supporting +, -, *; `div_uniformizer` refuses an inexact
-division.
+`residues()`, `peval()`, `val()`, `div_uniformizer()` and `uniformizer()`,
+with elements supporting +, -, *; `residues()` may be a one-pass
+iterator, `peval(coeffs, x)` is the value at x of the polynomial with the
+given element coefficients (constant term first), and `div_uniformizer`
+refuses an inexact division.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ class ZpModel:
     def residues(self) -> range:
         return range(self.p)
 
+    def peval(self, coeffs, x: int) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
     def val(self, x: int) -> int | None:
         return _split(x, self.p)[0] if x else None
 
@@ -62,13 +70,6 @@ class ZpModel:
 
     def uniformizer(self) -> int:
         return self.p
-
-
-def _peval(coeffs, x, zero):
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _pderiv(coeffs, model):
@@ -171,13 +172,12 @@ def _search(model, coeffs, depth: int, cap: int) -> bool:
         raise PrecisionError(f"root isolation exceeded depth cap {cap}")
     deriv = _pderiv(coeffs, model)
     for a in model.residues():
-        g_a = _peval(coeffs, a, model.zero)
-        v0 = model.val(g_a)
+        v0 = model.val(model.peval(coeffs, a))
         if v0 is None:
             return True  # exact root in the ring
         if v0 == 0:
             continue
-        v1 = model.val(_peval(deriv, a, model.zero))
+        v1 = model.val(model.peval(deriv, a))
         if v1 is not None and v0 > 2 * v1:
             return True  # strong Hensel lift
         shifted = _strip_content(_pshift(coeffs, a, model), model)

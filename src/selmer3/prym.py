@@ -243,7 +243,9 @@ class _Assembler:
         return skeleton
 
     def assemble(self, tc: TwistClass) -> PrymLocalAssembly:
-        """Per-place pairs for a member of the family."""
+        """Per-place pairs for a member of the family, whose primes are
+        read off the flat `factors` that `reduce_class` and
+        `enumerate_classes` both set."""
         d0 = tc.d0
         if d0 % 4 == 1:  # d0 or -3 d0 is a 2-adic square
             raise DomainError("family admits a twist with a 2-adic square; preset broken")
@@ -253,7 +255,7 @@ class _Assembler:
         good = self.good
         return PrymLocalAssembly(d0, skeleton, tuple([
             good.get(p) or good.setdefault(p, PlacePair(str(p), (0, 0), True, "good"))
-            for p in tc.factorization()
+            for p in tc.factors[::2]
             if p > 3  # v_p(d0) = 1, so the local ratio is 1
         ]))
 

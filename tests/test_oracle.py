@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,9 @@ def test_extension_model_arithmetic():
     e = CubicExtModel.unramified(5)
     assert e.val(e.embed_int(5)) == 1
     assert e.val(e.w) == 0
-    assert len(e.residues()) == 125
+    # residues are built as iterated: p^3 of them unramified, p ramified
+    assert [x.c for x in e.residues()] == list(product(range(5), repeat=3))
+    assert [x.c for x in m.residues()] == [(n, 0, 0) for n in range(5)]
 
 
 def test_algebra_class_of_form():
@@ -241,6 +244,78 @@ def test_form_space_scan_low_valuation_p7():
     scan = scan_forms_low_valuation(7)
     assert (scan.v1_forms, scan.triple_forms, scan.eisenstein_forms) == (691488, 115248, 98784)
     assert scan.v1_all_have_simple_root and scan.dichotomy_holds
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_form_scan_eisenstein_flag_equals_direct_evaluation(p):
+    # the scan decides "no root lift zeroes f mod p^2" from one set of d per
+    # (a, b, c); here f is evaluated at every one of the p^2 lifts instead
+    import selmer3.oracle as oracle
+    from selmer3.cubicforms import _root_multiplicities
+
+    q = p * p
+    rng = random.Random(1000 + p)
+    seen = set()
+    for i in range(6):
+        # a residue form lam (al x - be y)^3 with the triple root [be : al];
+        # al = 0 (the root (1, 0)) first
+        lam, al, be = rng.randrange(1, p), 0 if i == 0 else rng.randrange(1, p), rng.randrange(1, p)
+        residue = tuple(
+            lam * t % p for t in (al**3, -3 * al * al * be, 3 * al * be * be, -(be**3))
+        )
+        x0, y0 = (be * pow(al, -1, p) % p, 1) if al else (1, 0)
+        triple = next(root for root, m in _root_multiplicities(*residue, p).items() if m == 3)
+        assert triple == (x0, y0)
+        terms = oracle._root_lift_terms(triple, p)
+        lifts = [(x0 + p * s, y0 + p * t) for s in range(p) for t in range(p)]
+        for _ in range(8):
+            a, b, c = (r + p * rng.randrange(p) for r in residue[:3])
+            zeros = oracle._root_lift_zeros(a, b, c, terms, q)
+            for d in range(residue[3], q, p):
+                direct = all(
+                    (a * x**3 + b * x * x * y + c * x * y * y + d * y**3) % q for x, y in lifts
+                )
+                assert (d not in zeros) == direct, (p, a, b, c, d)
+                seen.add(direct)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_ext_model_peval_equals_horner_through_mul(p):
+    rng = random.Random(2000 + p)
+    for model in _models(p):
+        for _ in range(60):
+            coeffs = [
+                _ExtElem(model, tuple(rng.randint(-10**6, 10**6) for _ in range(3)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            x = _ExtElem(model, tuple(rng.randint(-50, 50) * p ** rng.randint(0, 2) for _ in range(3)))
+            acc = model.zero
+            for c in reversed(coeffs):
+                acc = acc * x + c  # _ExtElem.__mul__ is model._mul
+            assert model.peval(coeffs, x).c == acc.c
+
+
+def test_zp_model_peval_equals_int_horner():
+    from selmer3.padicroots import ZpModel
+
+    rng = random.Random(3000)
+    for p in (2, 5, 7, 101):
+        model = ZpModel(p)
+        for _ in range(200):
+            coeffs = [rng.randint(-10**9, 10**9) for _ in range(rng.randint(1, 4))]
+            x = rng.randint(-10**4, 10**4)
+            assert model.peval(coeffs, x) == sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def test_extension_model_holds_no_residue_table():
+    # the p^3 residues of the unramified model are built as iterated, so a
+    # model at p = 61 keeps no table of 226,981 elements
+    model = CubicExtModel.unramified(61)
+    assert all(not isinstance(v, (list, tuple, dict, set)) or len(v) <= 3 for v in vars(model).values())
+    residues = model.residues()
+    assert iter(residues) is residues
+    assert next(residues).c == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
