@@ -17,9 +17,9 @@ config file read from a temporary directory, and the CM closed form.  The
 Prym layers time the member sieve `enumerate_classes(sigma-36-2-11,
 20000)`, `family_report(prym-a4, 20000)`, its `to_json_obj`, the text of
 the envelope carrying it, from the report on, as each revision's `prym`
-writes it (rows cut from their skeleton's text, or a dict per row with
-repeated sub-objects written once), and the whole in-process `prym`
-request at that height.  The scan layers time
+writes it (rows spliced into templates written once per skeleton and
+report, or a dict per row with repeated sub-objects written once), and
+the whole in-process `prym` request at that height.  The scan layers time
 `build_twist_datum` over 200 seeded (p, d) with v_p(d) even and positive,
 the whole in-process `scan --family-preset full-n3 --height 2000`
 request, and at height 10^6 `tk_partition` of full-n3 with the `scan`
@@ -168,7 +168,7 @@ def _prym_layers(sink):
     report = family_report(config, 20000)
 
     def envelope_text():
-        if hasattr(cli, "_prym_row_text"):  # each row's text cut from its skeleton's
+        if hasattr(cli, "_prym_row_text"):  # each row's text spliced from templates
             result, flags = report.to_json_obj(cli._prym_row_text()), {}
         else:  # a dict per row, repeated sub-objects written once
             result, flags = report.to_json_obj(), {"shared": True}

@@ -5,14 +5,13 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes.  A `prym` row's text is cut once per row skeleton from
-this writer's text of the skeleton's first row, and each row adds only
-its d and the texts of its good places (see `_prym_row_text`).  Exit
-codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain error,
-4 incomplete configuration.  An input file that cannot be read or parsed,
-lacks a key or holds a value of the wrong JSON kind exits 2, naming the
-file and the JSON path (`errors.Document`); a value of the right kind
-outside its domain exits 3.
+indent=2) writes.  A `prym` row's text is two templates, written once,
+with its d and its primes spliced in (see `_prym_row_text`).  Exit
+codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain error
+or exhausted budget, 4 incomplete configuration.  An input file that
+cannot be read or parsed, lacks a key or holds a value of the wrong JSON
+kind exits 2, naming the file and the JSON path (`errors.Document`); a
+value of the right kind outside its domain exits 3.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from . import __version__
 from .errors import DocumentError, DomainError, IncompleteConfigError, Selmer3Error
 from .localclass import classify_integral, h1_dims, integral_representative, place_above_3
 from .localfield import Place
-from .prym import assemble_local_exponents, family_report, load_preset
+from .prym import PrymLocalAssembly, assemble_local_exponents, family_report, good_place, load_preset
 from .selmerratio import (
     IsogenyDescriptor,
     KappaEntry,
@@ -167,36 +166,28 @@ _ROW_DEPTH = 3
 def _prym_row_text():
     """A row writer for `PrymReport.to_json_obj`: each row's text at the
     depth where the `prym` envelope places it.  Rows of one skeleton
-    differ only in d and their good places, so the text of its first row
-    is cut once into the head before d, the middle from d through the
-    skeleton's places and the tail after the row's places; a row is head,
-    d, middle, its good places' texts, tail.  A place's text is written
-    once, keyed by the id of its PlacePair, which the report keeps alive."""
-    cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
-    places: dict[int, str] = {}  # id(PlacePair) -> "," + newline + its text
-
-    def place(p, obj=None) -> str:
-        text = places.get(id(p))
-        if text is None:
-            text = _dumps(p.to_json_obj() if obj is None else obj, _ROW_DEPTH + 2)
-            text = places[id(p)] = "," + _NEWLINES[_ROW_DEPTH + 2] + text
-        return text
+    differ only in d and their primes, good places only in their label.
+    So two templates are written once, a NUL where those go, and split
+    there: per skeleton its row without primes, into the head before d,
+    the middle through the skeleton's places and the tail; per report a
+    good place, around its label.  The writer escapes every NUL it
+    encodes itself, so a raw NUL in its text is a sentinel."""
+    sentinel = _Text("\0")
+    sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
+    pre, post = (sep + _dumps(good_place(_Text('"\0"')).to_json_obj(), _ROW_DEPTH + 2)).split(sentinel)
+    cuts: list[tuple] = []  # (RowSkeleton, head, middle, tail), the report's few skeletons
 
     def row_text(row) -> _Text:
-        d = int.__repr__(row.d0)
-        cut = cuts.get(id(row.skeleton))
-        if cut is None:
-            obj = row.to_json_obj()
-            text = _dumps(obj, _ROW_DEPTH)
-            texts = [place(p, o) for p, o in zip(row.places, obj["places"])]
-            key = '"d": '
-            start = text.index(key + d) + len(key)
-            listed = "".join(texts)[1:]  # a list's first item has no comma
-            at = text.index(listed, start)
-            own = at + len("".join(texts[: len(row.skeleton.places)])) - 1
-            cut = cuts[id(row.skeleton)] = (text[:start], text[start + len(d) : own], text[at + len(listed) :])
-        head, middle, tail = cut
-        return _Text("".join([head, d, middle, *map(place, row.good), tail]))
+        for skeleton, head, middle, tail in cuts:
+            if skeleton is row.skeleton:  # rows share their skeleton; hashing one costs more
+                break
+        else:
+            obj = {**PrymLocalAssembly(row.d0, row.skeleton).to_json_obj(), "d": sentinel}
+            obj["places"].append(sentinel)
+            head, middle, tail = _dumps(obj, _ROW_DEPTH).split(sentinel)
+            middle = middle.removesuffix(sep)  # the sentinel place's
+            cuts.append((row.skeleton, head, middle, tail))
+        return _Text("".join([head, str(row.d0), middle, *[pre + str(p) + post for p in row.primes], tail]))
 
     return row_text
 
@@ -311,26 +302,22 @@ def cmd_scan(args, started: float) -> int:
         config = _TRIVIAL_CONFIG
         config_input = "trivial-overrides"
     cells = tk_partition(family, config.descriptor, list(config.profiles), args.height)
-    cell_objs = [cells[k].to_json_obj() for k in sorted(cells)]
+    ordered = [cells[k] for k in sorted(cells)]
+    if args.format == "csv":  # the scalar fields of each cell, None as empty
+        cols = ["k", "count", "exact_density", "avg_selmer", "avg_dim_bound", "dim_density_bound"]
+        print(",".join(cols))
+        for cell in ordered:
+            print(",".join("" if (v := getattr(cell, c)) is None else str(v) for c in cols))
+        return EXIT_OK
     result = {
         "height_bound": args.height,
         "family_name": family.name,
-        "cells": cell_objs,
-        "member_count": sum(c.count for c in cells.values()),
+        "cells": [cell.to_json_obj() for cell in ordered],
+        "member_count": sum(c.count for c in ordered),
     }
     inputs = {**family_input, "config": config_input, "height": args.height}
-    if args.format == "csv":
-        _emit_csv(cell_objs)
-        return EXIT_OK
     _emit("scan", inputs, result, started)
     return EXIT_OK
-
-
-def _emit_csv(cell_objs) -> None:
-    cols = ["k", "count", "exact_density", "avg_selmer", "avg_dim_bound", "dim_density_bound"]
-    print(",".join(cols))
-    for cell in cell_objs:
-        print(",".join("" if cell[c] is None else str(cell[c]) for c in cols))
 
 
 def cmd_prym(args, started: float) -> int:

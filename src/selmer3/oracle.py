@@ -58,7 +58,7 @@ from .localfield import (
     unit_part,
     valuation,
 )
-from .padicroots import ZpModel, form_has_projective_root
+from .padicroots import ZpModel, _primitive_at, form_has_projective_root
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +213,12 @@ def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
         raise DomainError("tame classification requires p > 3")
     if f.discriminant() == 0:
         raise DomainError("degenerate form")
-    coeffs = f.coefficients()
+    return _algebra_class(f, p)
+
+
+def _algebra_class(f: BinaryCubicForm, p: int) -> str:
+    """`algebra_class_of_form` at a prime p > 3, for a form of nonzero disc."""
+    coeffs = _primitive_at(f.coefficients(), p)
     if form_has_projective_root(ZpModel(p), *coeffs):
         return "split"
     if form_has_projective_root(CubicExtModel.unramified(p), *coeffs):
@@ -539,7 +544,7 @@ def _verify_witness(
     ratio = unit_part(disc, p) / unit_part(d0, p)
     if tr.unit_sqrt(ratio) is None:
         raise AssertionError("witness discriminant in the wrong square class")
-    got = algebra_class_of_form(form, p)
+    got = _algebra_class(form, p)  # `valuation` has refused disc = 0
     if got != algebra:
         raise AssertionError(f"witness cuts out {got}, expected {algebra}")
 

@@ -193,7 +193,7 @@ def _primitive_at(coeffs, p: int) -> list[int]:
     coeffs = [Fraction(c) for c in coeffs]
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    scale = p ** min(_split(t, p)[0] for t in ints if t)
+    scale = p ** min((_split(t, p)[0] for t in ints if t), default=0)
     return [t // scale for t in ints]
 
 
@@ -208,14 +208,13 @@ def has_zp_root(coeffs, p: int) -> bool:
 
 
 def form_has_projective_root(model, a, b, c, d) -> bool:
-    """Whether the binary cubic with the given rational coefficients has a
-    zero on the projective line over the model's fraction field.  Any
-    projective point has a representative with both coordinates integral
-    and one of them a unit, so testing f(x, 1) and f(1, y) for ring roots
-    covers everything."""
+    """Whether the binary cubic with the given integer coefficients (see
+    `_primitive_at`) has a zero on the projective line over the model's
+    fraction field.  Any projective point has a representative with both
+    coordinates integral and one of them a unit, so testing f(x, 1) and
+    f(1, y) for ring roots covers everything."""
     if a == 0 or d == 0:
         return True  # [1:0] or [0:1] is a root
-    a, b, c, d = _primitive_at((a, b, c, d), model.p)
     return has_ring_root(model, [d, c, b, a]) or has_ring_root(model, [a, b, c, d])
 
 
@@ -224,4 +223,4 @@ def form_has_projective_root_qp(a, b, c, d, p: int) -> bool:
     zero in P^1(Q_p)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return form_has_projective_root(ZpModel(p), a, b, c, d)
+    return form_has_projective_root(ZpModel(p), *_primitive_at((a, b, c, d), p))

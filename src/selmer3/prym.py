@@ -149,15 +149,23 @@ class RowSkeleton:
         return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
 
 
+def good_place(label: str) -> PlacePair:
+    """The pair of a prime p > 3 dividing a member (see `_Assembler`)."""
+    return PlacePair(label, (0, 0), True, "good")
+
+
 @dataclass(frozen=True)
 class PrymLocalAssembly:
+    """A member's row: d, its skeleton and the primes p > 3 dividing d,
+    each placed after the skeleton's places as `good_place(str(p))`."""
+
     d0: int
     skeleton: RowSkeleton
-    good: tuple[PlacePair, ...] = ()  # the (0, 0) pair of each prime p > 3 dividing d0
+    primes: tuple[int, ...] = ()
 
     @property
     def places(self) -> tuple[PlacePair, ...]:
-        return self.skeleton.places + self.good
+        return self.skeleton.places + tuple(good_place(str(p)) for p in self.primes)
 
     @property
     def four_exponents(self) -> tuple[int, int, int, int]:
@@ -197,10 +205,9 @@ class PrymLocalAssembly:
 class _Assembler:
     """What a configuration fixes for all its twists, resolved once per
     report: the two descriptors, the 3-adic solutions with the unique
-    unordered pair they determine, one row skeleton per sign (per sign and
-    sixth-power class when the 3-adic order is configured), built on first
-    use, and the "good" pair of each prime other than 2 and 3, shared by
-    the rows it divides.
+    unordered pair they determine, and one row skeleton per sign (per sign
+    and sixth-power class when the 3-adic order is configured), built on
+    first use.  A row carries its primes other than 2 and 3 as ints.
 
     The family is squarefree, so a prime p > 3 divides d once and its
     ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
@@ -219,7 +226,6 @@ class _Assembler:
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
         self.skeletons: dict = {}  # sign, or (sign, sixth-power class) -> RowSkeleton
-        self.good: dict[int, PlacePair] = {}  # prime of odd valuation -> pair
 
     def _skeleton(self, key, sign: int) -> RowSkeleton:
         ordered = self.config.three_adic.ordered
@@ -252,12 +258,7 @@ class _Assembler:
         sign = 1 if d0 > 0 else -1
         key = sign if self.config.three_adic.ordered is None else (sign, sextic_class_3adic(d0).representative)
         skeleton = self.skeletons.get(key) or self._skeleton(key, sign)
-        good = self.good
-        return PrymLocalAssembly(d0, skeleton, tuple([
-            good.get(p) or good.setdefault(p, PlacePair(str(p), (0, 0), True, "good"))
-            for p in tc.factors[::2]
-            if p > 3  # v_p(d0) = 1, so the local ratio is 1
-        ]))
+        return PrymLocalAssembly(d0, skeleton, tuple([p for p in tc.factors[::2] if p > 3]))
 
 
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:

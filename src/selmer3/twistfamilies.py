@@ -41,6 +41,9 @@ _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 # Iterations of x -> x^2 + c that one factorization may spend in rho.
 _RHO_BUDGET = 1 << 23
 _RHO_BATCH = 128
+# The largest height bound a family is sieved to: the masks and the factor
+# sieve take a few bytes a height, a few GB at this bound.
+MAX_HEIGHT = 10**7
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -275,10 +278,13 @@ def _sieve_factors(spf: array, h: int) -> tuple[int, ...]:
 
 def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, bytes]], bytes]:
     """([(sign, mask)] for the family's signs, positive first, and the union
-    of the masks), one byte a height: mask[h] = 1 when sign * h is a
-    member, that is h is 2n-th-power-free (squarefree in a squarefree
-    family) and every congruence condition admits sign * h.  Multiples of
-    p^power and residue classes are struck out by slice assignment."""
+    of the masks), one byte a height: mask[h] = 1 when sign * h is a member,
+    that is h is 2n-th-power-free (squarefree in a squarefree family) and
+    every congruence condition admits sign * h.  Multiples of p^power and
+    residue classes are struck out by slice assignment.  A bound past
+    `MAX_HEIGHT` raises `BudgetError` before anything is built."""
+    if bound > MAX_HEIGHT:
+        raise BudgetError(f"height bound {bound} exceeds the maximum {MAX_HEIGHT}")
     size = max(bound, 1)
     power = 2 if family.squarefree else 2 * family.n
     free = bytearray([1]) * size

@@ -140,6 +140,22 @@ def test_scan_csv(capsys):
     assert len(lines) == 3  # both signs: k = -1 and k = 0
 
 
+@pytest.mark.parametrize("preset", ["squarefree-n3", "full-n3"])  # densities set; densities null
+def test_scan_csv_rows_equal_the_json_cells(capsys, preset):
+    argv = ["scan", "--family-preset", preset, "--height", "3000"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cells = json.loads(out)["result"]["cells"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    cols = header.split(",")
+    assert cols == ["k", "count", "exact_density", "avg_selmer", "avg_dim_bound", "dim_density_bound"]
+    assert len(rows) == len(cells) >= 2
+    for row, cell in zip(rows, cells):
+        assert row.split(",") == ["" if cell[c] is None else str(cell[c]) for c in cols]
+
+
 def test_prym_report(capsys):
     code, out, _ = run_cli(capsys, "prym", "--preset", "prym-a4", "--height", "100")
     assert code == 0
@@ -569,6 +585,30 @@ def test_ratio_exits_3_when_factorization_budget_runs_out(capsys, tmp_path, monk
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family-preset", "full-n3"],
+        ["scan", "--family-preset", "full-n3", "--format", "csv"],
+        ["prym", "--preset", "prym-a4"],
+    ],
+)
+def test_height_past_the_maximum_exits_3_before_sieving(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--height", str(10**18))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: height bound {10**18} exceeds the maximum {10**7}\n"
+
+
+def test_the_maximum_height_itself_is_sieved(capsys, monkeypatch):
+    from selmer3 import twistfamilies
+
+    monkeypatch.setattr(twistfamilies, "MAX_HEIGHT", 100)
+    for command in (["scan", "--family-preset", "full-n3"], ["prym", "--preset", "prym-a4"]):
+        assert run_cli(capsys, *command, "--height", "100")[0] == 0
+        assert run_cli(capsys, *command, "--height", "101")[0] == 3
+
+
 # ----------------------------------------------------------------------
 # One parser per process; the envelope writer
 # ----------------------------------------------------------------------
@@ -652,6 +692,44 @@ def test_prym_row_text_with_an_ordered_three_adic_input():
     assert len(report.rows) > 100 and all(r.places[2].ordered for r in report.rows)
     text = _dumps({"result": report.to_json_obj(_prym_row_text())})  # rows at the envelope's depth
     assert text == json.dumps({"result": report.to_json_obj()}, sort_keys=True, indent=2)
+
+
+def _prym_config_over_sixth_power_classes():
+    """prym-a4's curve over the squarefree d = 2 or 3 (mod 4), whose members
+    fall in 12 sixth-power classes at 3, with the order at 3 alternating
+    from class to class: 24 row skeletons."""
+    from dataclasses import replace
+
+    from selmer3.localfield import sextic_class_3adic
+    from selmer3.prym import ThreeAdicInput, load_preset
+    from selmer3.twistfamilies import CongruenceCondition, TwistFamily, enumerate_classes
+
+    family = TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({2, 3})),), squarefree=True, name="d23")
+    classes = sorted({sextic_class_3adic(tc.d0).representative for tc in enumerate_classes(family, 200)})
+    ordered = {rep: (i % 2, 1 - i % 2) for i, rep in enumerate(classes)}
+    three_adic = ThreeAdicInput(mode="unequal", product_exponent=2, ordered=ordered)
+    return replace(load_preset("prym-a4"), family=family, three_adic=three_adic)
+
+
+@settings(max_examples=30, deadline=None)
+@given(height=st.integers(1, 5000), config=st.sampled_from(["prym-a4", "classes"]))
+@example(height=1, config="prym-a4")  # no row
+@example(height=3, config="prym-a4")  # d = 2 alone, no good prime
+@example(height=5000, config="prym-a4")
+@example(height=5000, config="classes")
+def test_prym_envelope_text_equals_stdlib_over_heights(height, config):
+    from selmer3.cli import _dumps, _prym_row_text
+    from selmer3.prym import family_report, load_preset
+
+    report = family_report(
+        load_preset("prym-a4") if config == "prym-a4" else _prym_config_over_sixth_power_classes(), height
+    )
+    if config == "classes" and height == 5000:
+        assert len({id(r.skeleton) for r in report.rows}) == 24
+        assert sorted(r.d0 for r in report.rows if not r.primes) == [-6, -2, -1, 2, 3, 6]
+    text = _dumps({"result": report.to_json_obj(_prym_row_text())})  # rows at the envelope's depth
+    want = json.dumps({"result": report.to_json_obj()}, sort_keys=True, indent=2)
+    assert text.split("\n") == want.split("\n")  # a mismatch reports its first line, not a diff of the whole
 
 
 def test_json_writer_entering_at_depth_grows_its_indentation(monkeypatch):

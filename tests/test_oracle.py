@@ -552,3 +552,26 @@ def test_root_isolation_builds_integer_elements_only(monkeypatch):
     assert algebra_class_of_form(BinaryCubicForm(1, 0, 0, -14), 7) == "ram-u2"
     assert built
     assert all(type(t) is int for c in built for t in c)
+
+
+def test_witness_check_computes_each_discriminant_once(monkeypatch):
+    # one discriminant per witness (plus the split witness's construction
+    # check in each stratum), and one integral rescaling per witness for
+    # all the models its algebra is tried in
+    import selmer3.oracle as oracle
+
+    def counting(target, name):
+        calls = []
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    discs = counting(BinaryCubicForm, "discriminant")
+    rescalings = counting(oracle, "_primitive_at")
+    witnesses = counting(oracle, "_verify_witness")
+    strata = [(p, v, uc) for p in (5, 7) for v in range(5) for uc in ("square", "nonsquare")]
+    for p, v, uc in strata:
+        oracle.enumerate_orbits(p, disc_val=v, unit_class=uc)
+    assert len(witnesses) > len(strata)
+    assert len(discs) == len(witnesses) + len(strata)
+    assert len(rescalings) == len(witnesses)

@@ -294,6 +294,7 @@ def test_rows_share_one_skeleton_per_sign(a4):
     for row in report.rows:
         assert row.skeleton is skeletons[row.d0 > 0]
         assert row.places[:3] == row.skeleton.places
-        assert [p.place_label for p in row.good] == [str(p) for p in _primes_above_3(row.d0)]
-        assert all(p.pair == (0, 0) for p in row.good)
+        assert list(row.primes) == _primes_above_3(row.d0)
+        assert [p.place_label for p in row.places[3:]] == [str(p) for p in row.primes]
+        assert all(p.pair == (0, 0) and p.provenance == "good" for p in row.places[3:])
         assert row.pair_global == tuple(sorted(map(sum, zip(*(p.pair for p in row.places)))))
