@@ -1,8 +1,12 @@
 """Layer timings of the cubic-ring, oracle, input-path, local-datum,
 family-scan and Prym-report code, this checkout against a base revision,
-written to a BENCH_*.json file.  The oracle layers are the orbit grid at
-p = 5 and 7, `algebra_class_of_form` on the grid's witness forms, and the
-form scan `scan_forms_low_valuation(5)`.
+written to a BENCH_*.json file.  The form/ring layers include the round
+trip `form_to_ring`, `CubicRing.discriminant`, `ring_to_form` on 200
+seeded integral forms, and the forms request `index_p_subrings` plus
+`orbit_split(f, p)` on the same forms, p cycling through 5, 7, 11, 13.
+The oracle layers are the orbit grid at p = 5 and 7,
+`algebra_class_of_form` on the grid's witness forms, and the form scan
+`scan_forms_low_valuation(5)`.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
@@ -243,7 +247,7 @@ def _scan_layers(sink):
 def _layers():
     """name -> (unit, calls per pass, function running one pass), with the
     pass count last for a layer that takes seconds."""
-    from selmer3.cubicforms import BinaryCubicForm, form_to_ring
+    from selmer3.cubicforms import BinaryCubicForm, form_to_ring, index_p_subrings, orbit_split, ring_to_form
     from selmer3.oracle import (
         algebra_class_of_form,
         enumerate_orbits,
@@ -254,7 +258,9 @@ def _layers():
     )
 
     rng = random.Random(SEED)
-    rings = [form_to_ring(BinaryCubicForm(*f)) for f in _forms(rng, 200, 30)]
+    forms = [BinaryCubicForm(*f) for f in _forms(rng, 200, 30)]
+    rings = [form_to_ring(f) for f in forms]
+    requests = [(f, ring, (5, 7, 11, 13)[i % 4]) for i, (f, ring) in enumerate(zip(forms, rings))]
 
     def fractions():
         return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3))
@@ -274,6 +280,17 @@ def _layers():
         for row in enumerate_orbits(p, disc_val=v, unit_class=uc).rows
         if row.witness is not None
     ]
+
+    def round_trip():
+        for f in forms:
+            ring = form_to_ring(f)
+            ring.discriminant()
+            ring_to_form(ring)
+
+    def forms_request():
+        for f, ring, p in requests:
+            index_p_subrings(ring, p)
+            orbit_split(f, p)
 
     def validate():
         for ring in rings:
@@ -304,6 +321,8 @@ def _layers():
             algebra_class_of_form(form, p)
 
     return {
+        "form/ring round trip": ("us/call", len(forms), round_trip),
+        "forms request": ("us/call", len(requests), forms_request),
         "CubicRing.validate": ("us/call", len(rings), validate),
         "CubicRing.mul": ("us/call", len(products), mul),
         "order_from_lattice": ("us/call", len(lattices), lattice),

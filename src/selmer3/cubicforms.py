@@ -11,6 +11,16 @@ ring).  The table is commutative, associative for every (a, b, c, d), and
 its trace-form discriminant equals disc(f) identically, which is what the
 round-trip tests pin down.
 
+Every coefficient of a form, a matrix or a ring table is exact, and is
+held as an `int` when it is integral and as a `Fraction` only where a
+denominator remains; `_exact` is the one place that rule is applied, and
+the constructors call it.  The formulas are the same on both types, so
+an integral form's ring, its subrings and its integral translates are
+computed in integer arithmetic.  The two divisions on these values,
+`act`'s division by the determinant and `oracle.order_from_lattice`'s
+change of basis, go through `_exact_div`, which returns a // b when b
+divides a and a Fraction otherwise.  A float never appears.
+
 Three routines here are the single copy of a decision that other modules
 (the oracle among them) call rather than repeat: `discriminant` is the
 discriminant polynomial, `linear_substitution` the closed form of
@@ -31,6 +41,23 @@ from .errors import DomainError
 from .localfield import Place, Rational, is_prime
 
 
+def _exact(x: Rational) -> Rational:
+    """x as an int when it is integral and as a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly: a // b when b divides a, a Fraction otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(Fraction(a) / Fraction(b))
+
+
 def discriminant(a, b, c, d):
     """disc(a x^3 + b x^2 y + c x y^2 + d y^3), on ints and Fractions alike."""
     return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
@@ -38,21 +65,24 @@ def discriminant(a, b, c, d):
 
 @dataclass(frozen=True)
 class BinaryCubicForm:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    """a x^3 + b x^2 y + c x y^2 + d y^3; each coefficient an int when it is
+    integral and a Fraction otherwise (`_exact`)."""
+
+    a: Rational
+    b: Rational
+    c: Rational
+    d: Rational
 
     def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        object.__setattr__(self, "a", _exact(a))
+        object.__setattr__(self, "b", _exact(b))
+        object.__setattr__(self, "c", _exact(c))
+        object.__setattr__(self, "d", _exact(d))
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple[Rational, Rational, Rational, Rational]:
         return (self.a, self.b, self.c, self.d)
 
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> Rational:
         return discriminant(self.a, self.b, self.c, self.d)
 
     def swap(self) -> "BinaryCubicForm":
@@ -60,7 +90,7 @@ class BinaryCubicForm:
         return BinaryCubicForm(self.d, self.c, self.b, self.a)
 
     def scale(self, s: Rational) -> "BinaryCubicForm":
-        s = Fraction(s)
+        s = _exact(s)
         return BinaryCubicForm(s * self.a, s * self.b, s * self.c, s * self.d)
 
     def is_integral(self) -> bool:
@@ -75,9 +105,11 @@ class BinaryCubicForm:
             raise DomainError(f"{p} is not prime")
         return all(t.denominator % p for t in self.coefficients())
 
-    def reduce_mod(self, p: int) -> tuple[int, int, int, int]:
+    def reduce_mod(self, p: int | Place) -> tuple[int, int, int, int]:
         if not self.is_p_integral(p):
             raise DomainError(f"form is not {p}-integral")
+        if isinstance(p, Place):
+            p = p.p
         out = []
         for t in self.coefficients():
             out.append(t.numerator * pow(t.denominator, -1, p) % p)
@@ -92,18 +124,18 @@ class BinaryCubicForm:
 
 @dataclass(frozen=True)
 class TwoByTwoMatrix:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: Rational
+    b: Rational
+    c: Rational
+    d: Rational
 
     def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        object.__setattr__(self, "a", _exact(a))
+        object.__setattr__(self, "b", _exact(b))
+        object.__setattr__(self, "c", _exact(c))
+        object.__setattr__(self, "d", _exact(d))
 
-    def det(self) -> Fraction:
+    def det(self) -> Rational:
         return self.a * self.d - self.b * self.c
 
     def mul(self, other: "TwoByTwoMatrix") -> "TwoByTwoMatrix":
@@ -147,26 +179,29 @@ def act(gamma: TwoByTwoMatrix, f: BinaryCubicForm) -> BinaryCubicForm:
     if det == 0:
         raise DomainError("singular matrix cannot act on forms")
     moved = linear_substitution(f.a, f.b, f.c, f.d, gamma.a, gamma.b, gamma.c, gamma.d)
-    return BinaryCubicForm(*(t / det for t in moved))
+    return BinaryCubicForm(*(_exact_div(t, det) for t in moved))
 
 
 # ----------------------------------------------------------------------
 # Cubic rings
 # ----------------------------------------------------------------------
 
-Triple = tuple[Fraction, Fraction, Fraction]
+Triple = tuple[Rational, Rational, Rational]
 
 
 def _triple(x0, x1, x2) -> Triple:
-    return (Fraction(x0), Fraction(x1), Fraction(x2))
+    return (_exact(x0), _exact(x1), _exact(x2))
 
 
 @dataclass(frozen=True)
 class CubicRing:
     """Rank-3 algebra on basis (1, w, t): stores the products w^2, w*t, t^2
-    as coordinate triples over that basis.  The table is commutative and
-    unital by representation; `validate()` verifies associativity and runs
-    on every untrusted input path.
+    as coordinate triples over that basis, each coordinate an int when it
+    is integral and a Fraction otherwise (the constructor applies
+    `_exact`, so a table computed in Fractions is stored the same way as
+    one computed in ints).  The table is commutative and unital by
+    representation; `validate()` verifies associativity and runs on every
+    untrusted input path.
 
     Two identities suffice.  The associator [x, y, z] = (xy)z - x(yz) is
     trilinear, so it vanishes everywhere once it vanishes on basis triples,
@@ -179,6 +214,11 @@ class CubicRing:
     ww: Triple
     wt: Triple
     tt: Triple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ww", _triple(*self.ww))
+        object.__setattr__(self, "wt", _triple(*self.wt))
+        object.__setattr__(self, "tt", _triple(*self.tt))
 
     def validate(self) -> "CubicRing":
         ww, wt, tt = self.ww, self.wt, self.tt
@@ -199,7 +239,7 @@ class CubicRing:
 
     @staticmethod
     def basis(i: int) -> Triple:
-        return tuple(Fraction(1 if j == i else 0) for j in range(3))  # type: ignore[return-value]
+        return tuple(1 if j == i else 0 for j in range(3))  # type: ignore[return-value]
 
     def mul(self, x: Triple, y: Triple) -> Triple:
         x0, x1, x2 = x
@@ -213,16 +253,16 @@ class CubicRing:
             x0 * y2 + x2 * y0 + c_ww * ww[2] + c_wt * wt[2] + c_tt * tt[2],
         )
 
-    def _basis_traces(self) -> tuple[Fraction, Fraction]:
+    def _basis_traces(self) -> tuple[Rational, Rational]:
         # Tr(w) and Tr(t), read off the diagonal of the multiplication maps
         return self.ww[1] + self.wt[2], self.wt[1] + self.tt[2]
 
-    def trace(self, z: Triple) -> Fraction:
+    def trace(self, z: Triple) -> Rational:
         # Tr is linear and Tr(1) = 3
         tr_w, tr_t = self._basis_traces()
         return 3 * z[0] + z[1] * tr_w + z[2] * tr_t
 
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> Rational:
         # determinant of the trace-form Gram matrix on (1, w, t), whose
         # entries 3, Tr(w), Tr(t), Tr(ww), Tr(wt), Tr(tt) come off the table
         tr_w, tr_t = self._basis_traces()
@@ -254,10 +294,10 @@ class CubicRing:
         return CubicRing(tr(table[1][1]), tr(table[1][2]), tr(table[2][2])).validate()
 
 
-def form_to_ring(f: BinaryCubicForm, p: int | None = None) -> CubicRing:
+def form_to_ring(f: BinaryCubicForm, p: int | Place | None = None) -> CubicRing:
     """The cubic ring whose index form is f.  Requires integral
-    coefficients (p-integral when a prime is given): the correspondence is
-    over a PID."""
+    coefficients (p-integral when a prime or its `Place` is given): the
+    correspondence is over a PID."""
     if p is None:
         if not f.is_integral():
             raise DomainError("form must have integral coefficients")
@@ -265,11 +305,7 @@ def form_to_ring(f: BinaryCubicForm, p: int | None = None) -> CubicRing:
         if not f.is_p_integral(p):
             raise DomainError(f"form must be {p}-integral")
     a, b, c, d = f.coefficients()
-    return CubicRing(
-        ww=_triple(-a * c, b, -a),
-        wt=_triple(-a * d, 0, 0),
-        tt=_triple(-b * d, d, -c),
-    )
+    return CubicRing(ww=(-a * c, b, -a), wt=(-a * d, 0, 0), tt=(-b * d, d, -c))
 
 
 def ring_to_form(ring: CubicRing) -> BinaryCubicForm:
@@ -292,9 +328,8 @@ def ring_to_form(ring: CubicRing) -> BinaryCubicForm:
 
 def translate_basis(ring: CubicRing, s: Rational, t: Rational) -> CubicRing:
     """The same ring on the basis (1, w + s, t + t')."""
-    s, t = Fraction(s), Fraction(t)
-    w = (Fraction(0) + s, Fraction(1), Fraction(0))
-    th = (Fraction(0) + t, Fraction(0), Fraction(1))
+    s, t = _exact(s), _exact(t)
+    w, th = (s, 1, 0), (t, 0, 1)
     # products of the new basis, still in old coordinates
     ww = ring.mul(w, w)
     wt = ring.mul(w, th)
@@ -335,10 +370,13 @@ def _root_multiplicities(fa: int, fb: int, fc: int, fd: int, p: int) -> dict[tup
     return mults
 
 
-def projective_roots_mod_p(f: BinaryCubicForm, p: int) -> list[tuple[int, int]]:
-    """Zeros of f mod p in P^1(F_p), as normalized pairs (x, 1) or (1, 0).
-    A form vanishing identically mod p has every point as a zero."""
+def projective_roots_mod_p(f: BinaryCubicForm, p: int | Place) -> list[tuple[int, int]]:
+    """Zeros of f mod p in P^1(F_p), as normalized pairs (x, 1) or (1, 0),
+    for a prime p or the finite `Place` at p.  A form vanishing identically
+    mod p has every point as a zero."""
     fa, fb, fc, fd = f.reduce_mod(p)
+    if isinstance(p, Place):
+        p = p.p
     if fa == 0 and fb == 0 and fc == 0 and fd == 0:
         return [(x, 1) for x in range(p)] + [(1, 0)]
     return list(_root_multiplicities(fa, fb, fc, fd, p))
@@ -380,19 +418,21 @@ def _unimodular_completion(x0: int, y0: int) -> TwoByTwoMatrix:
 
 def index_p_subrings(ring: CubicRing, p: int) -> list[CubicRing]:
     """The subrings of index p, one per zero of the associated form in
-    P^1(F_p); each has discriminant p^2 times that of the input."""
+    P^1(F_p); each has discriminant p^2 times that of the input.  p is
+    proven prime once, by the `Place` every step below is handed."""
+    place = Place.finite(p)
     f = ring_to_form(ring)
-    if not f.is_p_integral(p):
+    if not f.is_p_integral(place):
         raise DomainError(f"ring is not defined over the {p}-integral base")
     out = []
     shear = TwoByTwoMatrix(1, 0, 0, p)
-    for x0, y0 in projective_roots_mod_p(f, p):
+    for x0, y0 in projective_roots_mod_p(f, place):
         gamma = _unimodular_completion(x0, y0)
         moved = act(gamma, f)
         sub = act(shear, moved)
-        if not sub.is_p_integral(p):
+        if not sub.is_p_integral(place):
             raise AssertionError("index-p subring construction lost integrality")
-        out.append(form_to_ring(sub, p=p))
+        out.append(form_to_ring(sub, p=place))
     return out
 
 
@@ -404,7 +444,7 @@ def conductor_subring(ring: CubicRing, p: int, k: int) -> CubicRing:
     if k == 0:
         return ring
     f = ring_to_form(ring)
-    return form_to_ring(f.scale(Fraction(p) ** k), p=p)
+    return form_to_ring(f.scale(p**k), p=p)
 
 
 # ----------------------------------------------------------------------

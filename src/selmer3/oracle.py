@@ -38,6 +38,7 @@ from math import lcm
 from .cubicforms import (
     BinaryCubicForm,
     CubicRing,
+    _exact_div,
     _root_multiplicities,
     discriminant,
     form_to_ring,
@@ -415,14 +416,15 @@ def _lattice_products(ww, wt, tt, a, b, e):
 def order_from_lattice(ring: CubicRing, basis: tuple[int, int, int]) -> CubicRing:
     """The subring on basis (1, v1, v2) with v1 = a*w + b*t and v2 = e*t, as
     an abstract cubic ring.  Its table is read off the closed-form products
-    of `_lattice_products`, rewritten in the new basis, and kept in
-    Fractions because the input ring may be only p-integral."""
+    of `_lattice_products` and rewritten in the new basis by exact
+    division: integral entries stay ints, and a p-integral input ring keeps
+    its Fractions."""
     a, b, e = basis
 
     def in_new_basis(z):
         # z = z0 + z1*w + z2*t with (z1, z2) in the lattice
-        y1 = z[1] / a
-        y2 = (z[2] - y1 * b) / e
+        y1 = _exact_div(z[1], a)
+        y2 = _exact_div(z[2] - y1 * b, e)
         return (z[0], y1, y2)
 
     v1v1, v1v2, v2v2 = _lattice_products(ring.ww, ring.wt, ring.tt, a, b, e)

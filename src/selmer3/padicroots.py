@@ -187,10 +187,10 @@ def _search(model, coeffs, depth: int, cap: int) -> bool:
 
 
 def _primitive_at(coeffs, p: int) -> list[int]:
-    """Integers proportional to the rational coefficients (not all zero),
-    with p-content 1: denominators cleared, then the power of p dividing
-    them all.  A rational multiple has the same roots."""
-    coeffs = [Fraction(c) for c in coeffs]
+    """Integers proportional to the rational coefficients (ints or
+    Fractions, not all zero), with p-content 1: denominators cleared, then
+    the power of p dividing them all.  A rational multiple has the same
+    roots."""
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     scale = p ** min((_split(t, p)[0] for t in ints if t), default=0)

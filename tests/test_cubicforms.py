@@ -463,3 +463,189 @@ def test_from_structure_constants_rejects_non_associative_table():
     table[1][1][0] = str(Fraction(table[1][1][0]) + 1)
     with pytest.raises(DomainError, match="not associative"):
         CubicRing.from_structure_constants(table)
+
+
+# ----------------------------------------------------------------------
+# Ints where integral, Fractions elsewhere: parity with a Fraction reference
+# ----------------------------------------------------------------------
+#
+# The references below recompute each construction on tuples of Fractions,
+# as the module did before integral entries became ints.  The values must
+# agree, every entry must be an int exactly when it is integral, and no
+# value handed to the normalizing helper may be a float (a float that
+# happens to be integral would otherwise be normalized away unseen).
+
+
+def _ref_table(coeffs):
+    a, b, c, d = (Fraction(x) for x in coeffs)
+    return ((-a * c, b, -a), (-a * d, Fraction(0), Fraction(0)), (-b * d, d, -c))
+
+
+def _ref_mul(table, x, y):
+    ww, wt, tt = table
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    out = [x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x2 * y0]
+    for coeff, row in ((x1 * y1, ww), (x1 * y2 + x2 * y1, wt), (x2 * y2, tt)):
+        for i in range(3):
+            out[i] += coeff * row[i]
+    return tuple(out)
+
+
+def _ref_translate(table, s, t):
+    s, t = Fraction(s), Fraction(t)
+    w, th = (s, Fraction(1), Fraction(0)), (t, Fraction(0), Fraction(1))
+    return tuple(
+        (z[0] - z[1] * s - z[2] * t, z[1], z[2])
+        for z in (_ref_mul(table, w, w), _ref_mul(table, w, th), _ref_mul(table, th, th))
+    )
+
+
+def _ref_ring_to_form(table):
+    alpha, beta = table[1][1], table[1][2]
+    if alpha or beta:
+        table = _ref_translate(table, -beta, -alpha)
+    ww, _, tt = table
+    return (-ww[2], ww[1], -tt[2], tt[1])
+
+
+def _ref_act(gamma, coeffs):
+    """f(m00 x + m10 y, m01 x + m11 y) / det by multiplying out the linear
+    forms, each a list of its x and y coefficients."""
+    m00, m01, m10, m11 = (Fraction(x) for x in gamma)
+
+    def times(u, v):
+        out = [Fraction(0)] * (len(u) + len(v) - 1)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                out[i + j] += ui * vj
+        return out
+
+    first, second = [m00, m10], [m01, m11]
+    total = [Fraction(0)] * 4
+    for k, coeff in enumerate(coeffs):  # x^(3-k) y^k  ->  first^(3-k) second^k
+        term = [Fraction(coeff)]
+        for factor in [first] * (3 - k) + [second] * k:
+            term = times(term, factor)
+        total = [x + y for x, y in zip(total, term)]
+    det = m00 * m11 - m01 * m10
+    return tuple(x / det for x in total)
+
+
+def _ref_roots_mod_p(coeffs, p):
+    red = [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in coeffs]
+    roots = [(x, 1) for x in range(p) if sum(c * x ** (3 - k) for k, c in enumerate(red)) % p == 0]
+    if red[0] == 0:
+        roots.append((1, 0))
+    return roots
+
+
+def _ref_index_p_subrings(coeffs, p):
+    from selmer3.cubicforms import _unimodular_completion
+
+    out = []
+    for x0, y0 in _ref_roots_mod_p(coeffs, p):
+        g = _unimodular_completion(x0, y0)
+        sub = _ref_act((1, 0, 0, p), _ref_act((g.a, g.b, g.c, g.d), coeffs))
+        out.append(_ref_table(sub))
+    return out
+
+
+def _ref_order(table, basis):
+    a, b, e = basis
+    v1, v2 = (Fraction(0), Fraction(a), Fraction(b)), (Fraction(0), Fraction(0), Fraction(e))
+
+    def in_new_basis(z):
+        y1 = z[1] / a
+        return (z[0], y1, (z[2] - y1 * b) / e)
+
+    return tuple(in_new_basis(_ref_mul(table, u, v)) for u, v in ((v1, v1), (v1, v2), (v2, v2)))
+
+
+def _assert_exact(values):
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+
+def _rows(ring):
+    return (ring.ww, ring.wt, ring.tt)
+
+
+_p_unit_fractions = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def _parity_cases(draw):
+    """(p, form coefficients, basis shift or None, matrix): integral forms,
+    p-integral Fraction forms with a common denominator prime to p, rings
+    on a basis translated by p-integral amounts, and a matrix of ints or
+    small Fractions with nonzero determinant."""
+    p = draw(st.sampled_from((5, 7)))
+    den = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    coeffs = tuple(Fraction(draw(st.integers(-30, 30)), den) for _ in range(4))
+    shift = draw(st.none() | st.tuples(_p_unit_fractions, _p_unit_fractions))
+    entries = st.integers(-4, 4) | _p_unit_fractions
+    gamma = draw(st.tuples(entries, entries, entries, entries).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+    return p, coeffs, shift, gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parity_cases())
+def test_int_or_fraction_entries_equal_a_fraction_reference(case):
+    from unittest import mock
+
+    import selmer3.cubicforms as cubicforms
+    from selmer3.oracle import order_from_lattice, orders_of_index
+
+    p, coeffs, shift, gamma = case
+    handed = []
+    original = cubicforms._exact
+    with mock.patch.object(cubicforms, "_exact", lambda x: handed.append(x) or original(x)):
+        f = BinaryCubicForm(*coeffs)
+        moved = act(TwoByTwoMatrix(*gamma), f)
+        ring = form_to_ring(f, p=p)
+        table = _ref_table(coeffs)
+        if shift is not None:
+            ring = translate_basis(ring, *shift)
+            table = _ref_translate(table, *shift)
+        back = ring_to_form(ring)
+        orders = {j: orders_of_index(ring, p, j) for j in (1, 2)}
+        built = [order_from_lattice(ring, basis) for j in (1, 2) for basis in orders[j]]
+        subs = index_p_subrings(ring, p)
+        conductors = [conductor_subring(ring, p, k) for k in (0, 1, 2)]
+    assert all(type(x) in (int, Fraction) for x in handed)
+
+    assert moved.coefficients() == _ref_act(gamma, coeffs)
+    assert _rows(ring) == table
+    assert back.coefficients() == _ref_ring_to_form(table) == coeffs
+    assert [_rows(r) for r in built] == [_ref_order(table, s) for j in (1, 2) for s in orders[j]]
+    assert [_rows(r) for r in subs] == _ref_index_p_subrings(coeffs, p)
+    assert [_rows(r) for r in conductors] == [table] + [
+        _ref_table([p**k * x for x in coeffs]) for k in (1, 2)
+    ]
+    _assert_exact(moved.coefficients() + back.coefficients())
+    for r in [ring, *built, *subs, *conductors]:
+        _assert_exact(x for row in _rows(r) for x in row)
+
+
+def test_integral_forms_stay_in_ints_through_the_subring_check(monkeypatch):
+    # the ring of an integral form and every subring the bijection check
+    # builds from it are computed in ints: no Fraction and no float is
+    # ever handed to the normalizing helper
+    import selmer3.cubicforms as cubicforms
+    import selmer3.oracle as oracle
+
+    handed, rings = [], []
+    original_exact, original_order = cubicforms._exact, oracle.order_from_lattice
+    monkeypatch.setattr(cubicforms, "_exact", lambda x: handed.append(x) or original_exact(x))
+    monkeypatch.setattr(oracle, "order_from_lattice", lambda *a: rings.append(original_order(*a)) or rings[-1])
+    rng = random.Random(1701)
+    for _ in range(60):
+        f = random_form(rng, bound=30)
+        ring = form_to_ring(f)
+        rings.append(ring)
+        for p in (5, 7, 11):
+            assert oracle.verify_subring_bijection(ring, p)
+    assert len(rings) > 100
+    assert all(type(x) is int for r in rings for row in _rows(r) for x in row)
+    assert handed and all(type(x) is int for x in handed)

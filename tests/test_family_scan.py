@@ -9,6 +9,7 @@ calls that the scan must no longer make.
 """
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -342,6 +343,22 @@ def test_classify_proves_p_once(counts, capsys):
     result = _run(capsys, "classify", "--p", "7", "--d", "49")
     assert sum("representative" in row for row in result["classes"]) > 3
     assert len(counts["is_prime"]) == 1
+
+
+def test_index_p_subrings_proves_p_once(counts):
+    # one `Place` at entry, handed to every integrality check and every
+    # subring's form_to_ring, however many zeros the form has mod p
+    from selmer3.cubicforms import BinaryCubicForm, form_to_ring, index_p_subrings
+
+    rng = random.Random(1700)
+    sizes = set()
+    for _ in range(200):
+        p = rng.choice((5, 7, 11, 13))
+        ring = form_to_ring(BinaryCubicForm(*(rng.randint(-30, 30) for _ in range(4))))
+        counts["is_prime"].clear()
+        sizes.add(len(index_p_subrings(ring, p)))
+        assert counts["is_prime"] == [(p,)]
+    assert sizes >= {0, 1, 2, 3}
 
 
 def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):
