@@ -5,8 +5,8 @@ trip `form_to_ring`, `CubicRing.discriminant`, `ring_to_form` on 200
 seeded integral forms, and the forms request `index_p_subrings` plus
 `orbit_split(f, p)` on the same forms, p cycling through 5, 7, 11, 13.
 The oracle layers are the orbit grid at p = 5 and 7,
-`algebra_class_of_form` on the grid's witness forms, and the form scan
-`scan_forms_low_valuation(5)`.
+`algebra_class_of_form` on the grid's witness forms, and the form scans
+`scan_forms_low_valuation(5)` and `scan_forms_low_valuation(7)`.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
@@ -331,6 +331,7 @@ def _layers():
         "orbit_grid": ("ms/grid", 1, grid),
         "algebra_class_of_form(grid witnesses)": ("us/call", len(witnesses), algebra_classes),
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
+        "scan_forms_low_valuation(7)": ("ms/call", 1, lambda: scan_forms_low_valuation(7)),
     }
 
 

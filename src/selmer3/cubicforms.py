@@ -463,11 +463,15 @@ def _has_rational_projective_root(f: BinaryCubicForm) -> bool:
     A, B, C, D = (int(t * lcm) for t in (a, b, c, d))
     if D == 0:
         return True  # root x = 0
+    # a root n/m in lowest terms has n | D and m | A, and is a zero of the
+    # cubic exactly when A n^3 + B n^2 m + C n m^2 + D m^3 = 0
+    dens = _divisors(abs(A))
     for num in _divisors(abs(D)):
-        for den in _divisors(abs(A)):
-            for sgn in (1, -1):
-                x = Fraction(sgn * num, den)
-                if ((A * x + B) * x + C) * x + D == 0:
+        for den in dens:
+            if gcd(num, den) != 1:
+                continue
+            for n in (num, -num):
+                if ((A * n + B * den) * n + C * den * den) * n + D * den**3 == 0:
                     return True
     return False
 

@@ -17,10 +17,13 @@ the coordinates, division by the uniformizer is an exact integer
 division, and a model evaluates a polynomial by Horner's rule on the
 coordinates, building its residues only as root isolation walks them;
 sublattice closure is tested on the ring's table scaled by a p-unit to
-integers; and the form scan classifies each residue form mod p once
-before walking its lifts mod p^2, solving its Eisenstein test once per
-(a, b, c) for the values of d at which a root lift is a zero.  Nothing
-is truncated.
+integers; and the form scan classifies each residue form mod p once,
+counts its lifts mod p^2 of discriminant valuation 1 from the gradient
+of the discriminant (disc(x + p h) = disc(x) + p grad(x).h mod p^2 holds
+exactly, as disc has integer coefficients), and walks lifts only at the
+triple-root residue forms, where the Eisenstein dichotomy is tested,
+solving the Eisenstein test once per (a, b, c) for the values of d at
+which a root lift is a zero.  Nothing is truncated.
 
 The SL2(Z/p^k)-orbit merging of the full form space is only feasible at
 k = 1 (the space has p^(4k) points); sl2_orbit_count_mod_p implements that
@@ -634,6 +637,12 @@ def verify_subring_bijection(ring: CubicRing, p: int) -> bool:
 # ----------------------------------------------------------------------
 
 
+# The largest prime the form-space scans accept: both touch all p^4 forms
+# mod p, and the low-valuation scan walks the p^4 lifts of each of the
+# p^2 - 1 triple-root residue forms, some seconds at this bound.
+MAX_SCAN_PRIME = 13
+
+
 @dataclass(frozen=True)
 class LowValuationScan:
     p: int
@@ -645,7 +654,7 @@ class LowValuationScan:
 
 
 def scan_forms_low_valuation(p: int) -> LowValuationScan:
-    """Walk every form mod p^2 (coefficients not all divisible by p) with
+    """Count every form mod p^2 (coefficients not all divisible by p) with
     discriminant divisible by p, and verify two facts from scratch:
 
     * every form with v(disc) = 1 (fully visible at this modulus) carries
@@ -660,46 +669,62 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
       class.  (Both disc and its gradient vanish mod p on these forms, so
       the valuation-2 property is a class invariant of the reduction.)
 
-    The walk is residue-first.  The discriminant mod p and the root
-    pattern mod p depend only on the residue form, so each of the p^4 - 1
-    nonzero residue forms is classified once; the p^4 lifts of each one
-    with discriminant divisible by p are then walked one by one, with the
-    v(disc) = 1 count, the triple-root count, the Eisenstein test and the
-    valuation-2 comparison made on every lift.  The Eisenstein test is
-    solved once per (a, b, c) rather than evaluated once per d: at a root
-    lift (x, y), f = base + d y^3 mod p^2, and y^3 is 0 mod p^2 at every
-    lift or a unit at every lift, so the p^2 lifts zero f at every d or at
+    The scan is residue-first.  The discriminant mod p and the root
+    pattern mod p depend only on the residue form x, so each of the
+    p^4 - 1 nonzero residue forms is classified once.  Its p^4 lifts
+    x + p h (h in [0, p)^4) with v(disc) = 1 are counted, not walked:
+    disc has integer coefficients, so its divided higher derivatives are
+    integers and disc(x + p h) = disc(x) + p grad(x).h mod p^2 exactly.
+    With p | disc(x), a lift has v(disc) = 1 exactly when disc(x)/p +
+    grad(x).h is a unit.  If grad(x) is nonzero mod p, the linear form
+    h -> grad(x).h takes each value mod p on p^3 of the h, so p^4 - p^3
+    lifts have v(disc) = 1; otherwise all p^4 do when disc(x)/p is a unit
+    and none do when it is not.  The gradient vanishes mod p exactly at
+    the triple-root residue forms.
+
+    Only the lifts of the triple-root residue forms are walked, with the
+    triple-root count, the Eisenstein test and the valuation-2 comparison
+    made on every lift of v(disc) >= 2.  The Eisenstein test is solved
+    once per (a, b, c) rather than evaluated once per d: at a root lift
+    (x, y), f = base + d y^3 mod p^2, and y^3 is 0 mod p^2 at every lift
+    or a unit at every lift, so the p^2 lifts zero f at every d or at
     none (y^3 = 0), or each at exactly one d (y^3 a unit).  The d loop
     looks its d up in that set.  This is the same evaluations rearranged
     by exact algebra; nothing about the values of f on the lifts is
-    assumed.  All arithmetic is on integers.
+    assumed.  All arithmetic is on integers.  A prime past
+    `MAX_SCAN_PRIME` raises `BudgetError` before anything is walked.
     """
     if p <= 3 or not is_prime(p):
         raise DomainError("form scan requires p > 3")
+    _check_scan_prime(p)
     q = p * p
     v1 = v1_simple = triples = eis_count = 0
     dichotomy = True
     for a0, b0, c0, d0 in product(range(p), repeat=4):
-        if not (a0 or b0 or c0 or d0) or discriminant(a0, b0, c0, d0) % p:
+        disc0 = discriminant(a0, b0, c0, d0)
+        if not (a0 or b0 or c0 or d0) or disc0 % p:
             continue
         mults = _root_multiplicities(a0, b0, c0, d0, p)
-        simple = 1 in mults.values()
+        if any(t % p for t in _disc_gradient(a0, b0, c0, d0)):
+            n = q * q - q * p
+        else:
+            n = q * q if disc0 // p % p else 0
+        v1 += n
+        if 1 in mults.values():
+            v1_simple += n
         triple = next((root for root, m in mults.items() if m == 3), None)
-        terms = None if triple is None else _root_lift_terms(triple, p)
+        if triple is None:
+            continue
+        terms = _root_lift_terms(triple, p)
         for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
             # `discriminant` expanded as a quadratic in d, its coefficients
             # hoisted out of the d loop rather than a call per lift
             k2, k1, k0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
-            zeros = None if terms is None else _root_lift_zeros(a, b, c, terms, q)
+            zeros = _root_lift_zeros(a, b, c, terms, q)
             for d in range(d0, q, p):
                 disc = (k2 * d + k1) * d + k0
                 if disc % q:
-                    v1 += 1
-                    if simple:
-                        v1_simple += 1
-                    continue
-                if zeros is None:
-                    continue
+                    continue  # v(disc) = 1, counted above
                 triples += 1
                 eis = d not in zeros
                 if eis:
@@ -715,6 +740,21 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
         eisenstein_forms=eis_count,
         dichotomy_holds=dichotomy,
     )
+
+
+def _disc_gradient(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The partial derivatives of `discriminant` in a, b, c and d."""
+    return (
+        18 * b * c * d - 4 * c**3 - 54 * a * d * d,
+        18 * a * c * d + 2 * b * c * c - 12 * b * b * d,
+        18 * a * b * d + 2 * b * b * c - 12 * a * c * c,
+        18 * a * b * c - 4 * b**3 - 54 * a * a * d,
+    )
+
+
+def _check_scan_prime(p: int) -> None:
+    if p > MAX_SCAN_PRIME:
+        raise BudgetError(f"form-space scan at p = {p} exceeds the maximum prime {MAX_SCAN_PRIME}")
 
 
 def _root_lift_terms(root, p: int) -> tuple[bool, frozenset[tuple[int, int, int]]]:
@@ -758,9 +798,13 @@ def sl2_orbit_count_mod_p(p: int, delta: int) -> int:
     """Number of SL2(F_p)-orbits on the binary cubics over F_p of
     discriminant delta != 0, by breadth-first merging of the whole form
     space under the two standard generators.  The k = 1 instance of orbit
-    merging at finite precision."""
+    merging at finite precision.  A prime past `MAX_SCAN_PRIME` raises
+    `BudgetError` before the form space is built."""
+    if not is_prime(p):
+        raise DomainError("orbit scan requires a prime p")
     if delta % p == 0:
         raise DomainError("scan requires nonzero discriminant")
+    _check_scan_prime(p)
     gens = [(0, 1, p - 1, 0), (1, 1, 0, 1)]  # S and T
     todo = {
         (a, b, c, d)

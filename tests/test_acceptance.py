@@ -83,8 +83,9 @@ def test_acceptance_2_integral_orbit_grid():
     t7 = enumerate_orbits(7, disc_val=4, unit_class="square")
     assert all(r.integral for r in t7.rows)
     assert worst < 60.0, f"slowest stratum took {worst:.2f}s"
-    # form-space cross-check: walk all forms mod 7^2 and confirm the
-    # low-valuation behaviour directly
+    # form-space cross-check: every form mod 7^2 with 7 | disc, the
+    # v(disc) = 1 ones counted from the gradient of the discriminant and
+    # the triple-root ones walked, confirms the low-valuation behaviour
     from selmer3.oracle import scan_forms_low_valuation
 
     scan = scan_forms_low_valuation(7)

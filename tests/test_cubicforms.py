@@ -338,6 +338,38 @@ def test_factorization_type_matches_sympy_factor_list(p, coeffs):
     assert factorization_type(f, p) == _TYPE_OF_FACTOR_PATTERN[tuple(sorted(pattern))]
 
 
+def test_rational_projective_root_matches_sympy_rational_roots():
+    # seeded forms with coefficients up to 10^6: random ones (almost all
+    # irreducible), products of a linear and a quadratic form, and both
+    # scaled by 1/k; a root at (1 : 0) is a = 0
+    import sympy
+
+    from selmer3.cubicforms import _has_rational_projective_root
+
+    rng = random.Random(20261019)
+    x = sympy.Symbol("x")
+    forms = []
+    for i in range(120):
+        if i % 2:
+            m, n = rng.randint(1, 999), rng.randint(-999, 999)
+            u, v, w = (rng.randint(-500, 500) for _ in range(3))
+            coeffs = (m * u, m * v - n * u, m * w - n * v, -n * w)
+        else:
+            coeffs = tuple(rng.randint(-10**6, 10**6) for _ in range(4))
+        k = rng.choice((1, 1, 2, 6, 35))
+        forms.append(tuple(Fraction(t, k) for t in coeffs))
+    forms += [(0, 3, 5, 7), (2, 0, 0, -3), (4, 0, 0, -32), (9, 1, 1, 0)]
+    reducible = 0
+    for a, b, c, d in forms:
+        poly = sympy.Poly(
+            [sympy.Rational(t.numerator, t.denominator) for t in map(Fraction, (a, b, c, d))], x
+        )
+        expected = a == 0 or any(g.degree() == 1 for g, _ in poly.factor_list()[1])
+        assert _has_rational_projective_root(BinaryCubicForm(a, b, c, d)) == expected, (a, b, c, d)
+        reducible += expected
+    assert 60 < reducible < len(forms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[_rationals] * 4), st.tuples(*[_rationals] * 4))
 def test_act_equals_sympy_expansion(coeffs, entries):

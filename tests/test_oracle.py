@@ -178,6 +178,9 @@ def test_sl2_orbit_scan_mod_p():
     for p in (5, 7):
         assert sl2_orbit_count_mod_p(p, 1) == 3
         assert sl2_orbit_count_mod_p(p, least_nonresidue(p)) == 1
+    for p in (4, 9, 0, -5):
+        with pytest.raises(DomainError):
+            sl2_orbit_count_mod_p(p, 1)
 
 
 def test_orbit_table_golden_file():
@@ -244,6 +247,104 @@ def test_form_space_scan_low_valuation_p7():
     scan = scan_forms_low_valuation(7)
     assert (scan.v1_forms, scan.triple_forms, scan.eisenstein_forms) == (691488, 115248, 98784)
     assert scan.v1_all_have_simple_root and scan.dichotomy_holds
+
+
+def _scan_walking_every_lift(p):
+    """The form scan as a walk over every lift mod p^2 of every residue
+    form with p | disc, the v(disc) = 1 count made lift by lift."""
+    import selmer3.oracle as oracle
+    from selmer3.cubicforms import _root_multiplicities, discriminant
+
+    q = p * p
+    v1 = v1_simple = triples = eis_count = 0
+    dichotomy = True
+    for a0, b0, c0, d0 in product(range(p), repeat=4):
+        if not (a0 or b0 or c0 or d0) or discriminant(a0, b0, c0, d0) % p:
+            continue
+        mults = _root_multiplicities(a0, b0, c0, d0, p)
+        simple = 1 in mults.values()
+        triple = next((root for root, m in mults.items() if m == 3), None)
+        terms = None if triple is None else oracle._root_lift_terms(triple, p)
+        for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
+            zeros = None if terms is None else oracle._root_lift_zeros(a, b, c, terms, q)
+            for d in range(d0, q, p):
+                disc = discriminant(a, b, c, d)
+                if disc % q:
+                    v1 += 1
+                    v1_simple += simple
+                    continue
+                if zeros is None:
+                    continue
+                triples += 1
+                eis = d not in zeros
+                eis_count += eis
+                if eis != (disc % (q * p) != 0):
+                    dichotomy = False
+    return oracle.LowValuationScan(p, v1, v1 == v1_simple, triples, eis_count, dichotomy)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_form_scan_equals_walking_every_lift(p):
+    from selmer3.oracle import scan_forms_low_valuation
+
+    assert scan_forms_low_valuation(p) == _scan_walking_every_lift(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_discriminant_first_order_expansion_mod_p2(p):
+    # disc(x + p h) = disc(x) + p grad(x).h mod p^2, and grad(x) = 0 mod p
+    # exactly at the triple-root residue forms: the two facts the scan
+    # counts its v(disc) = 1 lifts from
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from selmer3.cubicforms import _root_multiplicities, discriminant
+    from selmer3.oracle import _disc_gradient
+
+    q = p * p
+    triples = 0
+    for x in product(range(p), repeat=4):
+        if not any(x) or discriminant(*x) % p:
+            continue
+        triple = 3 in _root_multiplicities(*x, p).values()
+        triples += triple
+        assert all(t % p == 0 for t in _disc_gradient(*x)) == triple, x
+
+    assert triples == p * p - 1
+
+    coeffs = st.tuples(*[st.integers(-10**6, 10**6)] * 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs, coeffs)
+    def expansion(x, h):
+        lifted = discriminant(*(xi + p * hi for xi, hi in zip(x, h)))
+        linear = discriminant(*x) + p * sum(g * hi for g, hi in zip(_disc_gradient(*x), h))
+        assert (lifted - linear) % q == 0
+
+    expansion()
+
+
+def test_form_scans_refuse_a_prime_past_the_budget(monkeypatch):
+    import selmer3.oracle as oracle
+    from selmer3.errors import BudgetError
+
+    def walked(*args):
+        raise AssertionError("walked before the budget check")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "discriminant", walked)
+        m.setattr(oracle, "_root_multiplicities", walked)
+        # p = 101 is about 10^8 forms: refused without a walk or an allocation
+        for p, bound in ((101, oracle.MAX_SCAN_PRIME), (7, 5)):
+            m.setattr(oracle, "MAX_SCAN_PRIME", bound)
+            with pytest.raises(BudgetError):
+                oracle.scan_forms_low_valuation(p)
+            with pytest.raises(BudgetError):
+                oracle.sl2_orbit_count_mod_p(p, 1)
+    # a prime at the bound still runs
+    monkeypatch.setattr(oracle, "MAX_SCAN_PRIME", 5)
+    assert oracle.scan_forms_low_valuation(5).dichotomy_holds
+    assert oracle.sl2_orbit_count_mod_p(5, 1) == 3
 
 
 @pytest.mark.parametrize("p", [11, 13])
