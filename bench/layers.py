@@ -5,8 +5,12 @@ trip `form_to_ring`, `CubicRing.discriminant`, `ring_to_form` on 200
 seeded integral forms, and the forms request `index_p_subrings` plus
 `orbit_split(f, p)` on the same forms, p cycling through 5, 7, 11, 13.
 The oracle layers are the orbit grid at p = 5 and 7,
-`algebra_class_of_form` on the grid's witness forms, and the form scans
-`scan_forms_low_valuation(5)` and `scan_forms_low_valuation(7)`.
+`algebra_class_of_form` on the grid's witness forms and on 10 seeded
+integral forms at p = 31, and the form scans `scan_forms_low_valuation(5)`
+and `scan_forms_low_valuation(7)`.  The root-isolation layers are
+`has_zp_root` on 200 seeded integer polynomials of degree 1 to 3 (p
+cycling through 5, 7, 11, 13) and `has_ring_root` in the unramified cubic
+ring at p = 7 on 50 seeded integer cubics.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
@@ -249,6 +253,7 @@ def _layers():
     pass count last for a layer that takes seconds."""
     from selmer3.cubicforms import BinaryCubicForm, form_to_ring, index_p_subrings, orbit_split, ring_to_form
     from selmer3.oracle import (
+        CubicExtModel,
         algebra_class_of_form,
         enumerate_orbits,
         order_from_lattice,
@@ -256,6 +261,7 @@ def _layers():
         scan_forms_low_valuation,
         verify_subring_bijection,
     )
+    from selmer3.padicroots import has_ring_root, has_zp_root
 
     rng = random.Random(SEED)
     forms = [BinaryCubicForm(*f) for f in _forms(rng, 200, 30)]
@@ -280,6 +286,14 @@ def _layers():
         for row in enumerate_orbits(p, disc_val=v, unit_class=uc).rows
         if row.witness is not None
     ]
+    root_rng = random.Random(SEED + 3)
+    polys = [
+        ([root_rng.randint(-10**6, 10**6) for _ in range(root_rng.randint(2, 4))], (5, 7, 11, 13)[i % 4])
+        for i in range(200)
+    ]
+    cubics = [[root_rng.randint(-10**6, 10**6) for _ in range(3)] + [root_rng.randint(1, 10**6)] for _ in range(50)]
+    unramified = CubicExtModel.unramified(7)
+    forms_31 = [BinaryCubicForm(*f) for f in _forms(root_rng, 10, 1000)]
 
     def round_trip():
         for f in forms:
@@ -320,6 +334,18 @@ def _layers():
         for form, p in witnesses:
             algebra_class_of_form(form, p)
 
+    def algebra_classes_31():
+        for form in forms_31:
+            algebra_class_of_form(form, 31)
+
+    def zp_roots():
+        for coeffs, p in polys:
+            has_zp_root(coeffs, p)
+
+    def ring_roots():
+        for coeffs in cubics:
+            has_ring_root(unramified, coeffs)
+
     return {
         "form/ring round trip": ("us/call", len(forms), round_trip),
         "forms request": ("us/call", len(requests), forms_request),
@@ -330,6 +356,9 @@ def _layers():
         "verify_subring_bijection": ("us/call", len(checks), bijection),
         "orbit_grid": ("ms/grid", 1, grid),
         "algebra_class_of_form(grid witnesses)": ("us/call", len(witnesses), algebra_classes),
+        "algebra_class_of_form(p=31)": ("us/call", len(forms_31), algebra_classes_31),
+        "has_zp_root": ("us/call", len(polys), zp_roots),
+        "has_ring_root(unramified(7))": ("us/call", len(cubics), ring_roots),
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
         "scan_forms_low_valuation(7)": ("ms/call", 1, lambda: scan_forms_low_valuation(7)),
     }

@@ -15,7 +15,9 @@ The hot loops run on exact integers: extension-model elements carry
 integer coordinates over an integral basis, so valuations are read off
 the coordinates, division by the uniformizer is an exact integer
 division, and a model evaluates a polynomial by Horner's rule on the
-coordinates, building its residues only as root isolation walks them;
+coordinates, building its residues only as root isolation walks them
+and, in the unramified model at a node with coefficients in Z_p, walking
+only the p residues of F_p rather than all p^3 of F_p^3;
 sublattice closure is tested on the ring's table scaled by a p-unit to
 integers; and the form scan classifies each residue form mod p once,
 counts its lifts mod p^2 of discriminant valuation 1 from the gradient
@@ -190,6 +192,17 @@ class CubicExtModel:
         if self.ramified:
             return map(self.embed_int, range(self.p))
         return map(_ExtElem, repeat(self), product(range(self.p), repeat=3))
+
+    def residue_walk(self, coeffs):
+        """The residues root isolation walks at a node with these
+        coefficients, and the node's answer if none of them is a zero of
+        the reduction (the lemma in `padicroots`): unramified with every
+        coefficient in Z_p, the p lifts of F_p, and whether the leading
+        coefficient is a unit, making the reduction a cubic; otherwise
+        every residue, and False."""
+        if self.ramified or any(c.c[1] or c.c[2] for c in coeffs):
+            return self.residues(), False
+        return map(self.embed_int, range(self.p)), len(coeffs) == 4 and coeffs[-1].c[0] % self.p != 0
 
     def uniformizer(self) -> _ExtElem:
         return self.w if self.ramified else self.embed_int(self.p)
@@ -539,7 +552,9 @@ class OrbitTable:
 
 def _verify_witness(
     form: BinaryCubicForm, p: int, k: int, disc_val: int, d0: Fraction, algebra: str
-) -> None:
+) -> Rational:
+    """Check the witness form from scratch and return the discriminant it
+    checked."""
     if not form.is_p_integral(p):
         raise AssertionError("witness not p-integral")
     disc = form.discriminant()
@@ -552,6 +567,7 @@ def _verify_witness(
     got = _algebra_class(form, p)  # `valuation` has refused disc = 0
     if got != algebra:
         raise AssertionError(f"witness cuts out {got}, expected {algebra}")
+    return disc
 
 
 def enumerate_orbits(
@@ -586,8 +602,8 @@ def enumerate_orbits(
 
     # the reducible class, integral for every d: exhibit and verify
     triv = BinaryCubicForm(Fraction(-d0, 4), 0, 1, 0)
-    assert triv.discriminant() == d0
-    _verify_witness(triv, p, k, disc_val, d0, "split")
+    if _verify_witness(triv, p, k, disc_val, d0, "split") != d0:
+        raise AssertionError("split witness has the wrong discriminant")
     rows.append(OrbitRow("split", 1, True, triv, None, None))
 
     # field classes present in this stratum

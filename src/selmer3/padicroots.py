@@ -17,13 +17,26 @@ disc(g) is read off the binary cubic discriminant of `cubicforms`.  It is
 an integer, so its valuation is that of its embedding in the model (3 v_p
 in an Eisenstein model).
 
+A node need not walk every residue.  In an unramified cubic ring, whose
+residue field is F_p^3, a node with coefficients in Z_p has its reduction
+g-bar in F_p[x].  Since F_p^2 and F_p^3 meet in F_p, g-bar has zeros in
+F_p^3 outside F_p exactly when it is a cubic with no zero in F_p, that is,
+irreducible over F_p.  Such zeros are simple (an irreducible polynomial
+over a finite field is separable), so the strong Hensel test accepts the
+first of them.  Walking the p residues of F_p, and answering whether g-bar
+is a cubic when none of them is a zero, gives the answer and the
+exceptions of the walk over all of F_p^3.
+
 Models supply the ring: Z_p on Python integers here, cubic extension rings
 in the oracle module.  A model needs `p`, `zero`, `embed_int`,
-`residues()`, `peval()`, `val()`, `div_uniformizer()` and `uniformizer()`,
-with elements supporting +, -, *; `residues()` may be a one-pass
-iterator, `peval(coeffs, x)` is the value at x of the polynomial with the
-given element coefficients (constant term first), and `div_uniformizer`
-refuses an inexact division.
+`residue_walk()`, `peval()`, `val()`, `div_uniformizer()` and
+`uniformizer()`, with elements supporting +, -, *; `residue_walk(coeffs)`
+gives the residues a node with these coefficients walks, possibly as a
+one-pass iterator, and the node's answer if none of them is a zero of the
+reduction (every residue and False, unless the lemma above applies),
+`peval(coeffs, x)` is the value at x of the polynomial with the given
+element coefficients (constant term first), and `div_uniformizer` refuses
+an inexact division.
 """
 
 from __future__ import annotations
@@ -50,8 +63,8 @@ class ZpModel:
     def embed_int(self, n: int) -> int:
         return n
 
-    def residues(self) -> range:
-        return range(self.p)
+    def residue_walk(self, coeffs) -> tuple[range, bool]:
+        return range(self.p), False
 
     def peval(self, coeffs, x: int) -> int:
         acc = 0
@@ -171,19 +184,21 @@ def _search(model, coeffs, depth: int, cap: int) -> bool:
     if depth > cap:
         raise PrecisionError(f"root isolation exceeded depth cap {cap}")
     deriv = _pderiv(coeffs, model)
-    for a in model.residues():
+    walk, otherwise = model.residue_walk(coeffs)
+    for a in walk:
         v0 = model.val(model.peval(coeffs, a))
         if v0 is None:
             return True  # exact root in the ring
         if v0 == 0:
             continue
+        otherwise = False  # the reduction has a zero among the walked residues
         v1 = model.val(model.peval(deriv, a))
         if v1 is not None and v0 > 2 * v1:
             return True  # strong Hensel lift
         shifted = _strip_content(_pshift(coeffs, a, model), model)
         if _search(model, shifted, depth + 1, cap):
             return True
-    return False
+    return otherwise
 
 
 def _primitive_at(coeffs, p: int) -> list[int]:

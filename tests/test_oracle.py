@@ -1,16 +1,21 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from selmer3.cubicforms import BinaryCubicForm, CubicRing, form_to_ring, projective_roots_mod_p
-from selmer3.errors import DomainError
+from selmer3.errors import DomainError, PrecisionError
 from selmer3.localclass import classify_integral, h1_dims, unramified_cubic_form
 from selmer3.localfield import Place, cube_class_reps, least_nonresidue
 from selmer3.oracle import (
     CubicExtModel,
+    _algebra_class,
     _ExtElem,
     OrbitTable,
     TruncatedRing,
@@ -23,6 +28,7 @@ from selmer3.oracle import (
     sl2_orbit_count_mod_p,
     verify_subring_bijection,
 )
+from selmer3.padicroots import has_ring_root
 
 
 def test_extension_model_arithmetic():
@@ -420,6 +426,103 @@ def test_extension_model_holds_no_residue_table():
 
 
 # ----------------------------------------------------------------------
+# Root isolation in the unramified model against the walk over all p^3
+# residues
+# ----------------------------------------------------------------------
+
+
+def _search_every_residue(model, coeffs, depth, cap):
+    """Branch-and-lift over every residue of the model, with no answer
+    read off the reduction: the reference for `padicroots._search`."""
+    from selmer3.padicroots import _pderiv, _pshift, _strip_content
+
+    if depth > cap:
+        raise PrecisionError(f"root isolation exceeded depth cap {cap}")
+    deriv = _pderiv(coeffs, model)
+    for a in model.residues() if isinstance(model, CubicExtModel) else range(model.p):
+        v0 = model.val(model.peval(coeffs, a))
+        if v0 is None:
+            return True
+        if v0 == 0:
+            continue
+        v1 = model.val(model.peval(deriv, a))
+        if v1 is not None and v0 > 2 * v1:
+            return True
+        shifted = _strip_content(_pshift(coeffs, a, model), model)
+        if _search_every_residue(model, shifted, depth + 1, cap):
+            return True
+    return False
+
+
+def _outcome(run, *args, reference=False):
+    """run(*args), or the type and message of what it raised; with
+    `reference`, root isolation walks every residue."""
+    import selmer3.padicroots as padicroots
+
+    search = _search_every_residue if reference else padicroots._search
+    try:
+        with mock.patch.object(padicroots, "_search", search):
+            return run(*args)
+    except Exception as exc:  # the exception itself is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def _prime_and_integer_poly(draw):
+    """A prime and integer coefficients (constant term first) of degree 1
+    to 3: plain, each coefficient below the leading one times a power of p
+    (so the reduction is often a power of x, and the search recurses), with
+    a repeated linear factor, or with p dividing the leading coefficient."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    big = st.integers(-10**6, 10**6)
+    shape = draw(st.sampled_from(("plain", "p-powers", "repeated", "p-lead")))
+    if shape == "repeated":
+        # (u x + r)^2 (s x + t), with r a small number times a power of p
+        u = draw(st.integers(1, 30))
+        r = draw(st.integers(-30, 30)) * p ** draw(st.integers(0, 2))
+        s, t = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+        coeffs = [r * r * t, 2 * u * r * t + r * r * s, u * u * t + 2 * u * r * s, u * u * s]
+    else:
+        coeffs = draw(st.lists(big, min_size=2, max_size=4))
+        if shape == "p-powers":
+            coeffs = [c * p ** draw(st.integers(0, 4)) for c in coeffs[:-1]] + coeffs[-1:]
+        elif shape == "p-lead":
+            coeffs[-1] = p * draw(big)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assume(len(coeffs) >= 2)
+    return p, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_and_integer_poly())
+@example((5, [5, 0, 0, 1]))  # Eisenstein: a triple zero mod p that does not lift
+@example((7, [2, 0, 0, 1]))  # x^3 + 2 is irreducible mod 7
+@example((5, [2, 0, 5]))  # the reduction is a unit constant
+@example((5, [2, 0, 1]))  # an irreducible quadratic
+def test_unramified_root_isolation_equals_the_full_walk(case):
+    p, coeffs = case
+    model = CubicExtModel.unramified(p)
+    assert _outcome(has_ring_root, model, coeffs) == _outcome(
+        has_ring_root, model, coeffs, reference=True
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_algebra_class_equals_the_full_walk(p):
+    rng = random.Random(4000 + p)
+    seen = set()
+    for _ in range(40):
+        f = BinaryCubicForm(*(rng.randint(-300, 300) * p ** rng.randint(0, 2) for _ in range(4)))
+        if f.discriminant() == 0:
+            continue
+        got = _outcome(_algebra_class, f, p)
+        assert got == _outcome(_algebra_class, f, p, reference=True), f
+        seen.add(got if isinstance(got, str) else "raised")
+    assert {"split", "unram"} <= seen and any(s.startswith("ram-") for s in seen)
+
+
+# ----------------------------------------------------------------------
 # The integer oracle against independent Fraction and sympy references
 # ----------------------------------------------------------------------
 
@@ -656,9 +759,9 @@ def test_root_isolation_builds_integer_elements_only(monkeypatch):
 
 
 def test_witness_check_computes_each_discriminant_once(monkeypatch):
-    # one discriminant per witness (plus the split witness's construction
-    # check in each stratum), and one integral rescaling per witness for
-    # all the models its algebra is tried in
+    # one discriminant per witness, the split witness's construction check
+    # included, and one integral rescaling per witness for all the models
+    # its algebra is tried in
     import selmer3.oracle as oracle
 
     def counting(target, name):
@@ -674,5 +777,52 @@ def test_witness_check_computes_each_discriminant_once(monkeypatch):
     for p, v, uc in strata:
         oracle.enumerate_orbits(p, disc_val=v, unit_class=uc)
     assert len(witnesses) > len(strata)
-    assert len(discs) == len(witnesses) + len(strata)
+    assert len(discs) == len(witnesses)
     assert len(rescalings) == len(witnesses)
+
+
+def test_unramified_root_isolation_walks_the_residues_of_f_p(monkeypatch):
+    # every node of the grid's unramified root isolation has integer
+    # coefficients, so it evaluates the polynomial and its derivative at
+    # most at the p residues of F_p, not at all p^3 of F_p^3
+    import selmer3.padicroots as padicroots
+
+    nodes, evals = [], []
+    search, peval = padicroots._search, CubicExtModel.peval
+
+    def counting_search(model, coeffs, depth, cap):
+        if isinstance(model, CubicExtModel) and not model.ramified:
+            nodes.append(model.p)
+        return search(model, coeffs, depth, cap)
+
+    def counting_peval(model, coeffs, x):
+        if not model.ramified:
+            evals.append(model.p)
+        return peval(model, coeffs, x)
+
+    monkeypatch.setattr(padicroots, "_search", counting_search)
+    monkeypatch.setattr(CubicExtModel, "peval", counting_peval)
+    for p in (5, 7):
+        for v in range(5):
+            for uc in ("square", "nonsquare"):
+                enumerate_orbits(p, disc_val=v, unit_class=uc)
+    assert set(nodes) == {5, 7}
+    for p in (5, 7):
+        assert evals.count(p) <= 2 * p * nodes.count(p)
+
+
+def test_algebra_class_at_a_large_prime_is_fast():
+    # walking all of F_p^3, 226,981 residues per node, took seconds on
+    # these forms
+    p = 61
+    rng = random.Random(61)
+    forms = []
+    while len(forms) < 40:
+        f = BinaryCubicForm(*(rng.randint(-1000, 1000) for _ in range(4)))
+        if f.discriminant() != 0:
+            forms.append(f)
+    started = time.perf_counter()
+    classes = [algebra_class_of_form(f, p) for f in forms]
+    elapsed = time.perf_counter() - started
+    assert "unram" in classes
+    assert elapsed < 2.0, elapsed
