@@ -1,13 +1,21 @@
 """Brute-force verifiers, independent of the classification layer.
 
-enumerate_orbits decides integrality of every local class by exhausting the
-index-p^j sublattices of the maximal order (a nonexistence answer really is
-an exhaustive search; an existence answer carries a witness form that is
-re-verified from scratch: discriminant stratum by truncated square roots,
-class membership by p-adic root isolation in exact models of the cubic
-extensions).  count_cubic_extensions enumerates the cubic fields of Q_p
-with prescribed discriminant class.  verify_subring_bijection checks the
-index-p subring count against the projective zeros of the index form.
+The cubic fields of Q_p with discriminant in the class of d are listed
+once, from one square test each of d and -3d, with the index form of each
+maximal order; count_cubic_extensions, both cohomology counts and the
+field rows of an enumerate_orbits stratum read that list.
+enumerate_orbits decides integrality of every local class by exhausting
+the index-p^j sublattices of the maximal order (a nonexistence answer
+really is an exhaustive search; an existence answer carries a witness
+form re-verified from scratch at the stratum's prime and precision:
+discriminant stratum by truncated square roots, class membership by
+p-adic root isolation in exact models of the cubic extensions).  A search
+past MAX_ORDER_LATTICES lattices, sigma(p^j) = (p^(j+1) - 1)/(p - 1),
+raises BudgetError before any is walked.  h1_counts_from_norm_kernel
+counts the cohomology a second way, enumerating the norm-one kernel of
+the mod-cube group of the quadratic algebra Q_p(sqrt(-3d)).
+verify_subring_bijection checks the index-p subring count against the
+projective zeros of the index form.
 Nothing in this module consults the dimension table or the integrality
 theorem; tests compare its output against them.
 
@@ -38,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from math import lcm
+from math import gcd, lcm
 
 from .cubicforms import (
     BinaryCubicForm,
@@ -61,8 +69,7 @@ from .localfield import (
     is_prime,
     is_square,
     least_nonresidue,
-    unit_part,
-    valuation,
+    sqrt_extension_unramified,
 )
 from .padicroots import ZpModel, _primitive_at, form_has_projective_root
 
@@ -251,36 +258,46 @@ def _algebra_class(f: BinaryCubicForm, p: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def same_square_class(x: Rational, y: Rational, p: int) -> bool:
-    return is_square(Fraction(x) * Fraction(y), Place.finite(p))
+def _tame_place(p: int, what: str) -> Place:
+    """The finite place at p, refusing p <= 3; building it proves p."""
+    if p <= 3:
+        raise DomainError(f"{what} requires p > 3")
+    return Place.finite(p)
+
+
+def _cubic_fields(place: Place, d: Rational) -> list[tuple[str, BinaryCubicForm, int]]:
+    """The cubic fields of Q_p (p > 3) whose discriminant lies in the square
+    class of d, as (label, index form of the maximal order, v_p of its
+    discriminant): the unramified field (unit square discriminant) when d
+    is a square, and the Eisenstein fields x^3 - p*u (discriminant
+    -27 p^2 u^2, in the class of -3) when -3d is."""
+    d = Fraction(d)
+    if d == 0:
+        raise DomainError("square class of 0 is undefined")
+    p = place.p
+    fields = []
+    if is_square(d, place):
+        fields.append(("unram", unramified_cubic_form(p), 0))
+    if is_square(-3 * d, place):
+        fields.extend((f"ram-u{u}", BinaryCubicForm(1, 0, 0, -p * u), 2) for u in cube_class_reps(p))
+    return fields
+
+
+def _h1_counts(fields) -> tuple[int, int]:
+    """(#H^1, #H^1_un) from `_cubic_fields`: each field adds the two orbits
+    of its swap pair, unramified exactly for the unramified field."""
+    return 1 + 2 * len(fields), 1 + 2 * sum(label == "unram" for label, _, _ in fields)
 
 
 def count_cubic_extensions(p: int, d: Rational) -> int:
     """Number of cubic field extensions of Q_p (p > 3) whose discriminant
-    lies in the square class of d: the unramified one (unit square
-    discriminant) plus the Eisenstein fields x^3 - p*u (discriminant
-    -27 p^2 u^2, always in the class of -3)."""
-    if p <= 3 or not is_prime(p):
-        raise DomainError("extension count requires p > 3")
-    d = Fraction(d)
-    if d == 0:
-        raise DomainError("square class of 0 is undefined")
-    n = 0
-    if same_square_class(d, 1, p):
-        n += 1
-    if same_square_class(d, -3, p):
-        n += len(cube_class_reps(p))
-    return n
+    lies in the square class of d."""
+    return len(_cubic_fields(_tame_place(p, "extension count"), d))
 
 
 def h1_counts_from_extensions(p: int, d: Rational) -> tuple[int, int]:
-    """(#H^1, #H^1_un) derived purely from field enumeration: each cubic
-    field contributes the two members of its swap pair of orbits, and the
-    unramified subgroup consists of the classes split by the unramified
-    cubic."""
-    total = 1 + 2 * count_cubic_extensions(p, d)
-    unram = 1 + (2 if same_square_class(d, 1, p) else 0)
-    return total, unram
+    """(#H^1, #H^1_un) derived purely from field enumeration."""
+    return _h1_counts(_cubic_fields(_tame_place(p, "extension count"), d))
 
 
 # ----------------------------------------------------------------------
@@ -289,87 +306,53 @@ def h1_counts_from_extensions(p: int, d: Rational) -> tuple[int, int]:
 #
 # The group attached to d is the norm-one kernel of K*/(K*)^3 over the
 # quadratic algebra K = Q_p[x]/(x^2 + 3d), and its unramified subgroup is
-# the same kernel on unit groups.  Modulo cubes (p != 3) everything is a
-# small elementary abelian 3-group: a valuation coordinate plus a
-# residue-unit coordinate (the one-units are uniquely 3-divisible).  The
-# kernels are counted by brute enumeration of these groups, giving a
-# second independent derivation of the dimension table that also covers
-# p = 2, where extension counting is not implemented.
-
-
-def _mod_cube_rank(order_of_residue_units: int) -> int:
-    return 1 if order_of_residue_units % 3 == 0 else 0
+# the same kernel on unit groups.  Modulo cubes (p != 3) a factor of K of
+# residue degree f and ramification index e is a valuation coordinate a
+# mod 3 plus a residue-unit coordinate u mod gcd(3, p^f - 1) (the
+# one-units are uniquely 3-divisible).  The norm multiplies a by f and,
+# sending a generator of the residue units to the e-th power of one of
+# F_p^*, u by e, mod gcd(3, p - 1).  (A ramified uniformizer's norm also
+# carries a unit, but the kernel pins its a to 0.)  The kernels are
+# counted by brute enumeration of these groups, giving a second
+# independent derivation of the dimension table that also covers p = 2,
+# where extension counting is not implemented.
 
 
 def h1_counts_from_norm_kernel(p: int, d: Rational) -> tuple[int, int]:
     """(#H^1, #H^1_un) from the norm-kernel description, by exhaustive
     enumeration of the mod-cube groups of the quadratic algebra of
-    discriminant -3d."""
-    if p == 3 or not is_prime(p):
+    discriminant -3d: split (two factors with f = e = 1), inert (f = 2)
+    or ramified (e = 2)."""
+    if p == 3:
         raise DomainError("norm-kernel route needs residue characteristic != 3")
+    place = Place.finite(p)
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
-    from .localfield import sqrt_extension_unramified
-
-    base_unit_rank = _mod_cube_rank(p - 1)
-
-    if is_square(-3 * d, Place.finite(p)):
-        # split algebra: two copies of the base, norm adds coordinates
-        elems = []
-        for a1 in range(3):
-            for u1 in range(3 if base_unit_rank else 1):
-                for a2 in range(3):
-                    for u2 in range(3 if base_unit_rank else 1):
-                        elems.append(((a1, u1), (a2, u2)))
-        kernel = sum(
-            1
-            for (a1, u1), (a2, u2) in elems
-            if (a1 + a2) % 3 == 0 and (u1 + u2) % 3 == 0
-        )
-        unram_kernel = sum(
-            1
-            for (a1, u1), (a2, u2) in elems
-            if a1 == a2 == 0 and (u1 + u2) % 3 == 0
-        )
-        return kernel, unram_kernel
-
-    if sqrt_extension_unramified(-3 * d, p):
-        # inert quadratic: residue field of order p^2 (unit rank 1 always),
-        # norm doubles the valuation and raises residue units to p + 1
-        unit_rank_k = _mod_cube_rank(p * p - 1)
-        assert unit_rank_k == 1
-        kernel = unram_kernel = 0
-        for a in range(3):
-            for u in range(3):
-                norm_val = (2 * a) % 3
-                norm_unit = ((p + 1) * u) % 3 if base_unit_rank else 0
-                if norm_val == 0 and norm_unit == 0:
-                    kernel += 1
-                    if a == 0:
-                        unram_kernel += 1
-        return kernel, unram_kernel
-
-    # ramified quadratic: residue field of order p; the Galois involution
-    # is trivial on residues, so units norm by squaring, and the norm of a
-    # uniformizer has valuation 1.  The valuation constraint a = 0 (mod 3)
-    # pins a = 0, so the uniformizer's unit class never enters the kernel.
-    unit_rank_k = base_unit_rank
+    if is_square(-3 * d, place):
+        factors = [(1, 1), (1, 1)]
+    else:
+        factors = [(2, 1) if sqrt_extension_unramified(-3 * d, p) else (1, 2)]
+    groups = [product(range(3), range(gcd(3, p**f - 1))) for f, _ in factors]
+    base_units = gcd(3, p - 1)
     kernel = unram_kernel = 0
-    for a in range(3):
-        for u in range(3 if unit_rank_k else 1):
-            norm_val = a % 3
-            norm_unit = (2 * u) % 3 if unit_rank_k else 0
-            if norm_val == 0 and norm_unit == 0:
-                kernel += 1
-                if a == 0:
-                    unram_kernel += 1
+    for point in product(*groups):
+        norm_val = sum(f * a for (f, _), (a, _) in zip(factors, point)) % 3
+        norm_unit = sum(e * u for (_, e), (_, u) in zip(factors, point)) % base_units
+        if norm_val == norm_unit == 0:
+            kernel += 1
+            unram_kernel += all(a == 0 for a, _ in point)
     return kernel, unram_kernel
 
 
 # ----------------------------------------------------------------------
 # Exhaustive order enumeration
 # ----------------------------------------------------------------------
+
+
+# The most sublattices an order search walks: one of index p^j, over
+# sigma(p^j) = (p^(j+1) - 1)/(p - 1) of them, raises `BudgetError` past it.
+MAX_ORDER_LATTICES = 10**6
 
 
 def _index_sublattices(p: int, j: int):
@@ -381,7 +364,7 @@ def _index_sublattices(p: int, j: int):
             yield (a, b, e)
 
 
-def orders_of_index(ring: CubicRing, p: int, j: int, budget: int = 10**6):
+def orders_of_index(ring: CubicRing, p: int, j: int):
     """All subrings of index p^j of a p-integral cubic ring, as Hermite-basis
     triples.  Exhaustive: every index-p^j sublattice containing 1 is the
     preimage of an index-p^j subgroup of Z^2 = ring/Z, and each is tested
@@ -391,19 +374,19 @@ def orders_of_index(ring: CubicRing, p: int, j: int, budget: int = 10**6):
     multiplied by the lcm L of their denominators, a p-unit (a ring that is
     not p-integral is refused); a Z_p-lattice contains z exactly when it
     contains L*z.  With a, e powers of p, (z1, z2) lies in the span of
-    (a, b) and (0, e) exactly when a | z1 and e | z2 - (z1/a)*b."""
+    (a, b) and (0, e) exactly when a | z1 and e | z2 - (z1/a)*b.  More
+    than `MAX_ORDER_LATTICES` lattices raise `BudgetError` unwalked."""
     coords = [z[i] for z in (ring.ww, ring.wt, ring.tt) for i in (1, 2)]
     den = lcm(*(z.denominator for z in coords))
     if den % p == 0:
         raise DomainError(f"ring is not {p}-integral")
+    lattices = (p ** (j + 1) - 1) // (p - 1)  # sigma(p^j)
+    if lattices > MAX_ORDER_LATTICES:
+        raise BudgetError(f"order search over {lattices} lattices exceeds the maximum {MAX_ORDER_LATTICES}")
     # the constant coordinates never enter the membership test
     ww, wt, tt = ((0, int(z[1] * den), int(z[2] * den)) for z in (ring.ww, ring.wt, ring.tt))
     found = []
-    checked = 0
     for a, b, e in _index_sublattices(p, j):
-        checked += 1
-        if checked > budget:
-            raise BudgetError(f"order search exceeded budget after {checked} lattices")
         for _, z1, z2 in _lattice_products(ww, wt, tt, a, b, e):
             if z1 % a or (z2 - z1 // a * b) % e:
                 break
@@ -504,14 +487,7 @@ class OrbitRow:
     orders_found: int | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "orbit_count": self.orbit_count,
-            "integral": self.integral,
-            "witness": None if self.witness is None else self.witness.to_json_obj(),
-            "order_index_exponent": self.order_index_exponent,
-            "orders_found": self.orders_found,
-        }
+        return {**vars(self), "witness": None if self.witness is None else self.witness.to_json_obj()}
 
 
 @dataclass(frozen=True)
@@ -526,16 +502,8 @@ class OrbitTable:
     rows: tuple[OrbitRow, ...] = field(default_factory=tuple)
 
     def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "disc_val": self.disc_val,
-            "unit_class": self.unit_class,
-            "d0": str(self.d0),
-            "h1_count": self.h1_count,
-            "h1_unramified_count": self.h1_unramified_count,
-            "rows": [r.to_json_obj() for r in self.rows],
-        }
+        """The fields in order, d0 as a string and the rows as objects."""
+        return {**vars(self), "d0": str(self.d0), "rows": [r.to_json_obj() for r in self.rows]}
 
     def summary(self) -> dict:
         """Per-kind (class count, integral count), comparable with the
@@ -551,20 +519,20 @@ class OrbitTable:
 
 
 def _verify_witness(
-    form: BinaryCubicForm, p: int, k: int, disc_val: int, d0: Fraction, algebra: str
+    form: BinaryCubicForm, place: Place, tr: TruncatedRing, disc_val: int, u0: int, algebra: str
 ) -> Rational:
-    """Check the witness form from scratch and return the discriminant it
-    checked."""
-    if not form.is_p_integral(p):
+    """Check the witness form from scratch against the stratum p^disc_val
+    times the square class of the unit u0, at the stratum's proven prime
+    and precision, and return the discriminant it checked."""
+    if not form.is_p_integral(place):
         raise AssertionError("witness not p-integral")
     disc = form.discriminant()
-    if valuation(disc, p) != disc_val:
+    v, num, den = _split(Fraction(disc), place.p) if disc else (None, 0, 1)  # 0 fails
+    if v != disc_val:
         raise AssertionError("witness discriminant valuation mismatch")
-    tr = TruncatedRing(p, k)
-    ratio = unit_part(disc, p) / unit_part(d0, p)
-    if tr.unit_sqrt(ratio) is None:
+    if tr.unit_sqrt(Fraction(num, den * u0)) is None:
         raise AssertionError("witness discriminant in the wrong square class")
-    got = _algebra_class(form, p)  # `valuation` has refused disc = 0
+    got = _algebra_class(form, place.p)
     if got != algebra:
         raise AssertionError(f"witness cuts out {got}, expected {algebra}")
     return disc
@@ -575,7 +543,6 @@ def enumerate_orbits(
     k: int | None = None,
     disc_val: int = 0,
     unit_class: str = "square",
-    budget: int = 10**6,
 ) -> OrbitTable:
     """Census of the local classes in one discriminant stratum, with
     integrality decided by exhaustive order enumeration and every positive
@@ -584,8 +551,7 @@ def enumerate_orbits(
     The default precision is max(6, disc_val + 5); passing a smaller k
     than disc_val + 2 is refused rather than silently truncated.
     """
-    if p <= 3 or not is_prime(p):
-        raise DomainError("orbit enumeration requires p > 3")
+    place = _tame_place(p, "orbit enumeration")
     if unit_class not in ("square", "nonsquare"):
         raise DomainError("unit_class must be 'square' or 'nonsquare'")
     if disc_val < 0:
@@ -597,22 +563,15 @@ def enumerate_orbits(
 
     u0 = 1 if unit_class == "square" else least_nonresidue(p)
     d0 = Fraction(u0) * Fraction(p) ** disc_val
-    h1, h1_un = h1_counts_from_extensions(p, d0)
-    rows = []
+    fields = _cubic_fields(place, d0)
+    h1, h1_un = _h1_counts(fields)
+    tr = TruncatedRing(p, k)
 
     # the reducible class, integral for every d: exhibit and verify
     triv = BinaryCubicForm(Fraction(-d0, 4), 0, 1, 0)
-    if _verify_witness(triv, p, k, disc_val, d0, "split") != d0:
+    if _verify_witness(triv, place, tr, disc_val, u0, "split") != d0:
         raise AssertionError("split witness has the wrong discriminant")
-    rows.append(OrbitRow("split", 1, True, triv, None, None))
-
-    # field classes present in this stratum
-    fields: list[tuple[str, BinaryCubicForm, int]] = []
-    if same_square_class(d0, 1, p):
-        fields.append(("unram", unramified_cubic_form(p), 0))
-    if same_square_class(d0, -3, p):
-        for u in cube_class_reps(p):
-            fields.append((f"ram-u{u}", BinaryCubicForm(1, 0, 0, -p * u), 2))
+    rows = [OrbitRow("split", 1, True, triv, None, None)]
 
     for algebra, max_order_form, v_disc_max in fields:
         delta = disc_val - v_disc_max
@@ -620,13 +579,13 @@ def enumerate_orbits(
             rows.append(OrbitRow(algebra, 2, False, None, None, 0))
             continue
         j = delta // 2
-        maximal = form_to_ring(max_order_form, p=p)
-        found = orders_of_index(maximal, p, j, budget=budget)
+        maximal = form_to_ring(max_order_form, p=place)
+        found = orders_of_index(maximal, p, j)
         if not found:
             rows.append(OrbitRow(algebra, 2, False, None, j, 0))
             continue
         witness = ring_to_form(order_from_lattice(maximal, found[0]))
-        _verify_witness(witness, p, k, disc_val, d0, algebra)
+        _verify_witness(witness, place, tr, disc_val, u0, algebra)
         rows.append(OrbitRow(algebra, 2, True, witness, j, len(found)))
 
     table = OrbitTable(p, k, disc_val, unit_class, d0, h1, h1_un, tuple(rows))

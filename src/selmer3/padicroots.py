@@ -10,8 +10,9 @@ content, and recurse.
 
 Depth is capped at 2 v(Res(g, g')) plus a margin; a separable polynomial
 must resolve before the cap, so hitting it raises instead of guessing.  A
-polynomial with a repeated root is first replaced by its squarefree part,
-read off in closed form because a repeated root of a cubic is rational.
+polynomial with a repeated root (Res(g, g') = 0) is first replaced by its
+squarefree part, read off in closed form because a repeated root of a
+cubic is rational; otherwise the resultant of that test sets the cap.
 The resultant needs no determinant: Res(g, g') = +-lead(g) disc(g), and
 disc(g) is read off the binary cubic discriminant of `cubicforms`.  It is
 an integer, so its valuation is that of its embedding in the model (3 v_p
@@ -128,9 +129,9 @@ def _resultant(coeffs: list[int]) -> int:
     return disc * lead if deg == 3 else disc // lead
 
 
-def _depth_cap(coeffs: list[int], model) -> int:
-    """2 v(Res(g, g')) + margin for a separable integer g of degree 1 to 3."""
-    res = _resultant(coeffs)
+def _depth_cap(res: int, model) -> int:
+    """2 v(Res(g, g')) + margin from the `_resultant` of an integer g of
+    degree 1 to 3, which is nonzero when g is separable."""
     if res == 0:
         raise DomainError("inseparable polynomial in root isolation")
     return 2 * model.val(model.embed_int(res)) + _DEPTH_MARGIN
@@ -174,9 +175,11 @@ def has_ring_root(model, coeffs) -> bool:
         return False
     if len(coeffs) > 4:
         raise DomainError(f"root isolation takes degree at most 3, got {len(coeffs) - 1}")
-    if _resultant(coeffs) == 0:
+    res = _resultant(coeffs)
+    if res == 0:
         coeffs = _squarefree_part(coeffs)
-    cap = _depth_cap(coeffs, model)
+        res = _resultant(coeffs)
+    cap = _depth_cap(res, model)
     return _search(model, _strip_content([model.embed_int(c) for c in coeffs], model), 0, cap)
 
 

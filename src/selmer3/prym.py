@@ -293,20 +293,21 @@ def rank_bound_per_twist(assembly: PrymLocalAssembly) -> PerTwistBound:
     the sum of the |k| off an exceptional set of density at most the sum
     of 1/(2*3^|k|)."""
     pair_abs = assembly.pair_abs
-    avg = Fraction(0)
-    density_loss = Fraction(0)
-    for k in pair_abs:
-        dim_bound, dens = rank_density_bounds(k)
-        avg += dim_bound
-        density_loss += 1 - dens
+    avg, density = _pair_bounds(pair_abs)
     return PerTwistBound(
         d0=assembly.d0,
         pair_abs=pair_abs,
         typical_dim=sum(pair_abs),
         avg_dim_bound=avg,
-        typical_density=max(Fraction(0), 1 - density_loss),
+        typical_density=density,
         parity=assembly.parity,
     )
+
+
+def _pair_bounds(pair_abs: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """(average dimension bound, typical density) of a |k| pattern."""
+    bounds = [rank_density_bounds(k) for k in pair_abs]
+    return sum(b for b, _ in bounds), max(Fraction(0), 1 - sum(1 - dens for _, dens in bounds))
 
 
 def chabauty_point_bound(config: PrymCurveConfig, rank_cap: int) -> int:
@@ -379,17 +380,12 @@ def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
         for skeleton in skeletons:
             _check_invariants(skeleton)
 
-    # the bounds depend on a row through its |k| pattern only, so one row
-    # stands for all once the patterns agree
+    # the bounds depend on a row through its |k| pattern only, and every
+    # row has the pattern (0, 1)
     patterns = {s.pair_abs for s in skeletons}
     if patterns and patterns != {(0, 1)}:
         raise AssertionError(f"unexpected |k| patterns {patterns}")
-    if rows:
-        first = rank_bound_per_twist(rows[0])
-        avg_bound, density = first.avg_dim_bound, first.typical_density
-    else:
-        avg_bound = sum(rank_density_bounds(k)[0] for k in (0, 1))
-        density = 1 - sum(1 - rank_density_bounds(k)[1] for k in (0, 1))
+    avg_bound, density = _pair_bounds((0, 1))
     return PrymReport(
         name=config.name,
         height_bound=height_bound,

@@ -781,6 +781,56 @@ def test_witness_check_computes_each_discriminant_once(monkeypatch):
     assert len(rescalings) == len(witnesses)
 
 
+def test_grid_decides_each_square_class_once(monkeypatch):
+    # one is_square test each of d0 and -3 d0 per stratum, for the field
+    # list that the cohomology counts and the field rows share; the prime is
+    # proven where the stratum's place is built, and the witness checks
+    # reuse it
+    import sys
+
+    import selmer3.localfield as localfield
+    import selmer3.oracle as oracle
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("selmer3")]
+    calls = {"is_prime": [], "is_square": []}
+    for name, log in calls.items():
+        original = getattr(localfield, name)
+        wrapper = lambda *a, _f=original, _log=log: _log.append(a) or _f(*a)  # noqa: E731
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    strata = [(p, v, uc) for p in (5, 7) for v in range(5) for uc in ("square", "nonsquare")]
+    for p, v, uc in strata:
+        oracle.enumerate_orbits(p, disc_val=v, unit_class=uc)
+    assert len(calls["is_square"]) == 2 * len(strata) == 40
+    assert len(calls["is_prime"]) <= 80
+
+
+def test_order_search_past_the_budget_is_refused_unwalked(monkeypatch):
+    import selmer3.oracle as oracle
+    from selmer3.errors import BudgetError
+
+    def walked(*args):
+        raise AssertionError("walked before the budget check")
+
+    maximal = form_to_ring(unramified_cubic_form(5))
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_index_sublattices", walked)
+        # sigma(5^9) = 2,441,406 lattices; the unramified field of the
+        # v = 18 stratum needs index 5^9
+        with pytest.raises(BudgetError):
+            oracle.orders_of_index(maximal, 5, 9)
+        with pytest.raises(BudgetError):
+            oracle.enumerate_orbits(5, disc_val=18)
+        # sigma(5^3) = 156 past a bound of sigma(5^2) = 31
+        m.setattr(oracle, "MAX_ORDER_LATTICES", 31)
+        with pytest.raises(BudgetError):
+            oracle.orders_of_index(maximal, 5, 3)
+    # a search of exactly the bound still runs
+    monkeypatch.setattr(oracle, "MAX_ORDER_LATTICES", 31)
+    assert oracle.orders_of_index(maximal, 5, 2)
+
+
 def test_unramified_root_isolation_walks_the_residues_of_f_p(monkeypatch):
     # every node of the grid's unramified root isolation has integer
     # coefficients, so it evaluates the polynomial and its derivative at

@@ -8,6 +8,7 @@ from selmer3.errors import DomainError
 from selmer3.padicroots import (
     ZpModel,
     _depth_cap,
+    _resultant,
     form_has_projective_root_qp,
     has_ring_root,
     has_zp_root,
@@ -111,13 +112,30 @@ def test_depth_cap_equals_twice_the_resultant_valuation(case):
     x = sympy.Symbol("x")
     g = sympy.Poly(list(reversed(coeffs)), x)
     res = int(sympy.resultant(g, g.diff(x)))
+    assert abs(_resultant(coeffs)) == abs(res)
     if res == 0:
         with pytest.raises(DomainError):
-            _depth_cap(coeffs, ZpModel(p))
+            _depth_cap(_resultant(coeffs), ZpModel(p))
         return
-    assert _depth_cap(coeffs, ZpModel(p)) == 2 * _v(res, p) + 6
+    assert _depth_cap(_resultant(coeffs), ZpModel(p)) == 2 * _v(res, p) + 6
     # in an Eisenstein model the uniformizer is a cube root of p times a unit
-    assert _depth_cap(coeffs, CubicExtModel.eisenstein(p, 1)) == 2 * 3 * _v(res, p) + 6
+    assert _depth_cap(_resultant(coeffs), CubicExtModel.eisenstein(p, 1)) == 2 * 3 * _v(res, p) + 6
+
+
+def test_separable_input_computes_one_discriminant(monkeypatch):
+    # the resultant that tests for a repeated root also sets the depth cap;
+    # an inseparable input computes a second one, for its squarefree part
+    import selmer3.padicroots as padicroots
+
+    calls = []
+    original = padicroots.discriminant
+    monkeypatch.setattr(padicroots, "discriminant", lambda *a: calls.append(a) or original(*a))
+    assert has_ring_root(ZpModel(5), [-2, 0, 0, 1])  # x^3 - 2, separable
+    assert len(calls) == 1
+    calls.clear()
+    # (x - 1)^2 (x + 1): the squarefree part x^2 - 1 is a quadratic
+    assert has_ring_root(ZpModel(5), [1, -1, -1, 1])
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
