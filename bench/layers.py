@@ -22,8 +22,10 @@ keeping the median pass.  The input-path layers read the ratio config and
 a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form.  The
-Prym layers time the member sieve `enumerate_classes(sigma-36-2-11,
-20000)`, `family_report(prym-a4, 20000)`, its `to_json_obj`, the text of
+Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
+sieve as each revision's report walks it (the (d0, factors) walk
+`twistfamilies._sieve_walk` where it exists, `enumerate_classes`
+otherwise), `family_report(prym-a4, 20000)`, its `to_json_obj`, the text of
 the envelope carrying it, from the report on, as each revision's `prym`
 writes it (rows spliced into templates written once per skeleton and
 report, or a dict per row with repeated sub-objects written once), and
@@ -162,11 +164,11 @@ def _input_layers(workdir: str, sink):
 
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
-    phase: the family's member sieve, building the report, its JSON
-    object, the text of the envelope that carries it, written from the
-    report as the revision's `prym` writes it, and the whole in-process
-    `prym` request."""
-    from selmer3 import __version__, cli
+    phase: the family's member sieve, as classes and as the revision's
+    report walks it, building the report, its JSON object, the text of the
+    envelope that carries it, written from the report as the revision's
+    `prym` writes it, and the whole in-process `prym` request."""
+    from selmer3 import __version__, cli, twistfamilies
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
     from selmer3.twistfamilies import enumerate_classes
@@ -190,6 +192,11 @@ def _prym_layers(sink):
         }
         return _dumps(envelope, **flags)
 
+    def report_sieve():
+        if hasattr(twistfamilies, "_sieve_walk"):  # the rows are built as the walk yields
+            return list(twistfamilies._sieve_walk(*twistfamilies.admitted_masks(config.family, 20000)))
+        return enumerate_classes(config.family, 20000)
+
     def request():
         with contextlib.redirect_stdout(sink):
             if main(argv) != 0:
@@ -197,6 +204,7 @@ def _prym_layers(sink):
 
     return {
         "enumerate_classes(sigma-36-2-11, 20000)": ("ms/call", 1, lambda: enumerate_classes(config.family, 20000)),
+        "prym member sieve(sigma-36-2-11, 20000)": ("ms/call", 1, report_sieve),
         "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
         "PrymReport.to_json_obj": ("ms/call", 1, report.to_json_obj),
         "prym envelope text": ("ms/call", 1, envelope_text),

@@ -5,10 +5,10 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes.  A `prym` row's text is two templates, written once,
-with its d and its primes spliced in (see `_prym_row_text`).  Exit
-codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain error
-or exhausted budget, 4 incomplete configuration.  An input file that
+indent=2) writes, sent piece by piece.  A `prym` row's text is templates
+written once, with its d and its primes spliced in (`_prym_row_text`).
+Exit codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain
+error or exhausted budget, 4 incomplete configuration.  An input file that
 cannot be read or parsed, lacks a key or holds a value of the wrong JSON
 kind exits 2, naming the file and the JSON path (`errors.Document`); a
 value of the right kind outside its domain exits 3.
@@ -156,7 +156,9 @@ def _emit(command: str, inputs, result, started: float) -> None:
         "result": result,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    print(_dumps(envelope))
+    out: list[str] = []
+    _write_json(envelope, out, 0)
+    sys.stdout.writelines([*out, "\n"])  # piece by piece: a large envelope is never joined
 
 
 # The depth of a row in the `prym` envelope: envelope > result > rows > row.
@@ -169,25 +171,26 @@ def _prym_row_text():
     differ only in d and their primes, good places only in their label.
     So two templates are written once, a NUL where those go, and split
     there: per skeleton its row without primes, into the head before d,
-    the middle through the skeleton's places and the tail; per report a
-    good place, around its label.  The writer escapes every NUL it
-    encodes itself, so a raw NUL in its text is a sentinel."""
+    the middle and the tail; per report a good place, around its label,
+    which joins a row's primes.  The writer escapes every NUL it encodes
+    itself, so a raw NUL is a sentinel."""
     sentinel = _Text("\0")
     sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
     pre, post = (sep + _dumps(good_place(_Text('"\0"')).to_json_obj(), _ROW_DEPTH + 2)).split(sentinel)
-    cuts: list[tuple] = []  # (RowSkeleton, head, middle, tail), the report's few skeletons
+    between = post + pre
+    cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
 
     def row_text(row) -> _Text:
-        for skeleton, head, middle, tail in cuts:
-            if skeleton is row.skeleton:  # rows share their skeleton; hashing one costs more
-                break
-        else:
-            obj = {**PrymLocalAssembly(row.d0, row.skeleton).to_json_obj(), "d": sentinel}
+        d0, skeleton, primes = row
+        if (pieces := cuts.get(id(skeleton))) is None:
+            obj = {**PrymLocalAssembly(0, skeleton).to_json_obj(), "d": sentinel}
             obj["places"].append(sentinel)
             head, middle, tail = _dumps(obj, _ROW_DEPTH).split(sentinel)
-            middle = middle.removesuffix(sep)  # the sentinel place's
-            cuts.append((row.skeleton, head, middle, tail))
-        return _Text("".join([head, str(row.d0), middle, *[pre + str(p) + post for p in row.primes], tail]))
+            cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the sentinel place's
+        head, middle, tail = pieces
+        if primes:
+            return _Text("".join((head, str(d0), middle, pre, between.join(map(str, primes)), post, tail)))
+        return _Text(head + str(d0) + middle + tail)
 
     return row_text
 

@@ -38,7 +38,7 @@ from functools import cache
 from math import gcd
 
 from .errors import DomainError
-from .localfield import Place, Rational, is_prime
+from .localfield import Place, Rational, _proven_prime
 
 
 def _exact(x: Rational) -> Rational:
@@ -99,10 +99,7 @@ class BinaryCubicForm:
     def is_p_integral(self, p: int | Place) -> bool:
         """Whether p divides no denominator, for a prime p or the finite
         `Place` at p, which has proven it."""
-        if isinstance(p, Place):
-            p = p.p
-        elif not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+        p = _proven_prime(p)
         return all(t.denominator % p for t in self.coefficients())
 
     def reduce_mod(self, p: int | Place) -> tuple[int, int, int, int]:
@@ -389,8 +386,6 @@ _SPLITTING_TYPES = {(1, 1, 1): "(111)", (1,): "(12)", (): "(3)", (2, 1): "(1^2 1
 def factorization_type(f: BinaryCubicForm, p: int) -> str:
     """Splitting type of f mod p over F_p.  When f corresponds to a maximal
     order this is the splitting of p in that order."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     fa, fb, fc, fd = f.reduce_mod(p)
     if fa == 0 and fb == 0 and fc == 0 and fd == 0:
         return "degenerate"
@@ -416,11 +411,13 @@ def _unimodular_completion(x0: int, y0: int) -> TwoByTwoMatrix:
     return TwoByTwoMatrix(x0, y0, -old_t, old_s)
 
 
-def index_p_subrings(ring: CubicRing, p: int) -> list[CubicRing]:
+def index_p_subrings(ring: CubicRing, p: int | Place) -> list[CubicRing]:
     """The subrings of index p, one per zero of the associated form in
-    P^1(F_p); each has discriminant p^2 times that of the input.  p is
-    proven prime once, by the `Place` every step below is handed."""
-    place = Place.finite(p)
+    P^1(F_p); each has discriminant p^2 times that of the input.  p is a
+    prime, proven here once, or its `Place`; every step below is handed the
+    `Place`."""
+    place = p if isinstance(p, Place) else Place.finite(p)
+    p = place.p
     f = ring_to_form(ring)
     if not f.is_p_integral(place):
         raise DomainError(f"ring is not defined over the {p}-integral base")
@@ -488,10 +485,11 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def orbit_split(f: BinaryCubicForm, p: int | None = None) -> tuple[BinaryCubicForm, ...]:
+def orbit_split(f: BinaryCubicForm, p: int | Place | None = None) -> tuple[BinaryCubicForm, ...]:
     """SL2-orbit representatives inside the determinant +-1 orbit of f:
-    {f} when f is reducible over the field (Q, or Q_p when p is given),
-    {f, f(y, x)} when f is irreducible, i.e. cuts out a field."""
+    {f} when f is reducible over the field (Q, or Q_p when a prime p or its
+    proven `Place` is given), {f, f(y, x)} when f is irreducible, i.e.
+    cuts out a field."""
     if f.discriminant() == 0:
         raise DomainError("orbit splitting requires nonzero discriminant")
     if p is None:

@@ -334,7 +334,7 @@ def soluble_classes(datum: LocalTwistDatum, summand_flag: bool) -> SolubleClasse
         raise DomainError("3-adic places take ratio overrides, not this theorem")
     v = datum.v_d
 
-    if not sqrt_extension_unramified(datum.d, p):
+    if not sqrt_extension_unramified(datum.d, datum.place):
         # covers odd v(d); the whole group vanishes
         return SolubleClasses("zero", frozenset(), False)
     if v == 0:

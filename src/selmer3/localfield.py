@@ -7,10 +7,10 @@ The base field is Q throughout; Q_p and R are the only completions that
 occur concretely.
 
 A prime is proven once, where it enters: by building a `Place`, or by the
-one `is_prime` test of a public function that takes a raw p (`valuation`,
-`unit_part`, `sqrt_extension_unramified`).  Below that
-test the primitives work on `_split`, which trusts its p, so a caller that
-holds a `Place` passes its p on and nothing tests it again.
+one `is_prime` test (`_proven_prime`) of a public function that takes a raw
+p (`valuation`, `unit_part`; `sqrt_extension_unramified` takes either).
+Below that test the primitives work on `_split`, which trusts its p, so a
+caller that holds a `Place` passes it or its p on and nothing tests it again.
 """
 
 from __future__ import annotations
@@ -90,6 +90,15 @@ class Place:
         return str(self.p) if self.is_finite else self.kind
 
 
+def _proven_prime(p: int | Place) -> int:
+    """The prime of a finite `Place`, or p once `is_prime` has proven it."""
+    if isinstance(p, Place):
+        return p.p
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return p
+
+
 def _split(x: Fraction, p: int) -> tuple[int, int, int]:
     """(v, num, den) with x = p^v * num/den and num, den prime to p.  No
     checks: x is nonzero and p a proven prime, by a `Place` or by the
@@ -104,15 +113,13 @@ def _split(x: Fraction, p: int) -> tuple[int, int, int]:
     return v, num, den
 
 
-def _entry_split(x: Rational, p: int) -> tuple[int, int, int]:
-    """`_split` at the entry of a public function with a raw p: refuses
-    x = 0 and a composite p, with the call's one primality test."""
+def _entry_split(x: Rational, p: int | Place) -> tuple[int, int, int]:
+    """`_split` at the entry of a public function: refuses x = 0 and a
+    composite p, with the call's one primality test (none for a `Place`)."""
     x = Fraction(x)
     if x == 0:
         raise DomainError("0 has no p-adic valuation")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _split(x, p)
+    return _split(x, _proven_prime(p))
 
 
 def valuation(x: Rational, p: int) -> int:
@@ -166,10 +173,12 @@ def _unit_is_3power(split: tuple[int, int, int], p: int, j: int) -> bool:
     return pow(num * pow(den, -1, p) % p, (p - 1) // gcd(3**j, p - 1), p) == 1
 
 
-def sqrt_extension_unramified(d: Rational, p: int) -> bool:
+def sqrt_extension_unramified(d: Rational, p: int | Place) -> bool:
     """Whether Q_p(sqrt(d))/Q_p is unramified (the split case counts as
-    unramified): v(d) even and, at p = 2, the unit part 1 mod 4."""
+    unramified): v(d) even and, at p = 2, the unit part 1 mod 4.  p is a
+    prime or the finite `Place` at one, which has proven it."""
     v, num, den = _entry_split(d, p)
+    p = p.p if isinstance(p, Place) else p
     return v % 2 == 0 and (p != 2 or num * den % 4 == 1)  # odd den is its own inverse mod 4
 
 

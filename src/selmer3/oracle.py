@@ -332,7 +332,7 @@ def h1_counts_from_norm_kernel(p: int, d: Rational) -> tuple[int, int]:
     if is_square(-3 * d, place):
         factors = [(1, 1), (1, 1)]
     else:
-        factors = [(2, 1) if sqrt_extension_unramified(-3 * d, p) else (1, 2)]
+        factors = [(2, 1) if sqrt_extension_unramified(-3 * d, place) else (1, 2)]
     groups = [product(range(3), range(gcd(3, p**f - 1))) for f, _ in factors]
     base_units = gcd(3, p - 1)
     kernel = unram_kernel = 0

@@ -47,7 +47,7 @@ from math import lcm
 
 from .cubicforms import discriminant
 from .errors import DomainError, PrecisionError
-from .localfield import _split, is_prime
+from .localfield import Place, _proven_prime, _split
 
 _DEPTH_MARGIN = 6
 
@@ -218,8 +218,7 @@ def _primitive_at(coeffs, p: int) -> list[int]:
 def has_zp_root(coeffs, p: int) -> bool:
     """Root in Z_p of a polynomial of degree at most 3 with rational
     coefficients (constant term first)."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    p = _proven_prime(p)
     if all(c == 0 for c in coeffs):
         raise DomainError("zero polynomial")
     return has_ring_root(ZpModel(p), _primitive_at(coeffs, p))
@@ -236,9 +235,8 @@ def form_has_projective_root(model, a, b, c, d) -> bool:
     return has_ring_root(model, [d, c, b, a]) or has_ring_root(model, [a, b, c, d])
 
 
-def form_has_projective_root_qp(a, b, c, d, p: int) -> bool:
+def form_has_projective_root_qp(a, b, c, d, p: int | Place) -> bool:
     """Whether a binary cubic with the given rational coefficients has a
-    zero in P^1(Q_p)."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    zero in P^1(Q_p), for a prime p or its `Place`, which has proven it."""
+    p = _proven_prime(p)
     return form_has_projective_root(ZpModel(p), *_primitive_at((a, b, c, d), p))

@@ -19,14 +19,16 @@ the 3 is optional metadata.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, starmap
+from typing import NamedTuple
 
 from .errors import DomainError, IncompleteConfigError
 from .localfield import Rational, sextic_class_3adic
 from .selmerratio import IsogenyDescriptor, archimedean_exponent, parity_prediction, rank_density_bounds
-from .twistfamilies import TwistClass, TwistFamily, enumerate_classes, family_preset, reduce_class
+from .twistfamilies import TwistFamily, _sieve_walk, admitted_masks, family_preset, reduce_class
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,7 @@ def good_place(label: str) -> PlacePair:
     return PlacePair(label, (0, 0), True, "good")
 
 
-@dataclass(frozen=True)
-class PrymLocalAssembly:
+class PrymLocalAssembly(NamedTuple):
     """A member's row: d, its skeleton and the primes p > 3 dividing d,
     each placed after the skeleton's places as `good_place(str(p))`."""
 
@@ -202,12 +203,15 @@ class PrymLocalAssembly:
         }
 
 
+_TWO_ADIC_SQUARE = "family admits a twist with a 2-adic square; preset broken"
+
+
 class _Assembler:
     """What a configuration fixes for all its twists, resolved once per
     report: the two descriptors, the 3-adic solutions with the unique
     unordered pair they determine, and one row skeleton per sign (per sign
     and sixth-power class when the 3-adic order is configured), built on
-    first use.  A row carries its primes other than 2 and 3 as ints.
+    first use.  `row` is the one row builder.
 
     The family is squarefree, so a prime p > 3 divides d once and its
     ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
@@ -215,20 +219,21 @@ class _Assembler:
       - at v_2(d) = 1 both valuations are odd, so neither is a square;
       - for odd d, d = 1 (mod 8) or -3d = 1 (mod 8) exactly when d = 1 or
         5 (mod 8).
-    A member with d = 1 (mod 4) is refused, and no other one needs a
-    2-adic test."""
+    So a family with a member d = 1 (mod 4) is refused: by `family_report`
+    on its masks, by `assemble_local_exponents` on its one d.  No row
+    needs a 2-adic test."""
 
     def __init__(self, config: PrymCurveConfig) -> None:
-        self.config = config
         self.descs = config.descriptors()
         self.solutions = solve_three_adic(config)
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
-        self.skeletons: dict = {}  # sign, or (sign, sixth-power class) -> RowSkeleton
+        self.ordered = config.three_adic.ordered
+        self.skeletons: dict = {}  # d0 > 0, or (d0 > 0, sixth-power class) -> RowSkeleton
 
     def _skeleton(self, key, sign: int) -> RowSkeleton:
-        ordered = self.config.three_adic.ordered
+        ordered = self.ordered
         if ordered is None:
             three = PlacePair("3", next(iter(self.pairs)), False, "override")
         else:
@@ -248,17 +253,13 @@ class _Assembler:
         )
         return skeleton
 
-    def assemble(self, tc: TwistClass) -> PrymLocalAssembly:
-        """Per-place pairs for a member of the family, whose primes are
-        read off the flat `factors` that `reduce_class` and
-        `enumerate_classes` both set."""
-        d0 = tc.d0
-        if d0 % 4 == 1:  # d0 or -3 d0 is a 2-adic square
-            raise DomainError("family admits a twist with a 2-adic square; preset broken")
-        sign = 1 if d0 > 0 else -1
-        key = sign if self.config.three_adic.ordered is None else (sign, sextic_class_3adic(d0).representative)
-        skeleton = self.skeletons.get(key) or self._skeleton(key, sign)
-        return PrymLocalAssembly(d0, skeleton, tuple([p for p in tc.factors[::2] if p > 3]))
+    def row(self, d0: int, factors: tuple[int, ...]) -> PrymLocalAssembly:
+        """The row of a member d0, whose membership and place 2 the caller
+        has checked, with the primes p > 3 of the flat factorization of |d0|."""
+        key = d0 > 0 if self.ordered is None else (d0 > 0, sextic_class_3adic(d0).representative)
+        skeleton = self.skeletons.get(key) or self._skeleton(key, 1 if d0 > 0 else -1)
+        primes = factors[::2]
+        return PrymLocalAssembly(d0, skeleton, primes[bisect_right(primes, 3) :])
 
 
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:
@@ -274,7 +275,9 @@ def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalA
     tc = reduce_class(d, config.family.n)
     if not config.family.admits(tc):
         raise DomainError(f"{d} is not in the configured family")
-    return _Assembler(config).assemble(tc)
+    if tc.d0 % 4 == 1:
+        raise DomainError(_TWO_ADIC_SQUARE)
+    return _Assembler(config).row(tc.d0, tc.factors)
 
 
 @dataclass(frozen=True)
@@ -363,18 +366,22 @@ def _check_invariants(skeleton: RowSkeleton) -> None:
 
 def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
-    the analytic bounds.  The members come from the family's own sieve, so
-    none is tested for membership again.  The invariants (exponents in
-    {0,1} summing to the product exponent, odd global exponent, unordered
-    ratio pair {1, 3+-1}) are checked once per report and row skeleton,
-    since each row carries its skeleton's four exponents and global pair;
-    no row is checked on its own."""
-    members = enumerate_classes(config.family, height_bound)
+    the analytic bounds.  Rows are built as the family's sieve walk yields
+    its members, so none is tested for membership again.  The place 2 is
+    decided on the family's masks before any row: a member d = 1 (mod 4)
+    raises DomainError.  The invariants (exponents in {0,1} summing to the
+    product exponent, odd global exponent, unordered ratio pair {1, 3+-1})
+    are checked once per report and row skeleton, since each row carries
+    its skeleton's four exponents and global pair."""
     assembler = _Assembler(config)
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
         raise AssertionError("solver output violated the product identity")
-    rows = tuple(map(assembler.assemble, members))
+    masks, candidates = admitted_masks(config.family, height_bound)
+    for sign, mask in masks:
+        if any(mask[2 - sign :: 4]):  # sign * h = 1 (mod 4) at h = 2 - sign (mod 4)
+            raise DomainError(_TWO_ADIC_SQUARE)
+    rows = tuple(starmap(assembler.row, _sieve_walk(masks, candidates)))
     skeletons = assembler.skeletons.values()
     if unequal:
         for skeleton in skeletons:

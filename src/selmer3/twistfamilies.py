@@ -5,10 +5,11 @@ A class in Q^x modulo 2n-th powers is stored by its unique 2n-th-power-free
 integer representative, sign kept (the sign is the archimedean datum).
 `admitted_masks` marks a family's members below a height bound, one byte a
 height and sign.  The T_k partition reads only these masks.
-`enumerate_classes`, for the Prym report, builds a `TwistClass` per member
-carrying its factorization, read off one smallest-prime-factor sieve (an
-`array('I')`, four bytes a height); `reduce_class` builds the class of one
-d (`global_report`) and factors it once: trial division by small primes,
+`_sieve_walk` yields each member with its factorization, read off one
+smallest-prime-factor sieve (an `array('I')`, four bytes a height): the
+Prym report builds its rows straight from it, and `enumerate_classes` a
+`TwistClass` per member.  `reduce_class` builds the class of one d
+(`global_report`) and factors it once: trial division by small primes,
 then Pollard's rho within a fixed budget.
 """
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt
+from typing import Iterator
 
 from .errors import BudgetError, Document, DomainError, malformed
 from .localfield import Rational, is_prime
@@ -250,32 +252,6 @@ class TwistFamily(Document):
         return all(cond.admits(tc.d0) for cond in self.conditions)
 
 
-def _smallest_prime_factors(bound: int) -> array:
-    """spf[h] is the smallest prime factor of the composite h < bound and 0
-    for h prime or h < 2.  Primes are marked from the largest down, so the
-    smallest one is written last."""
-    spf = array("I", [0]) * max(bound, 1)
-    for p in reversed(_primes_below(isqrt(max(bound - 1, 0)) + 1)):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound, p))
-    return spf
-
-
-def _sieve_factors(spf: array, h: int) -> tuple[int, ...]:
-    """The flat factorization of h read off the sieve."""
-    out: list[int] = []
-    while h > 1:
-        p = spf[h]
-        if not p:
-            out += (h, 1)
-            break
-        e = 0
-        while h % p == 0:
-            h //= p
-            e += 1
-        out += (p, e)
-    return tuple(out)
-
-
 def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, bytes]], bytes]:
     """([(sign, mask)] for the family's signs, positive first, and the union
     of the masks), one byte a height: mask[h] = 1 when sign * h is a member,
@@ -307,19 +283,38 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
     return masks, union.to_bytes(size, "big")
 
 
-def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
-    """All classes of the family with height strictly below the bound,
-    sorted by height with the positive representative first.  Each class
-    carries its factorization; only members' heights are factored."""
-    masks, candidates = admitted_masks(family, bound)
-    spf = _smallest_prime_factors(bound)
-    out = []
-    for h in compress(range(bound), candidates):
-        factors = _sieve_factors(spf, h)
+def _sieve_walk(masks: list[tuple[int, bytes]], candidates: bytes) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(d0, the factorization of |d0|, flat as (p1, e1, p2, e2, ...) with p
+    increasing) for each member `admitted_masks` marks, by height with the
+    positive representative first.  Each height is factored once off the
+    sieve spf: spf[m] is the smallest prime factor of a composite m, else 0
+    (primes are marked from the largest down, so the smallest is last)."""
+    size = len(candidates)
+    spf = array("I", [0]) * size
+    for p in reversed(_primes_below(isqrt(size - 1) + 1)):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+    for h in compress(range(size), candidates):
+        out: list[int] = []
+        m = h
+        while p := spf[m]:  # m is composite
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            out += (p, e)
+        if m > 1:  # a prime
+            out += (m, 1)
+        factors = tuple(out)
         for sign, mask in masks:
             if mask[h]:
-                out.append(TwistClass(sign * h, family.n, factors))
-    return out
+                yield sign * h, factors
+
+
+def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
+    """All classes of the family with height strictly below the bound, in
+    the order of `_sieve_walk` and carrying its factorizations."""
+    return [TwistClass(d0, family.n, f) for d0, f in _sieve_walk(*admitted_masks(family, bound))]
 
 
 PRESETS: dict[str, TwistFamily] = {

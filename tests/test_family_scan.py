@@ -271,6 +271,7 @@ def counts(monkeypatch):
         "is_square": _count_calls(monkeypatch, localfield, "is_square"),
         "is_prime": _count_calls(monkeypatch, localfield, "is_prime"),
         "enumerate_classes": _count_calls(monkeypatch, twistfamilies, "enumerate_classes"),
+        "sieve_walk": _count_calls(monkeypatch, twistfamilies, "_sieve_walk"),
         "reduce_class": _count_calls(monkeypatch, twistfamilies, "reduce_class"),
         "admits": _count_method_calls(monkeypatch, TwistFamily, "admits"),
         "entries": _count_method_calls(monkeypatch, selmerratio._PlaceExponents, "entries"),
@@ -294,6 +295,24 @@ def test_prym_report_factors_nothing_and_solves_once(counts, capsys):
     assert result["member_count"] > 2000
     assert counts["factorize"] == []
     assert len(counts["solve_three_adic"]) == 1
+
+
+def test_prym_request_builds_rows_straight_from_one_sieve_walk(counts, capsys):
+    # no class object per member and no second enumeration: the rows come
+    # from the family's one walk of its masks and factor sieve
+    result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "3000")
+    assert result["member_count"] > 300
+    assert counts["TwistClass"] == []
+    assert counts["enumerate_classes"] == []
+    assert len(counts["sieve_walk"]) == 1
+
+
+def test_enumerate_classes_is_the_sieve_walk(counts):
+    family = family_preset("full-n3")
+    classes = enumerate_classes(family, 500)
+    assert len(counts["sieve_walk"]) == 1 and len(counts["TwistClass"]) == len(classes)
+    walk = twistfamilies._sieve_walk(*twistfamilies.admitted_masks(family, 500))
+    assert [(tc.d0, tc.factors) for tc in classes] == list(walk)
 
 
 def test_prym_report_checks_no_member_again(counts, capsys):
@@ -359,6 +378,35 @@ def test_index_p_subrings_proves_p_once(counts):
         sizes.add(len(index_p_subrings(ring, p)))
         assert counts["is_prime"] == [(p,)]
     assert sizes >= {0, 1, 2, 3}
+
+
+def test_forms_request_on_one_place_proves_p_once(counts):
+    # a caller holding the `Place` hands it to both steps of a forms
+    # request; the answers are those of the int entry points
+    from selmer3.cubicforms import BinaryCubicForm, form_to_ring, index_p_subrings, orbit_split
+
+    rng = random.Random(1701)
+    for _ in range(100):
+        p = rng.choice((5, 7, 11, 13))
+        f = BinaryCubicForm(*(rng.randint(-30, 30) for _ in range(4)))
+        if f.discriminant() == 0:
+            continue
+        ring = form_to_ring(f)
+        counts["is_prime"].clear()
+        place = Place.finite(p)
+        got = index_p_subrings(ring, place), orbit_split(f, place)
+        assert counts["is_prime"] == [(p,)]
+        assert got == (index_p_subrings(ring, p), orbit_split(f, p))
+
+
+def test_norm_kernel_count_proves_p_once(counts):
+    from selmer3.oracle import h1_counts_from_norm_kernel
+
+    for p in (2, 5, 7, 11, 13):
+        for d in (1, 2, 5, p, 3 * p, -7, Fraction(p, 4)):
+            counts["is_prime"].clear()
+            h1_counts_from_norm_kernel(p, d)
+            assert counts["is_prime"] == [(p,)], (p, d)
 
 
 def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from selmer3 import prym
 from selmer3.errors import DomainError, IncompleteConfigError
 from selmer3.prym import (
     PrymCurveConfig,
@@ -15,7 +17,7 @@ from selmer3.prym import (
     solve_three_adic,
 )
 from selmer3.selmerratio import duality_exponent
-from selmer3.twistfamilies import CongruenceCondition, enumerate_classes, family_preset
+from selmer3.twistfamilies import CongruenceCondition, TwistFamily, enumerate_classes, family_preset
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +300,42 @@ def test_rows_share_one_skeleton_per_sign(a4):
         assert [p.place_label for p in row.places[3:]] == [str(p) for p in row.primes]
         assert all(p.pair == (0, 0) and p.provenance == "good" for p in row.places[3:])
         assert row.pair_global == tuple(sorted(map(sum, zip(*(p.pair for p in row.places)))))
+
+
+@pytest.mark.parametrize(
+    "sign, residues, first",
+    [
+        (1, {1}, 1),  # d = 1, 5, 13, ...
+        (1, {1, 2}, 1),
+        (-1, {1}, -3),  # d = -3, -7, -11, ...: -h = 1 (mod 4) at h = 3 (mod 4)
+        (-1, {1, 3}, -3),
+    ],
+)
+def test_family_report_refuses_a_member_that_is_1_mod_4(a4, monkeypatch, sign, residues, first):
+    # d or -3d is then a 2-adic square; the refusal reads the sign's mask,
+    # so it fires from the first such member on, before any row is built
+    family = TwistFamily(
+        n=3, signs=(sign,), conditions=(CongruenceCondition(4, frozenset(residues)),), squarefree=True
+    )
+    config = replace(a4, family=family)
+    assert [tc.d0 for tc in enumerate_classes(family, abs(first) + 1)][-1] == first
+    below = family_report(config, abs(first))  # no member 1 (mod 4) yet
+    assert all(r.d0 % 4 != 1 for r in below.rows)
+    with pytest.raises(DomainError, match="2-adic square"):
+        assemble_local_exponents(config, first)
+    monkeypatch.setattr(prym, "_sieve_walk", None)  # a walk would raise TypeError
+    for height in (abs(first) + 1, 200):
+        with pytest.raises(DomainError, match="2-adic square"):
+            family_report(config, height)
+
+
+@pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+def test_family_report_keeps_a_family_with_no_member_1_mod_4(a4, signs):
+    # -1 = 3 (mod 4) and -5 = 3 (mod 4): the negative sign's mask is read
+    # at h = 3 (mod 4), not at h = 1
+    family = TwistFamily(
+        n=3, signs=signs, conditions=(CongruenceCondition(4, frozenset({2, 3})),), squarefree=True
+    )
+    report = family_report(replace(a4, family=family), 200)
+    assert [r.d0 for r in report.rows] == [tc.d0 for tc in enumerate_classes(family, 200)]
+    assert any(r.d0 < 0 and -r.d0 % 4 == 1 for r in report.rows) == (-1 in signs)
