@@ -30,8 +30,9 @@ the envelope carrying it, from the report on, as each revision's `prym`
 writes it (rows spliced into templates written once per skeleton and
 report, or a dict per row with repeated sub-objects written once), and
 the whole in-process `prym` request at that height.  The scan layers time
-`build_twist_datum` over 200 seeded (p, d) with v_p(d) even and positive,
-the whole in-process `scan --family-preset full-n3 --height 2000`
+`global_report` with the `scan` default config on 200 seeded members d,
+each with a prime p < 1000 other than 3 at which v_p(d) is 2 or 4, the
+whole in-process `scan --family-preset full-n3 --height 2000`
 request, and at height 10^6 `tk_partition` of full-n3 with the `scan`
 default config and the whole in-process `scan` request; these two take
 seconds, so they run three passes and no warm-up pass.  The file records,
@@ -213,31 +214,30 @@ def _prym_layers(sink):
 
 
 def _scan_layers(sink):
-    """The local twist datum at an even valuation, the input of every
-    table-2 exponent, the T_k partition of the full family at height 10^6,
-    and whole in-process full-family scans at heights 2000 and 10^6.  The
-    two layers at 10^6 are last: the millions of objects they make and free
+    """The per-place report of members with a table-2 exponent, the T_k
+    partition of the full family at height 10^6, and whole in-process
+    full-family scans at heights 2000 and 10^6.  The two layers at 10^6 are last: the millions of objects they make and free
     change when the garbage collector runs in the layers after them."""
     from selmer3.cli import _TRIVIAL_CONFIG, main
-    from selmer3.localclass import build_twist_datum
-    from selmer3.selmerratio import tk_partition
+    from selmer3.selmerratio import global_report, tk_partition
     from selmer3.twistfamilies import _primes_below, family_preset
 
     rng = random.Random(SEED + 2)
     primes = [p for p in _primes_below(1000) if p != 3]
-    pairs = []
-    while len(pairs) < 200:
+    members = []
+    while len(members) < 200:
         p, u = rng.choice(primes), rng.randrange(1, 10**6)
         if u % p:
-            pairs.append((p, rng.choice((1, -1)) * u * p ** rng.choice((2, 4))))
+            members.append(rng.choice((1, -1)) * u * p ** rng.choice((2, 4)))
     full = family_preset("full-n3")
+    profiles = list(_TRIVIAL_CONFIG.profiles)
 
-    def data():
-        for p, d in pairs:
-            build_twist_datum(p, d)
+    def reports():
+        for d in members:
+            global_report(profiles, _TRIVIAL_CONFIG.descriptor, d)
 
     def partition():
-        tk_partition(full, _TRIVIAL_CONFIG.descriptor, list(_TRIVIAL_CONFIG.profiles), 10**6)
+        tk_partition(full, _TRIVIAL_CONFIG.descriptor, profiles, 10**6)
 
     def request(height):
         argv = ["scan", "--family-preset", "full-n3", "--height", str(height)]
@@ -249,7 +249,7 @@ def _scan_layers(sink):
         return run
 
     return {
-        "build_twist_datum(even v)": ("us/call", len(pairs), data),
+        "global_report(table-2 member)": ("us/call", len(members), reports),
         "scan --family-preset full-n3 --height 2000": ("ms/call", 1, request(2000)),
         "tk_partition(full-n3, 10^6)": ("s/call", 1, partition, SLOW_PASSES),
         "scan --family-preset full-n3 --height 1000000": ("s/call", 1, request(10**6), SLOW_PASSES),

@@ -39,6 +39,7 @@ from math import gcd
 
 from .errors import DomainError
 from .localfield import Place, Rational, _proven_prime
+from .twistfamilies import factorize
 
 
 def _exact(x: Rational) -> Rational:
@@ -462,8 +463,11 @@ def _has_rational_projective_root(f: BinaryCubicForm) -> bool:
         return True  # root x = 0
     # a root n/m in lowest terms has n | D and m | A, and is a zero of the
     # cubic exactly when A n^3 + B n^2 m + C n m^2 + D m^3 = 0
-    dens = _divisors(abs(A))
-    for num in _divisors(abs(D)):
+    nums, dens = [1], [1]
+    for divisors, n in ((nums, abs(D)), (dens, abs(A))):
+        for q, e in factorize(n).items():
+            divisors[:] = [x * q**i for x in divisors for i in range(e + 1)]
+    for num in nums:
         for den in dens:
             if gcd(num, den) != 1:
                 continue
@@ -471,18 +475,6 @@ def _has_rational_projective_root(f: BinaryCubicForm) -> bool:
                 if ((A * n + B * den) * n + C * den * den) * n + D * den**3 == 0:
                     return True
     return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def orbit_split(f: BinaryCubicForm, p: int | Place | None = None) -> tuple[BinaryCubicForm, ...]:

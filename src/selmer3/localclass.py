@@ -19,6 +19,7 @@ from .localfield import (
     Place,
     Rational,
     SquareClassification,
+    _entry_split,
     _split,
     _unit_is_3power,
     classify_squares,
@@ -69,6 +70,14 @@ class LocalTwistDatum:
     r: int | None  # 3^r = gcd(3^m, v(d)), defined when v(d) is even positive
 
 
+def level_r(v: int, m: int) -> int:
+    """The r of an even valuation 0 < v < 2 * 3^m: 3^r = gcd(3^m, v)."""
+    r = 0
+    while r < m and v % 3 ** (r + 1) == 0:
+        r += 1
+    return r
+
+
 def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
     """The datum of d at p: one `Place` proves p, one split of d gives its
     valuation and unit part."""
@@ -81,11 +90,6 @@ def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
     u = Fraction(num, den)
     v_red = v % (2 * n)
     d_red = u * p**v_red
-    r = None
-    if v_red > 0 and v_red % 2 == 0:
-        r = 0
-        while v_red % 3 ** (r + 1) == 0 and r + 1 <= m:
-            r += 1
     return LocalTwistDatum(
         place=place,
         d=d_red,
@@ -93,7 +97,7 @@ def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
         u=u,
         squares=classify_squares(d_red, place),
         n=n,
-        r=r,
+        r=level_r(v_red, m) if v_red > 0 and v_red % 2 == 0 else None,
     )
 
 
@@ -348,14 +352,33 @@ def soluble_classes(datum: LocalTwistDatum, summand_flag: bool) -> SolubleClasse
     return SolubleClasses("summand", None, not summand_flag)
 
 
-def unit_class_labels(u: Rational, place: Place, r: int) -> tuple[str, ...]:
-    """The labels under which a configuration may key the unit class of u
-    at the finite place and r, most specific first: "power" for a square
-    that is a 3^r-th power unit (every square at p = 3), then "square" or
-    "nonsquare", then "any".  The place has proven its prime."""
-    if not is_square(u, place):
+def unit_class(u: Rational, p: int, r: int) -> int | str:
+    """The class of the p-adic unit u at the proven prime p and r, all that
+    a table-2 exponent reads of u: u mod 8 at p = 2; else "nonsquare",
+    "square", or "power" for a square that is a 3^r-th power unit (every
+    square at p = 3)."""
+    mod = 8 if p == 2 else p
+    u = u.numerator * pow(u.denominator, -1, mod) % mod
+    if p == 2:
+        return u
+    if pow(u, (p - 1) // 2, p) != 1:
+        return "nonsquare"
+    return "power" if p == 3 or _unit_is_3power((0, u, 1), p, r) else "square"
+
+
+def class_labels(p: int, cls: int | str) -> tuple[str, ...]:
+    """The labels under which a configuration may key the unit class cls
+    at p, most specific first.  At p = 2 every unit is a 3^r-th power, so
+    the square class 1 is a "power"."""
+    label = ("power" if cls == 1 else "nonsquare") if p == 2 else cls
+    if label == "nonsquare":
         return ("nonsquare", "any")
-    p = place.p
-    if p == 3 or _unit_is_3power(_split(Fraction(u), p), p, r):
-        return ("power", "square", "any")
-    return ("square", "any")
+    return ("power", "square", "any") if label == "power" else ("square", "any")
+
+
+def unit_class_labels(u: Rational, place: Place, r: int) -> tuple[str, ...]:
+    """The label chain of the unit u at the finite place and r.  The place
+    has proven its prime."""
+    if _entry_split(u, place)[0]:
+        raise DomainError(f"{u} is not a unit at {place.p}")
+    return class_labels(place.p, unit_class(u, place.p, r))

@@ -63,6 +63,7 @@ from .localclass import unramified_cubic_form
 from .errors import BudgetError, DomainError, PrecisionError
 from .localfield import (
     Place,
+    _proven_prime,
     _split,
     Rational,
     cube_class_reps,
@@ -437,14 +438,14 @@ def order_from_lattice(ring: CubicRing, basis: tuple[int, int, int]) -> CubicRin
 
 @dataclass(frozen=True)
 class TruncatedRing:
-    """Z/p^k as the precision context for witness checks."""
+    """Z/p^k as the precision context for witness checks; p is given as a
+    prime or as the `Place` that has proven it, and held as the int."""
 
     p: int
     k: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        object.__setattr__(self, "p", _proven_prime(self.p))
         if self.k < 1:
             raise DomainError("precision exponent must be positive")
 
@@ -565,7 +566,7 @@ def enumerate_orbits(
     d0 = Fraction(u0) * Fraction(p) ** disc_val
     fields = _cubic_fields(place, d0)
     h1, h1_un = _h1_counts(fields)
-    tr = TruncatedRing(p, k)
+    tr = TruncatedRing(place, k)
 
     # the reducible class, integral for every d: exhibit and verify
     triv = BinaryCubicForm(Fraction(-d0, 4), 0, 1, 0)

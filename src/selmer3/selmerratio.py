@@ -19,8 +19,8 @@ from itertools import compress
 from math import isqrt
 
 from .errors import Document, DocumentError, DomainError, IncompleteConfigError, json_kind, malformed
-from .localclass import LocalTwistDatum, build_twist_datum, unit_class_labels
-from .localfield import Place, Rational, SquareClassification, classify_squares, is_prime, zeta3_present
+from .localclass import LocalTwistDatum, class_labels, level_r, unit_class, unit_class_labels
+from .localfield import Place, Rational, is_prime
 from .twistfamilies import TwistClass, TwistFamily, _primes_below, admitted_masks, factorize, reduce_class
 
 # ----------------------------------------------------------------------
@@ -81,12 +81,6 @@ class LocalPlaceProfile(Document):
                     f"place {self.place} needs an override exponent "
                     "(bad reduction and residue characteristic 3 are data, not theorems)"
                 )
-
-    @property
-    def zeta3(self) -> bool:
-        if isinstance(self.place, Place):
-            return zeta3_present(self.place)
-        return self.place.kind == "complex"
 
 
 def _log3_order(order: int) -> int:
@@ -150,23 +144,22 @@ class IsogenyDescriptor(Document):
     def n(self) -> int:
         return 3**self.m
 
-    def kappa_exponents(self, place: Place, u: Rational, r: int) -> tuple[int, int]:
-        """(log3 |kappa|, log3 |kappa-hat|) for the unit class of u at the
-        finite place and the given r; raises when the table has no entry
-        for the stratum."""
-        u = Fraction(u)
-        for label in unit_class_labels(u, place, r):
+    def kappa_exponents(self, p: int, labels: tuple[str, ...], r: int) -> tuple[int, int]:
+        """(log3 |kappa|, log3 |kappa-hat|) of the first entry at r keyed
+        by a label of the unit class's chain at p; raises when the table
+        has none."""
+        for label in labels:
             for entry in self.kappa_orders:
                 if entry.r == r and entry.unit_class == label:
                     return _log3_order(entry.kappa), _log3_order(entry.kappa_hat)
         raise IncompleteConfigError(
-            f"descriptor incomplete: no kappa orders for r={r}, unit {u} at p={place.p}"
+            f"descriptor incomplete: no kappa orders for r={r}, unit class {labels[0]} at p={p}"
         )
 
     def summand_flag(self, p: int, u: Rational, r: int) -> bool:
         if r == 0:
             return self.global_summand_bit
-        return self.kappa_exponents(Place.finite(p), u, r)[0] == 0
+        return self.kappa_exponents(p, unit_class_labels(u, Place.finite(p), r), r)[0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -235,18 +228,20 @@ def archimedean_exponent(desc: IsogenyDescriptor, d: Rational) -> int:
     return 0 if desc.kernel_character * d < 0 else -1
 
 
-def _table2_exponent(zeta3: bool, kappas: tuple[int, int], sq: SquareClassification) -> int:
-    """The exponent at a good place and even positive v(d), from whether
-    zeta_3 is present, (log3 |kappa|, log3 |kappa-hat|) of the unit class
-    and the square classes of d and -3d."""
-    kappa, kappa_hat = kappas
-    if zeta3:
-        return kappa - kappa_hat if (sq.d_is_square or sq.minus3d_is_square) else 0
-    if sq.d_is_square:
+def _class_exponent(desc: IsogenyDescriptor, p: int, r: int, cls: int | str) -> int:
+    """The table-2 exponent at a good prime p != 3 and an even v(d) > 0 of
+    level r, for a unit of class cls: the kappa orders come from its label
+    chain.  Where p = 1 (mod 3), zeta_3 is present and -3 a square, so d and
+    -3d are squares together; at odd p = 2 (mod 3) exactly one of them is;
+    at 2, d is a square when its unit is 1 (mod 8) and -3d when it is 5."""
+    labels = class_labels(p, cls)
+    kappa, kappa_hat = desc.kappa_exponents(p, labels, r)
+    d_square = labels[0] != "nonsquare"
+    if p % 3 == 1:
+        return kappa - kappa_hat if d_square else 0
+    if d_square:
         return kappa - 1
-    if sq.minus3d_is_square:
-        return 1 - kappa_hat
-    return 0
+    return 1 - kappa_hat if p != 2 or cls == 5 else 0
 
 
 def local_exponent(
@@ -276,19 +271,18 @@ def local_exponent(
         raise DomainError("finite-place exponent needs the local twist datum")
     if datum.v_d == 0 or datum.v_d % 2 == 1:
         return 0
-    assert datum.r is not None
-    kappas = desc.kappa_exponents(datum.place, datum.u, datum.r)
-    return _table2_exponent(profile.zeta3, kappas, datum.squares)
+    p = datum.place.p
+    return _class_exponent(desc, p, datum.r, unit_class(datum.u, p, datum.r))
 
 
 class _PlaceExponents:
     """The per-place exponents of one configuration, for one report or one
     partition: the profiles are indexed once, and the table-2 exponent of
-    each distinct (p, v(d), unit residue of d mod p, or mod 8 at p = 2) is
-    computed once.  Those are exactly the inputs of the square classes of d
-    and -3d, of the unit-class labels and of r.  Provenance is decided
-    here: an override, a good place with v(d) = 0 or odd (exponent 0, no
-    datum built), or a table-2 cell."""
+    each (p, v(d) mod 2n, unit class of d at p) is computed once, when a
+    member first reaches it.  Those are exactly the inputs of r and of
+    `_class_exponent`, so no twist datum is built.  Provenance is decided
+    here: an override, a good place with v(d) = 0 or odd (exponent 0), or a
+    table-2 cell."""
 
     def __init__(self, profiles: list[LocalPlaceProfile], desc: IsogenyDescriptor) -> None:
         self.desc = desc
@@ -314,17 +308,20 @@ class _PlaceExponents:
             sign: -1 if arch.place.kind == "complex" else archimedean_exponent(desc, sign)
             for sign in (1, -1)
         }
-        self.table2: dict[tuple[int, int, int], int] = {}
+        self.table2: dict[tuple[int, int, int | str], int] = {}
 
     def table2_exponent(self, p: int, v: int, d0: int) -> int:
-        """The table-2 exponent at the good place p of d0 = u p^v, memoized
-        per (p, v mod 2n, u mod p or, at p = 2, mod 8)."""
-        key = (p, v % (2 * self.desc.n), d0 // p**v % (8 if p == 2 else p))
+        """The table-2 exponent at the good prime p of d0 = u p^v, v even
+        and positive, memoized per (p, v mod 2n, unit class of u).  A
+        valuation v = 0 (mod 2n) reads as v(d) = 0, exponent 0."""
+        v_red = v % (2 * self.desc.n)
+        if not v_red:
+            return 0
+        r = level_r(v_red, self.desc.m)
+        key = (p, v_red, unit_class(d0 // p**v, p, r))
         k = self.table2.get(key)
         if k is None:
-            datum = build_twist_datum(p, d0, self.desc.m)
-            k = local_exponent(self.by_prime.get(p) or LocalPlaceProfile(datum.place), self.desc, datum)
-            self.table2[key] = k
+            k = self.table2[key] = _class_exponent(self.desc, p, r, key[2])
         return k
 
     def entries(self, tc: TwistClass) -> list[tuple[str, int, str]]:
@@ -366,35 +363,21 @@ def average_selmer_prediction(k: int) -> Fraction:
     return 1 + _power_of_3(k)
 
 
-# The good places that stand for every good prime, with their unit
-# residues: 2 (units mod 8), and 5 and 7 for the two classes mod 3.
-_GOOD_PLACE_UNITS = (
-    (Place.finite(2), (1, 3, 5, 7)),
-    (Place.finite(5), range(1, 5)),
-    (Place.finite(7), range(1, 7)),
-)
-
-
 def _good_places_vanish(family: TwistFamily, desc: IsogenyDescriptor) -> bool:
     """Whether every good place has table-2 exponent 0 on every even
     stratum 2 <= v(d) < 2 min(family.n, desc.n), the ones the family's
-    members reach.  The exponent depends on p only through p mod 3 and the
-    unit-class labels of the residues, so 2, 5 and 7 stand for every good
-    prime.  On d = u p^v with v even it reads u's square classes and, from
-    v, only r, so the strata v = 2 * 3^r stand for all.  A stratum without
-    kappa orders reads as False."""
+    members reach.  `_class_exponent` reads p only as 2 or mod 3, v only
+    through r, and d's unit only through its class, so 2, 5 and 7 with the
+    classes of their units, and the levels r, stand for all.  At p = 2
+    (mod 3) every unit is a 3^r-th power, so none is of class "square"; at
+    r = 0, "square" and "power" read the same "any" entry.  A stratum
+    without kappa orders reads as False."""
+    classes = ((2, (1, 3, 5, 7)), (5, ("nonsquare", "power")), (7, ("nonsquare", "square", "power")))
     levels = range(_log3_order(min(family.n, desc.n)))
     try:
-        for place, units in _GOOD_PLACE_UNITS:
-            for u in units:
-                sq = classify_squares(u, place)
-                for r in levels:
-                    kappas = desc.kappa_exponents(place, u, r)
-                    if _table2_exponent(zeta3_present(place), kappas, sq):
-                        return False
+        return not any(_class_exponent(desc, p, r, cls) for p, cs in classes for cls in cs for r in levels)
     except IncompleteConfigError:
         return False
-    return True
 
 
 def _sign_densities(family: TwistFamily, rule: _PlaceExponents) -> dict[int, Fraction] | None:
@@ -529,7 +512,8 @@ class TkCell:
 def _deviations(family: TwistFamily, rule: _PlaceExponents, sign: int, mask: bytes) -> dict[int, int]:
     """{h: the sum of the table-2 exponents of sign * h} over the members h
     (mask[h] = 1) that a prime p without an override divides to an even
-    power v > 0; h = u p^v is walked one class of u mod p (mod 8 at 2) at a time."""
+    power v > 0; h = u p^v is walked one residue of u mod p (mod 8 at 2) at
+    a time, and each residue reads the exponent of its unit class."""
     dev: dict[int, int] = {}
     bound = len(mask)
     for p in () if family.squarefree else _primes_below(isqrt(bound - 1) + 1):
@@ -559,14 +543,14 @@ def tk_partition(
     exponent, each cell in enumeration order (height ascending, positive
     first).  No member is built, since the exponent is additive over
     places: k(d) = arch(sign d) + the override exponents + the sum over the
-    other primes p of t(p, v_p(d), unit residue of d at p), and t = 0
-    unless v_p(d) is even and positive.  So only primes p < sqrt(height)
-    move d off its sign's base value, and `_deviations` sieves for them; a
+    other primes p of t(p, v_p(d), unit class of d at p), and t = 0 unless
+    v_p(d) is even and positive.  So only primes p < sqrt(height) move d
+    off its sign's base value, and `_deviations` sieves for them; a
     squarefree family has none.  A family of another level is read modulo
     the descriptor's 2n-th powers by the same sieve: that multiplies the
-    unit at p by a 2n-th power, which keeps the square classes of d and -3d
-    and every 3^r-th-power label with r <= m, so t reads only v mod 2n and
-    the residue of d's own unit.
+    unit at p by a 2n-th power, which keeps its unit class for every
+    r <= m, so t reads only v mod 2n (v = 0 reads as exponent 0) and the
+    class of d's own unit.
 
     Each cell's exact density is read off the configuration
     (`_sign_densities`), the same at every height: set when the family is

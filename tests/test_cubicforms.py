@@ -240,6 +240,33 @@ def test_orbit_split_over_q():
     assert orbit_split(irreducible.swap())[0].swap().swap() == irreducible.swap()
 
 
+def _linear_times_quadratic(s, t, a, b, c):
+    """The coefficients of (s x + t y)(a x^2 + b x y + c y^2)."""
+    return (s * a, s * b + t * a, s * c + t * b, t * c)
+
+
+_coeff = st.integers(-10**6, 10**6)
+_small = st.integers(-100, 100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(_coeff, _coeff, _coeff, _coeff),
+    st.builds(_linear_times_quadratic, _small, _small, _small, _small, _small),
+))
+def test_orbit_split_over_q_matches_sympy_rational_roots(coeffs):
+    # f splits off a linear factor over Q exactly when it has a rational
+    # projective root, which sympy's factorization decides independently
+    sympy = pytest.importorskip("sympy")
+    f = BinaryCubicForm(*coeffs)
+    assume(f.discriminant() != 0)
+    x, y = sympy.symbols("x y")
+    a, b, c, d = coeffs
+    _, factors = sympy.Poly(a * x**3 + b * x**2 * y + c * x * y**2 + d * y**3, x, y).factor_list()
+    reducible = any(g.total_degree() == 1 for g, _ in factors)
+    assert orbit_split(f) == ((f,) if reducible else (f, f.swap()))
+
+
 def test_orbit_split_over_qp():
     # x^3 - 2 y^3: 2 is not a cube in Q_5 (cubing is bijective mod 5 so it is)
     # use x^3 - 7 y^3 at p = 7: Eisenstein, irreducible over Q_7

@@ -1,7 +1,7 @@
 """The family scan against the per-member computations it replaces.
 
 Enumerated classes carry their factorization from the sieve, exponents at
-good places are memoized per (p, v(d), unit residue) within one partition,
+good places are memoized per (p, v(d) mod 2n, unit class) within one partition,
 and the Prym report resolves its 3-adic input once.  These tests rebuild
 the direct computations (sympy factorizations, a twist datum at every
 relevant place, one assembly per member) and compare, and they count the
@@ -11,6 +11,7 @@ calls that the scan must no longer make.
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -409,21 +410,21 @@ def test_norm_kernel_count_proves_p_once(counts):
             assert counts["is_prime"] == [(p,)], (p, d)
 
 
-def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):
+def test_full_scan_keys_table2_exponents_by_unit_class(counts, capsys, monkeypatch):
+    # no twist datum and no primality test (the primes come from the
+    # sieve); the memo holds one exponent per unit class that a member
+    # reaches: at most "nonsquare", "square" and "power" per odd (p, v mod
+    # 2n), and the four unit residues mod 8 at p = 2
+    rules = []
+    init = selmerratio._PlaceExponents.__init__
+    monkeypatch.setattr(selmerratio._PlaceExponents, "__init__", lambda self, *a: rules.append(self) or init(self, *a))
     result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
     assert result["member_count"] > 3000
-    assert 0 < len(counts["is_prime"]) <= len(counts["build_twist_datum"])
-
-
-def test_full_scan_builds_one_datum_per_memo_key(counts, capsys):
-    result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
-    keys = set()
-    for tc in enumerate_classes(family_preset("full-n3"), 2000):
-        for p, v in tc.factorization().items():
-            if p != 3 and v % 2 == 0:  # 3 carries the configured override
-                keys.add((p, v, tc.d0 // p**v % (8 if p == 2 else p)))
-    assert result["member_count"] > 3000
-    assert 0 < len(counts["build_twist_datum"]) <= len(keys)
+    assert counts["build_twist_datum"] == [] and counts["is_prime"] == []
+    (rule,) = rules
+    strata = Counter((p, v) for p, v, _ in rule.table2)
+    assert strata[(2, 2)] == 4
+    assert all(count <= (4 if p == 2 else 3) for (p, _), count in strata.items())
 
 
 def test_point_requests_factor_once(counts, capsys, tmp_path):

@@ -784,8 +784,8 @@ def test_witness_check_computes_each_discriminant_once(monkeypatch):
 def test_grid_decides_each_square_class_once(monkeypatch):
     # one is_square test each of d0 and -3 d0 per stratum, for the field
     # list that the cohomology counts and the field rows share; the prime is
-    # proven where the stratum's place is built, and the witness checks
-    # reuse it
+    # proven once per stratum, where its place is built, and the witness
+    # checks and their truncated ring reuse it
     import sys
 
     import selmer3.localfield as localfield
@@ -803,7 +803,7 @@ def test_grid_decides_each_square_class_once(monkeypatch):
     for p, v, uc in strata:
         oracle.enumerate_orbits(p, disc_val=v, unit_class=uc)
     assert len(calls["is_square"]) == 2 * len(strata) == 40
-    assert len(calls["is_prime"]) <= 80
+    assert len(calls["is_prime"]) == len(strata) == 20
 
 
 def test_order_search_past_the_budget_is_refused_unwalked(monkeypatch):

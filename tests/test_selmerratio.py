@@ -352,12 +352,19 @@ def _symmetric_descriptor(m, key=None, orders=None):
     return IsogenyDescriptor(m=m, global_summand_bit=table[(0, "any")][0] == 1, kappa_orders=entries)
 
 
+_GOOD_PRIMES_BELOW_100 = [p for p in range(2, 100) if p != 3 and all(p % q for q in range(2, p))]
+
+
+def _units(p):
+    return (1, 3, 5, 7) if p == 2 else range(1, p)
+
+
 def _brute_force_vanish(desc):
     """Every table-2 exponent 0 at every prime p < 100 other than 3, every
     unit residue and every even stratum 2 <= v(d) < 2n."""
-    for p in (p for p in range(2, 100) if p != 3 and all(p % q for q in range(2, p))):
+    for p in _GOOD_PRIMES_BELOW_100:
         prof = LocalPlaceProfile(Place.finite(p))
-        for u in (1, 3, 5, 7) if p == 2 else range(1, p):
+        for u in _units(p):
             for j in range(2, 2 * desc.n, 2):
                 try:
                     if local_exponent(prof, desc, build_twist_datum(p, u * p**j, desc.m)):
@@ -367,9 +374,7 @@ def _brute_force_vanish(desc):
     return True
 
 
-def test_good_places_vanish_matches_every_prime_below_100():
-    from selmer3.selmerratio import _good_places_vanish
-
+def _vanish_descriptors():
     rng = random.Random(2107)
     descs = [_label_descriptor(rng, m) for m in (1, 2, 3) for _ in range(2)]
     descs += [_symmetric_descriptor(m) for m in (1, 2, 3)]
@@ -383,9 +388,78 @@ def test_good_places_vanish_matches_every_prime_below_100():
         _symmetric_descriptor(2, (1, "square"), None),
         _symmetric_descriptor(3, (2, "square"), (9, 3)),
     ]
+    return descs
+
+
+def test_good_places_vanish_matches_every_prime_below_100():
+    from selmer3.selmerratio import _good_places_vanish
+
+    descs = _vanish_descriptors()
     got = [_good_places_vanish(TwistFamily(n=desc.n), desc) for desc in descs]
     assert got == [_brute_force_vanish(desc) for desc in descs]
     assert got[6:] == [True] * 4 + [False, True, False, False, False]
+
+
+def _exponent_or_refusal(call):
+    try:
+        return call()
+    except IncompleteConfigError:
+        return "incomplete"
+
+
+def _table2_from_square_classes(orders, datum, powers):
+    """Table 2 read off the datum's own square classes of d and -3d, with
+    kappa found by a label chain built from them and `powers`, the 3^r-th
+    powers mod p, in `orders`, {(r, label): (|kappa|, |kappa-hat|)}."""
+    p, r, sq = datum.place.p, datum.r, datum.squares
+    unit = datum.u.numerator * pow(datum.u.denominator, -1, p) % p
+    if not sq.d_is_square:
+        chain = ("nonsquare", "any")
+    elif p == 2 or unit in powers:
+        chain = ("power", "square", "any")
+    else:
+        chain = ("square", "any")
+    found = [orders[r, label] for label in chain if (r, label) in orders]
+    if not found:
+        return "incomplete"
+    kappa, kappa_hat = ({1: 0, 3: 1, 9: 2}[k] for k in found[0])
+    if p % 3 == 1:
+        return kappa - kappa_hat if (sq.d_is_square or sq.minus3d_is_square) else 0
+    if sq.d_is_square:
+        return kappa - 1
+    return 1 - kappa_hat if sq.minus3d_is_square else 0
+
+
+def test_class_keyed_exponent_matches_the_twist_datum_at_every_residue():
+    # the partition's memo keys each exponent by (p, v mod 2n, unit class);
+    # at every good prime p < 100, every unit residue and every even
+    # stratum 2 <= v < 2n it agrees with the exponent of the twist datum of
+    # u p^v and with table 2 read off the datum's square classes, and all
+    # three refuse exactly the same cells.  v + 2n reads the same exponent
+    # (the unit is divided out with the unreduced v), and v = 2n reads 0.
+    from selmer3.selmerratio import _PlaceExponents
+
+    descs = _vanish_descriptors()
+    rules = [_PlaceExponents(standard_profiles(), desc) for desc in descs]
+    orders = [{(e.r, e.unit_class): (e.kappa, e.kappa_hat) for e in desc.kappa_orders} for desc in descs]
+    refused = compared = 0
+    for p in _GOOD_PRIMES_BELOW_100:
+        prof = LocalPlaceProfile(Place.finite(p))
+        powers = [{pow(x, 3**r, p) for x in range(1, p)} for r in range(3)]
+        for u in _units(p):
+            data = {(m, v): build_twist_datum(p, u * p**v, m) for m in (1, 2, 3) for v in range(2, 2 * 3**m, 2)}
+            for desc, rule, table in zip(descs, rules, orders):
+                two_n = 2 * desc.n
+                assert rule.table2_exponent(p, two_n, u * p**two_n) == 0
+                for v in range(2, two_n, 2):
+                    datum = data[desc.m, v]
+                    want = _exponent_or_refusal(lambda: local_exponent(prof, desc, datum))
+                    assert _table2_from_square_classes(table, datum, powers[datum.r]) == want, (p, u, v)
+                    for w in (v, v + two_n):
+                        assert _exponent_or_refusal(lambda: rule.table2_exponent(p, w, u * p**w)) == want, (p, u, w)
+                    refused += want == "incomplete"
+                    compared += 1
+    assert compared > 150_000 and refused > 300
 
 
 def _complex_profiles():
