@@ -410,17 +410,24 @@ def test_norm_kernel_count_proves_p_once(counts):
             assert counts["is_prime"] == [(p,)], (p, d)
 
 
-def test_full_scan_keys_table2_exponents_by_unit_class(counts, capsys, monkeypatch):
-    # no twist datum and no primality test (the primes come from the
-    # sieve); the memo holds one exponent per unit class that a member
-    # reaches: at most "nonsquare", "square" and "power" per odd (p, v mod
-    # 2n), and the four unit residues mod 8 at p = 2
+def test_full_scan_proves_each_prime_at_most_once_per_datum(counts, capsys):
+    # the primes come from the sieve and the table-2 exponents are keyed by
+    # unit class: the scan builds no twist datum and proves no prime
+    result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
+    assert result["member_count"] > 3000
+    assert counts["build_twist_datum"] == [] and counts["is_prime"] == []
+
+
+def test_full_scan_builds_one_datum_per_memo_key(counts, capsys, monkeypatch):
+    # no twist datum at all; the memo holds one exponent per unit class that
+    # a member reaches: at most "nonsquare", "square" and "power" per odd
+    # (p, v mod 2n), and the four unit residues mod 8 at p = 2
     rules = []
     init = selmerratio._PlaceExponents.__init__
     monkeypatch.setattr(selmerratio._PlaceExponents, "__init__", lambda self, *a: rules.append(self) or init(self, *a))
     result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
     assert result["member_count"] > 3000
-    assert counts["build_twist_datum"] == [] and counts["is_prime"] == []
+    assert counts["build_twist_datum"] == []
     (rule,) = rules
     strata = Counter((p, v) for p, v, _ in rule.table2)
     assert strata[(2, 2)] == 4
