@@ -21,7 +21,8 @@ builds the same seeded inputs and times every layer over five passes,
 keeping the median pass.  The input-path layers read the ratio config and
 a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
-config file read from a temporary directory, and the CM closed form.  The
+config file read from a temporary directory, and the CM closed form; and
+30 seeded `classify --p P --d D` requests, primes 5 <= p < 1000.  The
 Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
 sieve as each revision's report walks it (the (d0, factors) walk
 `twistfamilies._sieve_walk` where it exists, `enumerate_classes`
@@ -117,12 +118,13 @@ _RATIO_CONFIG = {
 
 def _input_layers(workdir: str, sink):
     """The input path: reading a config and a family document, looking a
-    preset up, and whole in-process `ratio` requests, which parse the
-    arguments, name or read their input and write the envelope to `sink`."""
+    preset up, and whole in-process `ratio` and `classify` requests, which
+    parse the arguments, name or read their input (`classify` proves its p
+    a prime above 3) and write the envelope to `sink`."""
     from selmer3.cli import main
     from selmer3.prym import load_preset
     from selmer3.selmerratio import RatioConfig
-    from selmer3.twistfamilies import TwistFamily
+    from selmer3.twistfamilies import TwistFamily, _primes_below
 
     rng = random.Random(SEED + 1)
     config_path = os.path.join(workdir, "ratio-config.json")
@@ -134,6 +136,10 @@ def _input_layers(workdir: str, sink):
         for _ in range(50)
     ]
     cm_argvs = [["ratio", "--preset", "cm"]] * 50
+    classify_argvs = []
+    for p in rng.choices([p for p in _primes_below(1000) if p >= 5], k=30):
+        d = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.choice((0, 1, 2, 4))
+        classify_argvs.append(["classify", "--p", str(p), "--d", str(d)])
 
     def reads(cls, obj):
         def run():
@@ -160,6 +166,7 @@ def _input_layers(workdir: str, sink):
         "ratio --preset prym-a4 --d D": ("us/call", len(prym_argvs), requests(prym_argvs)),
         "ratio --config FILE --d D": ("us/call", len(config_argvs), requests(config_argvs)),
         "ratio --preset cm": ("us/call", len(cm_argvs), requests(cm_argvs)),
+        "classify --p P --d D": ("us/call", len(classify_argvs), requests(classify_argvs)),
     }
 
 

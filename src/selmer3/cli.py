@@ -28,8 +28,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DocumentError, DomainError, IncompleteConfigError, Selmer3Error
-from .localclass import classify_integral, h1_dims, integral_representative, place_above_3
-from .localfield import Place
+from .localclass import classify_integral, h1_dims, integral_representative
+from .localfield import Place, tame_place
 from .prym import PrymLocalAssembly, assemble_local_exponents, family_report, good_place, load_preset
 from .selmerratio import (
     IsogenyDescriptor,
@@ -213,7 +213,7 @@ _TRIVIAL_CONFIG = RatioConfig(
 
 def cmd_classify(args, started: float) -> int:
     d = Fraction(args.d)
-    place = place_above_3(args.p)  # the request's one primality proof
+    place = tame_place(args.p, "classification")  # the request's one primality proof
     classes = classify_integral(place, d)
     dims = h1_dims(place, d)
     rows = []
@@ -251,12 +251,10 @@ def _cm_result(g: int, complex_places: int) -> dict:
 
 
 def cmd_ratio(args, started: float) -> int:
-    if args.preset and args.config:
-        raise DomainError("give either --preset or --config, not both")
     if args.preset == "cm":  # the CM closed form at g = 1 over Q(zeta_3)
         _emit("ratio", {"preset": "cm"}, _cm_result(g=1, complex_places=1), started)
         return EXIT_OK
-    if args.preset:
+    if args.preset is not None:  # argparse gives it or --config, never both
         config = load_preset(args.preset)
         if args.d is None:
             raise DomainError("--d is required with a prym preset")
@@ -275,8 +273,6 @@ def cmd_ratio(args, started: float) -> int:
         }
         _emit("ratio", {"preset": args.preset, "d": args.d}, result, started)
         return EXIT_OK
-    if not args.config:
-        raise DomainError("--config or --preset is required")
     if args.d is None:
         raise DomainError("--d is required with --config")
     config, obj = _load(args.config, RatioConfig)
@@ -286,12 +282,8 @@ def cmd_ratio(args, started: float) -> int:
 
 
 def _load_family(args) -> tuple[TwistFamily, dict]:
-    if args.family and args.family_preset:
-        raise DomainError("give either --family or --family-preset, not both")
-    if args.family_preset:
+    if args.family_preset is not None:  # argparse gives it or --family, never both
         return family_preset(args.family_preset), {"family_preset": args.family_preset}
-    if not args.family:
-        raise DomainError("--family or --family-preset is required")
     family, obj = _load(args.family, TwistFamily)
     return family, {"family": obj}
 
@@ -407,13 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--d", type=_rational_text, required=True, help="twist parameter (rational)")
 
     p_ratio = sub.add_parser("ratio", help="per-place Selmer-ratio report")
-    p_ratio.add_argument("--config", type=str, help="ratio config JSON file")
-    p_ratio.add_argument("--preset", type=str, help="named preset (cm, prym-a4)")
+    source = p_ratio.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=str, help="ratio config JSON file")
+    source.add_argument("--preset", type=str, help="named preset (cm, prym-a4)")
     p_ratio.add_argument("--d", type=_rational_text, help="twist parameter (rational)")
 
     p_scan = sub.add_parser("scan", help="T_k partition of a twist family")
-    p_scan.add_argument("--family", type=str, help="family JSON file")
-    p_scan.add_argument("--family-preset", type=str, help="named family preset")
+    family = p_scan.add_mutually_exclusive_group(required=True)
+    family.add_argument("--family", type=str, help="family JSON file")
+    family.add_argument("--family-preset", type=str, help="named family preset")
     p_scan.add_argument("--config", type=str, help="ratio config JSON file")
     p_scan.add_argument("--height", type=_positive_int, required=True)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")

@@ -498,9 +498,6 @@ def orbit_split(f: BinaryCubicForm, p: int | Place | None = None) -> tuple[Binar
 # Desk-scale isomorphism testing
 # ----------------------------------------------------------------------
 
-_UNIMODULAR_BOUND = 2
-
-
 @cache
 def _bounded_unimodular_matrices(bound: int) -> list[TwoByTwoMatrix]:
     mats = []
@@ -512,18 +509,6 @@ def _bounded_unimodular_matrices(bound: int) -> list[TwoByTwoMatrix]:
                     if abs(a * d - b * c) == 1:
                         mats.append(TwoByTwoMatrix(a, b, c, d))
     return mats
-
-
-def canonical_form_bounded(f: BinaryCubicForm, bound: int = _UNIMODULAR_BOUND) -> tuple:
-    """Lexicographically least coefficient tuple over the GL2(Z) elements
-    with entries bounded by `bound`.  A bounded search, adequate at test
-    scale; use invariants for anything bigger."""
-    best = None
-    for gamma in _bounded_unimodular_matrices(bound):
-        cand = act(gamma, f).coefficients()
-        if best is None or cand < best:
-            best = cand
-    return best  # type: ignore[return-value]
 
 
 def rings_isomorphic(

@@ -26,6 +26,7 @@ from .localfield import (
     cube_class_reps,
     is_square,
     sqrt_extension_unramified,
+    tame_place,
 )
 
 KIND_TRIVIAL = "trivial"
@@ -139,20 +140,12 @@ def _class_list(p: int, dims: tuple[int, int]) -> list[tuple[str, str]]:
     return out
 
 
-def place_above_3(p: int | Place, what: str = "classification requires") -> Place:
-    """The finite place at a prime p > 3: an int is proven prime here, a
-    `Place` has proven it, so a caller that passes it on proves p once."""
-    if (p.p if isinstance(p, Place) else p) <= 3:
-        raise DomainError(f"{what} a prime p > 3, got {p}")
-    return p if isinstance(p, Place) else Place.finite(p)
-
-
 def classify_integral(p: int | Place, d: Rational) -> list[OrbitClassDescriptor]:
     """All local classes for the twist d at p > 3, each flagged integral or
     not: at v(d) = 0 exactly the unramified classes are integral, at odd
     v(d) only the trivial class exists, at v(d) = 2 exactly the nontrivial
     unramified classes fail, and for even v(d) > 2 everything is integral."""
-    place = place_above_3(p)
+    place = tame_place(p, "classification")
     p = place.p
     d = Fraction(d)
     if d == 0:
@@ -256,7 +249,7 @@ def integral_representative(
     valuation of d and the same unit square class.  (Exact equality of the
     unit part is not attainable over Q in general: the local scaling that
     matches units is a p-adic, not rational, square root.)"""
-    place = place_above_3(p, "representatives require")
+    place = tame_place(p, "a representative")
     p = place.p
     d = Fraction(d)
     if d == 0:

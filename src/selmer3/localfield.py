@@ -55,7 +55,7 @@ def is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class Place:
     """A place of Q: a finite prime, the real place, or a formal complex
-    place (the latter only ever appears in symbolic profiles)."""
+    place, the archimedean profile of a totally complex base."""
 
     kind: str  # "finite" | "real" | "complex"
     p: int | None = None
@@ -88,6 +88,15 @@ class Place:
 
     def __str__(self) -> str:
         return str(self.p) if self.is_finite else self.kind
+
+
+def tame_place(p: int | Place, what: str) -> Place:
+    """The finite place at a prime p > 3, refusing p <= 3 for `what`: an
+    int is proven prime here, a `Place` has proven it, so a caller that
+    passes the place on proves p once."""
+    if (p.p if isinstance(p, Place) else p) <= 3:
+        raise DomainError(f"{what} requires a prime p > 3, got {p}")
+    return p if isinstance(p, Place) else Place.finite(p)
 
 
 def _proven_prime(p: int | Place) -> int:

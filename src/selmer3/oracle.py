@@ -71,6 +71,7 @@ from .localfield import (
     is_square,
     least_nonresidue,
     sqrt_extension_unramified,
+    tame_place,
 )
 from .padicroots import ZpModel, _primitive_at, form_has_projective_root
 
@@ -234,8 +235,7 @@ def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
     """Which cubic algebra a p-integral form of nonzero discriminant cuts
     out over Q_p: "split" (reducible), "unram", or "ram-u<rep>".  Decided
     entirely by root isolation; p > 3 keeps everything tame."""
-    if p <= 3 or not is_prime(p):
-        raise DomainError("tame classification requires p > 3")
+    p = tame_place(p, "tame classification").p
     if f.discriminant() == 0:
         raise DomainError("degenerate form")
     return _algebra_class(f, p)
@@ -257,13 +257,6 @@ def _algebra_class(f: BinaryCubicForm, p: int) -> str:
 # ----------------------------------------------------------------------
 # Cubic extensions with prescribed discriminant class
 # ----------------------------------------------------------------------
-
-
-def _tame_place(p: int, what: str) -> Place:
-    """The finite place at p, refusing p <= 3; building it proves p."""
-    if p <= 3:
-        raise DomainError(f"{what} requires p > 3")
-    return Place.finite(p)
 
 
 def _cubic_fields(place: Place, d: Rational) -> list[tuple[str, BinaryCubicForm, int]]:
@@ -293,12 +286,12 @@ def _h1_counts(fields) -> tuple[int, int]:
 def count_cubic_extensions(p: int, d: Rational) -> int:
     """Number of cubic field extensions of Q_p (p > 3) whose discriminant
     lies in the square class of d."""
-    return len(_cubic_fields(_tame_place(p, "extension count"), d))
+    return len(_cubic_fields(tame_place(p, "extension count"), d))
 
 
 def h1_counts_from_extensions(p: int, d: Rational) -> tuple[int, int]:
     """(#H^1, #H^1_un) derived purely from field enumeration."""
-    return _h1_counts(_cubic_fields(_tame_place(p, "extension count"), d))
+    return _h1_counts(_cubic_fields(tame_place(p, "extension count"), d))
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +545,7 @@ def enumerate_orbits(
     The default precision is max(6, disc_val + 5); passing a smaller k
     than disc_val + 2 is refused rather than silently truncated.
     """
-    place = _tame_place(p, "orbit enumeration")
+    place = tame_place(p, "orbit enumeration")
     if unit_class not in ("square", "nonsquare"):
         raise DomainError("unit_class must be 'square' or 'nonsquare'")
     if disc_val < 0:
@@ -670,8 +663,7 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     assumed.  All arithmetic is on integers.  A prime past
     `MAX_SCAN_PRIME` raises `BudgetError` before anything is walked.
     """
-    if p <= 3 or not is_prime(p):
-        raise DomainError("form scan requires p > 3")
+    p = tame_place(p, "form scan").p
     _check_scan_prime(p)
     q = p * p
     v1 = v1_simple = triples = eis_count = 0

@@ -59,7 +59,6 @@ class PrymCurveConfig:
     a: Fraction
     genus: int
     dim_b: int
-    bad_primes: frozenset[int]
     family: TwistFamily
     three_adic: ThreeAdicInput
     kernel_characters: tuple[Fraction, Fraction]
@@ -87,7 +86,6 @@ PRESETS: dict[str, PrymCurveConfig] = {
         a=Fraction(4),
         genus=3,
         dim_b=2,
-        bad_primes=frozenset({2, 3}),
         family=family_preset("sigma-36-2-11"),
         three_adic=ThreeAdicInput(mode="unequal", product_exponent=2),
         kernel_characters=(Fraction(1), Fraction(1)),

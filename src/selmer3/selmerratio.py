@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
-from .errors import Document, DocumentError, DomainError, IncompleteConfigError, json_kind, malformed
+from .errors import Document, DomainError, IncompleteConfigError, malformed
 from .localclass import LocalTwistDatum, class_labels, level_r, unit_class, unit_class_labels
 from .localfield import Place, Rational, is_prime
 from .twistfamilies import TwistClass, TwistFamily, _primes_below, admitted_masks, factorize, reduce_class
@@ -27,54 +27,32 @@ from .twistfamilies import TwistClass, TwistFamily, _primes_below, admitted_mask
 # Configuration types
 # ----------------------------------------------------------------------
 
-SYMBOLIC_KINDS = ("real", "complex", "over3", "finite-good", "finite-bad")
 
-
-@dataclass(frozen=True)
-class SymbolicPlace:
-    """A place of an unspecified base field, for symbolic profiles (the CM
-    closed form).  `degree` is the local degree where it matters."""
-
-    kind: str
-    degree: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in SYMBOLIC_KINDS:
-            raise DomainError(f"unknown symbolic place kind {self.kind!r}")
-
-
-def _read_place(value, path: str) -> Place | SymbolicPlace:
-    """A prime, "real", "complex", or {"symbolic": kind, "degree": d = 1}."""
+def _read_place(value, path: str) -> Place:
+    """A prime, "real" or "complex"."""
     if type(value) is int:
         return Place.finite(value)
-    if type(value) is str:
-        if value not in ("real", "complex"):
-            raise DomainError(f"unintelligible place {value!r}")
-        return Place(value)
-    if type(value) is not dict:
-        raise malformed(path, value, 'a prime, "real", "complex" or a symbolic place')
-    if "symbolic" not in value:
-        raise DocumentError(f"{path}.symbolic is missing")
-    kind = json_kind(value["symbolic"], str, path + ".symbolic")
-    return SymbolicPlace(kind, json_kind(value.get("degree", 1), int, path + ".degree"))
+    if type(value) is not str:
+        raise malformed(path, value, 'a prime, "real" or "complex"')
+    if value not in ("real", "complex"):
+        raise DomainError(f"unintelligible place {value!r}")
+    return Place(value)
 
 
-def _write_place(place: Place | SymbolicPlace) -> object:
-    if isinstance(place, SymbolicPlace):
-        return {"symbolic": place.kind, "degree": place.degree}
+def _write_place(place: Place) -> int | str:
     return place.p if place.is_finite else place.kind
 
 
 @dataclass(frozen=True)
 class LocalPlaceProfile(Document):
-    place: Place | SymbolicPlace = field(metadata={"json": (_read_place, _write_place)})
+    place: Place = field(metadata={"json": (_read_place, _write_place)})
     reduction: str = "good"  # "good" | "bad"
     override_exponent: int | None = None
 
     def __post_init__(self) -> None:
         if self.reduction not in ("good", "bad"):
             raise DomainError("reduction must be 'good' or 'bad'")
-        if isinstance(self.place, Place) and self.place.is_finite:
+        if self.place.is_finite:
             needs = self.reduction == "bad" or self.place.p == 3
             if needs and self.override_exponent is None:
                 raise IncompleteConfigError(
@@ -255,18 +233,12 @@ def local_exponent(
     place = profile.place
     if place.kind == "complex":
         return -1
-    if isinstance(place, SymbolicPlace):
-        if profile.override_exponent is not None:
-            return profile.override_exponent
-        raise IncompleteConfigError(f"symbolic place {place.kind} needs an override exponent")
     if place.kind == "real":
         if d is None and datum is None:
             raise DomainError("archimedean exponent needs the twist parameter")
         return archimedean_exponent(desc, d if d is not None else datum.d)
-    if profile.override_exponent is not None:
+    if profile.override_exponent is not None:  # required at bad places and at 3
         return profile.override_exponent
-    if profile.reduction == "bad" or place.p == 3:
-        raise IncompleteConfigError(f"place {place} needs an override exponent")
     if datum is None:
         raise DomainError("finite-place exponent needs the local twist datum")
     if datum.v_d == 0 or datum.v_d % 2 == 1:
@@ -286,26 +258,23 @@ class _PlaceExponents:
 
     def __init__(self, profiles: list[LocalPlaceProfile], desc: IsogenyDescriptor) -> None:
         self.desc = desc
-        self.by_prime: dict[int, LocalPlaceProfile] = {}
-        self.overrides: dict[int, int] = {}
-        arch: LocalPlaceProfile | None = None
+        self.primes: set[int] = set()
+        self.overrides: dict[int, int] = {}  # finite places only: an archimedean override is ignored
+        self.arch_label: str | None = None
         for prof in profiles:
-            if isinstance(prof.place, SymbolicPlace):
-                raise DomainError("symbolic profiles belong to the closed-form checks")
-            if prof.place.is_finite:
-                assert prof.place.p is not None
-                self.by_prime[prof.place.p] = prof
-                if prof.override_exponent is not None:
-                    self.overrides[prof.place.p] = prof.override_exponent
-            else:
-                arch = prof
-        if arch is None:
+            p = prof.place.p
+            if p is None:
+                self.arch_label = prof.place.kind
+                continue
+            self.primes.add(p)
+            if prof.override_exponent is not None:
+                self.overrides[p] = prof.override_exponent
+        if self.arch_label is None:
             raise IncompleteConfigError("no archimedean place profiled")
-        if 3 not in self.by_prime:
+        if 3 not in self.primes:
             raise IncompleteConfigError("place 3 is not covered by the configuration")
-        self.arch_label = arch.place.kind
         self.arch_k = {
-            sign: -1 if arch.place.kind == "complex" else archimedean_exponent(desc, sign)
+            sign: -1 if self.arch_label == "complex" else archimedean_exponent(desc, sign)
             for sign in (1, -1)
         }
         self.table2: dict[tuple[int, int, int | str], int] = {}
@@ -330,7 +299,7 @@ class _PlaceExponents:
         d0 = tc.d0
         out = [(self.arch_label, self.arch_k[1 if d0 > 0 else -1], "archimedean")]
         vals = tc.factorization()
-        for p in sorted(self.by_prime.keys() | vals.keys()):
+        for p in sorted(vals.keys() | self.primes):
             v = vals.get(p, 0)
             if p in self.overrides:
                 out.append((str(p), self.overrides[p], "override"))

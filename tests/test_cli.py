@@ -220,6 +220,11 @@ def test_classify_golden_file(capsys):
         ["classify", "--p", "5", "--d", "1" * 4301],
         ["classify", "--p", "5", "--d", "1/" + "3" * 4301],
         ["classify", "--p", "5", "--d", "0." + "0" * 4299 + "1"],
+        # a config or preset, a family or family preset: exactly one of each
+        pytest.param(["ratio", "--preset", "cm", "--config", "F"], id="config-and-preset"),
+        pytest.param(["ratio", "--d", "2"], id="no-config-or-preset"),
+        pytest.param(["scan", "--height", "5"], id="no-family-or-preset"),
+        pytest.param(["scan", "--family-preset", "full-n3", "--family", "F", "--height", "5"], id="family-and-preset"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -381,6 +386,7 @@ def _config_with(descriptor=(), kappa=(), profile=(), profiles=None) -> str:
         pytest.param(_RATIO_ARGV, _config_with(profile={"reduction": 5}), 2, id="reduction-5"),
         pytest.param(_RATIO_ARGV, _config_with(kappa={"unit_class": 5}), 2, id="unit-class-5"),
         pytest.param(_RATIO_ARGV, _config_with(profile={"place": {"degree": 2}}), 2, id="place-no-symbolic"),
+        pytest.param(_RATIO_ARGV, _config_with(profile={"place": {"symbolic": "over3"}}), 2, id="place-symbolic"),
         pytest.param(_RATIO_ARGV, _config_with(profiles=[["real", "good"]]), 2, id="profile-list"),
         pytest.param(_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": {}}', 2, id="conditions-object"),
     ],
@@ -400,7 +406,7 @@ def test_malformed_input_names_its_json_path(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ratio", "--config", str(path), "--d", "2")
     assert code == 2
     assert err == f"error: {path} is malformed: $.profiles[1].place is true, not " \
-        'a prime, "real", "complex" or a symbolic place\n'
+        'a prime, "real" or "complex"\n'
 
 
 @pytest.mark.parametrize("override", ["x", 1.5, True])

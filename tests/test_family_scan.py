@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selmer3 import localclass, localfield, prym, selmerratio, twistfamilies
@@ -177,8 +177,27 @@ def _partition_inputs(draw):
     return family, desc, profiles, draw(st.integers(1, 3000))
 
 
+# Members +-256u of a level-9 family have v_2 = 8 >= 2n for a level-3
+# descriptor: their unit class is that of u, not of 256u / 2^(8 mod 6).
+_V_PAST_2N = (
+    TwistFamily(n=9),
+    IsogenyDescriptor(
+        m=1,
+        global_summand_bit=False,
+        kappa_orders=(KappaEntry(0, "any", 9, 1),)
+        + tuple(KappaEntry(1, label, 1, 1) for label in ("power", "square", "nonsquare")),
+    ),
+    [
+        LocalPlaceProfile(Place.real()),
+        LocalPlaceProfile(Place.finite(3), reduction="bad", override_exponent=0),
+    ],
+    3000,
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_partition_inputs())
+@example(_V_PAST_2N)
 def test_tk_partition_matches_per_member_reference_on_random_inputs(inputs):
     factorint = pytest.importorskip("sympy").factorint
     family, desc, profiles, height = inputs
@@ -213,7 +232,6 @@ def test_family_report_rows_match_single_assemblies(ordered):
         a=a4.a,
         genus=a4.genus,
         dim_b=a4.dim_b,
-        bad_primes=a4.bad_primes,
         family=a4.family,
         three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered=ordered),
         kernel_characters=a4.kernel_characters,

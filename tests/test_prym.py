@@ -29,7 +29,6 @@ def test_preset_loads(a4):
     assert a4.name == "prym-a4"
     assert a4.a == 4
     assert a4.genus == 3 and a4.dim_b == 2
-    assert a4.bad_primes == frozenset({2, 3})
     assert a4.three_adic.mode == "unequal" and a4.three_adic.product_exponent == 2
     assert a4.three_adic.ordered is None
     assert a4.kernel_characters == (1, 1)
@@ -60,7 +59,6 @@ def test_three_adic_solver_unsatisfiable(a4):
         a=a4.a,
         genus=a4.genus,
         dim_b=a4.dim_b,
-        bad_primes=a4.bad_primes,
         family=a4.family,
         three_adic=ThreeAdicInput(mode="unequal", product_exponent=9),
         kernel_characters=a4.kernel_characters,
@@ -123,7 +121,6 @@ def test_ordered_three_adic_input(a4):
         a=a4.a,
         genus=a4.genus,
         dim_b=a4.dim_b,
-        bad_primes=a4.bad_primes,
         family=a4.family,
         three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered={2: (1, 0)}),
         kernel_characters=a4.kernel_characters,
@@ -162,7 +159,6 @@ def test_chabauty_needs_f_tilde_entry(a4):
         a=a4.a,
         genus=5,
         dim_b=2,
-        bad_primes=a4.bad_primes,
         family=a4.family,
         three_adic=a4.three_adic,
         kernel_characters=a4.kernel_characters,
@@ -196,7 +192,6 @@ def test_positive_proportion_rank_bound_product_only(a4):
         a=Fraction(9),
         genus=a4.genus,
         dim_b=a4.dim_b,
-        bad_primes=a4.bad_primes,
         family=a4.family,
         three_adic=ThreeAdicInput(mode="product-only", product_exponent=2),
         kernel_characters=a4.kernel_characters,
@@ -213,7 +208,6 @@ def test_config_validation(a4):
             a=Fraction(1),
             genus=3,
             dim_b=2,
-            bad_primes=frozenset(),
             family=a4.family,
             three_adic=a4.three_adic,
             kernel_characters=a4.kernel_characters,
@@ -230,7 +224,6 @@ def test_config_refuses_a_family_that_is_not_squarefree(a4):
             a=a4.a,
             genus=a4.genus,
             dim_b=a4.dim_b,
-            bad_primes=a4.bad_primes,
             family=family_preset("full-n3"),
             three_adic=a4.three_adic,
             kernel_characters=a4.kernel_characters,

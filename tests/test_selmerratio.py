@@ -12,7 +12,6 @@ from selmer3.selmerratio import (
     KappaEntry,
     LocalPlaceProfile,
     RatioConfig,
-    SymbolicPlace,
     archimedean_exponent,
     average_selmer_prediction,
     chain_rank_bound,
@@ -271,13 +270,22 @@ def test_descriptor_validation():
         KappaEntry(1, "any", 2, 1)
 
 
-def test_symbolic_profile_exponents():
+@pytest.mark.parametrize("place", [Place.real(), Place.complex()])
+def test_an_override_at_an_archimedean_place_is_ignored(place):
+    # overrides are data of finite places: the archimedean exponent comes
+    # from the sign of d (real) or is -1 (complex), and an override there
+    # enters neither a report nor the constant of any T_k cell
     desc = trivial_kappa_descriptor()
-    assert local_exponent(LocalPlaceProfile(SymbolicPlace("complex")), desc) == -1
-    over3 = LocalPlaceProfile(SymbolicPlace("over3", degree=2), override_exponent=2)
-    assert local_exponent(over3, desc) == 2
-    with pytest.raises(IncompleteConfigError):
-        local_exponent(LocalPlaceProfile(SymbolicPlace("over3")), desc)
+    plain = [LocalPlaceProfile(place)] + standard_profiles()[1:]
+    marked = [LocalPlaceProfile(place, override_exponent=5)] + standard_profiles()[1:]
+    for d in (2, -2, 50, -7**2 * 11):
+        assert local_exponent(marked[0], desc, d=d) == local_exponent(plain[0], desc, d=d)
+        assert global_report(marked, desc, d) == global_report(plain, desc, d)
+    for name in ("squarefree-n3", "full-n3"):
+        fam = family_preset(name)
+        assert tk_partition(fam, desc, marked, 300) == tk_partition(fam, desc, plain, 300)
+    fam = family_preset("squarefree-n3")
+    assert euler_product_average(fam, desc, marked) == euler_product_average(fam, desc, plain)
 
 
 def test_euler_product_with_place_two_profile():
@@ -486,8 +494,6 @@ def test_euler_product_refuses_what_the_scan_refuses():
         euler_product_average(fam, desc, standard_profiles()[1:])
     with pytest.raises(IncompleteConfigError):
         euler_product_average(fam, desc, standard_profiles()[:1])
-    with pytest.raises(DomainError):
-        euler_product_average(fam, desc, standard_profiles() + [LocalPlaceProfile(SymbolicPlace("complex"))])
 
 
 def test_euler_product_counts_only_reachable_strata():
