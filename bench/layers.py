@@ -6,8 +6,9 @@ seeded integral forms, and the forms request `index_p_subrings` plus
 `orbit_split(f, p)` on the same forms, p cycling through 5, 7, 11, 13.
 The oracle layers are the orbit grid at p = 5 and 7,
 `algebra_class_of_form` on the grid's witness forms and on 10 seeded
-integral forms at p = 31, and the form scans `scan_forms_low_valuation(5)`
-and `scan_forms_low_valuation(7)`.  The root-isolation layers are
+integral forms at p = 31, and the form scans `scan_forms_low_valuation`
+at p = 5, 7 and 11; the one at p = 11 takes about a second, so it runs
+three passes and no warm-up pass.  The root-isolation layers are
 `has_zp_root` on 200 seeded integer polynomials of degree 1 to 3 (p
 cycling through 5, 7, 11, 13) and `has_ring_root` in the unramified cubic
 ring at p = 7 on 50 seeded integer cubics.
@@ -376,6 +377,7 @@ def _layers():
         "has_ring_root(unramified(7))": ("us/call", len(cubics), ring_roots),
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
         "scan_forms_low_valuation(7)": ("ms/call", 1, lambda: scan_forms_low_valuation(7)),
+        "scan_forms_low_valuation(11)": ("s/call", 1, lambda: scan_forms_low_valuation(11), SLOW_PASSES),
     }
 
 

@@ -27,7 +27,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import DocumentError, DomainError, IncompleteConfigError, Selmer3Error
+from .errors import DocumentError, IncompleteConfigError, Selmer3Error
 from .localclass import classify_integral, h1_dims, integral_representative
 from .localfield import Place, tame_place
 from .prym import PrymLocalAssembly, assemble_local_exponents, family_report, good_place, load_preset
@@ -254,10 +254,10 @@ def cmd_ratio(args, started: float) -> int:
     if args.preset == "cm":  # the CM closed form at g = 1 over Q(zeta_3)
         _emit("ratio", {"preset": "cm"}, _cm_result(g=1, complex_places=1), started)
         return EXIT_OK
+    if args.d is None:  # argparse cannot tie --d to the source, so this is checked here
+        _parser().error(f"ratio --{'preset' if args.preset else 'config'} requires --d")
     if args.preset is not None:  # argparse gives it or --config, never both
         config = load_preset(args.preset)
-        if args.d is None:
-            raise DomainError("--d is required with a prym preset")
         assembly = assemble_local_exponents(config, Fraction(args.d))
         result = {
             "kind": "prym-pi",
@@ -273,8 +273,6 @@ def cmd_ratio(args, started: float) -> int:
         }
         _emit("ratio", {"preset": args.preset, "d": args.d}, result, started)
         return EXIT_OK
-    if args.d is None:
-        raise DomainError("--d is required with --config")
     config, obj = _load(args.config, RatioConfig)
     report = global_report(list(config.profiles), config.descriptor, Fraction(args.d))
     _emit("ratio", {"config": obj, "d": args.d}, report.to_json_obj(), started)

@@ -264,8 +264,12 @@ class _PlaceExponents:
         for prof in profiles:
             p = prof.place.p
             if p is None:
+                if self.arch_label is not None:
+                    raise DomainError(f"two archimedean places profiled: {self.arch_label}, {prof.place.kind}")
                 self.arch_label = prof.place.kind
                 continue
+            if p in self.primes:
+                raise DomainError(f"place {p} is profiled twice")
             self.primes.add(p)
             if prof.override_exponent is not None:
                 self.overrides[p] = prof.override_exponent

@@ -225,6 +225,9 @@ def test_classify_golden_file(capsys):
         pytest.param(["ratio", "--d", "2"], id="no-config-or-preset"),
         pytest.param(["scan", "--height", "5"], id="no-family-or-preset"),
         pytest.param(["scan", "--family-preset", "full-n3", "--family", "F", "--height", "5"], id="family-and-preset"),
+        # --d goes with a config or a prym preset, checked before any file is read
+        pytest.param(["ratio", "--config", "F"], id="config-without-d"),
+        pytest.param(["ratio", "--preset", "prym-a4"], id="prym-preset-without-d"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -407,6 +410,35 @@ def test_malformed_input_names_its_json_path(capsys, tmp_path):
     assert code == 2
     assert err == f"error: {path} is malformed: $.profiles[1].place is true, not " \
         'a prime, "real" or "complex"\n'
+
+
+_TWICE = {
+    "archimedean": [
+        {"place": "real", "reduction": "good"},
+        {"place": "complex", "reduction": "good"},
+        {"place": 3, "reduction": "bad", "override_exponent": 0},
+    ],
+    "prime": [
+        {"place": "real", "reduction": "good"},
+        {"place": 3, "reduction": "bad", "override_exponent": 0},
+        {"place": 7, "reduction": "good"},
+        {"place": 7, "reduction": "bad", "override_exponent": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize("twice", sorted(_TWICE))
+@pytest.mark.parametrize("argv", [["ratio", "--config", "FILE", "--d", "-14"], _SCAN_CONFIG_ARGV])
+def test_a_place_profiled_twice_is_a_domain_error(capsys, tmp_path, argv, twice):
+    # two archimedean profiles, or one prime profiled twice: refused rather
+    # than read last-one-wins
+    path = tmp_path / "cfg.json"
+    path.write_text(_config_with(profiles=_TWICE[twice]))
+    code, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "profiled" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", ["x", 1.5, True])

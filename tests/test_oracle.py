@@ -257,7 +257,8 @@ def test_form_space_scan_low_valuation_p7():
 
 def _scan_walking_every_lift(p):
     """The form scan as a walk over every lift mod p^2 of every residue
-    form with p | disc, the v(disc) = 1 count made lift by lift."""
+    form with p | disc, the v(disc) = 1 count made lift by lift and the
+    Eisenstein test by evaluating f at all p^2 lifts of the triple root."""
     import selmer3.oracle as oracle
     from selmer3.cubicforms import _root_multiplicities, discriminant
 
@@ -270,22 +271,23 @@ def _scan_walking_every_lift(p):
         mults = _root_multiplicities(a0, b0, c0, d0, p)
         simple = 1 in mults.values()
         triple = next((root for root, m in mults.items() if m == 3), None)
-        terms = None if triple is None else oracle._root_lift_terms(triple, p)
-        for a, b, c in product(range(a0, q, p), range(b0, q, p), range(c0, q, p)):
-            zeros = None if terms is None else oracle._root_lift_zeros(a, b, c, terms, q)
-            for d in range(d0, q, p):
-                disc = discriminant(a, b, c, d)
-                if disc % q:
-                    v1 += 1
-                    v1_simple += simple
-                    continue
-                if zeros is None:
-                    continue
-                triples += 1
-                eis = d not in zeros
-                eis_count += eis
-                if eis != (disc % (q * p) != 0):
-                    dichotomy = False
+        if triple is not None:
+            x0, y0 = triple
+            lifts = [(x0 + p * s, y0 + p * t) for s in range(p) for t in range(p)]
+            monomials = [(x**3, x * x * y, x * y * y, y**3) for x, y in lifts]
+        for a, b, c, d in product(*(range(r, q, p) for r in (a0, b0, c0, d0))):
+            disc = discriminant(a, b, c, d)
+            if disc % q:
+                v1 += 1
+                v1_simple += simple
+                continue
+            if triple is None:
+                continue
+            triples += 1
+            eis = all((a * u + b * v + c * w + d * z) % q for u, v, w, z in monomials)
+            eis_count += eis
+            if eis != (disc % (q * p) != 0):
+                dichotomy = False
     return oracle.LowValuationScan(p, v1, v1 == v1_simple, triples, eis_count, dichotomy)
 
 
@@ -355,8 +357,9 @@ def test_form_scans_refuse_a_prime_past_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_form_scan_eisenstein_flag_equals_direct_evaluation(p):
-    # the scan decides "no root lift zeroes f mod p^2" from one set of d per
-    # (a, b, c); here f is evaluated at every one of the p^2 lifts instead
+    # the scan reads "no root lift zeroes f mod p^2" from one table per
+    # residue form, at the row of the shift s of (a, b, c); here f is
+    # evaluated at every one of the p^2 lifts instead
     import selmer3.oracle as oracle
     from selmer3.cubicforms import _root_multiplicities
 
@@ -373,18 +376,40 @@ def test_form_scan_eisenstein_flag_equals_direct_evaluation(p):
         x0, y0 = (be * pow(al, -1, p) % p, 1) if al else (1, 0)
         triple = next(root for root, m in _root_multiplicities(*residue, p).items() if m == 3)
         assert triple == (x0, y0)
-        terms = oracle._root_lift_terms(triple, p)
+        (m3, m2, m1), table = oracle._eisenstein_table(*residue, triple, p)
         lifts = [(x0 + p * s, y0 + p * t) for s in range(p) for t in range(p)]
         for _ in range(8):
-            a, b, c = (r + p * rng.randrange(p) for r in residue[:3])
-            zeros = oracle._root_lift_zeros(a, b, c, terms, q)
-            for d in range(residue[3], q, p):
+            shift = [rng.randrange(p) for _ in range(3)]
+            a, b, c = (r + p * h for r, h in zip(residue, shift))
+            row = table[(shift[0] * m3 + shift[1] * m2 + shift[2] * m1) % p]
+            for t, d in enumerate(range(residue[3], q, p)):
                 direct = all(
                     (a * x**3 + b * x * x * y + c * x * y * y + d * y**3) % q for x, y in lifts
                 )
-                assert (d not in zeros) == direct, (p, a, b, c, d)
+                assert row[t] == direct, (p, a, b, c, d)
                 seen.add(direct)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_root_lift_terms_share_one_reduction(p):
+    # the premise of the scan's shift: at every triple root mod p, every
+    # term of `_root_lift_terms` reduces to the same triple mod p
+    import selmer3.oracle as oracle
+    from selmer3.cubicforms import _root_multiplicities
+
+    roots = {
+        root
+        for x in product(range(p), repeat=4)
+        if any(x)
+        for root, m in _root_multiplicities(*x, p).items()
+        if m == 3
+    }
+    assert len(roots) == p + 1
+    for root in roots:
+        solved, terms = oracle._root_lift_terms(root, p)
+        assert solved == (root[1] % p != 0)
+        assert len({tuple(n % p for n in term) for term in terms}) == 1, root
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

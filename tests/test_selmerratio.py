@@ -288,6 +288,23 @@ def test_an_override_at_an_archimedean_place_is_ignored(place):
     assert euler_product_average(fam, desc, marked) == euler_product_average(fam, desc, plain)
 
 
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        [LocalPlaceProfile(Place.complex())] + standard_profiles(),
+        standard_profiles(bad=((7, 2),)) + [LocalPlaceProfile(Place.finite(7))],
+    ],
+    ids=["archimedean", "prime"],
+)
+def test_a_place_profiled_twice_is_refused(profiles):
+    desc = trivial_kappa_descriptor()
+    fam = family_preset("squarefree-n3")
+    with pytest.raises(DomainError, match="profiled"):
+        euler_product_average(fam, desc, profiles)
+    with pytest.raises(DomainError, match="profiled"):
+        global_report(profiles, desc, -14)
+
+
 def test_euler_product_with_place_two_profile():
     # good reduction at 2 with symmetric extension classes: factor 1;
     # with split classes the four unit classes mod 8 average to 4/3 per
