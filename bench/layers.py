@@ -43,6 +43,9 @@ median pass of each round) and of the round minima (the fastest pass of
 each round), and the ratios of their medians (this checkout over the
 base), with nproc, the CPU model and the Python version.  Timings are raw
 wall time from `time.perf_counter`, with the garbage collector left on.
+The file also records `src_lines`, the line count of each module of
+`src/selmer3` and their total, as `wc -l` counts them, for the base
+export and for this checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -416,6 +419,12 @@ def _export_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def _src_lines(src: str) -> dict[str, int]:
+    """Lines of each module of the package under `src`, and their total."""
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(Path(src, "selmer3").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -454,6 +463,7 @@ def main() -> None:
     meta: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         sources = {"base": _export_src(args.base, tmp), "tree": str(REPO / "src")}
+        src_lines = {side: _src_lines(src) for side, src in sources.items()}
         for r in range(ROUNDS):
             for side in ("base", "tree") if r % 2 == 0 else ("tree", "base"):
                 cmd = [sys.executable, __file__, "--child", sources[side]]
@@ -494,9 +504,11 @@ def main() -> None:
             "value": "median pass per round, per call; round_min: fastest pass per round; "
             "summaries over rounds; ratio = tree/base of the medians",
         },
+        "src_lines": src_lines,
         "layers": layers,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(f"{'src lines':46s} {src_lines['base']['total']:>10d} -> {src_lines['tree']['total']:>10d}")
     for name, row in layers.items():
         base, tree = row["base"]["median"], row["tree"]["median"]
         print(

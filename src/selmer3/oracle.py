@@ -19,13 +19,14 @@ projective zeros of the index form.
 Nothing in this module consults the dimension table or the integrality
 theorem; tests compare its output against them.
 
-The hot loops run on exact integers: extension-model elements carry
-integer coordinates over an integral basis, so valuations are read off
-the coordinates, division by the uniformizer is an exact integer
-division, and a model evaluates a polynomial by Horner's rule on the
-coordinates, building its residues only as root isolation walks them
-and, in the unramified model at a node with coefficients in Z_p, walking
-only the p residues of F_p rather than all p^3 of F_p^3;
+The hot loops run on exact integers: an extension-model element is its
+tuple of integer coordinates over an integral basis, so valuations are
+read off the coordinates, division by the uniformizer is an exact integer
+division, and a model multiplies elements only where it evaluates a
+polynomial, by Horner's rule on the coordinates, building its residues
+only as root isolation walks them and, in the unramified model at a node
+with coefficients in Z_p, walking only the p residues of F_p rather than
+all p^3 of F_p^3;
 sublattice closure is tested on the ring's table scaled by a p-unit to
 integers; and the form scan classifies each residue form mod p once,
 counts its lifts mod p^2 of discriminant valuation 1 from the gradient
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from math import gcd, lcm
 
 from .cubicforms import (
@@ -73,7 +74,7 @@ from .localfield import (
     sqrt_extension_unramified,
     tame_place,
 )
-from .padicroots import ZpModel, _primitive_at, form_has_projective_root
+from .padicroots import ZpModel, _primitive_at, _projective_root_test
 
 
 # ----------------------------------------------------------------------
@@ -81,54 +82,24 @@ from .padicroots import ZpModel, _primitive_at, form_has_projective_root
 # ----------------------------------------------------------------------
 
 
-class _ExtElem:
-    """c0 + c1*w + c2*w^2 in a cubic model ring, integer coordinates."""
-
-    __slots__ = ("model", "c")
-
-    def __init__(self, model, c):
-        self.model = model
-        self.c = c
-
-    def __add__(self, other):
-        a, b = self.c, other.c
-        return _ExtElem(self.model, (a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-
-    def __sub__(self, other):
-        a, b = self.c, other.c
-        return _ExtElem(self.model, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))
-
-    def __mul__(self, other):
-        return self.model._mul(self, other)
-
-    def __eq__(self, other):
-        return self.model is other.model and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __repr__(self):
-        return f"ExtElem{self.c}"
-
-
 class CubicExtModel:
-    """O = Z_p[w] with w^3 = r0 + r1*w + r2*w^2, on integer coordinates over
-    the basis (1, w, w^2).
+    """O = Z_p[w] with w^3 = r0 + r1*w + r2*w^2, its elements the integer
+    coordinates (c0, c1, c2) of c0 + c1*w + c2*w^2 over the basis
+    (1, w, w^2).
 
     Covers both tame shapes: the unramified cubic (w a lift of a generator
     of F_{p^3}, uniformizer p) and the Eisenstein extensions (w^3 = p*u,
     uniformizer w).  In both, (1, w, w^2) is an integral basis of the ring
     of integers, so Z^3 coordinates cover every integral element that root
     isolation meets, the valuation is read off the coordinates, and
-    division by the uniformizer is exact integer division.  Arithmetic is
-    exact throughout; nothing is reduced mod a power of p."""
+    division by the uniformizer is exact integer division.  Elements are
+    multiplied only inside `peval`.  Arithmetic is exact throughout;
+    nothing is reduced mod a power of p."""
 
     def __init__(self, p: int, rule: tuple[int, int, int], ramified: bool):
         self.p = p
         self.rule = rule
         self.ramified = ramified
-        self.zero = _ExtElem(self, (0, 0, 0))
-        self.w = _ExtElem(self, (0, 1, 0))
 
     @staticmethod
     def unramified(p: int) -> "CubicExtModel":
@@ -140,31 +111,15 @@ class CubicExtModel:
     def eisenstein(p: int, u: int) -> "CubicExtModel":
         return CubicExtModel(p, (p * u, 0, 0), ramified=True)
 
-    def _mul(self, x: _ExtElem, y: _ExtElem) -> _ExtElem:
-        a0, a1, a2 = x.c
-        b0, b1, b2 = y.c
-        # raw product up to w^4; fold down with w^3 = r0 + r1 w + r2 w^2
-        c = [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-             a1 * b2 + a2 * b1, a2 * b2]
-        r0, r1, r2 = self.rule
-        # w^4 = r0 w + r1 w^2 + r2 w^3
-        c[1] += c[4] * r0
-        c[2] += c[4] * r1
-        c[3] += c[4] * r2
-        c[0] += c[3] * r0
-        c[1] += c[3] * r1
-        c[2] += c[3] * r2
-        return _ExtElem(self, (c[0], c[1], c[2]))
-
-    def peval(self, coeffs, x: _ExtElem) -> _ExtElem:
+    def peval(self, coeffs, x) -> tuple[int, int, int]:
         """The value at x of the polynomial with element coefficients
-        `coeffs` (constant term first): Horner's rule with `_mul` inlined
-        over the coordinates, so only the value is built as an element."""
-        x0, x1, x2 = x.c
+        `coeffs` (constant term first), by Horner's rule on the
+        coordinates: the raw product with x runs up to w^4, and w^4 and w^3
+        are folded down by the rule."""
+        x0, x1, x2 = x
         r0, r1, r2 = self.rule
-        a0, a1, a2 = coeffs[-1].c
-        for coeff in reversed(coeffs[:-1]):
-            k0, k1, k2 = coeff.c
+        a0, a1, a2 = coeffs[-1]
+        for k0, k1, k2 in reversed(coeffs[:-1]):
             # (a0 + a1 w + a2 w^2) x + k, with w^4 and w^3 folded down
             t4 = a2 * x2
             t3 = a1 * x2 + a2 * x1 + t4 * r2
@@ -173,34 +128,35 @@ class CubicExtModel:
                 a0 * x1 + a1 * x0 + t4 * r0 + t3 * r1 + k1,
                 a0 * x2 + a1 * x1 + a2 * x0 + t4 * r1 + t3 * r2 + k2,
             )
-        return _ExtElem(self, (a0, a1, a2))
+        return a0, a1, a2
 
-    def embed_int(self, n: int) -> _ExtElem:
-        return _ExtElem(self, (n, 0, 0))
+    def embed_int(self, n: int) -> tuple[int, int, int]:
+        return n, 0, 0
 
-    def val(self, x: _ExtElem) -> int | None:
+    def scale(self, x, n: int) -> tuple[int, int, int]:
+        return x[0] * n, x[1] * n, x[2] * n
+
+    def val(self, x) -> int | None:
         """Valuation normalized so that the uniformizer has valuation 1;
         None for zero.  Unramified: min v_p(c_i).  Eisenstein: the terms
         c_i w^i have valuations 3 v_p(c_i) + i, distinct mod 3, so the
         minimum is attained once and is the valuation of the sum.  A unit
         (c0 prime to p, or any coordinate when unramified) reads 0 at once."""
         p = self.p
-        c0, c1, c2 = x.c
+        c0, c1, c2 = x
         if c0 % p or not self.ramified and (c1 % p or c2 % p):
             return 0
         if self.ramified:
-            return min(
-                (3 * _split(t, p)[0] + i for i, t in enumerate(x.c) if t), default=None
-            )
-        return min((_split(t, p)[0] for t in x.c if t), default=None)
+            return min((3 * _split(t, p)[0] + i for i, t in enumerate(x) if t), default=None)
+        return min((_split(t, p)[0] for t in x if t), default=None)
 
     def residues(self):
         """One lift of each residue, built as iterated: the p integers
-        below p when ramified, the p^3 elements c0 + c1 w + c2 w^2 with
+        below p when ramified, the p^3 coordinates (c0, c1, c2) with
         0 <= c_i < p when unramified (residue degree 3)."""
         if self.ramified:
             return map(self.embed_int, range(self.p))
-        return map(_ExtElem, repeat(self), product(range(self.p), repeat=3))
+        return product(range(self.p), repeat=3)
 
     def residue_walk(self, coeffs):
         """The residues root isolation walks at a node with these
@@ -209,26 +165,31 @@ class CubicExtModel:
         coefficient in Z_p, the p lifts of F_p, and whether the leading
         coefficient is a unit, making the reduction a cubic; otherwise
         every residue, and False."""
-        if self.ramified or any(c.c[1] or c.c[2] for c in coeffs):
+        if self.ramified or any(c[1] or c[2] for c in coeffs):
             return self.residues(), False
-        return map(self.embed_int, range(self.p)), len(coeffs) == 4 and coeffs[-1].c[0] % self.p != 0
+        return map(self.embed_int, range(self.p)), len(coeffs) == 4 and coeffs[-1][0] % self.p != 0
 
-    def uniformizer(self) -> _ExtElem:
-        return self.w if self.ramified else self.embed_int(self.p)
+    def times_uniformizer(self, x) -> tuple[int, int, int]:
+        """x times the uniformizer: p when unramified, w in the Eisenstein
+        model, where w x = c2 p u + c0 w + c1 w^2."""
+        c0, c1, c2 = x
+        if self.ramified:
+            return c2 * self.rule[0], c0, c1
+        return c0 * self.p, c1 * self.p, c2 * self.p
 
-    def div_uniformizer(self, x: _ExtElem) -> _ExtElem:
+    def div_uniformizer(self, x) -> tuple[int, int, int]:
         """x divided by a uniformizer: p when unramified, w/u in the
         Eisenstein model w^3 = p*u, where x * u / w = x * w^2 / p.  Unit
         factors leave root sets unchanged.  Refuses an inexact division."""
         p = self.p
-        c0, c1, c2 = x.c
+        c0, c1, c2 = x
         if c0 % p or not self.ramified and (c1 % p or c2 % p):
             raise DomainError("element is not divisible by the uniformizer")
         if self.ramified:
             # x * w^2 = c1*p*u + c2*p*u*w + c0*w^2
             u = self.rule[0] // p
-            return _ExtElem(self, (c1 * u, c2 * u, c0 // p))
-        return _ExtElem(self, (c0 // p, c1 // p, c2 // p))
+            return c1 * u, c2 * u, c0 // p
+        return c0 // p, c1 // p, c2 // p
 
 
 def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
@@ -243,13 +204,13 @@ def algebra_class_of_form(f: BinaryCubicForm, p: int) -> str:
 
 def _algebra_class(f: BinaryCubicForm, p: int) -> str:
     """`algebra_class_of_form` at a prime p > 3, for a form of nonzero disc."""
-    coeffs = _primitive_at(f.coefficients(), p)
-    if form_has_projective_root(ZpModel(p), *coeffs):
+    has_root = _projective_root_test(*_primitive_at(f.coefficients(), p))
+    if has_root(ZpModel(p)):
         return "split"
-    if form_has_projective_root(CubicExtModel.unramified(p), *coeffs):
+    if has_root(CubicExtModel.unramified(p)):
         return "unram"
     for u in cube_class_reps(p):
-        if form_has_projective_root(CubicExtModel.eisenstein(p, u), *coeffs):
+        if has_root(CubicExtModel.eisenstein(p, u)):
             return f"ram-u{u}"
     raise PrecisionError("form matched no tame cubic algebra")
 

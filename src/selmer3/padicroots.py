@@ -16,7 +16,9 @@ cubic is rational; otherwise the resultant of that test sets the cap.
 The resultant needs no determinant: Res(g, g') = +-lead(g) disc(g), and
 disc(g) is read off the binary cubic discriminant of `cubicforms`.  It is
 an integer, so its valuation is that of its embedding in the model (3 v_p
-in an Eisenstein model).
+in an Eisenstein model).  The two orientations f(x, 1) and f(1, y) of a
+binary cubic share their discriminant, computed once however many models
+test the form.
 
 A node need not walk every residue.  In an unramified cubic ring, whose
 residue field is F_p^3, a node with coefficients in Z_p has its reduction
@@ -29,21 +31,25 @@ is a cubic when none of them is a zero, gives the answer and the
 exceptions of the walk over all of F_p^3.
 
 Models supply the ring: Z_p on Python integers here, cubic extension rings
-in the oracle module.  A model needs `p`, `zero`, `embed_int`,
-`residue_walk()`, `peval()`, `val()`, `div_uniformizer()` and
-`uniformizer()`, with elements supporting +, -, *; `residue_walk(coeffs)`
-gives the residues a node with these coefficients walks, possibly as a
-one-pass iterator, and the node's answer if none of them is a zero of the
-reduction (every residue and False, unless the lemma above applies),
-`peval(coeffs, x)` is the value at x of the polynomial with the given
-element coefficients (constant term first), and `div_uniformizer` refuses
-an inexact division.
+in the oracle module, whose elements are their integer coordinates.  Root
+isolation does no arithmetic on elements itself; a model needs `p`,
+`embed_int(n)`, `residue_walk(coeffs)`, `peval(coeffs, x)`, `val(x)`,
+`div_uniformizer(x)`, `scale(x, n)` (x times the integer n) and
+`times_uniformizer(x)`.  `residue_walk` gives the residues a node with
+these coefficients walks, possibly as a one-pass iterator, and the node's
+answer if none of them is a zero of the reduction (every residue and
+False, unless the lemma above applies); `peval` is the value at x of the
+polynomial with the given element coefficients (constant term first),
+the one place a model multiplies elements; `div_uniformizer` refuses an
+inexact division.  The shift to a + pi*t is Taylor's formula: the k-th
+coefficient of g(a + pi*t) is pi^k times the value at a of the
+polynomial with coefficients binomial(j, k) c_j, j >= k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .cubicforms import discriminant
 from .errors import DomainError, PrecisionError
@@ -59,7 +65,6 @@ class ZpModel:
 
     def __init__(self, p: int):
         self.p = p
-        self.zero = 0
 
     def embed_int(self, n: int) -> int:
         return n
@@ -82,27 +87,27 @@ class ZpModel:
             raise DomainError("element is not divisible by the uniformizer")
         return q
 
-    def uniformizer(self) -> int:
-        return self.p
+    def scale(self, x: int, n: int) -> int:
+        return x * n
+
+    def times_uniformizer(self, x: int) -> int:
+        return x * self.p
 
 
 def _pderiv(coeffs, model):
-    return [model.embed_int(i) * coeffs[i] for i in range(1, len(coeffs))]
+    return [model.scale(coeffs[i], i) for i in range(1, len(coeffs))]
 
 
 def _pshift(coeffs, a, model):
-    """Coefficients of g(a + pi*t) as a polynomial in t (Horner form)."""
-    pi = model.uniformizer()
-    out = [coeffs[-1]] + [model.zero] * (len(coeffs) - 1)
-    deg = 0
-    for c in reversed(coeffs[:-1]):
-        new = [model.zero] * len(coeffs)
-        for i in range(deg + 1):
-            new[i] = new[i] + out[i] * a
-            new[i + 1] = new[i + 1] + out[i] * pi
-        new[0] = new[0] + c
-        out = new
-        deg += 1
+    """Coefficients of g(a + pi*t) as a polynomial in t, by Taylor's
+    formula: the k-th is pi^k g^(k)(a)/k!, the value at a of the polynomial
+    with coefficients binomial(j, k) c_j (j >= k), times pi k times."""
+    out = []
+    for k in range(len(coeffs)):
+        x = model.peval([model.scale(coeffs[j], comb(j, k)) for j in range(k, len(coeffs))], a)
+        for _ in range(k):
+            x = model.times_uniformizer(x)
+        out.append(x)
     return out
 
 
@@ -175,7 +180,12 @@ def has_ring_root(model, coeffs) -> bool:
         return False
     if len(coeffs) > 4:
         raise DomainError(f"root isolation takes degree at most 3, got {len(coeffs) - 1}")
-    res = _resultant(coeffs)
+    return _has_root(model, coeffs, _resultant(coeffs))
+
+
+def _has_root(model, coeffs: list[int], res: int) -> bool:
+    """`has_ring_root` for an integer g of degree 1 to 3 with a nonzero
+    leading coefficient and its `_resultant` res."""
     if res == 0:
         coeffs = _squarefree_part(coeffs)
         res = _resultant(coeffs)
@@ -227,12 +237,21 @@ def has_zp_root(coeffs, p: int) -> bool:
 def form_has_projective_root(model, a, b, c, d) -> bool:
     """Whether the binary cubic with the given integer coefficients (see
     `_primitive_at`) has a zero on the projective line over the model's
-    fraction field.  Any projective point has a representative with both
-    coordinates integral and one of them a unit, so testing f(x, 1) and
-    f(1, y) for ring roots covers everything."""
+    fraction field."""
+    return _projective_root_test(a, b, c, d)(model)
+
+
+def _projective_root_test(a, b, c, d):
+    """model -> `form_has_projective_root(model, a, b, c, d)`, for any
+    number of models from one discriminant.  Any projective point has a
+    representative with both coordinates integral and one of them a unit,
+    so testing f(x, 1) and f(1, y) for ring roots covers everything.  Both
+    are cubics when a d != 0, and disc is symmetric under (a, b, c, d) ->
+    (d, c, b, a), so their resultants are disc a and disc d."""
     if a == 0 or d == 0:
-        return True  # [1:0] or [0:1] is a root
-    return has_ring_root(model, [d, c, b, a]) or has_ring_root(model, [a, b, c, d])
+        return lambda model: True  # [1:0] or [0:1] is a root
+    disc = discriminant(a, b, c, d)
+    return lambda model: _has_root(model, [d, c, b, a], disc * a) or _has_root(model, [a, b, c, d], disc * d)
 
 
 def form_has_projective_root_qp(a, b, c, d, p: int | Place) -> bool:

@@ -265,7 +265,10 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
     power = 2 if family.squarefree else 2 * family.n
     free = bytearray([1]) * size
     free[0] = 0
-    for q in (p**power for p in _primes_below(isqrt(size - 1) + 1)):
+    # once power >= size.bit_length(), p^power >= 2^power > size strikes
+    # nothing; decided so, no power of a large level is ever taken
+    primes = _primes_below(isqrt(size - 1) + 1) if power < size.bit_length() else []
+    for q in (p**power for p in primes):
         if q >= size:
             break
         free[q::q] = bytes(len(range(q, size, q)))

@@ -121,6 +121,34 @@ def test_scan_squarefree_single_sign(capsys, tmp_path):
     assert cell["avg_selmer"] == "4/3"
 
 
+def test_scan_family_of_large_level(tmp_path):
+    # 2n-th powers of primes are all past the height when 2n >= its bit
+    # length, so n = 3^25 strikes nothing and scans like n = 9: all of
+    # 0 < |d| < 100.  Taking 2^(2 * 3^25) would ask for about 200 GB, so
+    # the children run under a 2 GB address-space limit.
+    import resource
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(selmer3.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cells = []
+    for n in (3**25, 9):
+        family = {"schema": 1, "n": n, "signs": ["+", "-"], "conditions": [], "squarefree": False, "name": "F"}
+        path = tmp_path / f"family-{n}.json"
+        path.write_text(json.dumps(family))
+        proc = subprocess.run(
+            [sys.executable, "-m", "selmer3.cli", "scan", "--family", str(path), "--height", "100"],
+            capture_output=True, env=env, preexec_fn=limited, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["member_count"] == 198
+        cells.append(result["cells"])
+    assert cells[0] == cells[1]
+
+
 @pytest.mark.parametrize("height", [2, 3, 4])
 def test_scan_full_family_density_is_unknown_at_every_height(capsys, height):
     # the members below 5 are squarefree, but the family's finite part varies

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -9,14 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from selmer3.cubicforms import BinaryCubicForm, CubicRing, form_to_ring, projective_roots_mod_p
+from selmer3.cubicforms import BinaryCubicForm, CubicRing, form_to_ring, orbit_split, projective_roots_mod_p
 from selmer3.errors import DomainError, PrecisionError
 from selmer3.localclass import classify_integral, h1_dims, unramified_cubic_form
 from selmer3.localfield import Place, cube_class_reps, least_nonresidue
 from selmer3.oracle import (
     CubicExtModel,
     _algebra_class,
-    _ExtElem,
     OrbitTable,
     TruncatedRing,
     algebra_class_of_form,
@@ -32,17 +32,29 @@ from selmer3.padicroots import has_ring_root
 
 
 def test_extension_model_arithmetic():
+    # elements are integer coordinates over (1, w, w^2); w = (0, 1, 0)
     m = CubicExtModel.eisenstein(5, 1)
-    w = m.w
-    assert (w * w * w).c == (Fraction(5), 0, 0)
+    w = (0, 1, 0)
+    # the value of t^3 at w is w^3 = 5
+    assert m.peval([m.embed_int(0)] * 3 + [m.embed_int(1)], w) == (5, 0, 0)
+    assert m.times_uniformizer(w) == (0, 0, 1) and m.times_uniformizer((0, 0, 1)) == (5, 0, 0)
+    assert m.scale((1, -2, 3), -4) == (-4, 8, -12)
     assert m.val(w) == 1 and m.val(m.embed_int(5)) == 3
     assert m.val(m.div_uniformizer(w)) == 0
     e = CubicExtModel.unramified(5)
     assert e.val(e.embed_int(5)) == 1
-    assert e.val(e.w) == 0
+    assert e.val(w) == 0
+    assert e.times_uniformizer((1, -2, 3)) == (5, -10, 15)
     # residues are built as iterated: p^3 of them unramified, p ramified
-    assert [x.c for x in e.residues()] == list(product(range(5), repeat=3))
-    assert [x.c for x in m.residues()] == [(n, 0, 0) for n in range(5)]
+    assert list(e.residues()) == list(product(range(5), repeat=3))
+    assert list(m.residues()) == [(n, 0, 0) for n in range(5)]
+    # times_uniformizer against the sympy product with p or w
+    rng = random.Random(5)
+    for model in (e, m, CubicExtModel.eisenstein(7, 2)):
+        pi = (model.p, 0, 0) if not model.ramified else w
+        for _ in range(20):
+            x = tuple(rng.randint(-10**6, 10**6) for _ in range(3))
+            assert model.times_uniformizer(x) == _sympy_product(model, x, pi)
 
 
 def test_algebra_class_of_form():
@@ -414,18 +426,42 @@ def test_root_lift_terms_share_one_reduction(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_ext_model_peval_equals_horner_through_mul(p):
+    # the reference multiplies by sympy reduction modulo the rule, not
+    # through the model
     rng = random.Random(2000 + p)
     for model in _models(p):
         for _ in range(60):
-            coeffs = [
-                _ExtElem(model, tuple(rng.randint(-10**6, 10**6) for _ in range(3)))
-                for _ in range(rng.randint(1, 4))
-            ]
-            x = _ExtElem(model, tuple(rng.randint(-50, 50) * p ** rng.randint(0, 2) for _ in range(3)))
-            acc = model.zero
+            coeffs = [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+            x = tuple(rng.randint(-50, 50) * p ** rng.randint(0, 2) for _ in range(3))
+            acc = (0, 0, 0)
             for c in reversed(coeffs):
-                acc = acc * x + c  # _ExtElem.__mul__ is model._mul
-            assert model.peval(coeffs, x).c == acc.c
+                acc = tuple(s + t for s, t in zip(_sympy_product(model, acc, x), c))
+            assert model.peval(coeffs, x) == acc
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pshift_is_the_taylor_shift(p):
+    # peval(_pshift(g, a), t) = g(a + pi t), with pi = p in Z_p and the
+    # unramified model and pi = w in the Eisenstein models; the reference
+    # expands g(a + pi t) by sympy, reduced modulo the rule
+    from selmer3.padicroots import ZpModel, _pshift
+
+    rng = random.Random(6000 + p)
+    zp = ZpModel(p)
+    for _ in range(60):
+        g = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 4))]
+        a, t = rng.randrange(p), rng.randint(-10**3, 10**3)
+        assert zp.peval(_pshift(g, a, zp), t) == sum(c * (a + p * t) ** i for i, c in enumerate(g))
+    for model in (CubicExtModel.unramified(p), CubicExtModel.eisenstein(p, 1), CubicExtModel.eisenstein(p, 2)):
+        w, _ = _sympy_ring(model.rule)
+        pi = w if model.ramified else p
+        for _ in range(30):
+            g = [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+            a = tuple(rng.randrange(p) for _ in range(3))
+            t = tuple(rng.randint(-10**3, 10**3) for _ in range(3))
+            x = _sympy_element(model, a) + pi * _sympy_element(model, t)
+            shifted = sum(_sympy_element(model, c) * x**i for i, c in enumerate(g))
+            assert model.peval(_pshift(g, a, model), t) == _sympy_coordinates(model, shifted)
 
 
 def test_zp_model_peval_equals_int_horner():
@@ -447,7 +483,7 @@ def test_extension_model_holds_no_residue_table():
     assert all(not isinstance(v, (list, tuple, dict, set)) or len(v) <= 3 for v in vars(model).values())
     residues = model.residues()
     assert iter(residues) is residues
-    assert next(residues).c == (0, 0, 0)
+    assert next(residues) == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -558,19 +594,39 @@ def _models(p):
     ]
 
 
+@cache
+def _sympy_ring(rule):
+    """(w, the defining polynomial w^3 - r2 w^2 - r1 w - r0) as sympy Polys."""
+    import sympy
+
+    w = sympy.Poly(sympy.Symbol("w"))
+    r0, r1, r2 = rule
+    return w, w**3 - r2 * w**2 - r1 * w - r0
+
+
+def _sympy_element(model, c):
+    w, _ = _sympy_ring(model.rule)
+    return c[0] + c[1] * w + c[2] * w**2
+
+
+def _sympy_coordinates(model, poly):
+    """The coordinates over (1, w, w^2) of a sympy Poly in w, reduced by
+    sympy modulo the defining polynomial."""
+    _, modulus = _sympy_ring(model.rule)
+    coeffs = poly.rem(modulus).all_coeffs()[::-1]
+    return tuple(int(t) for t in coeffs + [0] * (3 - len(coeffs)))
+
+
+def _sympy_product(model, x, y):
+    return _sympy_coordinates(model, _sympy_element(model, x) * _sympy_element(model, y))
+
+
 def _norm(model, c):
     """Norm of c0 + c1 w + c2 w^2: the determinant of multiplication by it
     on (1, w, w^2), reduced by sympy modulo the defining polynomial."""
     import sympy
 
-    w = sympy.Symbol("w")
-    r0, r1, r2 = model.rule
-    modulus = sympy.Poly(w**3 - r2 * w**2 - r1 * w - r0, w)
-    x = sympy.Poly(c[0] + c[1] * w + c[2] * w**2, w)
-    cols = []
-    for j in range(3):
-        coeffs = (x * sympy.Poly(w**j, w)).rem(modulus).all_coeffs()[::-1]
-        cols.append(coeffs + [0] * (3 - len(coeffs)))
+    cols = [_sympy_product(model, c, tuple(int(i == j) for i in range(3))) for j in range(3)]
     return int(sympy.Matrix(3, 3, lambda i, j: cols[j][i]).det())
 
 
@@ -582,10 +638,9 @@ def test_ext_model_val_equals_norm_valuation(p):
     for model in _models(p):
         for _ in range(40):
             c = tuple(rng.randint(-60, 60) * p ** rng.randint(0, 3) for _ in range(3))
-            # built through the model's arithmetic, so _mul and + are covered
-            x = model.embed_int(c[0]) + model.embed_int(c[1]) * model.w
-            x = x + model.embed_int(c[2]) * (model.w * model.w)
-            assert x.c == c
+            # built through the model, as the value of c0 + c1 t + c2 t^2 at w
+            x = model.peval([model.embed_int(t) for t in c], (0, 1, 0))
+            assert x == c
             if c == (0, 0, 0):
                 assert model.val(x) is None
                 continue
@@ -602,20 +657,19 @@ def test_eisenstein_division_with_nontrivial_unit():
     m = CubicExtModel.eisenstein(7, 2)
     x = m.embed_int(-21)
     y = m.div_uniformizer(x)
-    assert all(type(t) is int for t in y.c)
+    assert all(type(t) is int for t in y)
     assert m.val(x) == 3 and m.val(y) == 2
-    for c in ((-21, 0, 0), (7, 3, 5), (-14, -1, 2), (0, 0, 1)):
-        x = _ExtElem(m, c)
+    for x in ((-21, 0, 0), (7, 3, 5), (-14, -1, 2), (0, 0, 1)):
         y = m.div_uniformizer(x)
-        assert all(type(t) is int for t in y.c)
+        assert all(type(t) is int for t in y)
         assert m.val(y) == m.val(x) - 1
-        # y is x divided by w/u: y * w = u * x
-        assert (y * m.w).c == (m.embed_int(2) * x).c
+        # y is x divided by w/u: y * w = u * x, the product by sympy
+        assert _sympy_product(m, y, (0, 1, 0)) == tuple(2 * t for t in x)
     with pytest.raises(DomainError):
         m.div_uniformizer(m.embed_int(1))
     e = CubicExtModel.unramified(7)
     with pytest.raises(DomainError):
-        e.div_uniformizer(e.w)
+        e.div_uniformizer((0, 1, 0))
 
 
 def _orders_reference(ring, p, j):
@@ -767,20 +821,45 @@ def test_oracle_imports_no_classification_layer():
 
 
 def test_root_isolation_builds_integer_elements_only(monkeypatch):
-    import selmer3.oracle as oracle
-
+    # every element an extension model hands root isolation is a tuple of
+    # three ints: its coordinates, with no element class around them
     built = []
-    original = oracle._ExtElem.__init__
+    for name in ("embed_int", "peval", "scale", "times_uniformizer", "div_uniformizer"):
+        original = getattr(CubicExtModel, name)
 
-    def recording(self, model, c):
-        built.append(c)
-        original(self, model, c)
+        def recording(self, *args, _f=original):
+            out = _f(self, *args)
+            built.append(out)
+            return out
 
-    monkeypatch.setattr(oracle._ExtElem, "__init__", recording)
+        monkeypatch.setattr(CubicExtModel, name, recording)
     assert algebra_class_of_form(unramified_cubic_form(7), 7) == "unram"
     assert algebra_class_of_form(BinaryCubicForm(1, 0, 0, -14), 7) == "ram-u2"
     assert built
-    assert all(type(t) is int for c in built for t in c)
+    assert all(type(x) is tuple and len(x) == 3 and all(type(t) is int for t in x) for x in built)
+
+
+def test_root_isolation_computes_one_discriminant_per_form(monkeypatch):
+    # the resultants of f(x, 1) and f(1, y) are +-lead disc of the same
+    # form, so a form's root tests, in one model or in every model its
+    # algebra is tried in, evaluate the discriminant once; the other call
+    # is the nonzero-discriminant check at the boundary
+    import sys
+
+    import selmer3.cubicforms as cubicforms
+
+    calls = []
+    original = cubicforms.discriminant
+    for name, module in list(sys.modules.items()):
+        if name.startswith("selmer3") and getattr(module, "discriminant", None) is original:
+            monkeypatch.setattr(module, "discriminant", lambda *a: calls.append(a) or original(*a))
+    f = BinaryCubicForm(1, 0, 0, -2)  # irreducible over Q_7: both orientations are searched
+    assert orbit_split(f, 7) == (f, f.swap())
+    assert len(calls) == 2
+    calls.clear()
+    # tried in Z_7, the unramified model and two Eisenstein models
+    assert algebra_class_of_form(BinaryCubicForm(1, 0, 0, -14), 7) == "ram-u2"
+    assert len(calls) == 2
 
 
 def test_witness_check_computes_each_discriminant_once(monkeypatch):
