@@ -27,16 +27,19 @@ config file read from a temporary directory, and the CM closed form; and
 Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
 sieve as each revision's report walks it (the (d0, factors) walk
 `twistfamilies._sieve_walk` where it exists, `enumerate_classes`
-otherwise), `family_report(prym-a4, 20000)`, its `to_json_obj`, the text of
-the envelope carrying it, from the report on, as each revision's `prym`
-writes it (rows spliced into templates written once per skeleton and
-report, or a dict per row with repeated sub-objects written once), and
-the whole in-process `prym` request at that height.  The scan layers time
-`global_report` with the `scan` default config on 200 seeded members d,
-each with a prime p < 1000 other than 3 at which v_p(d) is 2 or 4, the
-whole in-process `scan --family-preset full-n3 --height 2000`
-request, and at height 10^6 `tk_partition` of full-n3 with the `scan`
-default config and the whole in-process `scan` request; these two take
+otherwise), `family_report(prym-a4, 20000)`, its `to_json_obj`, the
+report together with the text of the envelope carrying it, as each
+revision's `prym` makes them (each row's text written as the sieve walk
+yields the member, where `cli._Texts` exists; else rows spliced into
+templates after the report is built, or a dict per row with repeated
+sub-objects written once), and the whole in-process `prym` request at
+that height.  The scan layers time `global_report` with the `scan`
+default config on 200 seeded members d, each with a prime p < 1000 other
+than 3 at which v_p(d) is 2 or 4, the whole in-process `scan
+--family-preset full-n3 --height 2000` request, and at height 10^6
+`admitted_masks` of a squarefree family with one condition mod 10^6 (five
+seeded residues), `tk_partition` of full-n3 with the `scan` default
+config and the whole in-process `scan` request; these three take up to
 seconds, so they run three passes and no warm-up pass.  The file records,
 per layer and side, the median and quartiles of the round values (the
 median pass of each round) and of the round minima (the fastest pass of
@@ -177,9 +180,9 @@ def _input_layers(workdir: str, sink):
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
     phase: the family's member sieve, as classes and as the revision's
-    report walks it, building the report, its JSON object, the text of the
-    envelope that carries it, written from the report as the revision's
-    `prym` writes it, and the whole in-process `prym` request."""
+    report walks it, building the report, its JSON object, the report with
+    the text of the envelope that carries it, as the revision's `prym`
+    writes them, and the whole in-process `prym` request."""
     from selmer3 import __version__, cli, twistfamilies
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
@@ -187,13 +190,15 @@ def _prym_layers(sink):
 
     argv = ["prym", "--preset", "prym-a4", "--height", "20000"]
     config = load_preset("prym-a4")
-    report = family_report(config, 20000)
 
     def envelope_text():
-        if hasattr(cli, "_prym_row_text"):  # each row's text spliced from templates
-            result, flags = report.to_json_obj(cli._prym_row_text()), {}
+        if hasattr(cli, "_Texts"):  # each row's text written as the walk yields it
+            report = family_report(config, 20000, cli._prym_row_text())
+            result, flags = report.to_json_obj(cli._Texts(report.rows)), {}
+        elif hasattr(cli, "_prym_row_text"):  # each row's text spliced from templates
+            result, flags = family_report(config, 20000).to_json_obj(cli._prym_row_text()), {}
         else:  # a dict per row, repeated sub-objects written once
-            result, flags = report.to_json_obj(), {"shared": True}
+            result, flags = family_report(config, 20000).to_json_obj(), {"shared": True}
         envelope = {
             "schema": 1,
             "command": "prym",
@@ -218,20 +223,22 @@ def _prym_layers(sink):
         "enumerate_classes(sigma-36-2-11, 20000)": ("ms/call", 1, lambda: enumerate_classes(config.family, 20000)),
         "prym member sieve(sigma-36-2-11, 20000)": ("ms/call", 1, report_sieve),
         "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
-        "PrymReport.to_json_obj": ("ms/call", 1, report.to_json_obj),
-        "prym envelope text": ("ms/call", 1, envelope_text),
+        "PrymReport.to_json_obj": ("ms/call", 1, family_report(config, 20000).to_json_obj),
+        "prym report and envelope text": ("ms/call", 1, envelope_text),
         "prym --preset prym-a4 --height 20000": ("ms/call", 1, request),
     }
 
 
 def _scan_layers(sink):
-    """The per-place report of members with a table-2 exponent, the T_k
-    partition of the full family at height 10^6, and whole in-process
-    full-family scans at heights 2000 and 10^6.  The two layers at 10^6 are last: the millions of objects they make and free
-    change when the garbage collector runs in the layers after them."""
+    """The per-place report of members with a table-2 exponent, the masks
+    of a family with one condition mod 10^6 and the T_k partition of the
+    full family at height 10^6, and whole in-process full-family scans at
+    heights 2000 and 10^6.  The full family's two layers at 10^6 are last:
+    the millions of objects they make and free change when the garbage
+    collector runs in the layers after them."""
     from selmer3.cli import _TRIVIAL_CONFIG, main
     from selmer3.selmerratio import global_report, tk_partition
-    from selmer3.twistfamilies import _primes_below, family_preset
+    from selmer3.twistfamilies import CongruenceCondition, TwistFamily, _primes_below, admitted_masks, family_preset
 
     rng = random.Random(SEED + 2)
     primes = [p for p in _primes_below(1000) if p != 3]
@@ -242,6 +249,8 @@ def _scan_layers(sink):
             members.append(rng.choice((1, -1)) * u * p ** rng.choice((2, 4)))
     full = family_preset("full-n3")
     profiles = list(_TRIVIAL_CONFIG.profiles)
+    residues = frozenset(rng.sample(range(10**6), 5))
+    one_condition = TwistFamily(n=3, conditions=(CongruenceCondition(10**6, residues),), squarefree=True)
 
     def reports():
         for d in members:
@@ -262,6 +271,9 @@ def _scan_layers(sink):
     return {
         "global_report(table-2 member)": ("us/call", len(members), reports),
         "scan --family-preset full-n3 --height 2000": ("ms/call", 1, request(2000)),
+        "admitted_masks(one condition mod 10^6, 10^6)": (
+            "s/call", 1, lambda: admitted_masks(one_condition, 10**6), SLOW_PASSES,
+        ),
         "tk_partition(full-n3, 10^6)": ("s/call", 1, partition, SLOW_PASSES),
         "scan --family-preset full-n3 --height 1000000": ("s/call", 1, request(10**6), SLOW_PASSES),
     }

@@ -5,8 +5,9 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes, sent piece by piece.  A `prym` row's text is templates
-written once, with its d and its primes spliced in (`_prym_row_text`).
+indent=2) writes, sent piece by piece.  `prym` writes each row's text in
+one pass, as the family's sieve walk yields the member: templates written
+once, with its d and its primes spliced in (`_prym_row_text`).
 Exit codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain
 error or exhausted budget, 4 incomplete configuration.  An input file that
 cannot be read or parsed, lacks a key or holds a value of the wrong JSON
@@ -24,13 +25,14 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DocumentError, IncompleteConfigError, Selmer3Error
 from .localclass import classify_integral, h1_dims, integral_representative
 from .localfield import Place, tame_place
-from .prym import PrymLocalAssembly, assemble_local_exponents, family_report, good_place, load_preset
+from .prym import assemble_local_exponents, family_report, good_place, load_preset
 from .selmerratio import (
     IsogenyDescriptor,
     KappaEntry,
@@ -73,9 +75,9 @@ def _digest(inputs) -> str:
     return hashlib.sha256(_canonical(inputs).encode()).hexdigest()
 
 
-class _Text(str):
-    """JSON text written where it is placed, as it is: the caller wrote it
-    for that depth."""
+class _Texts(list):
+    """The JSON texts of a list's items, each written for its depth: the
+    writer appends them as they are, one piece each, never joined."""
 
 
 # The text of the common JSON scalars, as json.dumps writes them.
@@ -84,7 +86,6 @@ _LEAF = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
-    _Text: lambda text: text,
 }
 # "\n" plus the indentation of each nesting depth, built once per depth.
 _NEWLINES = ["\n"]
@@ -95,7 +96,7 @@ def _write_json(obj, out: list[str], depth: int) -> None:
     byte as json.dumps(obj, sort_keys=True, indent=2) writes it there; with
     `indent` the stdlib falls back to its pure-Python encoder, which this
     outruns about twofold.  Scalars in a container are written in place, a
-    list of ints by one join."""
+    list of ints by one join, the texts of a `_Texts` as they are."""
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -125,6 +126,10 @@ def _write_json(obj, out: list[str], depth: int) -> None:
             else:
                 _write_json(value, out, depth + 1)
         append(_NEWLINES[depth] + "}")
+    elif type(obj) is _Texts:
+        append("[" + inner)
+        out += chain.from_iterable(zip(obj, repeat(sep)))
+        out[-1] = _NEWLINES[depth] + "]"  # in place of the last separator
     elif type(obj[0]) is int and set(map(type, obj)) == {int}:  # such as a T_k cell's members
         append("[" + inner + sep.join(map(int.__repr__, obj)) + _NEWLINES[depth] + "]")
     else:
@@ -163,34 +168,33 @@ def _emit(command: str, inputs, result, started: float) -> None:
 
 # The depth of a row in the `prym` envelope: envelope > result > rows > row.
 _ROW_DEPTH = 3
+# A string no report holds, and its JSON text: where a template's variable
+# text goes.  The writer escapes every NUL, so the text marks only it.
+_HOLE = "\0"
+_HOLE_TEXT = encode_basestring_ascii(_HOLE)
 
 
 def _prym_row_text():
-    """A row writer for `PrymReport.to_json_obj`: each row's text at the
-    depth where the `prym` envelope places it.  Rows of one skeleton
-    differ only in d and their primes, good places only in their label.
-    So two templates are written once, a NUL where those go, and split
-    there: per skeleton its row without primes, into the head before d,
-    the middle and the tail; per report a good place, around its label,
-    which joins a row's primes.  The writer escapes every NUL it encodes
-    itself, so a raw NUL is a sentinel."""
-    sentinel = _Text("\0")
+    """A row factory for `family_report`: row(d0, skeleton, primes) is the
+    row's text at its depth in the `prym` envelope.  Rows of one skeleton
+    differ only in d and their good places, good places only in their
+    label.  So a skeleton's row is written once, with a hole for d and one
+    for a place, and cut there into head, middle and tail; a good place
+    once, cut around its label.  A row splices its d and the text of each
+    prime's good place, written once per prime, into those pieces."""
     sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
-    pre, post = (sep + _dumps(good_place(_Text('"\0"')).to_json_obj(), _ROW_DEPTH + 2)).split(sentinel)
-    between = post + pre
+    pre, post = _dumps(good_place(_HOLE).to_json_obj(), _ROW_DEPTH + 2).split(_HOLE_TEXT)
+    place = cache(lambda p: f'{sep}{pre}"{p}"{post}')
     cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
 
-    def row_text(row) -> _Text:
-        d0, skeleton, primes = row
+    def row_text(d0: int, skeleton, primes: tuple[int, ...]) -> str:
         if (pieces := cuts.get(id(skeleton))) is None:
-            obj = {**PrymLocalAssembly(0, skeleton).to_json_obj(), "d": sentinel}
-            obj["places"].append(sentinel)
-            head, middle, tail = _dumps(obj, _ROW_DEPTH).split(sentinel)
-            cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the sentinel place's
+            obj = skeleton.to_json_obj(_HOLE)
+            obj["places"].append(_HOLE)
+            head, middle, tail = _dumps(obj, _ROW_DEPTH).split(_HOLE_TEXT)
+            cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the hole place's
         head, middle, tail = pieces
-        if primes:
-            return _Text("".join((head, str(d0), middle, pre, between.join(map(str, primes)), post, tail)))
-        return _Text(head + str(d0) + middle + tail)
+        return "".join((head, str(d0), middle, *map(place, primes), tail))
 
     return row_text
 
@@ -315,9 +319,9 @@ def cmd_scan(args, started: float) -> int:
 
 def cmd_prym(args, started: float) -> int:
     config = load_preset(args.preset)
-    report = family_report(config, args.height)
+    report = family_report(config, args.height, _prym_row_text())  # refuses before any output
     inputs = {"preset": args.preset, "height": args.height}
-    _emit("prym", inputs, report.to_json_obj(_prym_row_text()), started)
+    _emit("prym", inputs, report.to_json_obj(_Texts(report.rows)), started)
     return EXIT_OK
 
 

@@ -136,8 +136,9 @@ class PlacePair:
 class RowSkeleton:
     """What the rows of one sign share (of one sign and one 3-adic
     sixth-power class when the 3-adic order is configured): the pairs at
-    the real place, at 2 and at 3, the global pair they add up to, and the
-    four 3-adic exponents.  Every other place of a member adds (0, 0)."""
+    the real place, at 2 and at 3, the global pair of (phi, psi) they add
+    up to (sorted unless the 3-adic order is configured), and the four
+    3-adic exponents.  Every other place of a member adds (0, 0)."""
 
     places: tuple[PlacePair, PlacePair, PlacePair]  # real, 2, 3
     pair_global: tuple[int, int]
@@ -147,6 +148,19 @@ class RowSkeleton:
     def pair_abs(self) -> tuple[int, int]:
         kp, ks = self.pair_global
         return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
+
+    def to_json_obj(self, d0, primes: tuple = ()) -> dict:
+        """The JSON object of the row of d0 whose primes p > 3 are `primes`."""
+        kp, ks = self.pair_global
+        return {
+            "d": d0,
+            "places": [p.to_json_obj() for p in self.places] + [good_place(str(p)).to_json_obj() for p in primes],
+            "pair_global_k": [kp, ks],
+            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
+            "k_pi": kp + ks,
+            "parity": parity_prediction(kp + ks),
+            "three_adic_four": list(self.four_exponents),
+        }
 
 
 def good_place(label: str) -> PlacePair:
@@ -172,8 +186,6 @@ class PrymLocalAssembly(NamedTuple):
 
     @property
     def pair_global(self) -> tuple[int, int]:
-        """Global exponents of (phi, psi), as an unordered sorted pair
-        unless the 3-adic order was configured: the skeleton's."""
         return self.skeleton.pair_global
 
     @property
@@ -189,16 +201,7 @@ class PrymLocalAssembly(NamedTuple):
         return parity_prediction(self.k_pi)
 
     def to_json_obj(self) -> dict:
-        kp, ks = self.pair_global
-        return {
-            "d": self.d0,
-            "places": [p.to_json_obj() for p in self.places],
-            "pair_global_k": [kp, ks],
-            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
-            "k_pi": self.k_pi,
-            "parity": self.parity,
-            "three_adic_four": list(self.four_exponents),
-        }
+        return self.skeleton.to_json_obj(self.d0, self.primes)
 
 
 _TWO_ADIC_SQUARE = "family admits a twist with a 2-adic square; preset broken"
@@ -209,7 +212,7 @@ class _Assembler:
     report: the two descriptors, the 3-adic solutions with the unique
     unordered pair they determine, and one row skeleton per sign (per sign
     and sixth-power class when the 3-adic order is configured), built on
-    first use.  `row` is the one row builder.
+    first use.  `row` is the one rule for a member's skeleton and primes.
 
     The family is squarefree, so a prime p > 3 divides d once and its
     ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
@@ -221,7 +224,8 @@ class _Assembler:
     on its masks, by `assemble_local_exponents` on its one d.  No row
     needs a 2-adic test."""
 
-    def __init__(self, config: PrymCurveConfig) -> None:
+    def __init__(self, config: PrymCurveConfig, make=PrymLocalAssembly) -> None:
+        self.make = make
         self.descs = config.descriptors()
         self.solutions = solve_three_adic(config)
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
@@ -251,13 +255,13 @@ class _Assembler:
         )
         return skeleton
 
-    def row(self, d0: int, factors: tuple[int, ...]) -> PrymLocalAssembly:
-        """The row of a member d0, whose membership and place 2 the caller
-        has checked, with the primes p > 3 of the flat factorization of |d0|."""
+    def row(self, d0: int, factors: tuple[int, ...]):
+        """make(d0, skeleton, the primes p > 3 of the flat factorization of
+        |d0|) of a member d0, whose membership and place 2 are checked."""
         key = d0 > 0 if self.ordered is None else (d0 > 0, sextic_class_3adic(d0).representative)
         skeleton = self.skeletons.get(key) or self._skeleton(key, 1 if d0 > 0 else -1)
         primes = factors[::2]
-        return PrymLocalAssembly(d0, skeleton, primes[bisect_right(primes, 3) :])
+        return self.make(d0, skeleton, primes[bisect_right(primes, 3) :])
 
 
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:
@@ -331,19 +335,19 @@ def chabauty_point_bound(config: PrymCurveConfig, rank_cap: int) -> int:
 class PrymReport:
     name: str
     height_bound: int
-    rows: tuple[PrymLocalAssembly, ...]
+    rows: tuple  # what `family_report`'s row factory built: PrymLocalAssembly by default
     avg_rank_bound: Fraction
     rank_le_1_density: Fraction
     point_bound: int
 
-    def to_json_obj(self, row=PrymLocalAssembly.to_json_obj) -> dict:
-        """The report's JSON object, each row written by `row` (the `prym`
-        envelope passes one that writes a row's text)."""
+    def to_json_obj(self, rows: list | None = None) -> dict:
+        """The report's JSON object, with `rows` for the rows' objects when
+        given (the `prym` envelope passes the texts its rows are)."""
         return {
             "preset": self.name,
             "height_bound": self.height_bound,
             "member_count": len(self.rows),
-            "rows": list(map(row, self.rows)),
+            "rows": [row.to_json_obj() for row in self.rows] if rows is None else rows,
             "aggregate": {
                 "avg_rank_bound": str(self.avg_rank_bound),
                 "rank_le_1_density": str(self.rank_le_1_density),
@@ -362,16 +366,17 @@ def _check_invariants(skeleton: RowSkeleton) -> None:
         raise AssertionError("ratio pair invariant failed")
 
 
-def family_report(config: PrymCurveConfig, height_bound: int) -> PrymReport:
+def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssembly) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
-    the analytic bounds.  Rows are built as the family's sieve walk yields
-    its members, so none is tested for membership again.  The place 2 is
-    decided on the family's masks before any row: a member d = 1 (mod 4)
-    raises DomainError.  The invariants (exponents in {0,1} summing to the
-    product exponent, odd global exponent, unordered ratio pair {1, 3+-1})
-    are checked once per report and row skeleton, since each row carries
-    its skeleton's four exponents and global pair."""
-    assembler = _Assembler(config)
+    the analytic bounds.  A member's row is row(d0, skeleton, primes),
+    made as the family's sieve walk yields it, so none is tested for
+    membership again.  The place 2 is decided on the family's masks
+    before any row: a member d = 1 (mod 4) raises DomainError.  The
+    invariants (exponents in {0,1} summing to the product exponent, odd
+    global exponent, unordered ratio pair {1, 3+-1}) are checked once per
+    report and row skeleton, since each row carries its skeleton's four
+    exponents and global pair."""
+    assembler = _Assembler(config, row)
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
         raise AssertionError("solver output violated the product identity")

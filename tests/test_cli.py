@@ -746,18 +746,29 @@ def test_prym_envelope_carries_the_report(capsys, height):
     assert json.loads(out)["result"] == family_report(load_preset("prym-a4"), height).to_json_obj()
 
 
+def _prym_result_text(config, height):
+    """The text of {"result": the `prym` report}, rows written by the
+    command's row factory as its sieve walk yields them, at the envelope's
+    depth."""
+    from selmer3.cli import _dumps, _prym_row_text, _Texts
+    from selmer3.prym import family_report
+
+    report = family_report(config, height, _prym_row_text())
+    assert all(type(row) is str for row in report.rows)
+    return _dumps({"result": report.to_json_obj(_Texts(report.rows))})
+
+
 def test_prym_row_text_with_an_ordered_three_adic_input():
     # one skeleton per sign and sixth-power class, the pair at 3 ordered
     from dataclasses import replace
 
-    from selmer3.cli import _dumps, _prym_row_text
     from selmer3.prym import ThreeAdicInput, family_report, load_preset
 
     a4 = load_preset("prym-a4")
     config = replace(a4, three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered={2: (1, 0)}))
     report = family_report(config, 3000)
     assert len(report.rows) > 100 and all(r.places[2].ordered for r in report.rows)
-    text = _dumps({"result": report.to_json_obj(_prym_row_text())})  # rows at the envelope's depth
+    text = _prym_result_text(config, 3000)
     want = json.dumps({"result": report.to_json_obj()}, sort_keys=True, indent=2)
     assert text.split("\n") == want.split("\n")  # a mismatch reports its first line, not a diff of the whole
 
@@ -786,16 +797,14 @@ def _prym_config_over_sixth_power_classes():
 @example(height=5000, config="prym-a4")
 @example(height=5000, config="classes")
 def test_prym_envelope_text_equals_stdlib_over_heights(height, config):
-    from selmer3.cli import _dumps, _prym_row_text
     from selmer3.prym import family_report, load_preset
 
-    report = family_report(
-        load_preset("prym-a4") if config == "prym-a4" else _prym_config_over_sixth_power_classes(), height
-    )
+    prym_config = load_preset("prym-a4") if config == "prym-a4" else _prym_config_over_sixth_power_classes()
+    report = family_report(prym_config, height)
     if config == "classes" and height == 5000:
         assert len({id(r.skeleton) for r in report.rows}) == 24
         assert sorted(r.d0 for r in report.rows if not r.primes) == [-6, -2, -1, 2, 3, 6]
-    text = _dumps({"result": report.to_json_obj(_prym_row_text())})  # rows at the envelope's depth
+    text = _prym_result_text(prym_config, height)
     want = json.dumps({"result": report.to_json_obj()}, sort_keys=True, indent=2)
     assert text.split("\n") == want.split("\n")  # a mismatch reports its first line, not a diff of the whole
 

@@ -9,6 +9,7 @@ calls that the scan must no longer make.
 """
 
 import json
+import operator
 import random
 import sys
 from collections import Counter
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selmer3 import localclass, localfield, prym, selmerratio, twistfamilies
+from selmer3 import cli, localclass, localfield, prym, selmerratio, twistfamilies
 from selmer3.cli import main
 from selmer3.localclass import build_twist_datum
 from selmer3.localfield import Place
@@ -324,6 +325,29 @@ def test_prym_request_builds_rows_straight_from_one_sieve_walk(counts, capsys):
     assert counts["TwistClass"] == []
     assert counts["enumerate_classes"] == []
     assert len(counts["sieve_walk"]) == 1
+
+
+def test_prym_request_writes_each_row_once_as_the_walk_yields_it(monkeypatch, counts, capsys):
+    # a member's row is its text, made once from the walk: no row object, no
+    # copy of the text, no per-row dispatch in the writer; the templates
+    # write each skeleton's places once and one good place per report
+    assemblies = _count_method_calls(monkeypatch, prym.PrymLocalAssembly, "__new__")
+    places = _count_method_calls(monkeypatch, prym.PlacePair, "to_json_obj")
+    writes = _count_calls(monkeypatch, cli, "_write_json")
+    reports = []
+    report_of = cli.family_report
+    monkeypatch.setattr(cli, "family_report", lambda *args: reports.append(report_of(*args)) or reports[-1])
+    result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "20000")
+    (rows,) = [r.rows for r in reports]
+    assert result["member_count"] == len(rows) > 2000
+    assert assemblies == []
+    assert all(type(row) is str for row in rows)
+    (texts,) = [args[0] for args in writes if type(args[0]) is cli._Texts]
+    assert all(map(operator.is_, texts, rows)) and len(texts) == len(rows)
+    assert len(writes) < 100  # the envelope's containers and the templates
+    assert len(counts["sieve_walk"]) == 1 and len(counts["solve_three_adic"]) == 1
+    skeletons = {id(r.skeleton) for r in family_report(load_preset("prym-a4"), 20000).rows}
+    assert len(places) <= 3 * len(skeletons) + 1
 
 
 def test_enumerate_classes_is_the_sieve_walk(counts):

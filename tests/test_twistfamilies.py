@@ -13,6 +13,7 @@ from selmer3.twistfamilies import (
     CongruenceCondition,
     TwistClass,
     TwistFamily,
+    admitted_masks,
     enumerate_classes,
     factorize,
     family_preset,
@@ -183,6 +184,69 @@ def test_enumerate_matches_brute_force_filter():
                 if reduce_class(s * h, fam.n) == tc and fam.admits(tc):
                     want.append(s * h)
         assert [tc.d0 for tc in enumerate_classes(fam, bound)] == want
+
+
+@st.composite
+def _condition(draw, bound):
+    """A congruence condition whose modulus may exceed the height bound and
+    whose residues may be 0, negative or at least the modulus; several
+    residues or almost all of them."""
+    modulus = draw(st.integers(1, 2 * bound + 2))
+    pool = st.integers(-modulus, 2 * modulus)
+    if draw(st.booleans()):
+        return CongruenceCondition(modulus, draw(st.frozensets(pool, max_size=6)))
+    # most classes admitted, a few refused, some residues out of range
+    refused = draw(st.frozensets(st.integers(0, modulus - 1), max_size=3))
+    return CongruenceCondition(modulus, frozenset(range(modulus)) - refused | draw(st.frozensets(pool, max_size=2)))
+
+
+@st.composite
+def _family_and_bound(draw):
+    bound = draw(st.integers(1, 300))
+    family = TwistFamily(
+        n=draw(st.sampled_from([3, 9])),
+        signs=draw(st.sampled_from([(1,), (-1,), (1, -1)])),
+        conditions=tuple(draw(st.lists(_condition(bound), max_size=3))),
+        squarefree=draw(st.booleans()),
+    )
+    return family, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_and_bound())
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset({0, 2, 11, 36, 47})),)), 200))
+@example((TwistFamily(n=3, signs=(-1,), conditions=(CongruenceCondition(500, frozenset({0, 3, 499})),)), 100))
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({1, 2, 3})),) * 2, squarefree=True), 150))
+@example((TwistFamily(n=3, signs=(1,), conditions=(CongruenceCondition(1, frozenset({0})),)), 30))
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset(range(35))),)), 200))  # refuses h = 35, -1
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(300, frozenset(range(300)) - {99}),)), 100))
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset(range(1, 7))),)), 50))  # refuses 7 | h
+def test_admitted_masks_equal_the_per_height_predicate(family_and_bound):
+    # mask[h] says whether sign * h is a member: its own 2n-th-power-free
+    # representative, admitted by the family; the union is their union
+    family, bound = family_and_bound
+    masks, union = admitted_masks(family, bound)
+    assert [sign for sign, _ in masks] == [s for s in (1, -1) if s in family.signs]
+    for sign, mask in masks:
+        want = [h > 0 and (tc := reduce_class(sign * h, family.n)).d0 == sign * h and family.admits(tc)
+                for h in range(len(mask))]
+        assert list(map(bool, mask)) == want, sign
+    assert list(union) == [max(column) for column in zip(*(mask for _, mask in masks))]
+
+
+def test_admitted_masks_ask_no_condition_about_each_class(monkeypatch):
+    # a condition's mask is built from its residues, not by asking it about
+    # every class of its modulus below the bound
+    calls = []
+    admits = CongruenceCondition.admits
+    monkeypatch.setattr(CongruenceCondition, "admits", lambda cond, d0: calls.append(d0) or admits(cond, d0))
+    few = CongruenceCondition(10**6, frozenset({1, 7, 999_983}))
+    most = CongruenceCondition(36, frozenset(range(36)) - {0, 9})
+    family = TwistFamily(n=3, conditions=(few, most), squarefree=True)
+    masks, _ = admitted_masks(family, 10**5)
+    assert calls == []
+    assert [h for h in range(10**5) if masks[0][1][h]] == [1, 7]
+    assert [h for h in range(10**5) if masks[1][1][h]] == [17]  # -17 = 999,983 (mod 10^6)
 
 
 def test_congruence_modulus_must_be_positive():
