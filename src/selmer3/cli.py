@@ -180,11 +180,12 @@ def _prym_row_text():
     differ only in d and their good places, good places only in their
     label.  So a skeleton's row is written once, with a hole for d and one
     for a place, and cut there into head, middle and tail; a good place
-    once, cut around its label.  A row splices its d and the text of each
-    prime's good place, written once per prime, into those pieces."""
+    once, cut around its label, which joins a row's primes.  A row splices
+    its d and its primes into those pieces."""
     sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
     pre, post = _dumps(good_place(_HOLE).to_json_obj(), _ROW_DEPTH + 2).split(_HOLE_TEXT)
-    place = cache(lambda p: f'{sep}{pre}"{p}"{post}')
+    pre, post = sep + pre + '"', '"' + post
+    between = post + pre
     cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
 
     def row_text(d0: int, skeleton, primes: tuple[int, ...]) -> str:
@@ -194,7 +195,9 @@ def _prym_row_text():
             head, middle, tail = _dumps(obj, _ROW_DEPTH).split(_HOLE_TEXT)
             cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the hole place's
         head, middle, tail = pieces
-        return "".join((head, str(d0), middle, *map(place, primes), tail))
+        if primes:
+            return "".join((head, str(d0), middle, pre, between.join(map(str, primes)), post, tail))
+        return head + str(d0) + middle + tail
 
     return row_text
 

@@ -773,6 +773,31 @@ def test_prym_row_text_with_an_ordered_three_adic_input():
     assert text.split("\n") == want.split("\n")  # a mismatch reports its first line, not a diff of the whole
 
 
+@pytest.mark.parametrize(
+    "field, code",
+    [
+        ("three_adic", 4),  # the order at 3 is not given for the members' class
+        ("family", 3),  # a member d = 1 (mod 4): d or -3d is a 2-adic square
+    ],
+)
+def test_prym_refusal_comes_before_the_first_byte(capsys, monkeypatch, field, code):
+    # the rows are written during the walk, so every refusal must still
+    # end the request before the envelope is begun
+    from dataclasses import replace
+
+    from selmer3 import prym
+    from selmer3.twistfamilies import CongruenceCondition, TwistFamily
+
+    broken = {
+        "three_adic": prym.ThreeAdicInput(mode="unequal", product_exponent=2, ordered={5: (1, 0)}),
+        "family": TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({1, 2})),), squarefree=True),
+    }
+    monkeypatch.setitem(prym.PRESETS, "broken", replace(prym.PRESETS["prym-a4"], **{field: broken[field]}))
+    result, out, err = run_cli(capsys, "prym", "--preset", "broken", "--height", "3000")
+    assert (result, out) == (code, "")
+    assert err.startswith("error: ")
+
+
 def _prym_config_over_sixth_power_classes():
     """prym-a4's curve over the squarefree d = 2 or 3 (mod 4), whose members
     fall in 12 sixth-power classes at 3, with the order at 3 alternating
