@@ -218,9 +218,9 @@ def _family_and_bound(draw):
 @example((TwistFamily(n=3, signs=(-1,), conditions=(CongruenceCondition(500, frozenset({0, 3, 499})),)), 100))
 @example((TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({1, 2, 3})),) * 2, squarefree=True), 150))
 @example((TwistFamily(n=3, signs=(1,), conditions=(CongruenceCondition(1, frozenset({0})),)), 30))
-@example((TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset(range(35))),)), 200))  # refuses h = 35, -1
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset(range(35))),)), 200))  # d = 35 (mod 36) out
 @example((TwistFamily(n=3, conditions=(CongruenceCondition(300, frozenset(range(300)) - {99}),)), 100))
-@example((TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset(range(1, 7))),)), 50))  # refuses 7 | h
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset(range(1, 7))),)), 50))  # d = 0 (mod 7) out
 def test_admitted_masks_equal_the_per_height_predicate(family_and_bound):
     # mask[h] says whether sign * h is a member: its own 2n-th-power-free
     # representative, admitted by the family; the union is their union
