@@ -194,7 +194,7 @@ def _prym_layers(sink):
     def envelope_text():
         if hasattr(cli, "_Texts"):  # each row's text written as the walk yields it
             report = family_report(config, 20000, cli._prym_row_text())
-            result, flags = report.to_json_obj(cli._Texts(report.rows)), {}
+            result, flags = {**report.summary_json_obj(), "rows": cli._Texts(report.rows)}, {}
         elif hasattr(cli, "_prym_row_text"):  # each row's text spliced from templates
             result, flags = family_report(config, 20000).to_json_obj(cli._prym_row_text()), {}
         else:  # a dict per row, repeated sub-objects written once

@@ -5,9 +5,8 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes, sent piece by piece.  `prym` writes each row's text in
-one pass, as the family's sieve walk yields the member: templates written
-once, with its d and its primes spliced in (`_prym_row_text`).
+indent=2) writes, sent piece by piece.  `prym` writes a row's text as the
+sieve walk yields the member, splicing d and primes into templates.
 Exit codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain
 error or exhausted budget, 4 incomplete configuration.  An input file that
 cannot be read or parsed, lacks a key or holds a value of the wrong JSON
@@ -32,7 +31,7 @@ from . import __version__
 from .errors import DocumentError, IncompleteConfigError, Selmer3Error
 from .localclass import classify_integral, h1_dims, integral_representative
 from .localfield import Place, tame_place
-from .prym import assemble_local_exponents, family_report, good_place, load_preset
+from .prym import PrymLocalAssembly, assemble_local_exponents, family_report, good_place, load_preset
 from .selmerratio import (
     IsogenyDescriptor,
     KappaEntry,
@@ -76,8 +75,7 @@ def _digest(inputs) -> str:
 
 
 class _Texts(list):
-    """The JSON texts of a list's items, each written for its depth: the
-    writer appends them as they are, one piece each, never joined."""
+    """A list's items as JSON texts written for their depth, one piece each."""
 
 
 # The text of the common JSON scalars, as json.dumps writes them.
@@ -168,31 +166,27 @@ def _emit(command: str, inputs, result, started: float) -> None:
 
 # The depth of a row in the `prym` envelope: envelope > result > rows > row.
 _ROW_DEPTH = 3
-# A string no report holds, and its JSON text: where a template's variable
-# text goes.  The writer escapes every NUL, so the text marks only it.
-_HOLE = "\0"
-_HOLE_TEXT = encode_basestring_ascii(_HOLE)
 
 
 def _prym_row_text():
     """A row factory for `family_report`: row(d0, skeleton, primes) is the
     row's text at its depth in the `prym` envelope.  Rows of one skeleton
     differ only in d and their good places, good places only in their
-    label.  So a skeleton's row is written once, with a hole for d and one
-    for a place, and cut there into head, middle and tail; a good place
-    once, cut around its label, which joins a row's primes.  A row splices
-    its d and its primes into those pieces."""
+    label.  So a skeleton's row is written once, with a NUL string for d
+    and for one more place, and cut there into head, middle and tail; a
+    good place once, cut around its label, which joins a row's primes.  A
+    row splices its d and its primes into those pieces.  The writer
+    escapes every NUL, as \u0000, so that text marks only the holes."""
     sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
-    pre, post = _dumps(good_place(_HOLE).to_json_obj(), _ROW_DEPTH + 2).split(_HOLE_TEXT)
-    pre, post = sep + pre + '"', '"' + post
+    pre, post = (sep + _dumps(good_place("\0").to_json_obj(), _ROW_DEPTH + 2)).split("\\u0000")  # quotes kept
     between = post + pre
     cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
 
     def row_text(d0: int, skeleton, primes: tuple[int, ...]) -> str:
         if (pieces := cuts.get(id(skeleton))) is None:
-            obj = skeleton.to_json_obj(_HOLE)
-            obj["places"].append(_HOLE)
-            head, middle, tail = _dumps(obj, _ROW_DEPTH).split(_HOLE_TEXT)
+            obj = PrymLocalAssembly("\0", skeleton).to_json_obj()  # once per skeleton
+            obj["places"].append("\0")
+            head, middle, tail = _dumps(obj, _ROW_DEPTH).split('"\\u0000"')
             cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the hole place's
         head, middle, tail = pieces
         if primes:
@@ -321,10 +315,9 @@ def cmd_scan(args, started: float) -> int:
 
 
 def cmd_prym(args, started: float) -> int:
-    config = load_preset(args.preset)
-    report = family_report(config, args.height, _prym_row_text())  # refuses before any output
+    report = family_report(load_preset(args.preset), args.height, _prym_row_text())  # refuses before any output
     inputs = {"preset": args.preset, "height": args.height}
-    _emit("prym", inputs, report.to_json_obj(_Texts(report.rows)), started)
+    _emit("prym", inputs, {**report.summary_json_obj(), "rows": _Texts(report.rows)}, started)
     return EXIT_OK
 
 

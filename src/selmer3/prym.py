@@ -134,11 +134,10 @@ class PlacePair:
 
 @dataclass(frozen=True)
 class RowSkeleton:
-    """What the rows of one sign share (of one sign and one 3-adic
-    sixth-power class when the 3-adic order is configured): the pairs at
-    the real place, at 2 and at 3, the global pair of (phi, psi) they add
-    up to (sorted unless the 3-adic order is configured), and the four
-    3-adic exponents.  Every other place of a member adds (0, 0)."""
+    """What the rows of one sign (and 3-adic sixth-power class, when the
+    3-adic order is configured) share: the pairs at the real place, at 2
+    and at 3, the global pair of (phi, psi) they add up to, sorted unless
+    that order is configured, and the four 3-adic exponents."""
 
     places: tuple[PlacePair, PlacePair, PlacePair]  # real, 2, 3
     pair_global: tuple[int, int]
@@ -148,19 +147,6 @@ class RowSkeleton:
     def pair_abs(self) -> tuple[int, int]:
         kp, ks = self.pair_global
         return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
-
-    def to_json_obj(self, d0, primes: tuple = ()) -> dict:
-        """The JSON object of the row of d0 whose primes p > 3 are `primes`."""
-        kp, ks = self.pair_global
-        return {
-            "d": d0,
-            "places": [p.to_json_obj() for p in self.places] + [good_place(str(p)).to_json_obj() for p in primes],
-            "pair_global_k": [kp, ks],
-            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
-            "k_pi": kp + ks,
-            "parity": parity_prediction(kp + ks),
-            "three_adic_four": list(self.four_exponents),
-        }
 
 
 def good_place(label: str) -> PlacePair:
@@ -201,7 +187,16 @@ class PrymLocalAssembly(NamedTuple):
         return parity_prediction(self.k_pi)
 
     def to_json_obj(self) -> dict:
-        return self.skeleton.to_json_obj(self.d0, self.primes)
+        kp, ks = self.pair_global
+        return {
+            "d": self.d0,
+            "places": [p.to_json_obj() for p in self.places],
+            "pair_global_k": [kp, ks],
+            "pair_ratios": [str(Fraction(3) ** kp), str(Fraction(3) ** ks)],
+            "k_pi": self.k_pi,
+            "parity": self.parity,
+            "three_adic_four": list(self.four_exponents),
+        }
 
 
 _TWO_ADIC_SQUARE = "family admits a twist with a 2-adic square; preset broken"
@@ -340,14 +335,15 @@ class PrymReport:
     rank_le_1_density: Fraction
     point_bound: int
 
-    def to_json_obj(self, rows: list | None = None) -> dict:
-        """The report's JSON object, with `rows` for the rows' objects when
-        given (the `prym` envelope passes the texts its rows are)."""
+    def to_json_obj(self) -> dict:  # of a report whose rows are the default `PrymLocalAssembly`
+        return {**self.summary_json_obj(), "rows": [row.to_json_obj() for row in self.rows]}
+
+    def summary_json_obj(self) -> dict:
+        """The report's JSON object less its rows, whatever they are."""
         return {
             "preset": self.name,
             "height_bound": self.height_bound,
             "member_count": len(self.rows),
-            "rows": [row.to_json_obj() for row in self.rows] if rows is None else rows,
             "aggregate": {
                 "avg_rank_bound": str(self.avg_rank_bound),
                 "rank_le_1_density": str(self.rank_le_1_density),
@@ -368,14 +364,13 @@ def _check_invariants(skeleton: RowSkeleton) -> None:
 
 def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssembly) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
-    the analytic bounds.  A member's row is row(d0, skeleton, primes),
-    made as the family's sieve walk yields it, so none is tested for
-    membership again.  The place 2 is decided on the family's masks
-    before any row: a member d = 1 (mod 4) raises DomainError.  The
-    invariants (exponents in {0,1} summing to the product exponent, odd
-    global exponent, unordered ratio pair {1, 3+-1}) are checked once per
-    report and row skeleton, since each row carries its skeleton's four
-    exponents and global pair."""
+    the analytic bounds.  A member's row, row(d0, skeleton, primes), is
+    made as the sieve walk yields it, so no member is tested again.  The
+    place 2 is decided on the family's masks before any row: a member
+    d = 1 (mod 4) raises DomainError.  The invariants (exponents in {0,1}
+    summing to the product exponent, odd global exponent, unordered ratio
+    pair {1, 3+-1}) are checked once per report and row skeleton, since
+    each row carries its skeleton's four exponents and global pair."""
     assembler = _Assembler(config, row)
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:

@@ -257,10 +257,8 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
     of the masks), one byte a height: mask[h] = 1 when sign * h is a member,
     that is h is 2n-th-power-free (squarefree in a squarefree family) and
     every congruence condition admits sign * h.  Multiples of p^power are
-    struck out, and residue classes kept or struck, by slice assignment,
-    in at most two Python steps per residue of a condition, whatever its
-    modulus.  A bound past `MAX_HEIGHT` raises `BudgetError` before
-    anything is built."""
+    struck out, and admitted residue classes copied, by slice assignment.
+    A bound past `MAX_HEIGHT` raises `BudgetError` before anything is built."""
     if bound > MAX_HEIGHT:
         raise BudgetError(f"height bound {bound} exceeds the maximum {MAX_HEIGHT}")
     size = max(bound, 1)
@@ -279,18 +277,10 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
         if sign in family.signs:
             mask = free
             for cond in family.conditions:
-                # copy the classes h = sign * r (mod m), r in [0, m), into zeros,
-                # or strike the others from a copy when they are fewer
-                m, classes = cond.modulus, min(cond.modulus, size)
-                kept = {sign * r % m for r in cond.residues if 0 <= r < m}
-                if 2 * len(kept) <= classes:
-                    mask, old = bytearray(size), mask
-                    for c in kept:
-                        mask[c::m] = old[c::m]
-                else:
-                    mask = bytearray(mask)
-                    for c in set(range(classes)) - kept:  # classes < 2 * len(kept)
-                        mask[c::m] = bytes(len(range(c, size, m)))
+                m = cond.modulus
+                mask, old = bytearray(size), mask
+                for c in {sign * r % m for r in cond.residues if 0 <= r < m}:
+                    mask[c::m] = old[c::m]
             masks.append((sign, bytes(mask)))
             union |= int.from_bytes(mask, "big")
     return masks, union.to_bytes(size, "big")

@@ -755,7 +755,7 @@ def _prym_result_text(config, height):
 
     report = family_report(config, height, _prym_row_text())
     assert all(type(row) is str for row in report.rows)
-    return _dumps({"result": report.to_json_obj(_Texts(report.rows))})
+    return _dumps({"result": {**report.summary_json_obj(), "rows": _Texts(report.rows)}})
 
 
 def test_prym_row_text_with_an_ordered_three_adic_input():
