@@ -11,7 +11,8 @@ at p = 5, 7 and 11; the one at p = 11 takes about a second, so it runs
 three passes and no warm-up pass.  The root-isolation layers are
 `has_zp_root` on 200 seeded integer polynomials of degree 1 to 3 (p
 cycling through 5, 7, 11, 13) and `has_ring_root` in the unramified cubic
-ring at p = 7 on 50 seeded integer cubics.
+ring at p = 7 on 50 seeded integer cubics.  The local-model layer is
+`unramified_cubic_form(p)` over the primes 5 <= p < 1000.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
 
@@ -24,15 +25,11 @@ a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form; and
 30 seeded `classify --p P --d D` requests, primes 5 <= p < 1000.  The
-Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
-sieve as each revision's report walks it (the (d0, factors) walk
-`twistfamilies._sieve_walk` where it exists, `enumerate_classes`
-otherwise), `family_report(prym-a4, 20000)`, its `to_json_obj`, the
-report together with the text of the envelope carrying it, as each
-revision's `prym` makes them (each row's text written as the sieve walk
-yields the member, where `cli._Texts` exists; else rows spliced into
-templates after the report is built, or a dict per row with repeated
-sub-objects written once), and the whole in-process `prym` request at
+Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the (d0,
+factors) member walk `twistfamilies._sieve_walk` that the report reads,
+`family_report(prym-a4, 20000)`, its `to_json_obj`, the report together
+with the text of the envelope carrying it, each row's text written as
+the walk yields the member, and the whole in-process `prym` request at
 that height.  The scan layers time `global_report` with the `scan`
 default config on 200 seeded members d, each with a prime p < 1000 other
 than 3 at which v_p(d) is 2 or 4, the whole in-process `scan
@@ -179,10 +176,10 @@ def _input_layers(workdir: str, sink):
 
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
-    phase: the family's member sieve, as classes and as the revision's
-    report walks it, building the report, its JSON object, the report with
-    the text of the envelope that carries it, as the revision's `prym`
-    writes them, and the whole in-process `prym` request."""
+    phase: the family's member sieve, as classes and as the report walks
+    it, building the report, its JSON object, the report with the text of
+    the envelope that carries it, as `prym` writes them, and the whole
+    in-process `prym` request."""
     from selmer3 import __version__, cli, twistfamilies
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
@@ -192,27 +189,19 @@ def _prym_layers(sink):
     config = load_preset("prym-a4")
 
     def envelope_text():
-        if hasattr(cli, "_Texts"):  # each row's text written as the walk yields it
-            report = family_report(config, 20000, cli._prym_row_text())
-            result, flags = {**report.summary_json_obj(), "rows": cli._Texts(report.rows)}, {}
-        elif hasattr(cli, "_prym_row_text"):  # each row's text spliced from templates
-            result, flags = family_report(config, 20000).to_json_obj(cli._prym_row_text()), {}
-        else:  # a dict per row, repeated sub-objects written once
-            result, flags = family_report(config, 20000).to_json_obj(), {"shared": True}
+        report = family_report(config, 20000, cli._prym_row_text())
         envelope = {
             "schema": 1,
             "command": "prym",
             "config_digest": _digest({"preset": "prym-a4", "height": 20000}),
             "artifact_version": __version__,
-            "result": result,
+            "result": {**report.summary_json_obj(), "rows": cli._Texts(report.rows)},
             "timing": {"seconds": 0.0},
         }
-        return _dumps(envelope, **flags)
+        return _dumps(envelope)
 
     def report_sieve():
-        if hasattr(twistfamilies, "_sieve_walk"):  # the rows are built as the walk yields
-            return list(twistfamilies._sieve_walk(*twistfamilies.admitted_masks(config.family, 20000)))
-        return enumerate_classes(config.family, 20000)
+        return list(twistfamilies._sieve_walk(*twistfamilies.admitted_masks(config.family, 20000)))
 
     def request():
         with contextlib.redirect_stdout(sink):
@@ -292,7 +281,9 @@ def _layers():
         scan_forms_low_valuation,
         verify_subring_bijection,
     )
+    from selmer3.localclass import unramified_cubic_form
     from selmer3.padicroots import has_ring_root, has_zp_root
+    from selmer3.twistfamilies import _primes_below
 
     rng = random.Random(SEED)
     forms = [BinaryCubicForm(*f) for f in _forms(rng, 200, 30)]
@@ -325,6 +316,7 @@ def _layers():
     cubics = [[root_rng.randint(-10**6, 10**6) for _ in range(3)] + [root_rng.randint(1, 10**6)] for _ in range(50)]
     unramified = CubicExtModel.unramified(7)
     forms_31 = [BinaryCubicForm(*f) for f in _forms(root_rng, 10, 1000)]
+    tame_primes = [p for p in _primes_below(1000) if p >= 5]
 
     def round_trip():
         for f in forms:
@@ -377,6 +369,10 @@ def _layers():
         for coeffs in cubics:
             has_ring_root(unramified, coeffs)
 
+    def unramified_forms():
+        for p in tame_primes:
+            unramified_cubic_form(p)
+
     return {
         "form/ring round trip": ("us/call", len(forms), round_trip),
         "forms request": ("us/call", len(requests), forms_request),
@@ -390,6 +386,7 @@ def _layers():
         "algebra_class_of_form(p=31)": ("us/call", len(forms_31), algebra_classes_31),
         "has_zp_root": ("us/call", len(polys), zp_roots),
         "has_ring_root(unramified(7))": ("us/call", len(cubics), ring_roots),
+        "unramified_cubic_form(5 <= p < 1000)": ("us/call", len(tame_primes), unramified_forms),
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
         "scan_forms_low_valuation(7)": ("ms/call", 1, lambda: scan_forms_low_valuation(7)),
         "scan_forms_low_valuation(11)": ("s/call", 1, lambda: scan_forms_low_valuation(11), SLOW_PASSES),

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .cubicforms import BinaryCubicForm
+from .cubicforms import BinaryCubicForm, discriminant
 from .errors import DomainError, NonIntegralClassError
 from .localfield import (
     Place,
@@ -21,7 +22,6 @@ from .localfield import (
     SquareClassification,
     _entry_split,
     _split,
-    _unit_is_3power,
     classify_squares,
     cube_class_reps,
     is_square,
@@ -187,44 +187,30 @@ def _mul_mod_cubic(
     )
 
 
-def _poly_gcd(u: list[int], v: list[int], p: int) -> list[int]:
-    """A gcd over F_p of two coefficient lists, constant term first; the
-    result carries no leading zeros (empty for the zero polynomial)."""
-    while u and u[-1] == 0:
-        u.pop()
-    while v and v[-1] == 0:
-        v.pop()
-    while v:
-        inv = pow(v[-1], -1, p)
-        while len(u) >= len(v):
-            q = u[-1] * inv % p
-            shift = len(u) - len(v)
-            for i, c in enumerate(v):
-                u[shift + i] = (u[shift + i] - q * c) % p
-            while u and u[-1] == 0:
-                u.pop()
-        u, v = v, u
-    return u
-
-
 def _cubic_has_root(a: int, b: int, p: int) -> bool:
-    """Whether x^3 + a x + b has a root mod p: gcd(f, x^p - x) != 1
-    (Rabin), with x^p reduced mod f by square-and-multiply, so the test
-    costs O(log p) products instead of a scan over F_p."""
+    """Whether x^3 + a x + b has a root mod the prime p > 3, read off the
+    parity of its discriminant (Stickelberger): a zero discriminant means a
+    repeated, hence rational, root, and a nonsquare one a linear times an
+    irreducible quadratic factor.  A nonzero square leaves 0 or 3 roots,
+    and f splits exactly when x^p = x (mod f), with x^p reduced by
+    square-and-multiply, so the test costs O(log p) products."""
+    disc = discriminant(1, 0, a, b) % p
+    if disc == 0 or pow(disc, (p - 1) // 2, p) != 1:
+        return True
     r = (1, 0, 0)
     for bit in bin(p)[2:]:
         r = _mul_mod_cubic(r, r, a, b, p)
         if bit == "1":  # times x: x^3 = -a x - b
             r = ((-b * r[2]) % p, (r[0] - a * r[2]) % p, r[1])
-    g = _poly_gcd([b % p, a % p, 0, 1], [r[0], (r[1] - 1) % p, r[2]], p)
-    return len(g) > 1
+    return r == (0, 1, 0)
 
 
 def unramified_cubic_form(p: int) -> BinaryCubicForm:
     """Index form of the maximal order of the unramified cubic extension:
     x^3 + A x y^2 + B y^3 from the first monic cubic x^3 + A x + B, in the
     order of (A, B), that is irreducible mod p.  A cubic with no root mod p
-    is irreducible, and its discriminant is automatically a unit square.
+    is irreducible; by the discriminant-parity test of `_cubic_has_root`
+    its discriminant is a unit square, and x^p != x modulo it.
     For p = 2 (mod 3) cubing permutes F_p, so every x^3 + B has a root and
     the A = 0 row is skipped."""
     for a_coef in range(1 if p % 3 == 2 else 0, p):
@@ -349,14 +335,16 @@ def unit_class(u: Rational, p: int, r: int) -> int | str:
     """The class of the p-adic unit u at the proven prime p and r, all that
     a table-2 exponent reads of u: u mod 8 at p = 2; else "nonsquare",
     "square", or "power" for a square that is a 3^r-th power unit (every
-    square at p = 3)."""
+    square at p = 3).  The one-units are uniquely 3-divisible away from 3,
+    so u is a 3^r-th power exactly when its residue is a 3^r-th power in
+    F_p^*, that is when u^((p - 1) / gcd(3^r, p - 1)) = 1 (mod p)."""
     mod = 8 if p == 2 else p
     u = u.numerator * pow(u.denominator, -1, mod) % mod
     if p == 2:
         return u
     if pow(u, (p - 1) // 2, p) != 1:
         return "nonsquare"
-    return "power" if p == 3 or _unit_is_3power((0, u, 1), p, r) else "square"
+    return "power" if p == 3 or pow(u, (p - 1) // gcd(3**r, p - 1), p) == 1 else "square"
 
 
 def class_labels(p: int, cls: int | str) -> tuple[str, ...]:

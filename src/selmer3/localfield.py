@@ -2,7 +2,7 @@
 
 Everything here is a pure function of exact rationals: valuations, unit
 parts, square classes (Euler's criterion at odd p, residues mod 8 at p = 2),
-cube and 3-power-unit tests, and the sixth-power classification of Q_3.
+cube-class representatives, and the sixth-power classification of Q_3.
 The base field is Q throughout; Q_p and R are the only completions that
 occur concretely.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainError
 
@@ -32,7 +31,7 @@ def is_prime(n: int) -> bool:
     primality for n < 3.3 * 10^24, a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -170,16 +169,6 @@ def zeta3_present(place: Place) -> bool:
     if place.kind == "real":
         return False
     return place.p % 3 == 1
-
-
-def _unit_is_3power(split: tuple[int, int, int], p: int, j: int) -> bool:
-    """Whether the p-adic unit with `_split` (0, num, den) at the proven
-    prime p != 3 is a 3^j-th power in Z_p^*.  The one-units are uniquely
-    3-divisible, so only the residue of the unit modulo p matters."""
-    v, num, den = split
-    if v != 0:
-        raise DomainError(f"{Fraction(num, den) * Fraction(p) ** v} is not a p-adic unit at {p}")
-    return pow(num * pow(den, -1, p) % p, (p - 1) // gcd(3**j, p - 1), p) == 1
 
 
 def sqrt_extension_unramified(d: Rational, p: int | Place) -> bool:

@@ -479,7 +479,7 @@ class TkCell:
     dim_density_bound: Fraction
 
     def to_json_obj(self) -> dict:
-        return {**_json_fields(self), "members": list(self.members)}
+        return _json_fields(self)
 
 
 def _deviations(family: TwistFamily, rule: _PlaceExponents, sign: int, mask: bytes) -> dict[int, int]:

@@ -7,11 +7,13 @@ from selmer3.cubicforms import factorization_type, orbit_split
 from selmer3.errors import DomainError, IncompleteConfigError, NonIntegralClassError
 from selmer3.localclass import (
     OrbitClassDescriptor,
+    _cubic_has_root,
     build_twist_datum,
     classify_integral,
     h1_dims,
     integral_representative,
     soluble_classes,
+    unit_class,
     unramified_cubic_form,
 )
 from selmer3.localfield import Place, is_square, least_nonresidue, unit_part, valuation
@@ -160,6 +162,35 @@ def test_unramified_cubic_form_is_first_irreducible_cubic():
 
     for p in primerange(5, 2000):
         assert unramified_cubic_form(p).coefficients() == _first_rootless_cubic(p), p
+
+
+def test_cubic_root_test_equals_a_root_search():
+    # every cubic x^3 + A x + B mod p: zero, nonsquare and nonzero-square
+    # discriminants alike, the last split or irreducible
+    from sympy import primerange
+
+    for p in primerange(5, 62):
+        for a in range(p):
+            hit = {(-x**3 - a * x) % p for x in range(p)}
+            for b in range(p):
+                assert _cubic_has_root(a, b, p) == (b in hit), (a, b, p)
+
+
+def test_unit_class_equals_a_power_search():
+    from sympy import primerange
+
+    for p in primerange(5, 60):
+        squares = {t * t % p for t in range(1, p)}
+        for r in range(4):
+            powers = {pow(t, 3**r, p) for t in range(1, p)}
+            for u in range(1, p):
+                want = "nonsquare" if u not in squares else "power" if u in powers else "square"
+                assert unit_class(Fraction(u), p, r) == want, (u, p, r)
+                assert unit_class(Fraction(3 * u + p, 3), p, r) == want, (u, p, r)  # u as a fraction
+    for u in range(-15, 16, 2):
+        for r in range(4):
+            assert unit_class(Fraction(u), 2, r) == u % 8
+            assert unit_class(Fraction(u, 3), 2, r) == 3 * u % 8  # 3 is its own inverse mod 8
 
 
 def test_ramified_representative_valuations():

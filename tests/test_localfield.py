@@ -10,8 +10,6 @@ from selmer3.localfield import (
     Place,
     classify_squares,
     cube_class_reps,
-    _split,
-    _unit_is_3power,
     is_square,
     least_nonresidue,
     sextic_class_3adic,
@@ -20,7 +18,7 @@ from selmer3.localfield import (
     valuation,
     zeta3_present,
 )
-from selmer3.localclass import unit_class_labels
+from selmer3.localclass import unit_class, unit_class_labels
 from selmer3.twistfamilies import factorize
 
 Q5 = Place.finite(5)
@@ -48,11 +46,11 @@ def test_valuation_rejects_zero_and_composite():
     lambda: unit_part(0, 5),
     lambda: unit_class_labels(0, Q5, 1),
     lambda: sqrt_extension_unramified(0, 5),
-    lambda: _unit_is_3power(_split(Fraction(14), 7), 7, 1),
+    lambda: unit_class_labels(14, Q7, 1),
 ])
 def test_raw_p_entries_refuse_composite_p_zero_and_non_units(call):
     # the public entries test a raw p themselves, as `valuation` does; the
-    # unit-class labels take a proven place, and the 3-power test a unit
+    # unit-class labels take a proven place and a unit
     with pytest.raises(DomainError):
         call()
 
@@ -167,14 +165,12 @@ def test_classify_squares_exclusive_cases():
 
 
 def test_unit_3power_test():
-    def cube(u, p, j):
-        return _unit_is_3power(_split(Fraction(u), p), p, j)
-
-    # cubes mod 7 are {1, 6}
-    assert cube(6, 7, 1)
-    assert not cube(2, 7, 1)
-    assert cube(2, 5, 1)  # every unit is a cube when p = 2 (mod 3)
-    assert cube(2, 5, 2)
+    # cubes mod 7 are {1, 6}; 6 is a nonsquare, so the cube 1 is the power
+    assert unit_class(Fraction(1), 7, 1) == "power"
+    assert unit_class(Fraction(2), 7, 1) == "square"
+    assert unit_class(Fraction(4), 5, 1) == "power"  # every unit is a cube when p = 2 (mod 3)
+    assert unit_class(Fraction(4), 5, 2) == "power"
+    assert unit_class(Fraction(2), 13, 0) == "nonsquare"
     # the labels of a square unit: 1 and 4 are cubes mod 7 and 5, 2 is not mod 7
     assert unit_class_labels(1, Q7, 1) == ("power", "square", "any")
     assert unit_class_labels(2, Q7, 1) == ("square", "any")

@@ -857,9 +857,13 @@ def test_root_isolation_computes_one_discriminant_per_form(monkeypatch):
     assert orbit_split(f, 7) == (f, f.swap())
     assert len(calls) == 2
     calls.clear()
-    # tried in Z_7, the unramified model and two Eisenstein models
-    assert algebra_class_of_form(BinaryCubicForm(1, 0, 0, -14), 7) == "ram-u2"
-    assert len(calls) == 2
+    # tried in Z_7, the unramified model and two Eisenstein models; the
+    # other calls are the unramified model's search, one per cubic
+    # x^3 + A x + B it tries mod 7
+    f = BinaryCubicForm(1, 0, 0, -14)
+    assert algebra_class_of_form(f, 7) == "ram-u2"
+    assert calls.count(f.coefficients()) == 2
+    assert [c for c in calls if c != f.coefficients()] == [(1, 0, 0, 1), (1, 0, 0, 2)]
 
 
 def test_witness_check_computes_each_discriminant_once(monkeypatch):
