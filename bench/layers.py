@@ -7,8 +7,8 @@ seeded integral forms, and the forms request `index_p_subrings` plus
 The oracle layers are the orbit grid at p = 5 and 7,
 `algebra_class_of_form` on the grid's witness forms and on 10 seeded
 integral forms at p = 31, and the form scans `scan_forms_low_valuation`
-at p = 5, 7 and 11; the one at p = 11 takes about a second, so it runs
-three passes and no warm-up pass.  The root-isolation layers are
+at p = 5, 7, 11 and 13; the ones at p = 11 and 13 take up to seconds, so
+they run three passes and no warm-up pass.  The root-isolation layers are
 `has_zp_root` on 200 seeded integer polynomials of degree 1 to 3 (p
 cycling through 5, 7, 11, 13) and `has_ring_root` in the unramified cubic
 ring at p = 7 on 50 seeded integer cubics.  The local-model layer is
@@ -390,6 +390,7 @@ def _layers():
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
         "scan_forms_low_valuation(7)": ("ms/call", 1, lambda: scan_forms_low_valuation(7)),
         "scan_forms_low_valuation(11)": ("s/call", 1, lambda: scan_forms_low_valuation(11), SLOW_PASSES),
+        "scan_forms_low_valuation(13)": ("s/call", 1, lambda: scan_forms_low_valuation(13), SLOW_PASSES),
     }
 
 

@@ -31,10 +31,10 @@ sublattice closure is tested on the ring's table scaled by a p-unit to
 integers; and the form scan classifies each residue form mod p once,
 counts its lifts mod p^2 of discriminant valuation 1 from the gradient
 of the discriminant (disc(x + p h) = disc(x) + p grad(x).h mod p^2 holds
-exactly, as disc has integer coefficients), and walks lifts only at the
-triple-root residue forms, where the Eisenstein dichotomy is tested,
-solving the Eisenstein test once per (a, b, c) for the values of d at
-which a root lift is a zero.  Nothing is truncated.
+exactly, as disc has integer coefficients), and at the triple-root
+residue forms compares, per lift (a, b, c), two rows over the p values
+of d: the Eisenstein test, solved once per residue form, and the flags
+p^3 | disc, read off the exact quadratic in d.  Nothing is truncated.
 
 The SL2(Z/p^k)-orbit merging of the full form space is only feasible at
 k = 1 (the space has p^(4k) points); sl2_orbit_count_mod_p implements that
@@ -568,8 +568,8 @@ def verify_subring_bijection(ring: CubicRing, p: int) -> bool:
 
 
 # The largest prime the form-space scans accept: both touch all p^4 forms
-# mod p, and the low-valuation scan walks the p^4 lifts of each of the
-# p^2 - 1 triple-root residue forms, 2.4 s at this bound (Python 3.11).
+# mod p, and the low-valuation scan reads the p^3 rows (a, b, c) of each of
+# the p^2 - 1 triple-root residue forms, 0.4 s at this bound (Python 3.11).
 MAX_SCAN_PRIME = 13
 
 
@@ -612,28 +612,33 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
     and none do when it is not.  The gradient vanishes mod p exactly at
     the triple-root residue forms.
 
-    Only the lifts of the triple-root residue forms are walked, with the
-    triple-root count, the Eisenstein test and the valuation-2 comparison
-    made on every lift of v(disc) >= 2.  At a root lift (x, y), f = base
+    Only the triple-root residue forms with p^2 | disc(x) are walked, one
+    step per lift (a, b, c) for its p values d = d0 + p t.  disc is a
+    quadratic in d: disc(a, b, c, d0 + p t) = e0 + p t e1 + q t^2 k2
+    exactly, e0 = disc(a, b, c, d0), e1 its d-derivative there, k2 =
+    -27 a^2.  Each step checks the gradient lemma, q | e0 and p | e1 (else
+    `AssertionError`), and reads the row of flags "p^3 does not divide
+    disc" off (e0/q, e1/p, k2) mod p, each of at most p^3 rows built once.
+    The Eisenstein flags form a row too.  At a root lift (x, y), f = base
     + d y^3 mod p^2, and y^3 is 0 mod p^2 at every lift or a unit at every
     lift, so the p^2 lifts zero f at every d or at none, or each at one d:
     the dot product of (a, b, c) with a term (n3, n2, n1) of
-    `_root_lift_terms`.  The terms all reduce to one m mod p (each lift
-    reduces to the root, -(y^3)^-1 to -(y0^3)^-1), so at a = a0 + p i,
-    b = b0 + p j, c = c0 + p k the dot product is (a0 n3 + b0 n2 + c0 n1)
-    + p s mod p^2, s = i m3 + j m2 + k m1 mod p: the lift's zero set is
-    the residue form's set Z0 shifted by p s.  `_eisenstein_table` solves
-    Z0 once per residue form and the d loop reads it through the shift,
-    the same evaluations rearranged by exact algebra; nothing about the
-    values of f on the lifts is assumed.  All arithmetic is on integers.
+    `_root_lift_terms`, made once per root.  The terms all reduce to one m
+    mod p (each lift reduces to the root, -(y^3)^-1 to -(y0^3)^-1), so at
+    a = a0 + p i, b = b0 + p j, c = c0 + p k the dot product is (a0 n3 +
+    b0 n2 + c0 n1) + p s mod p^2, s = i m3 + j m2 + k m1 mod p: the lift's
+    zero set is the residue form's set Z0 shifted by p s.
+    `_eisenstein_table` solves Z0 once per residue form into rows by s,
+    and the dichotomy is one comparison of two rows per (a, b, c).
+    Nothing about the values of f on the lifts is assumed.  All arithmetic
+    is on integers.
     A prime past `MAX_SCAN_PRIME` raises `BudgetError` before any walk.
     """
     p = tame_place(p, "form scan").p
     _check_scan_prime(p)
     q = p * p
-    qp = q * p
     v1 = v1_simple = triples = eis_count = 0
-    dichotomy = True
+    dichotomy, rows, lift_terms = True, {}, {}
     for a0, b0, c0, d0 in product(range(p), repeat=4):
         disc0 = discriminant(a0, b0, c0, d0)
         if not (a0 or b0 or c0 or d0) or disc0 % p:
@@ -647,22 +652,27 @@ def scan_forms_low_valuation(p: int) -> LowValuationScan:
         if 1 in mults.values():
             v1_simple += n
         triple = next((root for root, m in mults.items() if m == 3), None)
-        if triple is None:
-            continue
-        (m3, m2, m1), table = _eisenstein_table(a0, b0, c0, d0, triple, p)
-        ds = range(d0, q, p)
-        for i, j, k in product(range(p), repeat=3):
-            a, b, c = a0 + p * i, b0 + p * j, c0 + p * k
-            # `discriminant` expanded as a quadratic in d, its coefficients
-            # hoisted out of the d loop rather than a call per lift
-            k2, k1, k0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
-            for d, eis in zip(ds, table[(i * m3 + j * m2 + k * m1) % p]):
-                disc = (k2 * d + k1) * d + k0
-                if disc % q:
-                    continue  # v(disc) = 1, counted above
-                triples += 1
-                eis_count += eis
-                if eis != (disc % qp != 0):
+        if triple is None or n:
+            continue  # no triple root, or only lifts of v(disc) = 1
+        terms = lift_terms[triple] = lift_terms.get(triple) or _root_lift_terms(triple, p)
+        (m3, m2, m1), table = _eisenstein_table(a0, b0, c0, d0, terms, p)
+        sums, e2 = [sum(row) for row in table], -27 * a0 * a0 % p
+        for i, j in product(range(p), repeat=2):
+            a, b, s = a0 + p * i, b0 + p * j, i * m3 + j * m2
+            k2d, ab, b3 = -27 * a * a * d0, 18 * a * b, 4 * b**3
+            for c in range(c0, q, p):
+                # disc(a, b, c, d0 + p t) = e0 + p t e1 + q t^2 k2 exactly
+                e1 = 2 * k2d + ab * c - b3
+                e0 = (e1 - k2d) * d0 + (b * b - 4 * a * c) * c * c
+                if e0 % q or e1 % p:
+                    raise AssertionError(f"p^2 does not divide disc at the lifts of {(a, b, c, d0)}")
+                key = (e0 // q % p, e1 // p % p, e2)
+                if (row := rows.get(key)) is None:
+                    row = rows[key] = tuple((key[0] + t * key[1] + t * t * e2) % p != 0 for t in range(p))
+                s_abc = (s + c // p * m1) % p
+                triples += p
+                eis_count += sums[s_abc]
+                if row != table[s_abc]:
                     dichotomy = False
     return LowValuationScan(
         p=p,
@@ -708,14 +718,14 @@ def _root_lift_terms(root, p: int) -> tuple[bool, frozenset[tuple[int, int, int]
     return solved, frozenset(terms)
 
 
-def _eisenstein_table(a0: int, b0: int, c0: int, d0: int, root, p: int):
-    """The common reduction m mod p of the `_root_lift_terms` of a triple
-    root of (a0, b0, c0, d0), and a table whose row s says at t whether no
-    root lift zeroes the lift of shift s with d = d0 + p t.  With Z0 the
+def _eisenstein_table(a0: int, b0: int, c0: int, d0: int, lift_terms, p: int):
+    """The common reduction m mod p of `lift_terms` (`_root_lift_terms` of a
+    triple root of (a0, b0, c0, d0)), and a table whose row s says at t if
+    no root lift zeroes the lift of shift s with d = d0 + p t.  With Z0 the
     residue form's zeros and hit[u] = (d0 + p u in Z0), a row is not
     hit[(t - s) mod p] if y is a unit, else p copies of (-p s not in Z0)."""
     q = p * p
-    solved, terms = _root_lift_terms(root, p)
+    solved, terms = lift_terms
     zeros = {(a0 * n3 + b0 * n2 + c0 * n1) % q for n3, n2, n1 in terms}
     if solved:
         hit = [d0 + p * u in zeros for u in range(p)]

@@ -46,6 +46,11 @@ _RHO_BATCH = 128
 # The largest height bound a family is sieved to: the masks and the factor
 # sieve take a few bytes a height, a few GB at this bound.
 MAX_HEIGHT = 10**7
+# The most bytes of congruence-mask fills, signs x conditions x height, one
+# family is sieved with: each condition and sign copies its admitted classes
+# into a fresh mask.  The strided copies of a power-of-two modulus admitting
+# every class run at up to 29 ns a byte (Python 3.11, 2 cores), 9 s here.
+MAX_MASK_BYTES = 3 * 10**8
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -258,10 +263,17 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
     that is h is 2n-th-power-free (squarefree in a squarefree family) and
     every congruence condition admits sign * h.  Multiples of p^power are
     struck out, and admitted residue classes copied, by slice assignment.
-    A bound past `MAX_HEIGHT` raises `BudgetError` before anything is built."""
+    A bound past `MAX_HEIGHT`, or more than `MAX_MASK_BYTES` of mask fills,
+    raises `BudgetError` before anything is built."""
     if bound > MAX_HEIGHT:
         raise BudgetError(f"height bound {bound} exceeds the maximum {MAX_HEIGHT}")
     size = max(bound, 1)
+    fills = len(set(family.signs)) * len(family.conditions) * size
+    if fills > MAX_MASK_BYTES:
+        raise BudgetError(
+            f"{len(family.conditions)} congruence conditions at height {bound} take {fills} bytes"
+            f" of mask fills, more than the maximum {MAX_MASK_BYTES}"
+        )
     power = 2 if family.squarefree else 2 * family.n
     free = bytearray([1]) * size
     free[0] = 0

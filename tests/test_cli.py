@@ -149,6 +149,26 @@ def test_scan_family_of_large_level(tmp_path):
     assert cells[0] == cells[1]
 
 
+def test_scan_family_of_many_conditions_exits_3_before_sieving(tmp_path):
+    # 200 conditions x 2 signs x 10^6 heights of mask fills is past the
+    # budget: the child refuses with one error line, long before the
+    # timeout that the masks themselves would take
+    src = str(Path(selmer3.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    conditions = [{"modulus": 4096, "residues": list(range(4096))}] * 200
+    family = {"schema": 1, "n": 3, "signs": ["+", "-"], "conditions": conditions, "squarefree": False, "name": "F"}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selmer3.cli", "scan", "--family", str(path), "--height", str(10**6)],
+        capture_output=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("error: 200 congruence conditions at height 1000000")
+    assert proc.stderr.count(b"\n") == 1
+
+
 @pytest.mark.parametrize("height", [2, 3, 4])
 def test_scan_full_family_density_is_unknown_at_every_height(capsys, height):
     # the members below 5 are squarefree, but the family's finite part varies

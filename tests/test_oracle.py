@@ -310,6 +310,75 @@ def test_form_scan_equals_walking_every_lift(p):
     assert scan_forms_low_valuation(p) == _scan_walking_every_lift(p)
 
 
+def _scan_walking_every_d(p):
+    """The form scan with the v(disc) = 1 lifts counted from the gradient,
+    as the library counts them, but the triple-root lifts walked d by d:
+    disc evaluated at each of the p^4 lifts (a, b, c, d) and compared with
+    the Eisenstein table's flag for that d."""
+    import selmer3.oracle as oracle
+    from selmer3.cubicforms import _root_multiplicities, discriminant
+
+    q = p * p
+    v1 = v1_simple = triples = eis_count = 0
+    dichotomy = True
+    for a0, b0, c0, d0 in product(range(p), repeat=4):
+        disc0 = discriminant(a0, b0, c0, d0)
+        if not (a0 or b0 or c0 or d0) or disc0 % p:
+            continue
+        mults = _root_multiplicities(a0, b0, c0, d0, p)
+        if any(t % p for t in oracle._disc_gradient(a0, b0, c0, d0)):
+            n = q * q - q * p
+        else:
+            n = q * q if disc0 // p % p else 0
+        v1 += n
+        if 1 in mults.values():
+            v1_simple += n
+        triple = next((root for root, m in mults.items() if m == 3), None)
+        if triple is None:
+            continue
+        terms = oracle._root_lift_terms(triple, p)
+        (m3, m2, m1), table = oracle._eisenstein_table(a0, b0, c0, d0, terms, p)
+        for i, j, k in product(range(p), repeat=3):
+            a, b, c = a0 + p * i, b0 + p * j, c0 + p * k
+            for d, eis in zip(range(d0, q, p), table[(i * m3 + j * m2 + k * m1) % p]):
+                disc = discriminant(a, b, c, d)
+                if disc % q:
+                    continue  # v(disc) = 1, counted above
+                triples += 1
+                eis_count += eis
+                if eis != (disc % (q * p) != 0):
+                    dichotomy = False
+    return oracle.LowValuationScan(p, v1, v1 == v1_simple, triples, eis_count, dichotomy)
+
+
+def test_form_scan_rows_equal_walking_every_d():
+    # the scan reads the p values of d off one row per lift (a, b, c);
+    # here disc is evaluated at each of them
+    from selmer3.oracle import scan_forms_low_valuation
+
+    assert scan_forms_low_valuation(11) == _scan_walking_every_d(11)
+
+
+_WIDE = st.integers(-(10**6), 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_WIDE, _WIDE, _WIDE, _WIDE), _WIDE, _WIDE)
+@example((1, 0, 0, 0), 5, 1)
+@example((-(10**6), 10**6, -(10**6), 10**6), 13, -(10**6))
+def test_discriminant_is_an_exact_quadratic_in_d(x, p, t):
+    # the scan's row: disc(a, b, c, d0 + p t) = D0 + p t D1 + p^2 t^2 k2
+    # with D0 = disc(a, b, c, d0), D1 its d-derivative and k2 = -27 a^2,
+    # an identity of integers for every p and t, not only mod a power of p
+    from selmer3.cubicforms import discriminant
+    from selmer3.oracle import _disc_gradient
+
+    a, b, c, d0 = x
+    d1, k2 = _disc_gradient(*x)[3], -27 * a * a
+    assert d1 == 2 * k2 * d0 + 18 * a * b * c - 4 * b**3
+    assert discriminant(a, b, c, d0 + p * t) == discriminant(*x) + p * t * d1 + p * p * t * t * k2
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_discriminant_first_order_expansion_mod_p2(p):
     # disc(x + p h) = disc(x) + p grad(x).h mod p^2, and grad(x) = 0 mod p
@@ -388,7 +457,7 @@ def test_form_scan_eisenstein_flag_equals_direct_evaluation(p):
         x0, y0 = (be * pow(al, -1, p) % p, 1) if al else (1, 0)
         triple = next(root for root, m in _root_multiplicities(*residue, p).items() if m == 3)
         assert triple == (x0, y0)
-        (m3, m2, m1), table = oracle._eisenstein_table(*residue, triple, p)
+        (m3, m2, m1), table = oracle._eisenstein_table(*residue, oracle._root_lift_terms(triple, p), p)
         lifts = [(x0 + p * s, y0 + p * t) for s in range(p) for t in range(p)]
         for _ in range(8):
             shift = [rng.randrange(p) for _ in range(3)]
@@ -789,6 +858,28 @@ def test_form_scan_classifies_each_residue_once(monkeypatch):
         and (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d) % p == 0
     }
     assert len(seen) == len(expected) and set(seen) == expected
+
+
+def test_form_scan_solves_each_triple_root_once(monkeypatch):
+    # the root lift terms depend only on the root: p + 1 calls per scan,
+    # one per triple root mod p, and none kept from an earlier scan
+    import selmer3.oracle as oracle
+
+    p = 7
+    seen = []
+    original = oracle._root_lift_terms
+
+    def counting(root, p_):
+        seen.append(root)
+        return original(root, p_)
+
+    monkeypatch.setattr(oracle, "_root_lift_terms", counting)
+    first = oracle.scan_forms_low_valuation(p)
+    calls = len(seen)
+    assert calls == len(set(seen)) == p + 1
+    assert set(seen) == {(1, 0)} | {(x, 1) for x in range(p)}
+    assert oracle.scan_forms_low_valuation(p) == first
+    assert len(seen) == 2 * calls
 
 
 def test_oracle_imports_no_classification_layer():

@@ -249,6 +249,39 @@ def test_admitted_masks_ask_no_condition_about_each_class(monkeypatch):
     assert [h for h in range(10**5) if masks[1][1][h]] == [17]  # -17 = 999,983 (mod 10^6)
 
 
+def test_many_conditions_are_refused_before_any_mask(monkeypatch):
+    # 151 conditions x 2 signs x 10^6 heights is past the mask budget: the
+    # refusal comes before a mask, the sieve's primes or a byte is made
+    def allocated(*args):
+        raise AssertionError("allocated before the budget check")
+
+    many = TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset({1})),) * 151)
+    assert 2 * 151 * 10**6 > twistfamilies.MAX_MASK_BYTES
+    with monkeypatch.context() as m:
+        for name in ("bytearray", "bytes"):
+            m.setattr(twistfamilies, name, allocated, raising=False)
+        m.setattr(twistfamilies, "_primes_below", allocated)
+        with pytest.raises(BudgetError, match="151 congruence conditions"):
+            admitted_masks(many, 10**6)
+        # one sign needs half the fills
+        with pytest.raises(BudgetError):
+            admitted_masks(TwistFamily(n=3, signs=(1,), conditions=many.conditions * 2), 10**6)
+    # the budget itself is sieved, one byte past it is not
+    monkeypatch.setattr(twistfamilies, "MAX_MASK_BYTES", 2 * 3 * 100)
+    three = TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset({1, 2})),) * 3)
+    masks, _ = admitted_masks(three, 100)
+    assert [h for h in range(100) if masks[0][1][h]] == [h for h in range(1, 100) if h % 7 in (1, 2) and h % 2**6]
+    with pytest.raises(BudgetError):
+        admitted_masks(three, 101)
+    assert admitted_masks(TwistFamily(n=3, signs=(-1,), conditions=three.conditions), 200)
+
+
+def test_presets_stay_far_below_the_mask_budget():
+    for name, family in twistfamilies.PRESETS.items():
+        fills = len(family.signs) * len(family.conditions) * twistfamilies.MAX_HEIGHT
+        assert fills * 10 <= twistfamilies.MAX_MASK_BYTES, name
+
+
 def test_congruence_modulus_must_be_positive():
     with pytest.raises(DomainError):
         CongruenceCondition(0, frozenset({0}))
