@@ -49,7 +49,7 @@ MAX_HEIGHT = 10**7
 # The most bytes of congruence-mask fills, signs x conditions x height, one
 # family is sieved with: each condition and sign copies its admitted classes
 # into a fresh mask.  The strided copies of a power-of-two modulus admitting
-# every class run at up to 29 ns a byte (Python 3.11, 2 cores), 9 s here.
+# every class run at up to 29 ns a byte (Python 3.11, 2 cores): 8 s here.
 MAX_MASK_BYTES = 3 * 10**8
 
 
