@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 from .localfield import Place, Rational, _proven_prime
@@ -84,7 +84,13 @@ class BinaryCubicForm:
         return (self.a, self.b, self.c, self.d)
 
     def discriminant(self) -> Rational:
-        return discriminant(self.a, self.b, self.c, self.d)
+        """disc, an int for an integral form; otherwise the integer disc of
+        the form times the lcm L of the denominators, divided by L^4."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        if den == 1:
+            return discriminant(a, b, c, d)
+        return Fraction(discriminant(*(t.numerator * (den // t.denominator) for t in (a, b, c, d))), den**4)
 
     def swap(self) -> "BinaryCubicForm":
         """f(y, x); the involution pairing the two SL2-orbits of a field."""

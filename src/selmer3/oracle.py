@@ -23,10 +23,13 @@ The hot loops run on exact integers: an extension-model element is its
 tuple of integer coordinates over an integral basis, so valuations are
 read off the coordinates, division by the uniformizer is an exact integer
 division, and a model multiplies elements only where it evaluates a
-polynomial, by Horner's rule on the coordinates, building its residues
-only as root isolation walks them and, in the unramified model at a node
-with coefficients in Z_p, walking only the p residues of F_p rather than
-all p^3 of F_p^3;
+polynomial, by Horner's rule on the coordinates; root isolation
+evaluates a node only at the zeros of its reduction, coordinate 0 of each
+coefficient mod p in an Eisenstein model and in the unramified model at a
+node with coefficients in Z_p, found in F_p by integer Horner's rule mod p
+(in the unramified case they stand for all p^3 residues of F_p^3, by the
+lemma in `padicroots`), and searches a form's f(1, y) at y = 0 (mod pi)
+only;
 sublattice closure is tested on the ring's table scaled by a p-unit to
 integers; and the form scan classifies each residue form mod p once,
 counts its lifts mod p^2 of discriminant valuation 1 from the gradient
@@ -74,7 +77,7 @@ from .localfield import (
     sqrt_extension_unramified,
     tame_place,
 )
-from .padicroots import ZpModel, _primitive_at, _projective_root_test
+from .padicroots import ZpModel, _primitive_at, _projective_root_test, _residue_zeros
 
 
 # ----------------------------------------------------------------------
@@ -161,13 +164,18 @@ class CubicExtModel:
     def residue_walk(self, coeffs):
         """The residues root isolation walks at a node with these
         coefficients, and the node's answer if none of them is a zero of
-        the reduction (the lemma in `padicroots`): unramified with every
-        coefficient in Z_p, the p lifts of F_p, and whether the leading
-        coefficient is a unit, making the reduction a cubic; otherwise
-        every residue, and False."""
-        if self.ramified or any(c[1] or c[2] for c in coeffs):
+        the reduction (the lemma in `padicroots`).  Eisenstein, or
+        unramified with every coefficient in Z_p, the reduction is
+        coordinate 0 mod p: the lifts of its zeros in F_p, and, unramified,
+        whether it is a cubic with none, hence irreducible; otherwise every
+        residue of F_p^3, and False."""
+        p = self.p
+        if not self.ramified and any(c[1] or c[2] for c in coeffs):
             return self.residues(), False
-        return map(self.embed_int, range(self.p)), len(coeffs) == 4 and coeffs[-1][0] % self.p != 0
+        reduction = [c[0] % p for c in coeffs]
+        zeros = _residue_zeros(reduction, p)
+        cubic = not (self.ramified or zeros) and len(coeffs) == 4 and reduction[3] != 0
+        return [self.embed_int(a) for a in zeros], cubic
 
     def times_uniformizer(self, x) -> tuple[int, int, int]:
         """x times the uniformizer: p when unramified, w in the Eisenstein
@@ -451,7 +459,7 @@ class OrbitTable:
     k: int
     disc_val: int
     unit_class: str
-    d0: Fraction
+    d0: int
     h1_count: int
     h1_unramified_count: int
     rows: tuple[OrbitRow, ...] = field(default_factory=tuple)
@@ -517,7 +525,7 @@ def enumerate_orbits(
         raise DomainError(f"precision {k} too small for stratum v = {disc_val}")
 
     u0 = 1 if unit_class == "square" else least_nonresidue(p)
-    d0 = Fraction(u0) * Fraction(p) ** disc_val
+    d0 = u0 * p**disc_val
     fields = _cubic_fields(place, d0)
     h1, h1_un = _h1_counts(fields)
     tr = TruncatedRing(place, k)

@@ -20,15 +20,26 @@ in an Eisenstein model).  The two orientations f(x, 1) and f(1, y) of a
 binary cubic share their discriminant, computed once however many models
 test the form.
 
-A node need not walk every residue.  In an unramified cubic ring, whose
-residue field is F_p^3, a node with coefficients in Z_p has its reduction
-g-bar in F_p[x].  Since F_p^2 and F_p^3 meet in F_p, g-bar has zeros in
-F_p^3 outside F_p exactly when it is a cubic with no zero in F_p, that is,
-irreducible over F_p.  Such zeros are simple (an irreducible polynomial
-over a finite field is separable), so the strong Hensel test accepts the
-first of them.  Walking the p residues of F_p, and answering whether g-bar
-is a cubic when none of them is a zero, gives the answer and the
-exceptions of the walk over all of F_p^3.
+A node evaluates g only where g can have a root: at the zeros of its
+reduction g-bar.  When the residue field is F_p (Z_p, the Eisenstein
+rings) or the coefficients lie in Z_p, g-bar is read by reducing each
+coefficient (or its coordinate 0) mod p once, and its zeros in F_p are
+found by integer Horner's rule mod p (`_residue_zeros`); the model's
+evaluation, the valuation and the derivative, built at the first zero,
+run only there.  In an unramified cubic ring, whose residue field is
+F_p^3, this covers every residue: since F_p^2 and F_p^3 meet in F_p,
+g-bar has zeros in F_p^3 outside F_p exactly when it is a cubic with no
+zero in F_p, that is, irreducible over F_p.  Such zeros are simple (an
+irreducible polynomial over a finite field is separable), so the strong
+Hensel test accepts the first of them, and the node answers True when
+g-bar is a cubic with no zero in F_p.  Only a node of the unramified ring
+with coefficients outside Z_p walks all p^3 residues.
+
+A binary cubic has a projective root when f(x, 1) has a ring root or
+f(1, y) has one divisible by the uniformizer pi, since [1 : y] with y a
+unit is [1/y : 1].  The second search tests the residue 0 of its root
+node as every node does (an exact root, the strong Hensel test) and then
+searches f(1, pi t), one node down.
 
 Models supply the ring: Z_p on Python integers here, cubic extension rings
 in the oracle module, whose elements are their integer coordinates.  Root
@@ -37,11 +48,12 @@ isolation does no arithmetic on elements itself; a model needs `p`,
 `div_uniformizer(x)`, `scale(x, n)` (x times the integer n) and
 `times_uniformizer(x)`.  `residue_walk` gives the residues a node with
 these coefficients walks, possibly as a one-pass iterator, and the node's
-answer if none of them is a zero of the reduction (every residue and
-False, unless the lemma above applies); `peval` is the value at x of the
-polynomial with the given element coefficients (constant term first),
-the one place a model multiplies elements; `div_uniformizer` refuses an
-inexact division.  The shift to a + pi*t is Taylor's formula: the k-th
+answer if none of them is a zero of the reduction (the zeros of the
+reduction in F_p, and whether the lemma above applies; or, in the
+unramified ring outside Z_p, every residue and False); `peval` is the
+value at x of the polynomial with the given element coefficients
+(constant term first), the one place a model multiplies elements;
+`div_uniformizer` refuses an inexact division.  The shift to a + pi*t is Taylor's formula: the k-th
 coefficient of g(a + pi*t) is pi^k times the value at a of the
 polynomial with coefficients binomial(j, k) c_j, j >= k.
 """
@@ -69,8 +81,8 @@ class ZpModel:
     def embed_int(self, n: int) -> int:
         return n
 
-    def residue_walk(self, coeffs) -> tuple[range, bool]:
-        return range(self.p), False
+    def residue_walk(self, coeffs) -> tuple[list[int], bool]:
+        return _residue_zeros([c % self.p for c in coeffs], self.p), False
 
     def peval(self, coeffs, x: int) -> int:
         acc = 0
@@ -92,6 +104,21 @@ class ZpModel:
 
     def times_uniformizer(self, x: int) -> int:
         return x * self.p
+
+
+def _residue_zeros(reduction: list[int], p: int) -> list[int]:
+    """The zeros in F_p of the polynomial with the given coefficients mod p
+    (constant term first), by Horner's rule on integers below p^4, reduced
+    mod p once per residue."""
+    top_first = reduction[::-1]
+    zeros = []
+    for a in range(p):
+        acc = 0
+        for c in top_first:
+            acc = acc * a + c
+        if acc % p == 0:
+            zeros.append(a)
+    return zeros
 
 
 def _pderiv(coeffs, model):
@@ -183,35 +210,49 @@ def has_ring_root(model, coeffs) -> bool:
     return _has_root(model, coeffs, _resultant(coeffs))
 
 
-def _has_root(model, coeffs: list[int], res: int) -> bool:
+def _has_root(model, coeffs: list[int], res: int, near_zero: bool = False) -> bool:
     """`has_ring_root` for an integer g of degree 1 to 3 with a nonzero
-    leading coefficient and its `_resultant` res."""
+    leading coefficient and its `_resultant` res; with `near_zero`, whether
+    g has a root divisible by the uniformizer: the residue 0 of the root
+    node is tested as `_search` tests it, and g(pi t) searched below it."""
     if res == 0:
         coeffs = _squarefree_part(coeffs)
         res = _resultant(coeffs)
     cap = _depth_cap(res, model)
-    return _search(model, _strip_content([model.embed_int(c) for c in coeffs], model), 0, cap)
+    coeffs = _strip_content([model.embed_int(c) for c in coeffs], model)
+    if not near_zero:
+        return _search(model, coeffs, 0, cap)
+    v0 = model.val(coeffs[0])  # g(0)
+    if v0 is None or v0 == 0:
+        return v0 is None
+    return _lifts(model, coeffs, _pderiv(coeffs, model), model.embed_int(0), v0, 0, cap)
 
 
 def _search(model, coeffs, depth: int, cap: int) -> bool:
     if depth > cap:
         raise PrecisionError(f"root isolation exceeded depth cap {cap}")
-    deriv = _pderiv(coeffs, model)
     walk, otherwise = model.residue_walk(coeffs)
+    deriv = None
     for a in walk:
         v0 = model.val(model.peval(coeffs, a))
         if v0 is None:
             return True  # exact root in the ring
         if v0 == 0:
-            continue
-        otherwise = False  # the reduction has a zero among the walked residues
-        v1 = model.val(model.peval(deriv, a))
-        if v1 is not None and v0 > 2 * v1:
-            return True  # strong Hensel lift
-        shifted = _strip_content(_pshift(coeffs, a, model), model)
-        if _search(model, shifted, depth + 1, cap):
+            continue  # a unit: only the walk over F_p^3 meets one
+        if deriv is None:
+            deriv = _pderiv(coeffs, model)
+        if _lifts(model, coeffs, deriv, a, v0, depth, cap):
             return True
     return otherwise
+
+
+def _lifts(model, coeffs, deriv, a, v0: int, depth: int, cap: int) -> bool:
+    """Whether g, with v(g(a)) = v0 > 0, has a root congruent to a: by the
+    strong Hensel test, else by the search of g(a + pi*t) one node down."""
+    v1 = model.val(model.peval(deriv, a))
+    if v1 is not None and v0 > 2 * v1:
+        return True  # strong Hensel lift
+    return _search(model, _strip_content(_pshift(coeffs, a, model), model), depth + 1, cap)
 
 
 def _primitive_at(coeffs, p: int) -> list[int]:
@@ -247,11 +288,15 @@ def _projective_root_test(a, b, c, d):
     representative with both coordinates integral and one of them a unit,
     so testing f(x, 1) and f(1, y) for ring roots covers everything.  Both
     are cubics when a d != 0, and disc is symmetric under (a, b, c, d) ->
-    (d, c, b, a), so their resultants are disc a and disc d."""
+    (d, c, b, a), so their resultants are disc a and disc d.  A point
+    [1 : y] with y a unit is [1/y : 1], which the f(x, 1) search covers,
+    so f(1, y) is searched at y = 0 (mod pi) only."""
     if a == 0 or d == 0:
         return lambda model: True  # [1:0] or [0:1] is a root
     disc = discriminant(a, b, c, d)
-    return lambda model: _has_root(model, [d, c, b, a], disc * a) or _has_root(model, [a, b, c, d], disc * d)
+    return lambda model: _has_root(model, [d, c, b, a], disc * a) or _has_root(
+        model, [a, b, c, d], disc * d, near_zero=True
+    )
 
 
 def form_has_projective_root_qp(a, b, c, d, p: int | Place) -> bool:

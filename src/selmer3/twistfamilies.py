@@ -51,6 +51,11 @@ MAX_HEIGHT = 10**7
 # into a fresh mask.  The strided copies of a power-of-two modulus admitting
 # every class run at up to 29 ns a byte (Python 3.11, 2 cores): 8 s here.
 MAX_MASK_BYTES = 3 * 10**8
+# The most residues a family's congruence conditions may list, counted once
+# per sign: `admitted_masks` takes a Python step of about 0.2 us for each
+# (Python 3.11, 2 cores), so 0.5 s at this bound.  A family past it is
+# refused when it is built.
+MAX_LISTED_RESIDUES = 2 * 10**6
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -228,7 +233,9 @@ def _read_signs(value, path: str) -> tuple[int, ...]:
 class TwistFamily(Document):
     """A family of twist classes defined by local conditions: an
     archimedean sign set, an optional squarefree restriction, and finitely
-    many congruence conditions."""
+    many congruence conditions.  Conditions that list more than
+    `MAX_LISTED_RESIDUES` residues, counted once per sign, raise
+    `BudgetError` here, before any mask or per-sign set is built."""
 
     n: int = 3
     signs: tuple[int, ...] = field(
@@ -241,11 +248,18 @@ class TwistFamily(Document):
     schema = 1
 
     def __post_init__(self) -> None:
-        if not set(self.signs) <= {1, -1} or not self.signs:
+        signs = set(self.signs)
+        if not signs <= {1, -1} or not signs:
             raise DomainError("signs must be a nonempty subset of {+1, -1}")
         # n divides 3^b, where 3^b > 2^b > n, exactly when n is a power of 3
         if self.n < 3 or 3 ** self.n.bit_length() % self.n:
             raise DomainError("n must be a power of 3, at least 3")
+        listed = len(signs) * sum(len(cond.residues) for cond in self.conditions)
+        if listed > MAX_LISTED_RESIDUES:
+            raise BudgetError(
+                f"the congruence conditions list {listed} residues over the signs,"
+                f" more than the maximum {MAX_LISTED_RESIDUES}"
+            )
 
     def admits(self, tc: TwistClass) -> bool:
         if tc.n != self.n:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import selmer3
+from selmer3 import twistfamilies
 from selmer3.cli import main
 
 
@@ -166,6 +167,28 @@ def test_scan_family_of_many_conditions_exits_3_before_sieving(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert proc.stderr.decode().startswith("error: 200 congruence conditions at height 1000000")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_scan_family_listing_many_residues_exits_3_when_read(tmp_path):
+    # one condition listing every class mod 2^20, with both signs, is past
+    # the residue budget though its mask fills are not: the child refuses
+    # with one error line once the document is read
+    src = str(Path(selmer3.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    m = 2**20
+    assert 2 * m > twistfamilies.MAX_LISTED_RESIDUES and 2 * 10**6 <= twistfamilies.MAX_MASK_BYTES
+    conditions = [{"modulus": m, "residues": list(range(m))}]
+    family = {"schema": 1, "n": 3, "signs": ["+", "-"], "conditions": conditions, "squarefree": False, "name": "F"}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selmer3.cli", "scan", "--family", str(path), "--height", str(10**6)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith(f"error: the congruence conditions list {2 * m} residues")
     assert proc.stderr.count(b"\n") == 1
 
 

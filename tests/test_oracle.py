@@ -28,7 +28,7 @@ from selmer3.oracle import (
     sl2_orbit_count_mod_p,
     verify_subring_bijection,
 )
-from selmer3.padicroots import has_ring_root
+from selmer3.padicroots import ZpModel, has_ring_root
 
 
 def test_extension_model_arithmetic():
@@ -638,6 +638,51 @@ def test_unramified_root_isolation_equals_the_full_walk(case):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(_prime_and_integer_poly())
+@example((5, [5, 0, 0, 1]))  # Eisenstein: a triple zero mod p that does not lift
+@example((7, [14, 0, 0, 1]))  # x^3 + 14 has the root -w in the model w^3 = 7 * 2
+@example((5, [2, 0, 5]))  # the reduction is a unit constant
+@example((5, [1, 5, 0, 5]))  # a cubic whose reduction is the constant 1
+def test_root_isolation_equals_the_full_walk_in_z_p_and_eisenstein_models(case):
+    # the walk over the zeros of each node's reduction against the walk over
+    # every residue, in Z_p and in each Eisenstein model
+    p, coeffs = case
+    for model in [ZpModel(p)] + [CubicExtModel.eisenstein(p, u) for u in cube_class_reps(p)]:
+        assert _outcome(has_ring_root, model, coeffs) == _outcome(
+            has_ring_root, model, coeffs, reference=True
+        ), model
+
+
+def _both_orientations(model, a, b, c, d):
+    # a projective root is a ring root of f(x, 1) or of f(1, y), each
+    # searched over every residue when `_search` is the reference
+    return a == 0 or d == 0 or has_ring_root(model, [d, c, b, a]) or has_ring_root(model, [a, b, c, d])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((5, 7, 11)),
+    st.lists(st.integers(-10**4, 10**4), min_size=4, max_size=4),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+@example(5, [1, 0, 0, -5], [0, 0, 0, 0])  # irreducible: both orientations are searched
+@example(7, [7, 0, 0, 1], [0, 0, 0, 0])  # 7 x^3 + y^3: the root [1 : -w] of w^3 = 7 has y = 0 (mod w)
+@example(5, [1, 3, 3, 1], [0, 0, 0, 0])  # (x + y)^3, a repeated root at the unit y/x
+def test_projective_root_test_equals_both_full_walks(p, coeffs, powers):
+    # f(1, y) is searched only at y = 0 (mod pi); the reference searches
+    # both orientations at every residue
+    from selmer3.padicroots import form_has_projective_root
+
+    a, b, c, d = (t * p**k for t, k in zip(coeffs, powers))
+    for model in [ZpModel(p), CubicExtModel.unramified(p)] + [
+        CubicExtModel.eisenstein(p, u) for u in cube_class_reps(p)
+    ]:
+        assert _outcome(form_has_projective_root, model, a, b, c, d) == _outcome(
+            _both_orientations, model, a, b, c, d, reference=True
+        ), model
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_algebra_class_equals_the_full_walk(p):
     rng = random.Random(4000 + p)
@@ -1058,6 +1103,47 @@ def test_unramified_root_isolation_walks_the_residues_of_f_p(monkeypatch):
     assert set(nodes) == {5, 7}
     for p in (5, 7):
         assert evals.count(p) <= 2 * p * nodes.count(p)
+
+
+def test_grid_evaluates_each_node_only_at_the_zeros_of_its_reduction(monkeypatch):
+    # over the 20-stratum grid a node evaluates its polynomial only at the
+    # residues where its reduction vanishes (the unramified model with
+    # coefficients outside Z_p, which walks all of F_p^3, is never reached),
+    # and f(1, y) only at y = 0 (mod pi): 774 full evaluations, before
+    # either restriction, fall to at most 250
+    import selmer3.padicroots as padicroots
+
+    nodes, evals, walked = [], [], []
+    search = padicroots._search
+
+    def recording_search(model, coeffs, depth, cap):
+        nodes.append(coeffs)
+        try:
+            return search(model, coeffs, depth, cap)
+        finally:
+            nodes.pop()
+
+    def counting(cls):
+        peval = cls.peval
+
+        def counting_peval(model, coeffs, x):
+            out = peval(model, coeffs, x)
+            evals.append(out)
+            if nodes and coeffs is nodes[-1]:  # the node's own polynomial at a walked residue
+                walked.append(model.val(out))
+            return out
+
+        monkeypatch.setattr(cls, "peval", counting_peval)
+
+    monkeypatch.setattr(padicroots, "_search", recording_search)
+    counting(ZpModel)
+    counting(CubicExtModel)
+    for p in (5, 7):
+        for v in range(5):
+            for uc in ("square", "nonsquare"):
+                enumerate_orbits(p, disc_val=v, unit_class=uc)
+    assert walked and 0 not in walked
+    assert len(evals) <= 250
 
 
 def test_algebra_class_at_a_large_prime_is_fast():

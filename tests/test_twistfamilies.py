@@ -282,6 +282,35 @@ def test_presets_stay_far_below_the_mask_budget():
         assert fills * 10 <= twistfamilies.MAX_MASK_BYTES, name
 
 
+def test_many_listed_residues_are_refused_when_the_family_is_built(monkeypatch):
+    # signs x listed residues past the budget is refused by the constructor,
+    # so no per-sign set of admitted classes and no mask is ever made; a
+    # residue at or past its modulus still counts, as it is still listed
+    monkeypatch.setattr(twistfamilies, "MAX_LISTED_RESIDUES", 2 * 6)
+    conditions = (CongruenceCondition(7, frozenset({1, 2})), CongruenceCondition(5, frozenset({0, 3, 9, 12})))
+    family = TwistFamily(n=3, conditions=conditions)  # 2 x (2 + 4), the budget itself
+    masks, _ = admitted_masks(family, 100)
+    admitted = [h for h in range(1, 100) if h % 7 in (1, 2) and h % 5 in (0, 3)]
+    assert [h for h in range(100) if masks[0][1][h]] == admitted
+    with pytest.raises(BudgetError, match="conditions list 14 residues over the signs"):
+        TwistFamily(n=3, conditions=conditions + (CongruenceCondition(4, frozenset({1})),))
+    # one sign counts its residues once
+    assert TwistFamily(n=3, signs=(-1,), conditions=conditions * 2)
+    with pytest.raises(BudgetError):
+        TwistFamily(n=3, signs=(-1,), conditions=conditions * 2 + (CongruenceCondition(4, frozenset({1})),))
+    # the refusal is the constructor's, whichever way the family is read
+    obj = family.to_json_obj()
+    obj["conditions"] = obj["conditions"] * 2
+    with pytest.raises(BudgetError):
+        TwistFamily.from_json_obj(obj)
+
+
+def test_presets_stay_far_below_the_residue_budget():
+    for name, family in twistfamilies.PRESETS.items():
+        listed = len(family.signs) * sum(len(cond.residues) for cond in family.conditions)
+        assert listed * 10**5 <= twistfamilies.MAX_LISTED_RESIDUES, name
+
+
 def test_congruence_modulus_must_be_positive():
     with pytest.raises(DomainError):
         CongruenceCondition(0, frozenset({0}))
