@@ -37,7 +37,12 @@ than 3 at which v_p(d) is 2 or 4, the whole in-process `scan
 `admitted_masks` of a squarefree family with one condition mod 10^6 (five
 seeded residues), `tk_partition` of full-n3 with the `scan` default
 config and the whole in-process `scan` request; these three take up to
-seconds, so they run three passes and no warm-up pass.  The file records,
+seconds, so they run three passes and no warm-up pass.  `tk_partition`
+with the same config also runs on three congruence families: squarefree
+with three seeded unit residues mod 36 at height 13,136 (about 1,000
+members a sign), sixth-power-free with three seeded residues mod 10^7 at
+10^7, and sixth-power-free admitting every class mod 2^16 at 10^6; the
+last two run three passes and no warm-up pass.  The file records,
 per layer and side, the median and quartiles of the round values (the
 median pass of each round) and of the round minima (the fastest pass of
 each round), and the ratios of their medians (this checkout over the
@@ -220,11 +225,12 @@ def _prym_layers(sink):
 
 def _scan_layers(sink):
     """The per-place report of members with a table-2 exponent, the masks
-    of a family with one condition mod 10^6 and the T_k partition of the
-    full family at height 10^6, and whole in-process full-family scans at
-    heights 2000 and 10^6.  The full family's two layers at 10^6 are last:
-    the millions of objects they make and free change when the garbage
-    collector runs in the layers after them."""
+    of a family with one condition mod 10^6, the T_k partitions of three
+    congruence families and of the full family at height 10^6, and whole
+    in-process full-family scans at heights 2000 and 10^6.  The full
+    family's two layers at 10^6 are last: the millions of objects they make
+    and free change when the garbage collector runs in the layers after
+    them."""
     from selmer3.cli import _TRIVIAL_CONFIG, main
     from selmer3.selmerratio import global_report, tk_partition
     from selmer3.twistfamilies import CongruenceCondition, TwistFamily, _primes_below, admitted_masks, family_preset
@@ -240,13 +246,17 @@ def _scan_layers(sink):
     profiles = list(_TRIVIAL_CONFIG.profiles)
     residues = frozenset(rng.sample(range(10**6), 5))
     one_condition = TwistFamily(n=3, conditions=(CongruenceCondition(10**6, residues),), squarefree=True)
+    units = [r for r in range(36) if r % 2 and r % 3]
+    mod_36 = TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset(rng.sample(units, 3))),), squarefree=True)
+    mod_10_7 = TwistFamily(n=3, conditions=(CongruenceCondition(10**7, frozenset(rng.sample(range(10**7), 3))),))
+    dense = TwistFamily(n=3, conditions=(CongruenceCondition(2**16, frozenset(range(2**16))),))
 
     def reports():
         for d in members:
             global_report(profiles, _TRIVIAL_CONFIG.descriptor, d)
 
-    def partition():
-        tk_partition(full, _TRIVIAL_CONFIG.descriptor, profiles, 10**6)
+    def partition(family=full, height=10**6):
+        return lambda: tk_partition(family, _TRIVIAL_CONFIG.descriptor, profiles, height)
 
     def request(height):
         argv = ["scan", "--family-preset", "full-n3", "--height", str(height)]
@@ -263,7 +273,10 @@ def _scan_layers(sink):
         "admitted_masks(one condition mod 10^6, 10^6)": (
             "s/call", 1, lambda: admitted_masks(one_condition, 10**6), SLOW_PASSES,
         ),
-        "tk_partition(full-n3, 10^6)": ("s/call", 1, partition, SLOW_PASSES),
+        "tk_partition(one condition mod 36, 13136)": ("ms/call", 1, partition(mod_36, 13136)),
+        "tk_partition(one condition mod 10^7, 10^7)": ("s/call", 1, partition(mod_10_7, 10**7), SLOW_PASSES),
+        "tk_partition(every class mod 2^16, 10^6)": ("s/call", 1, partition(dense, 10**6), SLOW_PASSES),
+        "tk_partition(full-n3, 10^6)": ("s/call", 1, partition(), SLOW_PASSES),
         "scan --family-preset full-n3 --height 1000000": ("s/call", 1, request(10**6), SLOW_PASSES),
     }
 

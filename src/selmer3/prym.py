@@ -375,11 +375,11 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
         raise AssertionError("solver output violated the product identity")
-    masks, candidates = admitted_masks(config.family, height_bound)
+    masks, candidates, walk = admitted_masks(config.family, height_bound)
     for sign, mask in masks:
         if any(mask[2 - sign :: 4]):  # sign * h = 1 (mod 4) at h = 2 - sign (mod 4)
             raise DomainError(_TWO_ADIC_SQUARE)
-    rows = tuple(starmap(assembler.row, _sieve_walk(masks, candidates)))
+    rows = tuple(starmap(assembler.row, _sieve_walk(masks, candidates, walk)))
     skeletons = assembler.skeletons.values()
     if unequal:
         for skeleton in skeletons:

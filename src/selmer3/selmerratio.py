@@ -21,7 +21,7 @@ from math import isqrt
 from .errors import Document, DomainError, IncompleteConfigError, malformed
 from .localclass import LocalTwistDatum, class_labels, level_r, unit_class, unit_class_labels
 from .localfield import Place, Rational, is_prime
-from .twistfamilies import TwistClass, TwistFamily, _primes_below, admitted_masks, factorize, reduce_class
+from .twistfamilies import TwistClass, TwistFamily, _primes_below, _walk, admitted_masks, factorize, reduce_class
 
 # ----------------------------------------------------------------------
 # Configuration types
@@ -531,19 +531,24 @@ def tk_partition(
     rule = _PlaceExponents(profiles, desc)
     # runs per sign, positive first: the stable sort by height keeps -h after h
     cells: dict[int, list[int]] = defaultdict(list)
-    for sign, mask in admitted_masks(family, height_bound)[0]:
+    ordered: dict[int, int] = {}  # cell -> the size of the one base run it was given empty
+    masks, _, (m, classes) = admitted_masks(family, height_bound)
+    for sign, mask in masks:
         base = rule.arch_k[sign] + sum(rule.overrides.values())
         rest = bytearray(mask)
         for h, t in _deviations(family, rule, sign, mask).items():
             rest[h] = 0
             cells[base + t].append(sign * h)
-        cells[base] += compress(range(0, sign * len(rest), sign), rest)
+        empty = not cells[base]
+        cells[base] += _walk(rest, sign, m, classes[sign])
+        if empty:  # in height order, unless a member joins it later
+            ordered[base] = len(cells[base])
     densities = _sign_densities(family, rule) or {}
 
     out: dict[int, TkCell] = {}
     for k in sorted(k for k, run in cells.items() if run):  # a base cell may have no member
         avg_dim, dens = rank_density_bounds(k)
-        members = tuple(sorted(cells[k], key=abs))
+        members = tuple(cells[k] if ordered.get(k) == len(cells[k]) else sorted(cells[k], key=abs))
         out[k] = TkCell(
             k=k,
             members=members,

@@ -4,7 +4,8 @@ height, and enumeration of squarefree / congruence-defined families.
 A class in Q^x modulo 2n-th powers is stored by its unique 2n-th-power-free
 integer representative, sign kept (the sign is the archimedean datum).
 `admitted_masks` marks a family's members below a height bound, one byte a
-height and sign.  The T_k partition reads only these masks.
+height and sign; `_walk` reads them off the residue classes one condition
+admits, not off every height.  The T_k partition reads only these masks.
 `_sieve_walk` yields each member with its factorization, read off one
 smallest-prime-factor sieve (an `array('I')`, four bytes a height): the
 Prym report builds its rows straight from it, and `enumerate_classes` a
@@ -18,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -51,6 +52,8 @@ MAX_HEIGHT = 10**7
 # into a fresh mask.  The strided copies of a power-of-two modulus admitting
 # every class run at up to 29 ns a byte (Python 3.11, 2 cores): 8 s here.
 MAX_MASK_BYTES = 3 * 10**8
+# `_walk` sets a class up in 0.8-1.5 us and reads a height in 30 ns (Python 3.11, 2 cores).
+_CLASS_READS = 50
 # The most residues a family's congruence conditions may list, counted once
 # per sign: `admitted_masks` takes a Python step of about 0.2 us for each
 # (Python 3.11, 2 cores), so 0.5 s at this bound.  A family past it is
@@ -271,12 +274,15 @@ class TwistFamily(Document):
         return all(cond.admits(tc.d0) for cond in self.conditions)
 
 
-def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, bytes]], bytes]:
-    """([(sign, mask)] for the family's signs, positive first, and the union
-    of the masks), one byte a height: mask[h] = 1 when sign * h is a member,
-    that is h is 2n-th-power-free (squarefree in a squarefree family) and
-    every congruence condition admits sign * h.  Multiples of p^power are
-    struck out, and admitted residue classes copied, by slice assignment.
+def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, bytes]], bytes, tuple[int, dict]]:
+    """([(sign, mask)] for the family's signs, positive first, their union,
+    and (m, {sign: classes}) to `_walk` them in), one byte a height:
+    mask[h] = 1 when sign * h is a member, that is h is 2n-th-power-free
+    (squarefree in a squarefree family) and every congruence condition
+    admits sign * h.  Multiples of p^power are struck out, and admitted
+    residue classes copied, by slice assignment.  The classes, increasing,
+    are the c = sign * r (mod m) below the bound of the condition of fewest
+    reads, `_CLASS_READS` a class plus its heights, or else 0 mod 1.
     A bound past `MAX_HEIGHT`, or more than `MAX_MASK_BYTES` of mask fills,
     raises `BudgetError` before anything is built."""
     if bound > MAX_HEIGHT:
@@ -309,20 +315,44 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
                     mask[c::m] = old[c::m]
             masks.append((sign, bytes(mask)))
             union |= int.from_bytes(mask, "big")
-    return masks, union.to_bytes(size, "big")
+    if not family.conditions:  # every height, class 0 mod 1, without the cost of a pick
+        return masks, union.to_bytes(size, "big"), (1, {s: [0] for s, _ in masks})
+    walked = min(  # at most one class a listed residue and a height below the bound
+        (CongruenceCondition(1, frozenset({0})), *family.conditions),
+        key=lambda cond: min(len(cond.residues), size) * (-(-size // cond.modulus) + _CLASS_READS),
+    )
+    m = walked.modulus
+    classes = {s: sorted(c for r in walked.residues if 0 <= r < m and (c := s * r % m) < size) for s, _ in masks}
+    return masks, union.to_bytes(size, "big"), (m, classes)
 
 
-def _sieve_walk(masks: list[tuple[int, bytes]], candidates: bytes) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _walk(mask: bytes, sign: int, m: int, classes: list[int]) -> Iterator[int]:
+    """sign * h for each h with mask[h] = 1, increasing, where each marked h
+    lies in one of the classes mod m (increasing, below len(mask)): only
+    their slices mask[c::m] are read, interleaved row by row."""
+    size, step = len(mask), sign * m
+    if len(classes) == 1:  # the class's slice alone
+        return compress(range(sign * classes[0], sign * size, step), mask[classes[0] :: m])
+    k, rows = len(classes), -(-size // m)
+    selector = bytearray(k * rows)  # 0 past the bound in the last row
+    for i, c in enumerate(classes):
+        column = mask[c::m]
+        selector[i : i + k * len(column) : k] = column
+    heights = zip(*(range(sign * c, sign * c + step * rows, step) for c in classes))
+    return compress(chain.from_iterable(heights), selector)
+
+
+def _sieve_walk(masks: list[tuple[int, bytes]], union: bytes, walk: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(d0, the factorization of |d0|, flat as (p1, e1, p2, e2, ...) with p
     increasing) for each member `admitted_masks` marks, by height with the
-    positive representative first.  Each height is factored once off the
-    sieve spf: spf[m] is the smallest prime factor of a composite m, else 0
-    (primes are marked from the largest down, so the smallest is last)."""
-    size = len(candidates)
+    positive representative first, off both signs' classes in `walk`.  Each
+    height is factored once off the sieve spf: spf[m] is the smallest prime
+    factor of a composite m, else 0 (primes are marked largest first)."""
+    size = len(union)
     spf = array("I", [0]) * size
     for p in reversed(_primes_below(isqrt(size - 1) + 1)):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
-    for h in compress(range(size), candidates):
+    for h in _walk(union, 1, walk[0], sorted(set().union(*walk[1].values()))):
         out: list[int] = []
         m = h
         while p := spf[m]:  # m is composite

@@ -474,6 +474,42 @@ def test_input_object_of_the_wrong_shape_is_usage_error(capsys, tmp_path, argv, 
     assert err.startswith("error:") and ("malformed" in err) == (code == 2)
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (_RATIO_ARGV, _config_with()),
+        (_SCAN_CONFIG_ARGV, _config_with()),
+        (_SCAN_FAMILY_ARGV, '{"schema": 1, "conditions": [{"modulus": 36, "residues": [2, 11]}]}'),
+    ],
+)
+def test_input_file_past_the_byte_bound_exits_3_before_it_is_parsed(capsys, tmp_path, monkeypatch, argv, text):
+    # a file of exactly the bound is read; one byte more is refused with one
+    # error line, and json never sees it
+    from selmer3 import cli
+
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(text))
+    assert run_cli(capsys, *argv)[0] == 0
+    parsed = []
+    monkeypatch.setattr(cli.json, "loads", lambda *args: parsed.append(args))
+    path.write_text(text + " ")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, parsed) == (3, "", [])
+    assert err == f"error: {path} holds more than the maximum {len(text)} bytes\n"
+
+
+def test_input_file_of_no_size_is_read_up_to_the_byte_bound(capsys, monkeypatch):
+    # a device reports no size, so it is read up to the bound: an endless
+    # one is refused rather than read forever
+    from selmer3 import cli
+
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 1000)
+    code, out, err = run_cli(capsys, "scan", "--family", "/dev/zero", "--height", "10")
+    assert (code, out, err) == (3, "", "error: /dev/zero holds more than the maximum 1000 bytes\n")
+
+
 def test_malformed_input_names_its_json_path(capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(_config_with(profile={"place": True}))

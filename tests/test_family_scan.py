@@ -211,6 +211,38 @@ def test_tk_partition_matches_per_member_reference_on_random_inputs(inputs):
     assert {k: list(cell.members) for k, cell in cells.items()} == want
 
 
+@pytest.mark.parametrize("height", [1, 2, 2500])
+def test_tk_partition_walks_the_admitted_classes_and_sorts_no_base_run(monkeypatch, height):
+    # under the scan's default config each sign's base run of a squarefree
+    # family is a cell of its own, walked off the sign's classes in height
+    # order, so no cell is sorted; a full family's mixed cells still are
+    sorts, walks = [], []
+    monkeypatch.setattr(selmerratio, "sorted", lambda xs, **kw: sorts.append(kw) or sorted(xs, **kw), raising=False)
+    monkeypatch.setattr(selmerratio, "_walk", lambda *args: walks.append(args[1:]) or twistfamilies._walk(*args))
+    config = cli._TRIVIAL_CONFIG
+    sparse = TwistFamily(n=3, conditions=(CongruenceCondition(10**6, frozenset({1, 7, 999_983})),), squarefree=True)
+    cells = tk_partition(sparse, config.descriptor, list(config.profiles), 10**6)
+    assert [list(cell.members) for cell in cells.values()] == [[1, 7, 999_983], [-17, -999_993]]
+    assert walks == [(1, 10**6, [1, 7, 999_983]), (-1, 10**6, [17, 999_993, 999_999])]
+    for preset in ("squarefree-n3", "sigma-36-2-11"):
+        family = family_preset(preset)
+        cells = tk_partition(family, config.descriptor, list(config.profiles), height)
+        assert [d0 for cell in cells.values() for d0 in cell.members] == sorted(
+            (tc.d0 for tc in enumerate_classes(family, height)), key=lambda d0: (d0 < 0, abs(d0))
+        )
+    assert {"key": abs} not in sorts
+    tk_partition(family_preset("full-n3"), config.descriptor, list(config.profiles), 50)
+    assert {"key": abs} in sorts
+    # at a complex place both signs' base runs share one cell, merged by the sort
+    sorts.clear()
+    complex_place = [LocalPlaceProfile(Place("complex")), *config.profiles[1:]]
+    family = family_preset("squarefree-n3")
+    want = [tc.d0 for tc in enumerate_classes(family, height)]
+    cells = tk_partition(family, config.descriptor, complex_place, height)
+    assert [list(cell.members) for cell in cells.values()] == ([want] if want else [])
+    assert sorts.count({"key": abs}) == bool(want)
+
+
 def test_global_report_matches_per_place_reference():
     factorint = pytest.importorskip("sympy").factorint
     # d = +-7^6 u: r = 1 at the profiled good place 7, where the units

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 import sympy
@@ -225,7 +226,7 @@ def test_admitted_masks_equal_the_per_height_predicate(family_and_bound):
     # mask[h] says whether sign * h is a member: its own 2n-th-power-free
     # representative, admitted by the family; the union is their union
     family, bound = family_and_bound
-    masks, union = admitted_masks(family, bound)
+    masks, union, _ = admitted_masks(family, bound)
     assert [sign for sign, _ in masks] == [s for s in (1, -1) if s in family.signs]
     for sign, mask in masks:
         want = [h > 0 and (tc := reduce_class(sign * h, family.n)).d0 == sign * h and family.admits(tc)
@@ -243,7 +244,7 @@ def test_admitted_masks_ask_no_condition_about_each_class(monkeypatch):
     few = CongruenceCondition(10**6, frozenset({1, 7, 999_983}))
     most = CongruenceCondition(36, frozenset(range(36)) - {0, 9})
     family = TwistFamily(n=3, conditions=(few, most), squarefree=True)
-    masks, _ = admitted_masks(family, 10**5)
+    masks, _, _ = admitted_masks(family, 10**5)
     assert calls == []
     assert [h for h in range(10**5) if masks[0][1][h]] == [1, 7]
     assert [h for h in range(10**5) if masks[1][1][h]] == [17]  # -17 = 999,983 (mod 10^6)
@@ -269,7 +270,7 @@ def test_many_conditions_are_refused_before_any_mask(monkeypatch):
     # the budget itself is sieved, one byte past it is not
     monkeypatch.setattr(twistfamilies, "MAX_MASK_BYTES", 2 * 3 * 100)
     three = TwistFamily(n=3, conditions=(CongruenceCondition(7, frozenset({1, 2})),) * 3)
-    masks, _ = admitted_masks(three, 100)
+    masks, _, _ = admitted_masks(three, 100)
     assert [h for h in range(100) if masks[0][1][h]] == [h for h in range(1, 100) if h % 7 in (1, 2) and h % 2**6]
     with pytest.raises(BudgetError):
         admitted_masks(three, 101)
@@ -289,7 +290,7 @@ def test_many_listed_residues_are_refused_when_the_family_is_built(monkeypatch):
     monkeypatch.setattr(twistfamilies, "MAX_LISTED_RESIDUES", 2 * 6)
     conditions = (CongruenceCondition(7, frozenset({1, 2})), CongruenceCondition(5, frozenset({0, 3, 9, 12})))
     family = TwistFamily(n=3, conditions=conditions)  # 2 x (2 + 4), the budget itself
-    masks, _ = admitted_masks(family, 100)
+    masks, _, _ = admitted_masks(family, 100)
     admitted = [h for h in range(1, 100) if h % 7 in (1, 2) and h % 5 in (0, 3)]
     assert [h for h in range(100) if masks[0][1][h]] == admitted
     with pytest.raises(BudgetError, match="conditions list 14 residues over the signs"):
@@ -309,6 +310,86 @@ def test_presets_stay_far_below_the_residue_budget():
     for name, family in twistfamilies.PRESETS.items():
         listed = len(family.signs) * sum(len(cond.residues) for cond in family.conditions)
         assert listed * 10**5 <= twistfamilies.MAX_LISTED_RESIDUES, name
+
+
+@st.composite
+def _walked_family_and_bound(draw):
+    """A family of 0 to 3 conditions, moduli up to 10^30 (some past the
+    bound), residues that may be at or past their modulus or admit nothing,
+    and a height bound up to 3000."""
+    bound = draw(st.integers(1, 3000))
+    conditions = []
+    for _ in range(draw(st.integers(0, 3))):
+        modulus = draw(st.one_of(st.integers(1, 40), st.integers(1, 2 * bound), st.integers(1, 10**30)))
+        small = st.integers(0, min(2 * modulus, 4 * bound))
+        residues = draw(st.one_of(
+            st.frozensets(small, max_size=8),
+            st.frozensets(st.integers(0, 2 * modulus), max_size=4),
+            st.just(frozenset(range(min(modulus, 64)))),
+        ))
+        conditions.append(CongruenceCondition(modulus, residues))
+    family = TwistFamily(
+        n=draw(st.sampled_from([3, 9])),
+        signs=draw(st.sampled_from([(1,), (-1,), (1, -1)])),
+        conditions=tuple(conditions),
+        squarefree=draw(st.booleans()),
+    )
+    return family, bound
+
+
+def _classes_of(cond, sign, bound):
+    return sorted(c for c in {sign * r % cond.modulus for r in cond.residues if 0 <= r < cond.modulus} if c < bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walked_family_and_bound())
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset({5, 13, 29})),), squarefree=True), 3000))
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(10**30, frozenset({1, 7, 10**30 - 3})),)), 50))
+@example((TwistFamily(n=9, signs=(-1,), conditions=(CongruenceCondition(7, frozenset({7, 8})),)), 100))
+@example((TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset(range(4))),)), 1))
+@example((TwistFamily(n=3), 1))
+def test_walk_equals_the_walk_of_every_height(family_and_bound):
+    # the walk yields sign * h for the marked h in increasing order, as a
+    # compress over every height does, in the classes admitted_masks picks,
+    # in any one condition's classes, and for the union over both signs
+    family, bound = family_and_bound
+    masks, union, (m, classes) = admitted_masks(family, bound)
+    size = len(union)
+    assert all(cs == sorted(set(cs)) and all(0 <= c < size for c in cs) for cs in classes.values())
+    for sign, mask in masks:
+        want = list(compress(range(0, sign * size, sign), mask))
+        assert list(twistfamilies._walk(mask, sign, m, classes[sign])) == want
+        for cond in family.conditions:
+            assert list(twistfamilies._walk(mask, sign, cond.modulus, _classes_of(cond, sign, size))) == want
+    both = sorted(set().union(*classes.values()))
+    assert list(twistfamilies._walk(union, 1, m, both)) == list(compress(range(size), union))
+    if not family.conditions:
+        assert (m, classes) == (1, {sign: [0] for sign, _ in masks})
+
+
+def test_walk_reads_only_the_admitted_classes(monkeypatch):
+    # three residues mod 10^6 at height 10^6: the walk of each sign and of
+    # the union reads the three heights of its classes, not the 10^6 below
+    # the bound; a condition admitting every class mod 2^4 is not walked
+    sparse = CongruenceCondition(10**6, frozenset({1, 7, 999_983}))
+    dense = CongruenceCondition(16, frozenset(range(16)))
+    family = TwistFamily(n=3, conditions=(dense, sparse), squarefree=True)
+    masks, union, walk = admitted_masks(family, 10**6)
+    assert walk == (10**6, {1: [1, 7, 999_983], -1: [17, 999_993, 999_999]})
+    read = []
+
+    def tally(heights):
+        for h in heights:
+            read.append(h)
+            yield h
+
+    monkeypatch.setattr(twistfamilies, "compress", lambda data, selectors: compress(tally(data), selectors))
+    walked = [list(twistfamilies._walk(mask, sign, 10**6, walk[1][sign])) for sign, mask in masks]
+    assert walked == [[1, 7, 999_983], [-17, -999_993]]  # 999,999 = 3^3 7 11 13 37
+    assert sorted(map(abs, read)) == [1, 7, 17, 999_983, 999_993, 999_999]
+    read.clear()
+    assert [d0 for d0, _ in twistfamilies._sieve_walk(masks, union, walk)] == [1, 7, -17, 999_983, -999_993]
+    assert len(read) <= 1000 + 6  # the sieve's primes below 1000, and the six classes
 
 
 def test_congruence_modulus_must_be_positive():
