@@ -539,10 +539,11 @@ def tk_partition(
         for h, t in _deviations(family, rule, sign, mask).items():
             rest[h] = 0
             cells[base + t].append(sign * h)
-        empty = not cells[base]
-        cells[base] += _walk(rest, sign, m, classes[sign])
+        run = cells[base]
+        empty = not run
+        run += _walk(rest, sign, m, classes[sign])
         if empty:  # in height order, unless a member joins it later
-            ordered[base] = len(cells[base])
+            ordered[base] = len(run)
     densities = _sign_densities(family, rule) or {}
 
     out: dict[int, TkCell] = {}

@@ -5,7 +5,7 @@ A class in Q^x modulo 2n-th powers is stored by its unique 2n-th-power-free
 integer representative, sign kept (the sign is the archimedean datum).
 `admitted_masks` marks a family's members below a height bound, one byte a
 height and sign; `_walk` reads them off the residue classes one condition
-admits, not off every height.  The T_k partition reads only these masks.
+admits (or every height, if cheaper).  The T_k partition reads only these masks.
 `_sieve_walk` yields each member with its factorization, read off one
 smallest-prime-factor sieve (an `array('I')`, four bytes a height): the
 Prym report builds its rows straight from it, and `enumerate_classes` a
@@ -315,25 +315,24 @@ def admitted_masks(family: TwistFamily, bound: int) -> tuple[list[tuple[int, byt
                     mask[c::m] = old[c::m]
             masks.append((sign, bytes(mask)))
             union |= int.from_bytes(mask, "big")
-    if not family.conditions:  # every height, class 0 mod 1, without the cost of a pick
-        return masks, union.to_bytes(size, "big"), (1, {s: [0] for s, _ in masks})
-    walked = min(  # at most one class a listed residue and a height below the bound
-        (CongruenceCondition(1, frozenset({0})), *family.conditions),
-        key=lambda cond: min(len(cond.residues), size) * (-(-size // cond.modulus) + _CLASS_READS),
+    m, residues = min(  # at most one class a listed residue and a height below the bound
+        ((1, (0,)), *((cond.modulus, cond.residues) for cond in family.conditions)),
+        key=lambda walk: min(len(walk[1]), size) * (-(-size // walk[0]) + _CLASS_READS),
     )
-    m = walked.modulus
-    classes = {s: sorted(c for r in walked.residues if 0 <= r < m and (c := s * r % m) < size) for s, _ in masks}
+    classes = {s: sorted(c for r in residues if 0 <= r < m and (c := s * r % m) < size) for s, _ in masks}
     return masks, union.to_bytes(size, "big"), (m, classes)
 
 
 def _walk(mask: bytes, sign: int, m: int, classes: list[int]) -> Iterator[int]:
     """sign * h for each h with mask[h] = 1, increasing, where each marked h
     lies in one of the classes mod m (increasing, below len(mask)): only
-    their slices mask[c::m] are read, interleaved row by row."""
-    size, step = len(mask), sign * m
-    if len(classes) == 1:  # the class's slice alone
+    their slices mask[c::m] are read, interleaved row by row, unless they
+    cost as much as class 0 mod 1 (every height), as `admitted_masks` counts."""
+    size, step, k, rows = len(mask), sign * m, len(classes), -(-len(mask) // m)
+    if k * (rows + _CLASS_READS) >= size + _CLASS_READS:  # as a union of both signs' classes may
+        return compress(range(0, sign * size, sign), mask)
+    if k == 1:  # the class's slice alone
         return compress(range(sign * classes[0], sign * size, step), mask[classes[0] :: m])
-    k, rows = len(classes), -(-size // m)
     selector = bytearray(k * rows)  # 0 past the bound in the last row
     for i, c in enumerate(classes):
         column = mask[c::m]

@@ -392,6 +392,24 @@ def test_walk_reads_only_the_admitted_classes(monkeypatch):
     assert len(read) <= 1000 + 6  # the sieve's primes below 1000, and the six classes
 
 
+def test_walk_reads_every_height_where_its_classes_cost_more(monkeypatch):
+    # 18 residues mod 36 at 20,000: each sign's walk reads its 18 classes,
+    # but the sieve walk's union of both signs' 35 classes would read more
+    # than every height, so it reads every height once
+    family = TwistFamily(n=3, conditions=(CongruenceCondition(36, frozenset(range(18))),), squarefree=True)
+    masks, union, walk = admitted_masks(family, 20_000)
+    assert walk == (36, {1: list(range(18)), -1: [0, *range(19, 36)]})
+    read = []
+    monkeypatch.setattr(twistfamilies, "compress", lambda data, bits: read.append(data) or compress(data, bits))
+    for sign, mask in masks:
+        want = list(compress(range(0, sign * 20_000, sign), mask))
+        assert list(twistfamilies._walk(mask, sign, 36, walk[1][sign])) == want
+    assert not any(isinstance(data, range) for data in read)  # the interleaved slices
+    members = [d0 for d0, _ in twistfamilies._sieve_walk(masks, union, walk)]
+    assert read[-1] == range(20_000)
+    assert members == [sign * h for h in range(20_000) for sign, mask in masks if mask[h]]
+
+
 def test_congruence_modulus_must_be_positive():
     with pytest.raises(DomainError):
         CongruenceCondition(0, frozenset({0}))
