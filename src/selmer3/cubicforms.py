@@ -273,30 +273,6 @@ class CubicRing:
         ww, wt, tt = (3 * z[0] + z[1] * tr_w + z[2] * tr_t for z in (self.ww, self.wt, self.tt))
         return 3 * (ww * tt - wt * wt) - tr_w * (tr_w * tt - wt * tr_t) + tr_t * (tr_w * wt - ww * tr_t)
 
-    def structure_constants(self) -> list[list[list[str]]]:
-        """Full 3x3x3 array: entry [i][j] is e_i * e_j over (1, w, t)."""
-        table = [[None] * 3 for _ in range(3)]  # type: ignore[var-annotated]
-        for i in range(3):
-            for j in range(3):
-                table[i][j] = [str(c) for c in self.mul(self.basis(i), self.basis(j))]
-        return table  # type: ignore[return-value]
-
-    @staticmethod
-    def from_structure_constants(table) -> "CubicRing":
-        def tr(entry) -> Triple:
-            return _triple(*(Fraction(str(v)) for v in entry))
-
-        e0e0 = tr(table[0][0])
-        if e0e0 != CubicRing.basis(0):
-            raise DomainError("basis element 0 must be the unit")
-        for i in range(3):
-            for j in range(3):
-                if tr(table[i][j]) != tr(table[j][i]):
-                    raise DomainError("multiplication table is not commutative")
-            if tr(table[0][i]) != CubicRing.basis(i):
-                raise DomainError("basis element 0 must be the unit")
-        return CubicRing(tr(table[1][1]), tr(table[1][2]), tr(table[2][2])).validate()
-
 
 def form_to_ring(f: BinaryCubicForm, p: int | Place | None = None) -> CubicRing:
     """The cubic ring whose index form is f.  Requires integral

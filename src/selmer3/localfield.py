@@ -162,15 +162,6 @@ def is_square(x: Rational, place: Place) -> bool:
     return pow(num * pow(den, -1, p) % p, (p - 1) // 2, p) == 1
 
 
-def zeta3_present(place: Place) -> bool:
-    """Whether the completion contains a primitive cube root of unity."""
-    if place.kind == "complex":
-        return True
-    if place.kind == "real":
-        return False
-    return place.p % 3 == 1
-
-
 def sqrt_extension_unramified(d: Rational, p: int | Place) -> bool:
     """Whether Q_p(sqrt(d))/Q_p is unramified (the split case counts as
     unramified): v(d) even and, at p = 2, the unit part 1 mod 4.  p is a

@@ -277,39 +277,6 @@ def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalA
     return _Assembler(config).row(tc.d0, tc.factors)
 
 
-@dataclass(frozen=True)
-class PerTwistBound:
-    d0: int
-    pair_abs: tuple[int, int]
-    typical_dim: int
-    avg_dim_bound: Fraction
-    typical_density: Fraction
-    parity: str
-
-
-def rank_bound_per_twist(assembly: PrymLocalAssembly) -> PerTwistBound:
-    """Bounds through the two isogenies: the average 3-Selmer dimension is
-    at most the sum of |k| + 3^-|k| over the pair, the dimension equals
-    the sum of the |k| off an exceptional set of density at most the sum
-    of 1/(2*3^|k|)."""
-    pair_abs = assembly.pair_abs
-    avg, density = _pair_bounds(pair_abs)
-    return PerTwistBound(
-        d0=assembly.d0,
-        pair_abs=pair_abs,
-        typical_dim=sum(pair_abs),
-        avg_dim_bound=avg,
-        typical_density=density,
-        parity=assembly.parity,
-    )
-
-
-def _pair_bounds(pair_abs: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """(average dimension bound, typical density) of a |k| pattern."""
-    bounds = [rank_density_bounds(k) for k in pair_abs]
-    return sum(b for b, _ in bounds), max(Fraction(0), 1 - sum(1 - dens for _, dens in bounds))
-
-
 def chabauty_point_bound(config: PrymCurveConfig, rank_cap: int) -> int:
     """Rational-point bound from the uniform-Chabauty input: the f-tilde
     value at rank_cap + genus - dim B, plus the trivial points, plus the
@@ -385,12 +352,13 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
         for skeleton in skeletons:
             _check_invariants(skeleton)
 
-    # the bounds depend on a row through its |k| pattern only, and every
-    # row has the pattern (0, 1)
+    # the bounds depend on a row through its |k| pattern only, and every row has the
+    # pattern (0, 1): the pair's average bounds add, as do its exceptional densities
     patterns = {s.pair_abs for s in skeletons}
     if patterns and patterns != {(0, 1)}:
         raise AssertionError(f"unexpected |k| patterns {patterns}")
-    avg_bound, density = _pair_bounds((0, 1))
+    (avg_0, dens_0), (avg_1, dens_1) = rank_density_bounds(0), rank_density_bounds(1)
+    avg_bound, density = avg_0 + avg_1, dens_0 + dens_1 - 1
     return PrymReport(
         name=config.name,
         height_bound=height_bound,
@@ -400,14 +368,3 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
         point_bound=chabauty_point_bound(config, rank_cap=1),
     )
 
-
-def positive_proportion_rank_bound(config: PrymCurveConfig) -> int:
-    """For a product-only configuration the pair is not pinned down, but
-    every consistent assignment keeps both |k| at most 1, so a positive
-    proportion of twists has 3-Selmer dimension (hence rank) at most 2."""
-    worst = 0
-    for sol in solve_three_adic(config):
-        for sign in (1, -1):
-            k_inf = archimedean_exponent(config.descriptors()[0], sign)
-            worst = max(worst, abs(sol[0] + k_inf) + abs(sol[1] + k_inf))
-    return worst

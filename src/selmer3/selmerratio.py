@@ -173,12 +173,6 @@ class SelmerRatioReport:
     def ratio(self) -> Fraction:
         return _power_of_3(self.global_exponent)
 
-    def exponent_at(self, label: str) -> int:
-        for e in self.entries:
-            if e.place_label == label:
-                return e.exponent
-        raise KeyError(label)
-
     def to_json_obj(self) -> dict:
         return {
             "d0": self.d0,
@@ -431,36 +425,10 @@ def parity_prediction(global_exponent: int) -> str:
 
 
 def rank_density_bounds(k: int) -> tuple[Fraction, Fraction]:
-    """(average-dimension bound |k| + 3^-|k|, lower bound 1 - 1/(2*3^|k|)
-    on the density where the dimension equals |k|)."""
+    """The one rank bound, on the stratum where the ratio is 3^k: (average-dimension
+    bound |k| + 3^-|k|, lower bound 1 - 1/(2*3^|k|) on the density of dimension |k|)."""
     inverse = _power_of_3(-abs(k))
     return abs(k) + inverse, 1 - inverse / 2
-
-
-def explicit_rank_bound(dim_a: int, num_bad_places: int) -> Fraction:
-    """dim A * (#S + 3^-#S) where S includes the places over 3 and infinity,
-    so #S is at least 1."""
-    if dim_a < 1:
-        raise DomainError("dimension must be positive")
-    if num_bad_places < 1:
-        raise DomainError("#S includes the places over 3 and infinity, so #S >= 1")
-    s = num_bad_places
-    return dim_a * (Fraction(s) + Fraction(3) ** (-s))
-
-
-@dataclass(frozen=True)
-class ChainBound:
-    dim_bound: int
-    size_bound: int
-
-
-def chain_rank_bound(selmer_sizes: list[int]) -> ChainBound:
-    """Rank bound through a chain of 3-isogenies: the dimension bound is
-    the sum of log3 of the Selmer sizes, the cruder size bound their sum."""
-    dim = 0
-    for s in selmer_sizes:
-        dim += _log3_order(s)
-    return ChainBound(dim, sum(selmer_sizes))
 
 
 def _json_fields(obj) -> dict:

