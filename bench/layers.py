@@ -25,15 +25,18 @@ a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form; and
 30 seeded `classify --p P --d D` requests, primes 5 <= p < 1000.  The
-Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the (d0,
-factors) member walk `twistfamilies._sieve_walk` that the report reads,
-`family_report(prym-a4, 20000)`, its `to_json_obj`, the report together
-with the text of the envelope carrying it, each row's text written as
-the walk yields the member, and the whole in-process `prym` request at
-that height.  The scan layers time `global_report` with the `scan`
-default config on 200 seeded members d, each with a prime p < 1000 other
-than 3 at which v_p(d) is 2 or 4, the whole in-process `scan
---family-preset full-n3 --height 2000` request, and at height 10^6
+Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
+walk `twistfamilies._sieve_walk` handing each member to the `prym`
+command's row maker of its sign (at a base whose walk yields (d0,
+factors), that walk with its rows made by `prym._Assembler.row`),
+`family_report(prym-a4, 20000)`, its `to_json_obj`, the text report
+(`family_report` with the command's rows), the text report together
+with the text of the envelope carrying it, and the whole in-process
+`prym` request at that height.  The scan layers time `global_report`
+with the `scan` default config on 200 seeded members d, each with a
+prime p < 1000 other than 3 at which v_p(d) is 2 or 4, the whole
+in-process `scan --family-preset full-n3 --height 2000` request, and at
+height 10^6
 `admitted_masks` of a squarefree family with one condition mod 10^6 (five
 seeded residues), `tk_partition` of full-n3 with the `scan` default
 config and the whole in-process `scan` request; these three take up to
@@ -181,11 +184,14 @@ def _input_layers(workdir: str, sink):
 
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
-    phase: the family's member sieve, as classes and as the report walks
-    it, building the report, its JSON object, the report with the text of
-    the envelope that carries it, as `prym` writes them, and the whole
-    in-process `prym` request."""
-    from selmer3 import __version__, cli, twistfamilies
+    phase: the family's member sieve, as classes and as the command's rows
+    off the report's walk, building the report, its JSON object, the text
+    report, the text report with the envelope that carries it, as `prym`
+    writes them, and the whole in-process `prym` request."""
+    import inspect
+    from itertools import starmap
+
+    from selmer3 import __version__, cli, prym, twistfamilies
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
     from selmer3.twistfamilies import enumerate_classes
@@ -205,8 +211,11 @@ def _prym_layers(sink):
         }
         return _dumps(envelope)
 
-    def report_sieve():
-        return list(twistfamilies._sieve_walk(*twistfamilies.admitted_masks(config.family, 20000)))
+    def member_walk():
+        masks = twistfamilies.admitted_masks(config.family, 20000)
+        if "makers" in inspect.signature(twistfamilies._sieve_walk).parameters:
+            return twistfamilies._sieve_walk(*masks, prym._Assembler(config).makers(masks[0], cli._prym_row_text()))
+        return list(starmap(prym._Assembler(config, cli._prym_row_text()).row, twistfamilies._sieve_walk(*masks)))
 
     def request():
         with contextlib.redirect_stdout(sink):
@@ -215,9 +224,10 @@ def _prym_layers(sink):
 
     return {
         "enumerate_classes(sigma-36-2-11, 20000)": ("ms/call", 1, lambda: enumerate_classes(config.family, 20000)),
-        "prym member sieve(sigma-36-2-11, 20000)": ("ms/call", 1, report_sieve),
+        "prym member walk, command rows(sigma-36-2-11, 20000)": ("ms/call", 1, member_walk),
         "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
         "PrymReport.to_json_obj": ("ms/call", 1, family_report(config, 20000).to_json_obj),
+        "prym text report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000, cli._prym_row_text())),
         "prym report and envelope text": ("ms/call", 1, envelope_text),
         "prym --preset prym-a4 --height 20000": ("ms/call", 1, request),
     }

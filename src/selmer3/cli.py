@@ -6,7 +6,7 @@ timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
 indent=2) writes, sent piece by piece.  `prym` writes a row's text as the
-sieve walk yields the member, splicing d and primes into templates.
+sieve walk reaches the member, splicing d and primes into templates.
 Exit codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain
 error or exhausted budget, 4 incomplete configuration.  An input file that
 cannot be read or parsed, lacks a key or holds a value of the wrong JSON
@@ -174,31 +174,31 @@ _ROW_DEPTH = 3
 
 
 def _prym_row_text():
-    """A row factory for `family_report`: row(d0, skeleton, primes) is the
-    row's text at its depth in the `prym` envelope.  Rows of one skeleton
-    differ only in d and their good places, good places only in their
-    label.  So a skeleton's row is written once, with a NUL string for d
-    and for one more place, and cut there into head, middle and tail; a
-    good place once, cut around its label, which joins a row's primes.  A
-    row splices its d and its primes into those pieces.  The writer
-    escapes every NUL, as \u0000, so that text marks only the holes."""
+    """A row factory for `family_report`: row(skeleton) makes a member's
+    text at its depth in the `prym` envelope from its height and primes.
+    Rows of one skeleton differ only in d and their good places, good places
+    only in their label.  So a skeleton's row is written once, with a NUL
+    string for d and for one more place, and cut there into head (the sign
+    of d ending it), middle and tail; a good place once, cut around its
+    label, which joins a row's primes above 3.  The writer escapes every
+    NUL, as \u0000, so that text marks only the holes."""
     sep = ",\n" + "  " * (_ROW_DEPTH + 2)  # before each place of a row but the first
     pre, post = (sep + _dumps(good_place("\0").to_json_obj(), _ROW_DEPTH + 2)).split("\\u0000")  # quotes kept
     between = post + pre
-    cuts: dict[int, tuple[str, str, str]] = {}  # id(RowSkeleton) -> (head, middle, tail)
 
-    def row_text(d0: int, skeleton, primes: tuple[int, ...]) -> str:
-        if (pieces := cuts.get(id(skeleton))) is None:
-            obj = PrymLocalAssembly("\0", skeleton).to_json_obj()  # once per skeleton
-            obj["places"].append("\0")
-            head, middle, tail = _dumps(obj, _ROW_DEPTH).split('"\\u0000"')
-            cuts[id(skeleton)] = pieces = head, middle.removesuffix(sep), tail  # less the hole place's
-        head, middle, tail = pieces
-        if primes:
-            return "".join((head, str(d0), middle, pre, between.join(map(str, primes)), post, tail))
-        return head + str(d0) + middle + tail
+    def row(skeleton):
+        obj = PrymLocalAssembly("\0", skeleton).to_json_obj()
+        obj["places"].append("\0")
+        head, middle, tail = _dumps(obj, _ROW_DEPTH).split('"\\u0000"')
+        head, middle = head + "-" * (skeleton.sign < 0), middle.removesuffix(sep)  # less the hole place's
+        opened, closed = middle + pre, post + tail
+        return lambda h, primes: (
+            f"{head}{h}{opened}{between.join([f'{p}' for p in primes if p > 3])}{closed}"
+            if primes and primes[-1] > 3
+            else f"{head}{h}{middle}{tail}"
+        )
 
-    return row_text
+    return row
 
 
 # The config of `scan` without --config, "trivial-overrides": kernel of

@@ -241,10 +241,6 @@ class CubicRing:
             raise DomainError("multiplication table is not associative")
         return self
 
-    @staticmethod
-    def basis(i: int) -> Triple:
-        return tuple(1 if j == i else 0 for j in range(3))  # type: ignore[return-value]
-
     def mul(self, x: Triple, y: Triple) -> Triple:
         x0, x1, x2 = x
         y0, y1, y2 = y

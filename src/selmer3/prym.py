@@ -19,10 +19,9 @@ the 3 is optional metadata.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, starmap
+from itertools import product
 from typing import NamedTuple
 
 from .errors import DomainError, IncompleteConfigError
@@ -135,18 +134,14 @@ class PlacePair:
 @dataclass(frozen=True)
 class RowSkeleton:
     """What the rows of one sign (and 3-adic sixth-power class, when the
-    3-adic order is configured) share: the pairs at the real place, at 2
-    and at 3, the global pair of (phi, psi) they add up to, sorted unless
-    that order is configured, and the four 3-adic exponents."""
+    3-adic order is configured) share: the sign of d, the pairs at the real
+    place, at 2 and at 3, the global pair of (phi, psi) they add up to,
+    sorted unless that order is configured, and the four 3-adic exponents."""
 
+    sign: int
     places: tuple[PlacePair, PlacePair, PlacePair]  # real, 2, 3
     pair_global: tuple[int, int]
     four_exponents: tuple[int, int, int, int]
-
-    @property
-    def pair_abs(self) -> tuple[int, int]:
-        kp, ks = self.pair_global
-        return tuple(sorted((abs(kp), abs(ks))))  # type: ignore[return-value]
 
 
 def good_place(label: str) -> PlacePair:
@@ -175,10 +170,6 @@ class PrymLocalAssembly(NamedTuple):
         return self.skeleton.pair_global
 
     @property
-    def pair_abs(self) -> tuple[int, int]:
-        return self.skeleton.pair_abs
-
-    @property
     def k_pi(self) -> int:
         return sum(self.pair_global)
 
@@ -199,7 +190,14 @@ class PrymLocalAssembly(NamedTuple):
         }
 
 
+def _assembly_maker(skeleton: RowSkeleton):
+    """`family_report`'s default row factory: make(h, increasing primes) of a member's row."""
+    return lambda h, primes: PrymLocalAssembly(skeleton.sign * h, skeleton, tuple([p for p in primes if p > 3]))
+
+
 _TWO_ADIC_SQUARE = "family admits a twist with a 2-adic square; preset broken"
+# The sixth-power class at 3 of a squarefree d by d mod 27: v_3(d) <= 1, the unit read mod 9.
+_SIXTH_POWER_CLASS = tuple(sextic_class_3adic(r).representative if r % 9 else None for r in range(27))
 
 
 class _Assembler:
@@ -207,7 +205,7 @@ class _Assembler:
     report: the two descriptors, the 3-adic solutions with the unique
     unordered pair they determine, and one row skeleton per sign (per sign
     and sixth-power class when the 3-adic order is configured), built on
-    first use.  `row` is the one rule for a member's skeleton and primes.
+    first use; `makers` decides a family's skeletons on its masks.
 
     The family is squarefree, so a prime p > 3 divides d once and its
     ratio is 1.  At 2, for squarefree d, d or -3d is a 2-adic square
@@ -219,18 +217,21 @@ class _Assembler:
     on its masks, by `assemble_local_exponents` on its one d.  No row
     needs a 2-adic test."""
 
-    def __init__(self, config: PrymCurveConfig, make=PrymLocalAssembly) -> None:
-        self.make = make
+    def __init__(self, config: PrymCurveConfig) -> None:
         self.descs = config.descriptors()
         self.solutions = solve_three_adic(config)
         self.pairs = {tuple(sorted(s[:2])) for s in self.solutions}
         if len(self.pairs) != 1:
             raise DomainError("3-adic constraints do not determine the unordered pair")
         self.ordered = config.three_adic.ordered
-        self.skeletons: dict = {}  # d0 > 0, or (d0 > 0, sixth-power class) -> RowSkeleton
+        self.skeletons: dict = {}  # sign, or (sign, sixth-power class) -> RowSkeleton
 
-    def _skeleton(self, key, sign: int) -> RowSkeleton:
-        ordered = self.ordered
+    def skeleton(self, d0: int) -> RowSkeleton:
+        """The skeleton of a member d0 of the squarefree family."""
+        sign, ordered = 1 if d0 > 0 else -1, self.ordered
+        key = sign if ordered is None else (sign, _SIXTH_POWER_CLASS[d0 % 27])
+        if key in self.skeletons:
+            return self.skeletons[key]
         if ordered is None:
             three = PlacePair("3", next(iter(self.pairs)), False, "override")
         else:
@@ -244,19 +245,26 @@ class _Assembler:
         real = tuple(archimedean_exponent(desc, sign) for desc in self.descs)
         kp, ks = real[0] + three.pair[0], real[1] + three.pair[1]
         skeleton = self.skeletons[key] = RowSkeleton(
+            sign,
             (PlacePair("real", real, True, "archimedean"), PlacePair("2", (0, 0), True, "h1-zero"), three),
             (kp, ks) if ordered is not None or kp <= ks else (ks, kp),
             self.solutions[0],
         )
         return skeleton
 
-    def row(self, d0: int, factors: tuple[int, ...]):
-        """make(d0, skeleton, the primes p > 3 of the flat factorization of
-        |d0|) of a member d0, whose membership and place 2 are checked."""
-        key = d0 > 0 if self.ordered is None else (d0 > 0, sextic_class_3adic(d0).representative)
-        skeleton = self.skeletons.get(key) or self._skeleton(key, 1 if d0 > 0 else -1)
-        primes = factors[::2]
-        return self.make(d0, skeleton, primes[bisect_right(primes, 3) :])
+    def makers(self, masks: list[tuple[int, bytes]], row) -> dict:
+        """{sign: make(h, primes)} for `_sieve_walk`: row(skeleton) for each
+        skeleton the masks reach, built class by class mod 27 (mod 1 without
+        the order at 3) at each class's first member, in walk order, so a
+        refusal names the class of the first member it meets."""
+        m = 1 if self.ordered is None else 27
+        firsts = sorted((r + m * k, -s) for s, mask in masks for r in range(m) if (k := mask[r::m].find(1)) >= 0)
+        for h, minus in firsts:  # by first height, the positive sign first
+            self.skeleton(-minus * h)
+        made = {key: row(skeleton) for key, skeleton in self.skeletons.items()}
+        if m == 1:
+            return {sign: made.get(sign) for sign, _ in masks}
+        return {s: lambda h, primes, s=s: made[s, _SIXTH_POWER_CLASS[s * h % 27]](h, primes) for s, _ in masks}
 
 
 def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalAssembly:
@@ -274,7 +282,7 @@ def assemble_local_exponents(config: PrymCurveConfig, d: Rational) -> PrymLocalA
         raise DomainError(f"{d} is not in the configured family")
     if tc.d0 % 4 == 1:
         raise DomainError(_TWO_ADIC_SQUARE)
-    return _Assembler(config).row(tc.d0, tc.factors)
+    return _assembly_maker(_Assembler(config).skeleton(tc.d0))(abs(tc.d0), tc.factors[::2])
 
 
 def chabauty_point_bound(config: PrymCurveConfig, rank_cap: int) -> int:
@@ -297,7 +305,7 @@ def chabauty_point_bound(config: PrymCurveConfig, rank_cap: int) -> int:
 class PrymReport:
     name: str
     height_bound: int
-    rows: tuple  # what `family_report`'s row factory built: PrymLocalAssembly by default
+    rows: tuple  # what `family_report`'s row makers built: PrymLocalAssembly by default
     avg_rank_bound: Fraction
     rank_le_1_density: Fraction
     point_bound: int
@@ -329,16 +337,15 @@ def _check_invariants(skeleton: RowSkeleton) -> None:
         raise AssertionError("ratio pair invariant failed")
 
 
-def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssembly) -> PrymReport:
+def family_report(config: PrymCurveConfig, height_bound: int, row=_assembly_maker) -> PrymReport:
     """Enumerate the family, assemble all local exponents, and aggregate
-    the analytic bounds.  A member's row, row(d0, skeleton, primes), is
-    made as the sieve walk yields it, so no member is tested again.  The
-    place 2 is decided on the family's masks before any row: a member
-    d = 1 (mod 4) raises DomainError.  The invariants (exponents in {0,1}
-    summing to the product exponent, odd global exponent, unordered ratio
-    pair {1, 3+-1}) are checked once per report and row skeleton, since
-    each row carries its skeleton's four exponents and global pair."""
-    assembler = _Assembler(config, row)
+    the analytic bounds.  row(skeleton), called once per row skeleton,
+    returns make(h, primes), which the sieve walk calls for each member of
+    its sign, so no member is tested again.  Skeletons and refusals are all
+    decided before the walk, the invariants (exponents in {0,1} summing to
+    the product exponent, odd global exponent, unordered ratio pair
+    {1, 3+-1}) once per skeleton, whose rows carry its exponents."""
+    assembler = _Assembler(config)
     unequal = config.three_adic.mode == "unequal"
     if unequal and sorted(assembler.solutions[0]) != [0, 0, 1, 1]:
         raise AssertionError("solver output violated the product identity")
@@ -346,7 +353,7 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
     for sign, mask in masks:
         if any(mask[2 - sign :: 4]):  # sign * h = 1 (mod 4) at h = 2 - sign (mod 4)
             raise DomainError(_TWO_ADIC_SQUARE)
-    rows = tuple(starmap(assembler.row, _sieve_walk(masks, candidates, walk)))
+    makers = assembler.makers(masks, row)
     skeletons = assembler.skeletons.values()
     if unequal:
         for skeleton in skeletons:
@@ -354,7 +361,7 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
 
     # the bounds depend on a row through its |k| pattern only, and every row has the
     # pattern (0, 1): the pair's average bounds add, as do its exceptional densities
-    patterns = {s.pair_abs for s in skeletons}
+    patterns = {tuple(sorted(map(abs, s.pair_global))) for s in skeletons}
     if patterns and patterns != {(0, 1)}:
         raise AssertionError(f"unexpected |k| patterns {patterns}")
     (avg_0, dens_0), (avg_1, dens_1) = rank_density_bounds(0), rank_density_bounds(1)
@@ -362,9 +369,8 @@ def family_report(config: PrymCurveConfig, height_bound: int, row=PrymLocalAssem
     return PrymReport(
         name=config.name,
         height_bound=height_bound,
-        rows=rows,
+        point_bound=chabauty_point_bound(config, rank_cap=1),  # evaluated, or refused, before the walk
+        rows=tuple(_sieve_walk(masks, candidates, walk, makers)),
         avg_rank_bound=avg_bound,
         rank_le_1_density=density,
-        point_bound=chabauty_point_bound(config, rank_cap=1),
     )
-

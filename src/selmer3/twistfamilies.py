@@ -6,12 +6,11 @@ integer representative, sign kept (the sign is the archimedean datum).
 `admitted_masks` marks a family's members below a height bound, one byte a
 height and sign; `_walk` reads them off the residue classes one condition
 admits (or every height, if cheaper).  The T_k partition reads only these masks.
-`_sieve_walk` yields each member with its factorization, read off one
-smallest-prime-factor sieve (an `array('I')`, four bytes a height): the
-Prym report builds its rows straight from it, and `enumerate_classes` a
-`TwistClass` per member.  `reduce_class` builds the class of one d
-(`global_report`) and factors it once: trial division by small primes,
-then Pollard's rho within a fixed budget.
+`_sieve_walk` factors each admitted height once, off one smallest-prime-
+factor sieve (an `array('I')`, four bytes a height), and hands its primes
+to a maker per sign: the Prym report's rows, `enumerate_classes`' classes.
+`reduce_class` builds the class of one d (`global_report`) and factors it
+once: trial division by small primes, then Pollard's rho within a fixed budget.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import Iterator
@@ -341,38 +341,46 @@ def _walk(mask: bytes, sign: int, m: int, classes: list[int]) -> Iterator[int]:
     return compress(chain.from_iterable(heights), selector)
 
 
-def _sieve_walk(masks: list[tuple[int, bytes]], union: bytes, walk: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(d0, the factorization of |d0|, flat as (p1, e1, p2, e2, ...) with p
-    increasing) for each member `admitted_masks` marks, by height with the
-    positive representative first, off both signs' classes in `walk`.  Each
+def _sieve_walk(masks: list[tuple[int, bytes]], union: bytes, walk: tuple, makers: dict) -> list:
+    """makers[sign](h, primes) for each member sign * h that `admitted_masks`
+    marks, by height with the positive sign first, off both signs' classes
+    in `walk`; primes are those of h, increasing, with multiplicity.  Each
     height is factored once off the sieve spf: spf[m] is the smallest prime
     factor of a composite m, else 0 (primes are marked largest first)."""
     size = len(union)
     spf = array("I", [0]) * size
     for p in reversed(_primes_below(isqrt(size - 1) + 1)):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+    signs, out = [(mask, makers[sign]) for sign, mask in masks], []
     for h in _walk(union, 1, walk[0], sorted(set().union(*walk[1].values()))):
-        out: list[int] = []
-        m = h
+        primes, m = [], h
         while p := spf[m]:  # m is composite
+            primes.append(p)
             m //= p
-            e = 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            out += (p, e)
         if m > 1:  # a prime
-            out += (m, 1)
-        factors = tuple(out)
-        for sign, mask in masks:
+            primes.append(m)
+        for mask, make in signs:
             if mask[h]:
-                yield sign * h, factors
+                out.append(make(h, primes))
+    return out
 
 
 def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
     """All classes of the family with height strictly below the bound, in
-    the order of `_sieve_walk` and carrying its factorizations."""
-    return [TwistClass(d0, family.n, f) for d0, f in _sieve_walk(*admitted_masks(family, bound))]
+    the order of `_sieve_walk`, each height's flat factors shared by both signs'."""
+    last = [0, ()]  # a height and its flat factors
+    def make(sign: int, h: int, primes: list[int]) -> TwistClass:
+        if last[0] != h:
+            flat: list[int] = []
+            for p in primes:
+                if flat and flat[-2] == p:
+                    flat[-1] += 1
+                else:
+                    flat += (p, 1)
+            last[:] = h, tuple(flat)
+        return TwistClass(sign * h, family.n, last[1])
+
+    return _sieve_walk(*admitted_masks(family, bound), {s: partial(make, s) for s in (1, -1)})
 
 
 PRESETS: dict[str, TwistFamily] = {

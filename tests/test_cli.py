@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, settings, target
 from hypothesis import strategies as st
 
 import selmer3
@@ -956,3 +956,52 @@ def test_json_writer_matches_stdlib(tree):
         "g": part_list,
     }
     assert _dumps(repeated) == json.dumps(repeated, sort_keys=True, indent=2)
+
+
+# Every sixth-power class at 3 of a squarefree d: units +-1, +-2, +-4 times 3^0 or 3^1.
+_SIXTH_POWER_CLASSES = [u * t for u in (1, -1, 2, -2, 4, -4) for t in (1, 3)]
+
+
+@st.composite
+def _prym_configs(draw):
+    """prym-a4's curve over a drawn squarefree family: d = 2 or 3 (mod 4)
+    (a subset), so no member is 1 (mod 4), one condition mod m <= 1000
+    listing 1-6 residues, one sign or both, and the order at 3 unordered or
+    drawn for every class."""
+    from dataclasses import replace
+
+    from selmer3.prym import ThreeAdicInput, load_preset
+    from selmer3.twistfamilies import CongruenceCondition, TwistFamily
+
+    mod_4 = draw(st.sampled_from([{2}, {3}, {2, 3}]))
+    m = draw(st.integers(1, 36) | st.integers(1, 1000))  # a small modulus admits more members
+    residues = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=min(6, m)))
+    signs = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+    conditions = (CongruenceCondition(4, frozenset(mod_4)), CongruenceCondition(m, frozenset(residues)))
+    family = TwistFamily(n=3, signs=signs, conditions=conditions, squarefree=True)
+    three_adic = ThreeAdicInput(mode="unequal", product_exponent=2)
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=12, max_size=12))
+        three_adic = replace(three_adic, ordered={rep: (f, 1 - f) for rep, f in zip(_SIXTH_POWER_CLASSES, flips)})
+    return replace(load_preset("prym-a4"), family=family, three_adic=three_adic)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_prym_configs(), height=st.integers(1, 5000))
+@example(config=_prym_config_over_sixth_power_classes(), height=5000)  # both signs, 24 skeletons
+def test_prym_row_makers_equal_the_assembly_of_each_member(config, height):
+    # the command's rows and the default rows, made from the sieve walk's
+    # heights and primes, against the one-d assembly of each member
+    from selmer3.cli import _prym_row_text
+    from selmer3.prym import assemble_local_exponents, family_report
+    from selmer3.twistfamilies import enumerate_classes
+
+    rows = family_report(config, height).rows
+    target(float(len(rows)))  # steer the draws toward families with many members
+    texts = family_report(config, height, _prym_row_text()).rows
+    assert [row.d0 for row in rows] == [tc.d0 for tc in enumerate_classes(config.family, height)]
+    assert len(texts) == len(rows)
+    for row, text in zip(rows, texts):
+        assembly = assemble_local_exponents(config, row.d0)
+        assert row == assembly
+        assert text == json.dumps(assembly.to_json_obj(), sort_keys=True, indent=2).replace("\n", "\n" + "  " * 3)

@@ -14,6 +14,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -388,7 +389,9 @@ def test_enumerate_classes_is_the_sieve_walk(counts):
     family = family_preset("full-n3")
     classes = enumerate_classes(family, 500)
     assert len(counts["sieve_walk"]) == 1 and len(counts["TwistClass"]) == len(classes)
-    walk = twistfamilies._sieve_walk(*twistfamilies.admitted_masks(family, 500))
+    # each member as (d0, its factorization flat), from the walk's increasing primes
+    makers = {s: lambda h, primes, s=s: (s * h, tuple(chain.from_iterable(Counter(primes).items()))) for s in (1, -1)}
+    walk = twistfamilies._sieve_walk(*twistfamilies.admitted_masks(family, 500), makers)
     assert [(tc.d0, tc.factors) for tc in classes] == list(walk)
 
 

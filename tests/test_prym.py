@@ -5,6 +5,7 @@ import pytest
 
 from selmer3 import prym
 from selmer3.errors import DomainError, IncompleteConfigError
+from selmer3.localfield import sextic_class_3adic
 from selmer3.prym import (
     PrymCurveConfig,
     ThreeAdicInput,
@@ -159,6 +160,13 @@ def test_chabauty_needs_f_tilde_entry(a4):
         chabauty_point_bound(odd, rank_cap=1)  # r = 4 exceeds the table
 
 
+def test_family_report_refuses_a_missing_f_tilde_entry_before_any_walk(a4, monkeypatch):
+    config = replace(a4, f_tilde=replace(a4.f_tilde, max_r=1))  # the report's rank cap 1 needs r = 2
+    monkeypatch.setattr(prym, "_sieve_walk", None)  # a walk would raise TypeError
+    with pytest.raises(IncompleteConfigError, match="f-tilde value unavailable"):
+        family_report(config, 10**6)
+
+
 def test_family_report_aggregates(a4):
     report = family_report(a4, 500)
     assert report.avg_rank_bound == Fraction(7, 3)
@@ -306,3 +314,48 @@ def test_family_report_keeps_a_family_with_no_member_1_mod_4(a4, signs):
     report = family_report(replace(a4, family=family), 200)
     assert [r.d0 for r in report.rows] == [tc.d0 for tc in enumerate_classes(family, 200)]
     assert any(r.d0 < 0 and -r.d0 % 4 == 1 for r in report.rows) == (-1 in signs)
+
+
+@pytest.mark.parametrize(
+    "ordered, error, match",
+    [
+        ({5: (1, 0)}, IncompleteConfigError, "sixth-power class 2$"),  # every member of Sigma is in the class of 2
+        ({2: (1, 1)}, DomainError, "contradicts the constraints"),
+    ],
+)
+def test_ordered_three_adic_refusal_comes_before_any_walk(a4, monkeypatch, ordered, error, match):
+    # a member's skeleton depends on its sign and d mod 27 only, so the
+    # family's masks decide each refusal before the walk begins
+    config = replace(a4, three_adic=ThreeAdicInput(mode="unequal", product_exponent=2, ordered=ordered))
+    assert family_report(config, 2).rows == ()  # no member below 2, so nothing to refuse
+    monkeypatch.setattr(prym, "_sieve_walk", None)  # a walk would raise TypeError
+    for height in (3, 3000):
+        with pytest.raises(error, match=match):
+            family_report(config, height)
+
+
+def test_ordered_three_adic_refusal_waits_for_a_member_of_the_missing_class(a4, monkeypatch):
+    # the order at 3 is given for the classes of the members below 20: a
+    # report is refused from the first member of another class on
+    family = TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({2, 3})),), squarefree=True)
+    members = [tc.d0 for tc in enumerate_classes(family, 500)]
+    given = {sextic_class_3adic(d).representative for d in members if abs(d) < 20}
+    first = next(d for d in members if sextic_class_3adic(d).representative not in given)
+    config = replace(a4, family=family, three_adic=ThreeAdicInput(ordered={rep: (0, 1) for rep in given}))
+    below = family_report(config, abs(first))
+    assert [r.d0 for r in below.rows] == [d for d in members if abs(d) < abs(first)]
+    monkeypatch.setattr(prym, "_sieve_walk", None)  # a walk would raise TypeError
+    with pytest.raises(IncompleteConfigError, match=f"sixth-power class {sextic_class_3adic(first).representative}$"):
+        family_report(config, abs(first) + 1)
+
+
+def test_sixth_power_class_of_a_squarefree_d_is_read_mod_27():
+    # v_3(d) <= 1 and the unit is read mod 9, so d mod 27 fixes the class
+    bound = 10**4
+    squarefree = bytearray([1]) * bound
+    for p in range(2, 100):
+        squarefree[p * p :: p * p] = bytes(len(range(p * p, bound, p * p)))
+    for h in range(1, bound):
+        if squarefree[h]:
+            for d0 in (h, -h):
+                assert prym._SIXTH_POWER_CLASS[d0 % 27] == sextic_class_3adic(d0).representative, d0

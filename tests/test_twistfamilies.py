@@ -367,6 +367,10 @@ def test_walk_equals_the_walk_of_every_height(family_and_bound):
         assert (m, classes) == (1, {sign: [0] for sign, _ in masks})
 
 
+# `_sieve_walk` makers of each member's d0
+_D0 = {sign: lambda h, _, sign=sign: sign * h for sign in (1, -1)}
+
+
 def test_walk_reads_only_the_admitted_classes(monkeypatch):
     # three residues mod 10^6 at height 10^6: the walk of each sign and of
     # the union reads the three heights of its classes, not the 10^6 below
@@ -388,7 +392,7 @@ def test_walk_reads_only_the_admitted_classes(monkeypatch):
     assert walked == [[1, 7, 999_983], [-17, -999_993]]  # 999,999 = 3^3 7 11 13 37
     assert sorted(map(abs, read)) == [1, 7, 17, 999_983, 999_993, 999_999]
     read.clear()
-    assert [d0 for d0, _ in twistfamilies._sieve_walk(masks, union, walk)] == [1, 7, -17, 999_983, -999_993]
+    assert twistfamilies._sieve_walk(masks, union, walk, _D0) == [1, 7, -17, 999_983, -999_993]
     assert len(read) <= 1000 + 6  # the sieve's primes below 1000, and the six classes
 
 
@@ -405,7 +409,7 @@ def test_walk_reads_every_height_where_its_classes_cost_more(monkeypatch):
         want = list(compress(range(0, sign * 20_000, sign), mask))
         assert list(twistfamilies._walk(mask, sign, 36, walk[1][sign])) == want
     assert not any(isinstance(data, range) for data in read)  # the interleaved slices
-    members = [d0 for d0, _ in twistfamilies._sieve_walk(masks, union, walk)]
+    members = twistfamilies._sieve_walk(masks, union, walk, _D0)
     assert read[-1] == range(20_000)
     assert members == [sign * h for h in range(20_000) for sign, mask in masks if mask[h]]
 
