@@ -35,12 +35,13 @@ with the text of the envelope carrying it, and the whole in-process
 `prym` request at that height.  The scan layers time `global_report`
 with the `scan` default config on 200 seeded members d, each with a
 prime p < 1000 other than 3 at which v_p(d) is 2 or 4, the whole
-in-process `scan --family-preset full-n3 --height 2000` request, and at
-height 10^6
-`admitted_masks` of a squarefree family with one condition mod 10^6 (five
-seeded residues), `tk_partition` of full-n3 with the `scan` default
-config and the whole in-process `scan` request; these three take up to
-seconds, so they run three passes and no warm-up pass.  `tk_partition`
+in-process `scan --family-preset full-n3 --height 2000` request, the
+text of the `scan` result as the envelope writes it (`cli._dumps` at depth
+1) for squarefree-n3 at height 2,500, and at height 10^6 that text for
+full-n3, `admitted_masks` of a squarefree family with one condition mod
+10^6 (five seeded residues), `tk_partition` of full-n3 with the `scan`
+default config and the whole in-process `scan` request; these four take
+up to seconds, so they run three passes and no warm-up pass.  `tk_partition`
 with the same config also runs on three congruence families: squarefree
 with three seeded unit residues mod 36 at height 13,136 (about 1,000
 members a sign), sixth-power-free with three seeded residues mod 10^7 at
@@ -236,12 +237,13 @@ def _prym_layers(sink):
 def _scan_layers(sink):
     """The per-place report of members with a table-2 exponent, the masks
     of a family with one condition mod 10^6, the T_k partitions of three
-    congruence families and of the full family at height 10^6, and whole
-    in-process full-family scans at heights 2000 and 10^6.  The full
+    congruence families and of the full family at height 10^6, the text of
+    two `scan` results, and whole in-process full-family scans at heights
+    2000 and 10^6.  The full
     family's two layers at 10^6 are last: the millions of objects they make
     and free change when the garbage collector runs in the layers after
     them."""
-    from selmer3.cli import _TRIVIAL_CONFIG, main
+    from selmer3.cli import _TRIVIAL_CONFIG, _dumps, main
     from selmer3.selmerratio import global_report, tk_partition
     from selmer3.twistfamilies import CongruenceCondition, TwistFamily, _primes_below, admitted_masks, family_preset
 
@@ -268,6 +270,20 @@ def _scan_layers(sink):
     def partition(family=full, height=10**6):
         return lambda: tk_partition(family, _TRIVIAL_CONFIG.descriptor, profiles, height)
 
+    def scan_result(family, height):
+        """The `result` object of `scan --family-preset F --height H`."""
+        cells = tk_partition(family, _TRIVIAL_CONFIG.descriptor, profiles, height)
+        ordered = [cells[k] for k in sorted(cells)]
+        return {
+            "height_bound": height,
+            "family_name": family.name,
+            "cells": [cell.to_json_obj() for cell in ordered],
+            "member_count": sum(c.count for c in ordered),
+        }
+
+    squarefree_2500 = scan_result(family_preset("squarefree-n3"), 2500)
+    full_10_6 = scan_result(full, 10**6)
+
     def request(height):
         argv = ["scan", "--family-preset", "full-n3", "--height", str(height)]
 
@@ -286,6 +302,8 @@ def _scan_layers(sink):
         "tk_partition(one condition mod 36, 13136)": ("ms/call", 1, partition(mod_36, 13136)),
         "tk_partition(one condition mod 10^7, 10^7)": ("s/call", 1, partition(mod_10_7, 10**7), SLOW_PASSES),
         "tk_partition(every class mod 2^16, 10^6)": ("s/call", 1, partition(dense, 10**6), SLOW_PASSES),
+        "scan envelope text(squarefree-n3, 2500)": ("us/call", 1, lambda: _dumps(squarefree_2500, 1)),
+        "scan envelope text(full-n3, 10^6)": ("s/call", 1, lambda: _dumps(full_10_6, 1), SLOW_PASSES),
         "tk_partition(full-n3, 10^6)": ("s/call", 1, partition(), SLOW_PASSES),
         "scan --family-preset full-n3 --height 1000000": ("s/call", 1, request(10**6), SLOW_PASSES),
     }

@@ -5,8 +5,9 @@ digest of the exact inputs, the artifact version, the result payload, and
 timing.  The payload is deterministic byte for byte on identical inputs
 (stable key order, rationals as num/den strings); timing lives outside the
 payload.  The envelope's text is what json.dumps(..., sort_keys=True,
-indent=2) writes, sent piece by piece.  `prym` writes a row's text as the
-sieve walk reaches the member, splicing d and primes into templates.
+indent=2) writes, sent piece by piece; a list of numbers, such as a T_k
+cell's members, is one call of json's C encoder.  `prym` writes a row's text
+as the sieve walk reaches the member, splicing d and primes into templates.
 Exit codes: 0 success, 1 the reader closed the pipe, 2 usage, 3 domain
 error or exhausted budget, 4 incomplete configuration.  An input file that
 cannot be read or parsed, lacks a key or holds a value of the wrong JSON
@@ -25,7 +26,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .errors import BudgetError, DocumentError, IncompleteConfigError, Selmer3Error
@@ -90,16 +91,19 @@ _LEAF = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-# "\n" plus the indentation of each nesting depth, built once per depth.
+# "\n" plus the indentation of each nesting depth, and json's C encoder
+# separating a list's items at it, built once per depth.
 _NEWLINES = ["\n"]
+_ENCODERS: list = []
 
 
 def _write_json(obj, out: list[str], depth: int) -> None:
     """Append the text of obj at nesting depth `depth` to out, byte for
     byte as json.dumps(obj, sort_keys=True, indent=2) writes it there; with
     `indent` the stdlib falls back to its pure-Python encoder, which this
-    outruns about twofold.  Scalars in a container are written in place, a
-    list of ints by one join, the texts of a `_Texts` as they are."""
+    outruns about twofold.  Scalars in a container are written in place, the
+    texts of a `_Texts` as they are, a list of numbers by one call of json's
+    C encoder (its text between the brackets is indent=2's if no item nests)."""
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -112,6 +116,9 @@ def _write_json(obj, out: list[str], depth: int) -> None:
         return
     while len(_NEWLINES) <= depth + 1:  # a writer may enter at any depth
         _NEWLINES.append(_NEWLINES[-1] + "  ")
+    while len(_ENCODERS) <= depth:  # no markers, no indent; sort_keys, allow_nan
+        sep, default = "," + _NEWLINES[len(_ENCODERS) + 1], JSONEncoder().default  # json's TypeError
+        _ENCODERS.append(c_make_encoder(None, default, encode_basestring_ascii, None, ": ", sep, True, False, True))
     inner = _NEWLINES[depth + 1]
     sep = "," + inner
     append = out.append
@@ -119,8 +126,10 @@ def _write_json(obj, out: list[str], depth: int) -> None:
     if isinstance(obj, dict):
         append("{")
         for key, value in sorted(obj.items()):
-            if type(key) is not str:
-                key = json.dumps(key)  # json's text for int, float, bool and None keys
+            if not isinstance(key, str):  # json's rule: the text of an int, float, bool or None key
+                if not isinstance(key, (int, float, type(None))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = json.dumps(key)
             append(inner + encode_basestring_ascii(key) + ": ")
             inner = sep
             leaf = get(type(value))
@@ -133,8 +142,13 @@ def _write_json(obj, out: list[str], depth: int) -> None:
         append("[" + inner)
         out += chain.from_iterable(zip(obj, repeat(sep)))
         out[-1] = _NEWLINES[depth] + "]"  # in place of the last separator
-    elif type(obj[0]) is int and set(map(type, obj)) == {int}:  # such as a T_k cell's members
-        append("[" + inner + sep.join(map(int.__repr__, obj)) + _NEWLINES[depth] + "]")
+    elif (
+        type(obj[0]) is int  # such as a T_k cell's members
+        and '"' not in (text := "".join(_ENCODERS[depth](obj, 0)))  # a long list comes in several chunks
+        and "{" not in text
+        and text.find("[", 1) < 0  # no item nests: numbers, true, false and null alone
+    ):
+        append("[" + inner + text[1:-1] + _NEWLINES[depth] + "]")
     else:
         append("[")
         for value in obj:

@@ -942,6 +942,19 @@ _json_trees = st.recursive(
 @example([True, 1, 1.0, False, 0, None, -0.0, 10**40])
 @example({"é\n\t\"\\\x00\x1f": "ü \U0001f600", "z": "", "A": "a"})
 @example([float("inf"), float("-inf"), float("nan"), 1e300, 5e-324])
+# a list whose first item is an int, as json's C encoder takes it: the items
+# after the first either keep its text or send the list down the per-item path
+@example([1, True, 2, False])
+@example([1, float("nan"), 2])
+@example([1, float("inf"), float("-inf")])
+@example([0, -0.0, 0.0])
+@example([1, None])
+@example([-1, 10**40, -(10**40)])
+@example([1, "a"])
+@example([1, []])
+@example([1, {}])
+@example([1, [2, [3]], 4])
+@example([1, {"a": 2}, 3])
 def test_json_writer_matches_stdlib(tree):
     from selmer3.cli import _dumps
 
@@ -956,6 +969,57 @@ def test_json_writer_matches_stdlib(tree):
         "g": part_list,
     }
     assert _dumps(repeated) == json.dumps(repeated, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("depth", [0, 4])
+def test_json_writer_joins_every_chunk_of_a_long_list(depth):
+    # past about 5 * 10^4 items json's C encoder returns its text in several
+    # chunks; at depth 4 the list is a T_k cell's members in the scan envelope
+    from selmer3 import cli
+
+    members = list(range(-(10**5), 10**5))
+    tree = members if depth == 0 else {"result": {"cells": [{"k": 0, "members": members}]}}
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert len(cli._ENCODERS[depth](members, 0)) > 1
+
+
+def test_scan_envelope_with_cells_of_many_chunks_equals_stdlib(capsys):
+    from selmer3 import cli
+
+    code, out, _ = run_cli(capsys, "scan", "--family-preset", "squarefree-n3", "--height", "200000")
+    assert code == 0
+    cells = json.loads(out)["result"]["cells"]
+    assert len(cells) == 2 and min(len(c["members"]) for c in cells) > 10**5  # one cell a sign
+    assert all(len(cli._ENCODERS[4](c["members"], 0)) > 1 for c in cells)
+    want = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert out.split("\n") == want.split("\n")
+
+
+def test_json_writer_keys_follow_json():
+    # a str subclass is written as the str it is, a number, bool or None as
+    # json's text, anything else is json's TypeError
+    import enum
+
+    from selmer3.cli import _dumps
+
+    class Name(str):
+        pass
+
+    class Colour(str, enum.Enum):
+        RED = "red"
+
+    tree = {Name("abc"): 1, Colour.RED: [2], "z": {Name("q"): None}}
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert '"abc": 1' in _dumps(tree) and '"red": [' in _dumps(tree)
+    for key in [1, -(10**40), 2.5, float("inf"), float("nan"), True, None]:
+        tree = {"a": {key: [key]}}
+        assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    for key in [(1, 2), frozenset(), b"x", object()]:
+        with pytest.raises(TypeError) as want:
+            json.dumps({key: 3}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            _dumps({key: 3})
+        assert str(got.value) == str(want.value)
 
 
 # Every sixth-power class at 3 of a squarefree d: units +-1, +-2, +-4 times 3^0 or 3^1.
