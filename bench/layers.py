@@ -4,6 +4,10 @@ written to a BENCH_*.json file.  The form/ring layers include the round
 trip `form_to_ring`, `CubicRing.discriminant`, `ring_to_form` on 200
 seeded integral forms, and the forms request `index_p_subrings` plus
 `orbit_split(f, p)` on the same forms, p cycling through 5, 7, 11, 13.
+The subring layers are `orders_of_index(ring, p, 1)` and
+`verify_subring_bijection` on 45 of those rings at p = 5, 7 and 11, and
+15 requests shaped like perfbench's bijection request, each
+`form_to_ring` of three seeded forms and the check at 5, 7 and 11.
 The oracle layers are the orbit grid at p = 5 and 7,
 `algebra_class_of_form` on the grid's witness forms and on 10 seeded
 integral forms at p = 31, and the form scans `scan_forms_low_valuation`
@@ -342,6 +346,8 @@ def _layers():
         for basis in orders_of_index(ring, p, 1)
     ]
     checks = [(ring, p) for ring in rings[:45] for p in (5, 7, 11)]
+    # shaped like perfbench's bijection request: three forms, each at 5, 7 and 11
+    bijection_requests = [_forms(random.Random(SEED + 5 + i), 3, 30) for i in range(15)]
     maximal = form_to_ring(BinaryCubicForm(1, 0, 0, -7 * 2))
     witnesses = [
         (row.witness, p)
@@ -390,6 +396,18 @@ def _layers():
             if not verify_subring_bijection(ring, p):
                 raise AssertionError("subring bijection check failed")
 
+    def orders_of_index_1():
+        for ring, p in checks:
+            orders_of_index(ring, p, 1)
+
+    def bijection_request():
+        for coeffs in bijection_requests:
+            for f in coeffs:
+                ring = form_to_ring(BinaryCubicForm(*f))
+                for p in (5, 7, 11):
+                    if not verify_subring_bijection(ring, p):
+                        raise AssertionError("subring bijection check failed")
+
     def grid():
         for p, v, uc in GRID:
             enumerate_orbits(p, disc_val=v, unit_class=uc)
@@ -422,6 +440,8 @@ def _layers():
         "order_from_lattice": ("us/call", len(lattices), lattice),
         "orders_of_index(p=7, j=2)": ("us/call", 1, orders),
         "verify_subring_bijection": ("us/call", len(checks), bijection),
+        "orders_of_index(j=1)": ("us/call", len(checks), orders_of_index_1),
+        "bijection request(3 forms at 5, 7, 11)": ("us/call", len(bijection_requests), bijection_request),
         "orbit_grid": ("ms/grid", 1, grid),
         "algebra_class_of_form(grid witnesses)": ("us/call", len(witnesses), algebra_classes),
         "algebra_class_of_form(p=31)": ("us/call", len(forms_31), algebra_classes_31),

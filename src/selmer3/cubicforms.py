@@ -16,10 +16,11 @@ held as an `int` when it is integral and as a `Fraction` only where a
 denominator remains; `_exact` is the one place that rule is applied, and
 the constructors call it.  The formulas are the same on both types, so
 an integral form's ring, its subrings and its integral translates are
-computed in integer arithmetic.  The two divisions on these values,
-`act`'s division by the determinant and `oracle.order_from_lattice`'s
-change of basis, go through `_exact_div`, which returns a // b when b
-divides a and a Fraction otherwise.  A float never appears.
+computed in integer arithmetic.  `act`'s division by the determinant
+goes through `_exact_div`, which returns a // b when b divides a and a
+Fraction otherwise; `oracle.order_from_lattice`'s change of basis divides
+by divmod and falls back to `_exact_div` on a remainder.  A float never
+appears.
 
 Three routines here are the single copy of a decision that other modules
 (the oracle among them) call rather than repeat: `discriminant` is the
@@ -114,10 +115,9 @@ class BinaryCubicForm:
             raise DomainError(f"form is not {p}-integral")
         if isinstance(p, Place):
             p = p.p
-        out = []
-        for t in self.coefficients():
-            out.append(t.numerator * pow(t.denominator, -1, p) % p)
-        return tuple(out)  # type: ignore[return-value]
+        return tuple(  # type: ignore[return-value]
+            t % p if type(t) is int else t.numerator * pow(t.denominator, -1, p) % p for t in self.coefficients()
+        )
 
     def to_json_obj(self) -> list[str]:
         return [str(t) for t in self.coefficients()]

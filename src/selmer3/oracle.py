@@ -30,8 +30,11 @@ node with coefficients in Z_p, found in F_p by integer Horner's rule mod p
 (in the unramified case they stand for all p^3 residues of F_p^3, by the
 lemma in `padicroots`), and searches a form's f(1, y) at y = 0 (mod pi)
 only;
-sublattice closure is tested on the ring's table scaled by a p-unit to
-integers; and the form scan classifies each residue form mod p once,
+sublattice closure is tested inline on the integer (w, t) coordinates of
+the ring's table (a p-integral table scaled by a p-unit to integers first)
+and a subring's table is rewritten in its basis by divmod, with exact
+division into Fractions only for a basis that is not closed; and the form
+scan classifies each residue form mod p once,
 counts its lifts mod p^2 of discriminant valuation 1 from the gradient
 of the discriminant (disc(x + p h) = disc(x) + p grad(x).h mod p^2 holds
 exactly, as disc has integer coefficients), and at the triple-root
@@ -319,78 +322,90 @@ MAX_ORDER_LATTICES = 10**6
 
 
 def _index_sublattices(p: int, j: int):
-    """Hermite bases of the index-p^j subgroups of Z^2: rows (a, b), (0, e)
-    with a*e = p^j and 0 <= b < e.  sigma(p^j) of them."""
+    """Hermite rows of the index-p^j subgroups of Z^2: the pairs (a, e) of
+    powers of p with a*e = p^j, each standing for the e bases (a, b), (0, e)
+    with 0 <= b < e.  sigma(p^j) bases in all."""
     for i in range(j + 1):
-        a, e = p**i, p ** (j - i)
-        for b in range(e):
-            yield (a, b, e)
+        yield p**i, p ** (j - i)
 
 
-def orders_of_index(ring: CubicRing, p: int, j: int):
+def orders_of_index(ring: CubicRing, p: int | Place, j: int, *, place: Place | None = None):
     """All subrings of index p^j of a p-integral cubic ring, as Hermite-basis
-    triples.  Exhaustive: every index-p^j sublattice containing 1 is the
-    preimage of an index-p^j subgroup of Z^2 = ring/Z, and each is tested
-    for closure under multiplication.
+    triples (a, b, e).  Exhaustive: every index-p^j sublattice containing 1
+    is the preimage of an index-p^j subgroup of Z^2 = ring/Z, and each is
+    tested for closure under multiplication.  p is a prime, proven here, or
+    its `Place`; a caller holding the `Place` may pass it as `place` beside
+    the int p (perfbench's tracer reads sigma(p^j) off an int p).  A
+    negative j is refused, and more than `MAX_ORDER_LATTICES` lattices
+    raise `BudgetError` unwalked.
 
-    The test runs on integers.  The w and t coordinates of the table are
-    multiplied by the lcm L of their denominators, a p-unit (a ring that is
-    not p-integral is refused); a Z_p-lattice contains z exactly when it
-    contains L*z.  With a, e powers of p, (z1, z2) lies in the span of
-    (a, b) and (0, e) exactly when a | z1 and e | z2 - (z1/a)*b.  More
-    than `MAX_ORDER_LATTICES` lattices raise `BudgetError` unwalked."""
-    coords = [z[i] for z in (ring.ww, ring.wt, ring.tt) for i in (1, 2)]
-    den = lcm(*(z.denominator for z in coords))
-    if den % p == 0:
-        raise DomainError(f"ring is not {p}-integral")
+    The test runs on the (w, t) coordinates of the table as integers: an
+    integral table as it is, otherwise multiplied by the lcm L of its
+    denominators, a p-unit (a ring that is not p-integral is refused); a
+    Z_p-lattice contains z exactly when it contains L*z.  For v1 = a*w + b*t
+    and v2 = e*t, the products v1*v1 = a^2*ww + b*(a*wt + u), v1*v2 = e*u
+    and v2*v2 = e^2*tt, with u = a*wt + b*tt, are formed coordinate by
+    coordinate in the walk, the b-free terms once per row; (z1, z2) lies in
+    the span of (a, b) and (0, e) exactly when a | z1 and
+    e | z2 - (z1/a)*b.  All three are tested, though for odd p the first
+    and the last imply the second."""
+    p = _proven_prime(p if place is None else place)
+    if j < 0:
+        raise DomainError(f"index exponent must be nonnegative, got {j}")
+    coords = (*ring.ww[1:], *ring.wt[1:], *ring.tt[1:])  # the constant coordinates never enter
+    if set(map(type, coords)) != {int}:
+        den = lcm(*(z.denominator for z in coords))
+        if den % p == 0:
+            raise DomainError(f"ring is not {p}-integral")
+        coords = tuple(int(z * den) for z in coords)
+    ww1, ww2, wt1, wt2, tt1, tt2 = coords
     lattices = (p ** (j + 1) - 1) // (p - 1)  # sigma(p^j)
     if lattices > MAX_ORDER_LATTICES:
         raise BudgetError(f"order search over {lattices} lattices exceeds the maximum {MAX_ORDER_LATTICES}")
-    # the constant coordinates never enter the membership test
-    ww, wt, tt = ((0, int(z[1] * den), int(z[2] * den)) for z in (ring.ww, ring.wt, ring.tt))
     found = []
-    for a, b, e in _index_sublattices(p, j):
-        for _, z1, z2 in _lattice_products(ww, wt, tt, a, b, e):
+    for a, e in _index_sublattices(p, j):
+        aa1, aa2, aw1, aw2, ee1, ee2 = a * a * ww1, a * a * ww2, a * wt1, a * wt2, e * e * tt1, e * e * tt2
+        for b in range(e):
+            u1, u2 = aw1 + b * tt1, aw2 + b * tt2
+            z1, z2 = aa1 + b * (aw1 + u1), aa2 + b * (aw2 + u2)  # v1*v1
             if z1 % a or (z2 - z1 // a * b) % e:
-                break
-        else:
+                continue
+            z1, z2 = e * u1, e * u2  # v1*v2
+            if z1 % a or (z2 - z1 // a * b) % e:
+                continue
+            if ee1 % a or (ee2 - ee1 // a * b) % e:  # v2*v2
+                continue
             found.append((a, b, e))
     return found
 
 
-def _lattice_products(ww, wt, tt, a, b, e):
-    """v1*v1, v1*v2 and v2*v2 for v1 = a*w + b*t and v2 = e*t, over (1, w, t),
-    as the combinations a^2*ww + 2ab*wt + b^2*tt, ae*wt + be*tt and e^2*tt
-    of the table rows (neither v1 nor v2 has a component along 1).  The
-    rows may hold integers or Fractions."""
-    aa, ab, bb, ae, be, ee = a * a, 2 * a * b, b * b, a * e, b * e, e * e
-    return (
-        (
-            aa * ww[0] + ab * wt[0] + bb * tt[0],
-            aa * ww[1] + ab * wt[1] + bb * tt[1],
-            aa * ww[2] + ab * wt[2] + bb * tt[2],
-        ),
-        (ae * wt[0] + be * tt[0], ae * wt[1] + be * tt[1], ae * wt[2] + be * tt[2]),
-        (ee * tt[0], ee * tt[1], ee * tt[2]),
-    )
-
-
 def order_from_lattice(ring: CubicRing, basis: tuple[int, int, int]) -> CubicRing:
     """The subring on basis (1, v1, v2) with v1 = a*w + b*t and v2 = e*t, as
-    an abstract cubic ring.  Its table is read off the closed-form products
-    of `_lattice_products` and rewritten in the new basis by exact
-    division: integral entries stay ints, and a p-integral input ring keeps
-    its Fractions."""
+    an abstract cubic ring.  The products v1*v1 = a^2*ww + 2ab*wt + b^2*tt,
+    v1*v2 = ae*wt + be*tt and v2*v2 = e^2*tt are formed from the table rows
+    (neither v1 nor v2 has a component along 1) and rewritten in the new
+    basis: y1 = z1/a and y2 = (z2 - y1*b)/e by `divmod`, exact when both
+    remainders vanish, as they do on a closed basis of an integral table;
+    on a remainder (a basis that is not closed, or a Fraction entry) the
+    product is rewritten by `_exact_div`.  Integral entries stay ints, and
+    a p-integral input ring keeps its Fractions."""
     a, b, e = basis
-
-    def in_new_basis(z):
-        # z = z0 + z1*w + z2*t with (z1, z2) in the lattice
-        y1 = _exact_div(z[1], a)
-        y2 = _exact_div(z[2] - y1 * b, e)
-        return (z[0], y1, y2)
-
-    v1v1, v1v2, v2v2 = _lattice_products(ring.ww, ring.wt, ring.tt, a, b, e)
-    return CubicRing(ww=in_new_basis(v1v1), wt=in_new_basis(v1v2), tt=in_new_basis(v2v2)).validate()
+    (ww0, ww1, ww2), (wt0, wt1, wt2), (tt0, tt1, tt2) = ring.ww, ring.wt, ring.tt
+    aa, ab, bb, ae, be, ee = a * a, 2 * a * b, b * b, a * e, b * e, e * e
+    products = (
+        (aa * ww0 + ab * wt0 + bb * tt0, aa * ww1 + ab * wt1 + bb * tt1, aa * ww2 + ab * wt2 + bb * tt2),
+        (ae * wt0 + be * tt0, ae * wt1 + be * tt1, ae * wt2 + be * tt2),
+        (ee * tt0, ee * tt1, ee * tt2),
+    )
+    table = []
+    for z0, z1, z2 in products:
+        y1, r1 = divmod(z1, a)
+        y2, r2 = divmod(z2 - y1 * b, e)
+        if r1 or r2:  # not closed, or a Fraction entry
+            y1 = _exact_div(z1, a)
+            y2 = _exact_div(z2 - y1 * b, e)
+        table.append((z0, y1, y2))
+    return CubicRing(*table).validate()
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +558,7 @@ def enumerate_orbits(
             continue
         j = delta // 2
         maximal = form_to_ring(max_order_form, p=place)
-        found = orders_of_index(maximal, p, j)
+        found = orders_of_index(maximal, p, j, place=place)
         if not found:
             rows.append(OrbitRow(algebra, 2, False, None, j, 0))
             continue
@@ -557,16 +572,18 @@ def enumerate_orbits(
     return table
 
 
-def verify_subring_bijection(ring: CubicRing, p: int) -> bool:
+def verify_subring_bijection(ring: CubicRing, p: int | Place) -> bool:
     """Exhaustively enumerate the closed index-p sublattices containing 1
     and compare with the projective zeros of the index form mod p; also
-    checks the discriminant scaling p^2 on every subring found."""
+    checks the discriminant scaling p^2 on every subring found.  p is a
+    prime, proven here before any lattice is walked, or its `Place`."""
+    place = p if isinstance(p, Place) else Place.finite(p)
     f = ring_to_form(ring)
-    subs = orders_of_index(ring, p, 1)
-    roots = projective_roots_mod_p(f, p)
+    subs = orders_of_index(ring, place.p, 1, place=place)
+    roots = projective_roots_mod_p(f, place)
     if len(subs) != len(roots):
         return False
-    target = p * p * ring.discriminant()
+    target = place.p**2 * ring.discriminant()
     return all(order_from_lattice(ring, s).discriminant() == target for s in subs)
 
 

@@ -875,6 +875,94 @@ def test_orders_of_index_rejects_ring_not_p_integral():
         orders_of_index(ring, 5, 1)
 
 
+_UNIT_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6])  # p-units at every p >= 5
+
+
+@st.composite
+def _rings_and_bases(draw):
+    """(ring, p, j, basis): an integral ring, or a p-integral one with unit
+    denominators, translated or not, with every coefficient scaled by a
+    drawn power of p so that subrings are common; and one Hermite basis of
+    index p^j, closed or not."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    j = draw(st.integers(0, 3))
+    den = draw(_UNIT_DENOMINATORS)
+    coeffs = [Fraction(draw(st.integers(-9, 9)) * p ** draw(st.integers(0, 2)), den) for _ in range(4)]
+    ring = form_to_ring(BinaryCubicForm(*coeffs), p=p)
+    if draw(st.booleans()):
+        from selmer3.cubicforms import translate_basis
+
+        shift = st.builds(Fraction, st.integers(-5, 5), _UNIT_DENOMINATORS)
+        ring = translate_basis(ring, draw(shift), draw(shift))
+    i = draw(st.integers(0, j))
+    a, e = p**i, p ** (j - i)
+    return ring, p, j, (a, draw(st.integers(0, e - 1)), e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rings_and_bases())
+@example((form_to_ring(BinaryCubicForm(1, 0, 0, -5)), 5, 1, (1, 1, 5)))  # not closed, ints
+@example((form_to_ring(BinaryCubicForm(1, 0, 0, -5)), 5, 1, (1, 0, 5)))  # the index-5 order
+@example((form_to_ring(BinaryCubicForm(Fraction(1, 2), 0, 0, 7), p=7), 7, 1, (7, 0, 1)))  # Fractions
+def test_integer_kernels_equal_the_fraction_references(case):
+    # the inline closure test and the divmod change of basis against
+    # ring.mul on Fractions, on closed bases and on bases that are not
+    # closed (where order_from_lattice falls back to exact division)
+    ring, p, j, basis = case
+    found = orders_of_index(ring, p, j)
+    assert found == _orders_reference(ring, p, j)
+    for b in [*found, basis]:
+        sub = order_from_lattice(ring, b)
+        assert sub == _order_reference(ring, b)
+        # closed exactly when the new table is p-integral
+        entries = [x for row in (sub.ww, sub.wt, sub.tt) for x in row]
+        assert (b in found) == all(Fraction(x).denominator % p for x in entries)
+
+
+def test_orders_of_index_refuses_a_composite_p_and_a_negative_j():
+    ring = form_to_ring(BinaryCubicForm(1, 1, 0, -25))
+    for p in (6, 1, 0, -5, 25):
+        with pytest.raises(DomainError, match="not prime"):
+            orders_of_index(ring, p, 1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        orders_of_index(ring, 5, -1)
+    # a Place has proven its prime, given as p or beside it
+    place = Place.finite(5)
+    assert orders_of_index(ring, place, 1) == orders_of_index(ring, 5, 1, place=place) == orders_of_index(ring, 5, 1)
+    assert len(orders_of_index(ring, 5, 1)) == 2
+
+
+def test_verify_subring_bijection_refuses_a_composite_p_unwalked(monkeypatch):
+    import selmer3.oracle as oracle
+
+    def walked(*args):
+        raise AssertionError("walked before p was proven")
+
+    monkeypatch.setattr(oracle, "_index_sublattices", walked)
+    ring = form_to_ring(BinaryCubicForm(1, 0, 1, 1))
+    for p in (6, 1, 49):
+        with pytest.raises(DomainError):
+            oracle.verify_subring_bijection(ring, p)
+
+
+def test_subring_checks_prove_p_once_and_hand_the_walk_an_int(monkeypatch):
+    # verify_subring_bijection proves p once (none for a Place) and every
+    # caller hands orders_of_index p as an int, which perfbench's tracer
+    # reads to count the lattices walked
+    import selmer3.localfield as localfield
+    import selmer3.oracle as oracle
+
+    place, proofs, walks = Place.finite(7), [], []
+    original_prime, original_orders = localfield.is_prime, oracle.orders_of_index
+    monkeypatch.setattr(localfield, "is_prime", lambda n: proofs.append(n) or original_prime(n))
+    monkeypatch.setattr(oracle, "orders_of_index", lambda *a, **k: walks.append(a) or original_orders(*a, **k))
+    ring = form_to_ring(BinaryCubicForm(1, 1, 0, -25))
+    assert oracle.verify_subring_bijection(ring, 5) and proofs == [5]
+    assert oracle.verify_subring_bijection(ring, place) and proofs == [5]
+    oracle.enumerate_orbits(5, disc_val=4)
+    assert walks and all(type(a[1]) is int and type(a[2]) is int for a in walks)
+
+
 # ----------------------------------------------------------------------
 # Work-count guards
 # ----------------------------------------------------------------------
