@@ -13,9 +13,11 @@ The oracle layers are the orbit grid at p = 5 and 7,
 integral forms at p = 31, and the form scans `scan_forms_low_valuation`
 at p = 5, 7, 11 and 13; the ones at p = 11 and 13 take up to seconds, so
 they run three passes and no warm-up pass.  The root-isolation layers are
-`has_zp_root` on 200 seeded integer polynomials of degree 1 to 3 (p
-cycling through 5, 7, 11, 13) and `has_ring_root` in the unramified cubic
-ring at p = 7 on 50 seeded integer cubics.  The local-model layer is
+`has_ring_root(ZpModel(p), _primitive_at(coeffs, p))` on 200 seeded
+integer polynomials of degree 1 to 3 (p cycling through 5, 7, 11, 13; the
+layer was `has_zp_root`, a test-side reference now, which adds a primality
+proof of p to this call) and `has_ring_root` in the unramified cubic ring
+at p = 7 on 50 seeded integer cubics.  The local-model layer is
 `unramified_cubic_form(p)` over the primes 5 <= p < 1000.
 
     python3 bench/layers.py --base HEAD~1 --out BENCH_11.json
@@ -29,10 +31,10 @@ a family document from parsed JSON objects (`from_json_obj`), and call
 `cli.main` in process with stdout sent to /dev/null: a named preset, a
 config file read from a temporary directory, and the CM closed form; and
 30 seeded `classify --p P --d D` requests, primes 5 <= p < 1000.  The
-Prym layers time `enumerate_classes(sigma-36-2-11, 20000)`, the member
-walk `twistfamilies._sieve_walk` handing each member to the `prym`
-command's row maker of its sign (at a base whose walk yields (d0,
-factors), that walk with its rows made by `prym._Assembler.row`),
+Prym layers time the member walk `twistfamilies._sieve_walk` handing each
+member to the `prym` command's row maker of its sign (at a base whose walk
+yields (d0, factors), that walk with its rows made by
+`prym._Assembler.row`),
 `family_report(prym-a4, 20000)`, its `to_json_obj`, the text report
 (`family_report` with the command's rows), the text report together
 with the text of the envelope carrying it, and the whole in-process
@@ -50,12 +52,18 @@ with the same config also runs on three congruence families: squarefree
 with three seeded unit residues mod 36 at height 13,136 (about 1,000
 members a sign), sixth-power-free with three seeded residues mod 10^7 at
 10^7, and sixth-power-free admitting every class mod 2^16 at 10^6; the
-last two run three passes and no warm-up pass.  The file records,
-per layer and side, the median and quartiles of the round values (the
-median pass of each round) and of the round minima (the fastest pass of
-each round), and the ratios of their medians (this checkout over the
-base), with nproc, the CPU model and the Python version.  Timings are raw
-wall time from `time.perf_counter`, with the garbage collector left on.
+last two run three passes and no warm-up pass.  (The layer
+`enumerate_classes(sigma-36-2-11, 20000)` is dropped: that function is a
+test-side reference now, and the member-walk layer times the same sieve
+walk.)  The rounds alternate sides, so round i of the base and of this
+checkout is a pair.  Per layer the file records `bench/pairs.py`'s
+`compare` of the round values (the median pass of each round) and, as
+`round_min`, of the round minima (the fastest pass of each round): each
+side's median and quartiles, the ratio of the medians (this checkout over
+the base), in how many pairs this checkout read lower, the exact sign-test
+p-value and whether the layer is "resolved"; with nproc, the CPU model and
+the Python version.  Timings are raw wall time from `time.perf_counter`,
+with the garbage collector left on.
 The file also records `src_lines`, the line count of each module of
 `src/selmer3` and their total, as `wc -l` counts them, for the base
 export and for this checkout's `src/`.
@@ -78,6 +86,8 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+
+from pairs import ALPHA, compare
 
 REPO = Path(__file__).resolve().parent.parent
 ROUNDS, PASSES, SEED = 10, 5, 20261018
@@ -189,8 +199,8 @@ def _input_layers(workdir: str, sink):
 
 def _prym_layers(sink):
     """The Prym family report at height 20,000 (about 2,000 rows), phase by
-    phase: the family's member sieve, as classes and as the command's rows
-    off the report's walk, building the report, its JSON object, the text
+    phase: the family's member sieve, as the command's rows off the
+    report's walk, building the report, its JSON object, the text
     report, the text report with the envelope that carries it, as `prym`
     writes them, and the whole in-process `prym` request."""
     import inspect
@@ -199,7 +209,6 @@ def _prym_layers(sink):
     from selmer3 import __version__, cli, prym, twistfamilies
     from selmer3.cli import _digest, _dumps, main
     from selmer3.prym import family_report, load_preset
-    from selmer3.twistfamilies import enumerate_classes
 
     argv = ["prym", "--preset", "prym-a4", "--height", "20000"]
     config = load_preset("prym-a4")
@@ -228,7 +237,6 @@ def _prym_layers(sink):
                 raise AssertionError(f"{argv} failed")
 
     return {
-        "enumerate_classes(sigma-36-2-11, 20000)": ("ms/call", 1, lambda: enumerate_classes(config.family, 20000)),
         "prym member walk, command rows(sigma-36-2-11, 20000)": ("ms/call", 1, member_walk),
         "family_report(prym-a4, 20000)": ("ms/call", 1, lambda: family_report(config, 20000)),
         "PrymReport.to_json_obj": ("ms/call", 1, family_report(config, 20000).to_json_obj),
@@ -327,7 +335,7 @@ def _layers():
         verify_subring_bijection,
     )
     from selmer3.localclass import unramified_cubic_form
-    from selmer3.padicroots import has_ring_root, has_zp_root
+    from selmer3.padicroots import ZpModel, _primitive_at, has_ring_root
     from selmer3.twistfamilies import _primes_below
 
     rng = random.Random(SEED)
@@ -422,7 +430,7 @@ def _layers():
 
     def zp_roots():
         for coeffs, p in polys:
-            has_zp_root(coeffs, p)
+            has_ring_root(ZpModel(p), _primitive_at(coeffs, p))
 
     def ring_roots():
         for coeffs in cubics:
@@ -445,7 +453,7 @@ def _layers():
         "orbit_grid": ("ms/grid", 1, grid),
         "algebra_class_of_form(grid witnesses)": ("us/call", len(witnesses), algebra_classes),
         "algebra_class_of_form(p=31)": ("us/call", len(forms_31), algebra_classes_31),
-        "has_zp_root": ("us/call", len(polys), zp_roots),
+        "has_ring_root(Z_p)": ("us/call", len(polys), zp_roots),
         "has_ring_root(unramified(7))": ("us/call", len(cubics), ring_roots),
         "unramified_cubic_form(5 <= p < 1000)": ("us/call", len(tame_primes), unramified_forms),
         "scan_forms_low_valuation(5)": ("ms/call", 1, lambda: scan_forms_low_valuation(5)),
@@ -507,16 +515,6 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def _summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {
-        "median": round(median, 3),
-        "q1": round(q1, 3),
-        "q3": round(q3, 3),
-        "runs": [round(v, 3) for v in values],
-    }
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
@@ -545,17 +543,14 @@ def main() -> None:
                     minima[side].setdefault(name, []).append(row["min"])
                     meta[name] = {"unit": row["unit"], "calls_per_pass": row["calls"], "passes": row["passes"]}
 
-    layers = {}
-    for name, info in meta.items():
-        base, tree = _summary(runs["base"][name]), _summary(runs["tree"][name])
-        base["round_min"], tree["round_min"] = _summary(minima["base"][name]), _summary(minima["tree"][name])
-        layers[name] = {
+    layers = {
+        name: {
             **info,
-            "base": base,
-            "tree": tree,
-            "ratio": round(tree["median"] / base["median"], 3),
-            "ratio_of_minima": round(tree["round_min"]["median"] / base["round_min"]["median"], 3),
+            **compare(runs["base"][name], runs["tree"][name]),
+            "round_min": compare(minima["base"][name], minima["tree"][name]),
         }
+        for name, info in meta.items()
+    }
     report = {
         "harness": "bench/layers.py",
         "machine": {
@@ -574,6 +569,9 @@ def main() -> None:
             "seed": SEED,
             "value": "median pass per round, per call; round_min: fastest pass per round; "
             "summaries over rounds; ratio = tree/base of the medians",
+            "pairs": "round i of each side, which alternate going first",
+            "alpha": ALPHA,
+            "resolved": "|median(tree) - median(base)| > IQR(base) and two-sided sign-test p < alpha",
         },
         "src_lines": src_lines,
         "layers": layers,
@@ -584,7 +582,9 @@ def main() -> None:
         base, tree = row["base"]["median"], row["tree"]["median"]
         print(
             f"{name:46s} {base:>10.2f} -> {tree:>10.2f} {row['unit']}"
-            f"  ({row['ratio']:.2f}x, minima {row['ratio_of_minima']:.2f}x)"
+            f"  ({row['ratio']:.2f}x, minima {row['round_min']['ratio']:.2f}x),"
+            f" lower in {row['tree_lower']}/{row['pairs']}, p = {row['sign_test_p']:.3g}:"
+            f" {'resolved' if row['resolved'] else 'not resolved'}"
         )
 
 

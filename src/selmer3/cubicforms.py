@@ -22,13 +22,15 @@ Fraction otherwise; `oracle.order_from_lattice`'s change of basis divides
 by divmod and falls back to `_exact_div` on a remainder.  A float never
 appears.
 
-Three routines here are the single copy of a decision that other modules
+Four routines here are the single copy of a decision that other modules
 (the oracle among them) call rather than repeat: `discriminant` is the
 discriminant polynomial, `linear_substitution` the closed form of
 f(m00 x + m10 y, m01 x + m11 y) on which the twisted GL2 action and
-the SL2(F_p) orbit scan are built, and `_root_multiplicities` the zeros
-of a form over F_p with their multiplicities, from which the projective
-roots, the splitting type and the form scan's root pattern are read.
+the SL2(F_p) orbit scan are built, `_zeros_mod_p` the one scan of F_p
+for zeros, which root isolation also runs on each node's reduction, and
+`_root_multiplicities` the zeros of a form over F_p with their
+multiplicities, from which the projective roots, the splitting type and
+the form scan's root pattern are read.
 """
 
 from __future__ import annotations
@@ -122,9 +124,6 @@ class BinaryCubicForm:
     def to_json_obj(self) -> list[str]:
         return [str(t) for t in self.coefficients()]
 
-    def __str__(self) -> str:
-        return f"({self.a}, {self.b}, {self.c}, {self.d})"
-
 
 @dataclass(frozen=True)
 class TwoByTwoMatrix:
@@ -149,10 +148,6 @@ class TwoByTwoMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    @staticmethod
-    def identity() -> "TwoByTwoMatrix":
-        return TwoByTwoMatrix(1, 0, 0, 1)
 
 
 def linear_substitution(a, b, c, d, m00, m01, m10, m11):
@@ -257,11 +252,6 @@ class CubicRing:
         # Tr(w) and Tr(t), read off the diagonal of the multiplication maps
         return self.ww[1] + self.wt[2], self.wt[1] + self.tt[2]
 
-    def trace(self, z: Triple) -> Rational:
-        # Tr is linear and Tr(1) = 3
-        tr_w, tr_t = self._basis_traces()
-        return 3 * z[0] + z[1] * tr_w + z[2] * tr_t
-
     def discriminant(self) -> Rational:
         # determinant of the trace-form Gram matrix on (1, w, t), whose
         # entries 3, Tr(w), Tr(t), Tr(ww), Tr(wt), Tr(tt) come off the table
@@ -322,15 +312,24 @@ def translate_basis(ring: CubicRing, s: Rational, t: Rational) -> CubicRing:
 # Mod-p behaviour: factorization types, subrings of index p
 # ----------------------------------------------------------------------
 
+def _zeros_mod_p(fa: int, fb: int, fc: int, fd: int, p: int) -> list[int]:
+    """The x in F_p, increasing, with f(x, 1) = 0 (mod p), by Horner's rule:
+    the one scan of F_p, for forms and for root isolation's reductions.  A
+    loop, as a comprehension's own call costs more than the scan at small p."""
+    zeros = []
+    for x in range(p):
+        if not (((fa * x + fb) * x + fc) * x + fd) % p:
+            zeros.append(x)
+    return zeros
+
+
 def _root_multiplicities(fa: int, fb: int, fc: int, fd: int, p: int) -> dict[tuple[int, int], int]:
     """The zeros in P^1(F_p) of a form that is nonzero mod p, with their
-    multiplicities: {(x, 1): m} with x increasing, then (1, 0).  Horner's
-    rule evaluates f(x, 1) at every x; only at a root is the synthetic
-    division by (X - x) repeated, until it leaves a remainder."""
+    multiplicities: {(x, 1): m} with x increasing, then (1, 0).  Only at a
+    zero of `_zeros_mod_p` is the synthetic division by (X - x) repeated,
+    until it leaves a remainder."""
     mults: dict[tuple[int, int], int] = {}
-    for x in range(p):
-        if (((fa * x + fb) * x + fc) * x + fd) % p:
-            continue
+    for x in _zeros_mod_p(fa, fb, fc, fd, p):
         # each pass turns q into its quotient by (X - x), remainder last
         q, m = [fa, fb, fc, fd], 0
         while True:
@@ -412,15 +411,17 @@ def index_p_subrings(ring: CubicRing, p: int | Place) -> list[CubicRing]:
     return out
 
 
-def conductor_subring(ring: CubicRing, p: int, k: int) -> CubicRing:
+def conductor_subring(ring: CubicRing, p: int | Place, k: int) -> CubicRing:
     """The ring base + p^k * S; its form is p^k times the form of S, so the
-    discriminant is multiplied by p^(4k)."""
+    discriminant is multiplied by p^(4k).  p is a prime, proven here first,
+    or its `Place`."""
+    place = p if isinstance(p, Place) else Place.finite(p)
     if k < 0:
         raise DomainError("conductor exponent must be nonnegative")
     if k == 0:
         return ring
     f = ring_to_form(ring)
-    return form_to_ring(f.scale(p**k), p=p)
+    return form_to_ring(f.scale(place.p**k), p=place)
 
 
 # ----------------------------------------------------------------------

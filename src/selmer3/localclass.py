@@ -1,11 +1,13 @@
 """Local classification of twist classes at a finite place.
 
-Three layers, all symbolic: the dimension table for the order-3 Galois
+Two layers, all symbolic: the dimension table for the order-3 Galois
 module cut out by sqrt(d) (keyed by whether zeta_3 lies in the completion
-and by the square classes of d and -3d), the integral-orbit classification
-by the valuation of d, and the soluble-class description for a good
-reduction 3-isogeny.  Class descriptors are kind tags, not cocycles; the
-group itself is never materialized.
+and by the square classes of d and -3d), and the integral-orbit
+classification by the valuation of d, with one integrality rule
+(`_integral`) for the classification and its integral representatives.
+Class descriptors are kind tags, not cocycles; the group itself is never
+materialized.  The soluble-class description for a good reduction
+3-isogeny is a test-side reference over these classes.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from .localfield import (
     Place,
     Rational,
     SquareClassification,
-    _entry_split,
     _split,
     classify_squares,
     cube_class_reps,
     is_square,
-    sqrt_extension_unramified,
     tame_place,
 )
 
@@ -46,14 +46,11 @@ class OrbitClassDescriptor:
     kind: str
     detail: str = ""
     integral: bool = True
-    soluble: bool | None = None
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "integral": self.integral}
         if self.detail:
             obj["detail"] = self.detail
-        if self.soluble is not None:
-            obj["soluble"] = self.soluble
         return obj
 
 
@@ -67,7 +64,6 @@ class LocalTwistDatum:
     v_d: int
     u: Fraction
     squares: SquareClassification
-    n: int
     r: int | None  # 3^r = gcd(3^m, v(d)), defined when v(d) is even positive
 
 
@@ -86,10 +82,9 @@ def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
     place = Place.finite(p)
-    n = 3**m
     v, num, den = _split(d, p)
     u = Fraction(num, den)
-    v_red = v % (2 * n)
+    v_red = v % (2 * 3**m)
     d_red = u * p**v_red
     return LocalTwistDatum(
         place=place,
@@ -97,7 +92,6 @@ def build_twist_datum(p: int, d: Rational, m: int = 1) -> LocalTwistDatum:
         v_d=v_red,
         u=u,
         squares=classify_squares(d_red, place),
-        n=n,
         r=level_r(v_red, m) if v_red > 0 and v_red % 2 == 0 else None,
     )
 
@@ -140,11 +134,23 @@ def _class_list(p: int, dims: tuple[int, int]) -> list[tuple[str, str]]:
     return out
 
 
+def _integral(kind: str, v: int) -> bool:
+    """Whether a class of this kind has a p-integral form at v = v(d) >= 0:
+    the trivial class always, the ramified ones from v = 2 on, and the
+    nontrivial unramified ones at v = 0 and at even v >= 4."""
+    if kind == KIND_TRIVIAL:
+        return True
+    if kind == KIND_RAMIFIED:
+        return v >= 2
+    return v == 0 or (v % 2 == 0 and v >= 4)
+
+
 def classify_integral(p: int | Place, d: Rational) -> list[OrbitClassDescriptor]:
     """All local classes for the twist d at p > 3, each flagged integral or
-    not: at v(d) = 0 exactly the unramified classes are integral, at odd
-    v(d) only the trivial class exists, at v(d) = 2 exactly the nontrivial
-    unramified classes fail, and for even v(d) > 2 everything is integral."""
+    not (`_integral`): at v(d) = 0 exactly the unramified classes are
+    integral, at odd v(d) only the trivial class exists, at v(d) = 2 exactly
+    the nontrivial unramified classes fail, and for even v(d) > 2
+    everything is integral."""
     place = tame_place(p, "classification")
     p = place.p
     d = Fraction(d)
@@ -153,16 +159,8 @@ def classify_integral(p: int | Place, d: Rational) -> list[OrbitClassDescriptor]
     v = _split(d, p)[0]
     if v < 0:
         raise DomainError("twist parameter must be p-integral")
-
-    def integral(kind: str) -> bool:
-        if kind == KIND_TRIVIAL:
-            return True
-        if kind == KIND_RAMIFIED:
-            return v >= 2
-        return v == 0 or (v % 2 == 0 and v >= 4)  # nontrivial unramified
-
     return [
-        OrbitClassDescriptor(kind=kind, detail=detail, integral=integral(kind))
+        OrbitClassDescriptor(kind=kind, detail=detail, integral=_integral(kind, v))
         for kind, detail in _class_list(p, h1_dims(place, d))
     ]
 
@@ -234,14 +232,19 @@ def integral_representative(
     """A p-integral form in the given class whose discriminant has the
     valuation of d and the same unit square class.  (Exact equality of the
     unit part is not attainable over Q in general: the local scaling that
-    matches units is a p-adic, not rational, square root.)"""
+    matches units is a p-adic, not rational, square root.)  Integrality is
+    decided by the class's kind and v(d), not by its `integral` flag; a d
+    that is not p-integral, a class with no integral form and a class that
+    d does not have are refused."""
     place = tame_place(p, "a representative")
     p = place.p
     d = Fraction(d)
     if d == 0:
         raise DomainError("twist parameter must be nonzero")
     v = _split(d, p)[0]
-    if not cls.integral:
+    if v < 0:
+        raise DomainError("twist parameter must be p-integral")
+    if not _integral(cls.kind, v):
         raise NonIntegralClassError(f"class {cls.kind} has no p-integral representative at v(d)={v}")
     q = Fraction(p)
 
@@ -262,7 +265,7 @@ def integral_representative(
         base = BinaryCubicForm(1, 0, 0, -p * u_rep)  # x^3 - p*u y^3, Eisenstein
         if v % 4 == 2:
             form = base.scale(q ** ((v - 2) // 4))
-        else:  # v = 0 (mod 4), v >= 4
+        else:  # v = 0 (mod 4), v >= 4; an odd v fails the square test below
             # index-p suborder of the maximal order, discriminant valuation 4
             suborder = BinaryCubicForm(-u_rep, 0, 0, q**2)
             form = suborder.scale(q ** ((v - 4) // 4))
@@ -272,63 +275,13 @@ def integral_representative(
         raise DomainError(f"unknown class kind {cls.kind!r}")
 
     disc = form.discriminant()
+    # same valuation, so the unit parts share a square class when disc * d
+    # is a square; otherwise d has no class of this label
+    if not is_square(disc * d, place):
+        raise DomainError(f"{d} has no class {cls.kind}{cls.detail and f' {cls.detail}'} at {p}")
     assert form.is_p_integral(place)
-    # same valuation, so the unit parts share a square class when disc * d is a square
-    assert disc != 0 and _split(disc, p)[0] == v
-    assert is_square(disc * d, place)
+    assert _split(disc, p)[0] == v
     return form
-
-
-# ----------------------------------------------------------------------
-# Soluble classes
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolubleClasses:
-    """The image of the local Kummer map, at the resolution of the good
-    reduction theorem.  `nontrivial_kinds` lists the soluble nontrivial
-    class kinds when the theorem pins the image down exactly (the trivial
-    class is always soluble); when only the intersection with the
-    unramified subgroup is determined, `nontrivial_kinds` is None and
-    `meets_unramified` carries the answer."""
-
-    case: str  # "unramified" | "zero" | "unram-trivial" | "summand"
-    nontrivial_kinds: frozenset[str] | None
-    meets_unramified: bool | None
-
-    def selector(self, classes: list[OrbitClassDescriptor]) -> list[OrbitClassDescriptor]:
-        if self.nontrivial_kinds is None:
-            raise DomainError("soluble set is only known inside the unramified subgroup")
-        keep = self.nontrivial_kinds | {KIND_TRIVIAL}
-        return [c for c in classes if c.kind in keep]
-
-    def count(self, classes: list[OrbitClassDescriptor]) -> int:
-        return len(self.selector(classes))
-
-
-def soluble_classes(datum: LocalTwistDatum, summand_flag: bool) -> SolubleClasses:
-    """Image of the local Kummer map for a good reduction twist at residue
-    characteristic != 3.  Residue characteristic 2 is admitted exactly as
-    far as the theorem extends there: the v(d) = 0 and ramified-sqrt cases."""
-    p = datum.place.p
-    assert p is not None
-    if p == 3:
-        raise DomainError("3-adic places take ratio overrides, not this theorem")
-    v = datum.v_d
-
-    if not sqrt_extension_unramified(datum.d, datum.place):
-        # covers odd v(d); the whole group vanishes
-        return SolubleClasses("zero", frozenset(), False)
-    if v == 0:
-        kinds = frozenset({KIND_UNRAM_1, KIND_UNRAM_2}) if h1_dims(datum.place, datum.d)[1] else frozenset()
-        return SolubleClasses("unramified", kinds, bool(kinds))
-    if p == 2:
-        raise DomainError("even positive v(d) at p = 2 is outside the theorem")
-    if not datum.squares.d_is_square:
-        # unramified subgroup is trivial; image beyond it is ratio data
-        return SolubleClasses("unram-trivial", None, False)
-    return SolubleClasses("summand", None, not summand_flag)
 
 
 def unit_class(u: Rational, p: int, r: int) -> int | str:
@@ -355,11 +308,3 @@ def class_labels(p: int, cls: int | str) -> tuple[str, ...]:
     if label == "nonsquare":
         return ("nonsquare", "any")
     return ("power", "square", "any") if label == "power" else ("square", "any")
-
-
-def unit_class_labels(u: Rational, place: Place, r: int) -> tuple[str, ...]:
-    """The label chain of the unit u at the finite place and r.  The place
-    has proven its prime."""
-    if _entry_split(u, place)[0]:
-        raise DomainError(f"{u} is not a unit at {place.p}")
-    return class_labels(place.p, unit_class(u, place.p, r))

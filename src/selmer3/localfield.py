@@ -179,10 +179,6 @@ class SquareClassification:
     d_is_square: bool
     minus3d_is_square: bool
 
-    @property
-    def neither(self) -> bool:
-        return not (self.d_is_square or self.minus3d_is_square)
-
 
 def classify_squares(d: Rational, place: Place) -> SquareClassification:
     d = Fraction(d)

@@ -2,7 +2,7 @@
 
 The cubic fields of Q_p with discriminant in the class of d are listed
 once, from one square test each of d and -3d, with the index form of each
-maximal order; count_cubic_extensions, both cohomology counts and the
+maximal order; count_cubic_extensions and the cohomology counts and
 field rows of an enumerate_orbits stratum read that list.
 enumerate_orbits decides integrality of every local class by exhausting
 the index-p^j sublattices of the maximal order (a nonexistence answer
@@ -26,7 +26,7 @@ division, and a model multiplies elements only where it evaluates a
 polynomial, by Horner's rule on the coordinates; root isolation
 evaluates a node only at the zeros of its reduction, coordinate 0 of each
 coefficient mod p in an Eisenstein model and in the unramified model at a
-node with coefficients in Z_p, found in F_p by integer Horner's rule mod p
+node with coefficients in Z_p, found in F_p by the zero scan of `cubicforms`
 (in the unramified case they stand for all p^3 residues of F_p^3, by the
 lemma in `padicroots`), and searches a form's f(1, y) at y = 0 (mod pi)
 only;
@@ -60,6 +60,7 @@ from .cubicforms import (
     CubicRing,
     _exact_div,
     _root_multiplicities,
+    _zeros_mod_p,
     discriminant,
     form_to_ring,
     linear_substitution,
@@ -80,7 +81,7 @@ from .localfield import (
     sqrt_extension_unramified,
     tame_place,
 )
-from .padicroots import ZpModel, _primitive_at, _projective_root_test, _residue_zeros
+from .padicroots import ZpModel, _primitive_at, _projective_root_test
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +176,9 @@ class CubicExtModel:
         p = self.p
         if not self.ramified and any(c[1] or c[2] for c in coeffs):
             return self.residues(), False
-        reduction = [c[0] % p for c in coeffs]
-        zeros = _residue_zeros(reduction, p)
-        cubic = not (self.ramified or zeros) and len(coeffs) == 4 and reduction[3] != 0
+        reduction = [c[0] % p for c in coeffs] + [0] * (4 - len(coeffs))
+        zeros = _zeros_mod_p(*reduction[::-1], p)
+        cubic = not (self.ramified or zeros) and reduction[3] != 0
         return [self.embed_int(a) for a in zeros], cubic
 
     def times_uniformizer(self, x) -> tuple[int, int, int]:
@@ -259,11 +260,6 @@ def count_cubic_extensions(p: int, d: Rational) -> int:
     """Number of cubic field extensions of Q_p (p > 3) whose discriminant
     lies in the square class of d."""
     return len(_cubic_fields(tame_place(p, "extension count"), d))
-
-
-def h1_counts_from_extensions(p: int, d: Rational) -> tuple[int, int]:
-    """(#H^1, #H^1_un) derived purely from field enumeration."""
-    return _h1_counts(_cubic_fields(tame_place(p, "extension count"), d))
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,10 @@ test the form.
 A node evaluates g only where g can have a root: at the zeros of its
 reduction g-bar.  When the residue field is F_p (Z_p, the Eisenstein
 rings) or the coefficients lie in Z_p, g-bar is read by reducing each
-coefficient (or its coordinate 0) mod p once, and its zeros in F_p are
-found by integer Horner's rule mod p (`_residue_zeros`); the model's
-evaluation, the valuation and the derivative, built at the first zero,
-run only there.  In an unramified cubic ring, whose residue field is
+coefficient (or its coordinate 0) mod p once and padding it to a cubic,
+and its zeros in F_p are found by the one F_p zero scan of `cubicforms`
+(`_zeros_mod_p`); the model's evaluation, the valuation and the
+derivative, built at the first zero, run only there.  In an unramified cubic ring, whose residue field is
 F_p^3, this covers every residue: since F_p^2 and F_p^3 meet in F_p,
 g-bar has zeros in F_p^3 outside F_p exactly when it is a cubic with no
 zero in F_p, that is, irreducible over F_p.  Such zeros are simple (an
@@ -63,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .cubicforms import discriminant
+from .cubicforms import _zeros_mod_p, discriminant
 from .errors import DomainError, PrecisionError
 from .localfield import Place, _proven_prime, _split
 
@@ -82,7 +82,8 @@ class ZpModel:
         return n
 
     def residue_walk(self, coeffs) -> tuple[list[int], bool]:
-        return _residue_zeros([c % self.p for c in coeffs], self.p), False
+        reduction = [c % self.p for c in coeffs] + [0] * (4 - len(coeffs))
+        return _zeros_mod_p(*reduction[::-1], self.p), False
 
     def peval(self, coeffs, x: int) -> int:
         acc = 0
@@ -104,21 +105,6 @@ class ZpModel:
 
     def times_uniformizer(self, x: int) -> int:
         return x * self.p
-
-
-def _residue_zeros(reduction: list[int], p: int) -> list[int]:
-    """The zeros in F_p of the polynomial with the given coefficients mod p
-    (constant term first), by Horner's rule on integers below p^4, reduced
-    mod p once per residue."""
-    top_first = reduction[::-1]
-    zeros = []
-    for a in range(p):
-        acc = 0
-        for c in top_first:
-            acc = acc * a + c
-        if acc % p == 0:
-            zeros.append(a)
-    return zeros
 
 
 def _pderiv(coeffs, model):
@@ -266,27 +252,13 @@ def _primitive_at(coeffs, p: int) -> list[int]:
     return [t // scale for t in ints]
 
 
-def has_zp_root(coeffs, p: int) -> bool:
-    """Root in Z_p of a polynomial of degree at most 3 with rational
-    coefficients (constant term first)."""
-    p = _proven_prime(p)
-    if all(c == 0 for c in coeffs):
-        raise DomainError("zero polynomial")
-    return has_ring_root(ZpModel(p), _primitive_at(coeffs, p))
-
-
-def form_has_projective_root(model, a, b, c, d) -> bool:
-    """Whether the binary cubic with the given integer coefficients (see
-    `_primitive_at`) has a zero on the projective line over the model's
-    fraction field."""
-    return _projective_root_test(a, b, c, d)(model)
-
-
 def _projective_root_test(a, b, c, d):
-    """model -> `form_has_projective_root(model, a, b, c, d)`, for any
-    number of models from one discriminant.  Any projective point has a
-    representative with both coordinates integral and one of them a unit,
-    so testing f(x, 1) and f(1, y) for ring roots covers everything.  Both
+    """model -> whether the binary cubic with the given integer coefficients
+    (see `_primitive_at`) has a zero on the projective line over the
+    model's fraction field, for any number of models from one
+    discriminant.  Any projective point has a representative with both
+    coordinates integral and one of them a unit, so testing f(x, 1) and
+    f(1, y) for ring roots covers everything.  Both
     are cubics when a d != 0, and disc is symmetric under (a, b, c, d) ->
     (d, c, b, a), so their resultants are disc a and disc d.  A point
     [1 : y] with y a unit is [1/y : 1], which the f(x, 1) search covers,
@@ -303,4 +275,4 @@ def form_has_projective_root_qp(a, b, c, d, p: int | Place) -> bool:
     """Whether a binary cubic with the given rational coefficients has a
     zero in P^1(Q_p), for a prime p or its `Place`, which has proven it."""
     p = _proven_prime(p)
-    return form_has_projective_root(ZpModel(p), *_primitive_at((a, b, c, d), p))
+    return _projective_root_test(*_primitive_at((a, b, c, d), p))(ZpModel(p))

@@ -19,7 +19,7 @@ from itertools import compress
 from math import isqrt
 
 from .errors import Document, DomainError, IncompleteConfigError, malformed
-from .localclass import LocalTwistDatum, class_labels, level_r, unit_class, unit_class_labels
+from .localclass import LocalTwistDatum, class_labels, level_r, unit_class
 from .localfield import Place, Rational, is_prime
 from .twistfamilies import TwistClass, TwistFamily, _primes_below, _walk, admitted_masks, factorize, reduce_class
 
@@ -133,11 +133,6 @@ class IsogenyDescriptor(Document):
         raise IncompleteConfigError(
             f"descriptor incomplete: no kappa orders for r={r}, unit class {labels[0]} at p={p}"
         )
-
-    def summand_flag(self, p: int, u: Rational, r: int) -> bool:
-        if r == 0:
-            return self.global_summand_bit
-        return self.kappa_exponents(p, unit_class_labels(u, Place.finite(p), r), r)[0] == 0
 
 
 # ----------------------------------------------------------------------

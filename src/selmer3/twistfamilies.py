@@ -8,7 +8,8 @@ height and sign; `_walk` reads them off the residue classes one condition
 admits (or every height, if cheaper).  The T_k partition reads only these masks.
 `_sieve_walk` factors each admitted height once, off one smallest-prime-
 factor sieve (an `array('I')`, four bytes a height), and hands its primes
-to a maker per sign: the Prym report's rows, `enumerate_classes`' classes.
+to a maker per sign: the Prym report's rows (the tests' reference
+`enumerate_classes` makes classes off it too).
 `reduce_class` builds the class of one d (`global_report`) and factors it
 once: trial division by small primes, then Pollard's rho within a fixed budget.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import Iterator
@@ -199,16 +199,6 @@ def reduce_class(d: Rational, n: int) -> TwistClass:
     raise DomainError("the representative of d has more than 4300 digits")
 
 
-def height(tc: TwistClass) -> int:
-    return abs(tc.d0)
-
-
-def is_squarefree_class(tc: TwistClass) -> bool:
-    """Squarefree means every prime divides the representative to order 0
-    or 1 (equivalently v(d) = 0 or 1 mod 2n at every prime)."""
-    return all(e <= 1 for e in tc.factorization().values())
-
-
 @dataclass(frozen=True)
 class CongruenceCondition(Document):
     modulus: int
@@ -269,7 +259,7 @@ class TwistFamily(Document):
             return False
         if (1 if tc.d0 > 0 else -1) not in self.signs:
             return False
-        if self.squarefree and not is_squarefree_class(tc):
+        if self.squarefree and any(e > 1 for e in tc.factorization().values()):
             return False
         return all(cond.admits(tc.d0) for cond in self.conditions)
 
@@ -363,24 +353,6 @@ def _sieve_walk(masks: list[tuple[int, bytes]], union: bytes, walk: tuple, maker
             if mask[h]:
                 out.append(make(h, primes))
     return out
-
-
-def enumerate_classes(family: TwistFamily, bound: int) -> list[TwistClass]:
-    """All classes of the family with height strictly below the bound, in
-    the order of `_sieve_walk`, each height's flat factors shared by both signs'."""
-    last = [0, ()]  # a height and its flat factors
-    def make(sign: int, h: int, primes: list[int]) -> TwistClass:
-        if last[0] != h:
-            flat: list[int] = []
-            for p in primes:
-                if flat and flat[-2] == p:
-                    flat[-1] += 1
-                else:
-                    flat += (p, 1)
-            last[:] = h, tuple(flat)
-        return TwistClass(sign * h, family.n, last[1])
-
-    return _sieve_walk(*admitted_masks(family, bound), {s: partial(make, s) for s in (1, -1)})
 
 
 PRESETS: dict[str, TwistFamily] = {

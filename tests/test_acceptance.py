@@ -27,7 +27,9 @@ from selmer3.selmerratio import (
     rank_density_bounds,
 )
 from selmer3.localclass import build_twist_datum
-from selmer3.twistfamilies import enumerate_classes, family_preset
+from selmer3.twistfamilies import family_preset
+
+from references import enumerate_classes
 
 
 def _report(n: int, label: str) -> None:

@@ -885,7 +885,9 @@ def _prym_config_over_sixth_power_classes():
 
     from selmer3.localfield import sextic_class_3adic
     from selmer3.prym import ThreeAdicInput, load_preset
-    from selmer3.twistfamilies import CongruenceCondition, TwistFamily, enumerate_classes
+    from selmer3.twistfamilies import CongruenceCondition, TwistFamily
+
+    from references import enumerate_classes
 
     family = TwistFamily(n=3, conditions=(CongruenceCondition(4, frozenset({2, 3})),), squarefree=True, name="d23")
     classes = sorted({sextic_class_3adic(tc.d0).representative for tc in enumerate_classes(family, 200)})
@@ -1058,7 +1060,8 @@ def test_prym_row_makers_equal_the_assembly_of_each_member(config, height):
     # heights and primes, against the one-d assembly of each member
     from selmer3.cli import _prym_row_text
     from selmer3.prym import assemble_local_exponents, family_report
-    from selmer3.twistfamilies import enumerate_classes
+
+    from references import enumerate_classes
 
     rows = family_report(config, height).rows
     target(float(len(rows)))  # steer the draws toward families with many members

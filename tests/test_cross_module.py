@@ -14,7 +14,6 @@ from selmer3.localclass import (
     build_twist_datum,
     classify_integral,
     integral_representative,
-    soluble_classes,
 )
 from selmer3.localfield import Place, least_nonresidue, unit_part, valuation
 from selmer3.oracle import algebra_class_of_form
@@ -24,6 +23,8 @@ from selmer3.selmerratio import (
     LocalPlaceProfile,
     local_exponent,
 )
+
+from references import soluble_classes, summand_flag
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -80,13 +81,13 @@ def test_summand_flag_matches_ratio_exponent():
     desc_split = descriptor_with_kappa(1, 1)
     k = local_exponent(prof, desc_split, datum)
     assert k == -1  # image is just the trivial class: 1/#kernel = 1/3
-    sol = soluble_classes(datum, summand_flag=desc_split.summand_flag(5, datum.u, 0))
+    sol = soluble_classes(datum, summand_flag=summand_flag(desc_split, 5, datum.u, 0))
     assert sol.meets_unramified is False
 
     desc_nonsplit = descriptor_with_kappa(3, 3)
     k = local_exponent(prof, desc_nonsplit, datum)
     assert k == 0  # image has size 3: the full unramified subgroup
-    sol = soluble_classes(datum, summand_flag=desc_nonsplit.summand_flag(5, datum.u, 0))
+    sol = soluble_classes(datum, summand_flag=summand_flag(desc_nonsplit, 5, datum.u, 0))
     assert sol.meets_unramified is True
 
 

@@ -23,6 +23,7 @@ from selmer3.cubicforms import (
     translate_basis,
 )
 from selmer3.errors import DomainError
+from selmer3.localfield import Place
 
 
 def disc_oracle(f: BinaryCubicForm) -> Fraction:
@@ -81,7 +82,7 @@ def test_discriminant_matches_resultant_oracle():
 
 def test_act_identity_and_rotation():
     f = BinaryCubicForm(0, 1, 1, 0)
-    assert act(TwoByTwoMatrix.identity(), f) == f
+    assert act(TwoByTwoMatrix(1, 0, 0, 1), f) == f
     rot = TwoByTwoMatrix(0, -1, 1, 0)
     g = act(rot, f)
     assert g == BinaryCubicForm(0, 1, -1, 0)
@@ -227,6 +228,16 @@ def test_conductor_subring_discriminant_scaling():
     for k in (1, 2, 3):
         sub = conductor_subring(ring, 5, k)
         assert sub.discriminant() == Fraction(5) ** (4 * k) * ring.discriminant()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("p", [6, 1, 0, 25])
+def test_conductor_subring_proves_p_at_every_k(p, k):
+    # p is proven before k = 0 returns the ring unchanged
+    ring = form_to_ring(BinaryCubicForm(1, 2, -1, 3))
+    with pytest.raises(DomainError):
+        conductor_subring(ring, p, k)
+    assert conductor_subring(ring, Place.finite(5), k) == conductor_subring(ring, 5, k)
 
 
 def test_orbit_split_over_q():

@@ -44,10 +44,11 @@ from selmer3.twistfamilies import (
     CongruenceCondition,
     TwistClass,
     TwistFamily,
-    enumerate_classes,
     family_preset,
     reduce_class,
 )
+
+from references import enumerate_classes
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +324,6 @@ def counts(monkeypatch):
         "solve_three_adic": _count_calls(monkeypatch, prym, "solve_three_adic"),
         "is_square": _count_calls(monkeypatch, localfield, "is_square"),
         "is_prime": _count_calls(monkeypatch, localfield, "is_prime"),
-        "enumerate_classes": _count_calls(monkeypatch, twistfamilies, "enumerate_classes"),
         "sieve_walk": _count_calls(monkeypatch, twistfamilies, "_sieve_walk"),
         "reduce_class": _count_calls(monkeypatch, twistfamilies, "reduce_class"),
         "admits": _count_method_calls(monkeypatch, TwistFamily, "admits"),
@@ -356,7 +356,6 @@ def test_prym_request_builds_rows_straight_from_one_sieve_walk(counts, capsys):
     result = _run(capsys, "prym", "--preset", "prym-a4", "--height", "3000")
     assert result["member_count"] > 300
     assert counts["TwistClass"] == []
-    assert counts["enumerate_classes"] == []
     assert len(counts["sieve_walk"]) == 1
 
 
@@ -432,7 +431,6 @@ def test_full_scan_builds_no_member(counts, capsys):
     # class object, no per-member exponents, no reduction
     result = _run(capsys, "scan", "--family-preset", "full-n3", "--height", "2000")
     assert result["member_count"] > 3000
-    assert counts["enumerate_classes"] == []
     assert counts["entries"] == []
     assert counts["reduce_class"] == []
     assert counts["TwistClass"] == []

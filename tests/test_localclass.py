@@ -1,10 +1,11 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
 
 from selmer3.cubicforms import factorization_type, orbit_split
-from selmer3.errors import DomainError, IncompleteConfigError, NonIntegralClassError
+from selmer3.errors import DomainError, IncompleteConfigError, NonIntegralClassError, Selmer3Error
 from selmer3.localclass import (
     OrbitClassDescriptor,
     _cubic_has_root,
@@ -12,12 +13,13 @@ from selmer3.localclass import (
     classify_integral,
     h1_dims,
     integral_representative,
-    soluble_classes,
     unit_class,
     unramified_cubic_form,
 )
 from selmer3.localfield import Place, is_square, least_nonresidue, unit_part, valuation
 from selmer3.selmerratio import IsogenyDescriptor, KappaEntry
+
+from references import soluble_classes, summand_flag
 
 
 def kinds_summary(classes):
@@ -229,6 +231,27 @@ def test_non_integral_class_rejected():
         integral_representative(7, 1, cls)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_integral_representative_refuses_what_d_lacks(p):
+    # every label classify_integral makes at p, with either integral flag,
+    # at v(d) = -2..6 and both unit classes: the form of a class that
+    # classify_integral marks integral, or a Selmer3Error; never an assert
+    labels = {(c.kind, c.detail) for u in (1, -3) for c in classify_integral(p, u)}
+    for v in range(-2, 7):
+        for u in (1, least_nonresidue(p)):
+            d = Fraction(u) * Fraction(p) ** v
+            integral = {(c.kind, c.detail): c for c in classify_integral(p, d) if c.integral} if v >= 0 else {}
+            for (kind, detail), flag in product(sorted(labels), (True, False)):
+                try:
+                    form = integral_representative(p, d, OrbitClassDescriptor(kind, detail, flag))
+                except Selmer3Error:
+                    assert (kind, detail) not in integral
+                    continue
+                assert form == integral_representative(p, d, integral[kind, detail])
+                disc = form.discriminant()
+                assert form.is_p_integral(p) and valuation(disc, p) == v and is_square(disc * d, Place.finite(p))
+
+
 def test_soluble_classes_theorem_cases():
     # v(d) = 0: soluble = unramified
     datum = build_twist_datum(5, 1)
@@ -282,16 +305,16 @@ def test_summand_flag_unit_class_labels():
     entries = (KappaEntry(1, "power", 1, 1), KappaEntry(1, "nonsquare", 3, 1))
     desc = IsogenyDescriptor(global_summand_bit=False, kappa_orders=entries)
     # r = 0 reads the global bit, whatever the unit
-    assert desc.summand_flag(5, 2, 0) is False
-    assert IsogenyDescriptor(global_summand_bit=True, kappa_orders=entries).summand_flag(5, 2, 0) is True
+    assert summand_flag(desc, 5, 2, 0) is False
+    assert summand_flag(IsogenyDescriptor(global_summand_bit=True, kappa_orders=entries), 5, 2, 0) is True
     # 4 = 2^2 and every 5-adic unit is a cube, so 4 is a (2*3)-rd power
-    assert desc.summand_flag(5, 4, 1) is True
-    assert desc.summand_flag(5, 2, 1) is False
+    assert summand_flag(desc, 5, 4, 1) is True
+    assert summand_flag(desc, 5, 2, 1) is False
     # 2 is a square mod 7 but not a cube, so its label is "square": unlisted
     with pytest.raises(IncompleteConfigError):
-        desc.summand_flag(7, 2, 1)
+        summand_flag(desc, 7, 2, 1)
     # at p = 3 every square unit is keyed "power"
-    assert desc.summand_flag(3, 4, 1) is True
+    assert summand_flag(desc, 3, 4, 1) is True
 
 
 def test_twist_datum_reduction():

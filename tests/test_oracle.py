@@ -22,13 +22,14 @@ from selmer3.oracle import (
     algebra_class_of_form,
     count_cubic_extensions,
     enumerate_orbits,
-    h1_counts_from_extensions,
     order_from_lattice,
     orders_of_index,
     sl2_orbit_count_mod_p,
     verify_subring_bijection,
 )
 from selmer3.padicroots import ZpModel, has_ring_root
+
+from references import h1_counts_from_extensions
 
 
 def test_extension_model_arithmetic():
@@ -672,13 +673,13 @@ def _both_orientations(model, a, b, c, d):
 def test_projective_root_test_equals_both_full_walks(p, coeffs, powers):
     # f(1, y) is searched only at y = 0 (mod pi); the reference searches
     # both orientations at every residue
-    from selmer3.padicroots import form_has_projective_root
+    from selmer3.padicroots import _projective_root_test
 
     a, b, c, d = (t * p**k for t, k in zip(coeffs, powers))
     for model in [ZpModel(p), CubicExtModel.unramified(p)] + [
         CubicExtModel.eisenstein(p, u) for u in cube_class_reps(p)
     ]:
-        assert _outcome(form_has_projective_root, model, a, b, c, d) == _outcome(
+        assert _outcome(lambda: _projective_root_test(a, b, c, d)(model)) == _outcome(
             _both_orientations, model, a, b, c, d, reference=True
         ), model
 
@@ -1020,7 +1021,8 @@ def test_oracle_imports_no_classification_layer():
     # from localclass it takes only the construction of the unramified
     # cubic, and nothing from the ratio calculus or the families.  Its root
     # isolation runs through padicroots, which takes only the discriminant
-    # polynomial from cubicforms and nothing from the layers above.
+    # polynomial and the zero scan over F_p from cubicforms and nothing from
+    # the layers above.
     import ast
 
     import selmer3.oracle as oracle
@@ -1029,7 +1031,7 @@ def test_oracle_imports_no_classification_layer():
     excluded = {"selmerratio": set(), "prym": set(), "twistfamilies": set()}
     rules = {
         oracle: {**excluded, "localclass": {"unramified_cubic_form"}},
-        padicroots: {**excluded, "localclass": set(), "cubicforms": {"discriminant"}},
+        padicroots: {**excluded, "localclass": set(), "cubicforms": {"discriminant", "_zeros_mod_p"}},
     }
     for checked, allowed in rules.items():
         for node in ast.walk(ast.parse(Path(checked.__file__).read_text())):

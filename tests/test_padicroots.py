@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from selmer3.cubicforms import _root_multiplicities
 from selmer3.errors import DomainError
 from selmer3.padicroots import (
     ZpModel,
@@ -11,8 +12,9 @@ from selmer3.padicroots import (
     _resultant,
     form_has_projective_root_qp,
     has_ring_root,
-    has_zp_root,
 )
+
+from references import has_zp_root
 
 
 def test_simple_roots():
@@ -176,6 +178,30 @@ def test_simple_zero_mod_p_lifts(case):
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     assume(any(_value(coeffs, x) % p == 0 and _value(deriv, x) % p for x in range(p)))
     assert has_zp_root(coeffs, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.lists(st.integers(-40, 40), min_size=1, max_size=4))
+@example(5, [0])  # an all-zero reduction: every residue
+@example(3, [3, -6, 0, 9])
+@example(7, [2, 0, 0, 0])  # zero leading coefficients: a nonzero constant
+@example(11, [0, 0, 1, 0])  # x^2: a double zero, and (1 : 0) a simple one
+def test_one_zero_scan_for_root_isolation_and_root_multiplicities(p, coeffs):
+    # root isolation's zeros of a reduction are those of brute-force
+    # evaluation, and the form scan's multiplicities those of sympy's
+    # factorization over GF(p); both come from cubicforms' one scan of F_p
+    sympy = pytest.importorskip("sympy")
+    zeros, _ = ZpModel(p).residue_walk(coeffs)
+    assert list(zeros) == [x for x in range(p) if _value(coeffs, x) % p == 0]
+    fd, fc, fb, fa = [c % p for c in coeffs] + [0] * (4 - len(coeffs))
+    if not (fa or fb or fc or fd):
+        return
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(fa * x**3 + fb * x**2 + fc * x + fd, x, modulus=p)
+    want = {(int(-factor.TC()) % p, 1): m for factor, m in poly.factor_list()[1] if factor.degree() == 1}
+    if fa == 0:
+        want[(1, 0)] = 3 - poly.degree()  # (1 : 0) to 3 minus the degree of f(x, 1)
+    assert _root_multiplicities(fa, fb, fc, fd, p) == want
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ from selmer3.prym import (
     solve_three_adic,
 )
 from selmer3.selmerratio import duality_exponent
-from selmer3.twistfamilies import CongruenceCondition, TwistFamily, enumerate_classes, family_preset
+from selmer3.twistfamilies import CongruenceCondition, TwistFamily, family_preset
+
+from references import enumerate_classes
 
 
 @pytest.fixture(scope="module")
